@@ -77,6 +77,16 @@ def _parse_tuple(text: str, arity: tuple[int, ...]) -> tuple[int, ...]:
     return values
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _emit(args, text: str) -> None:
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -92,23 +102,14 @@ def _histogram(values: Sequence[int]) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
-def _workers(args) -> int:
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        raise UsageError("--workers must be at least 1")
-    return workers
-
-
 def cmd_enumerate(args) -> int:
     pair = derive_pair(args.n, args.m)
     if args.command == "enumerate-a":
-        tuples = enumerate_a(pair, workers=_workers(args))
+        tuples = enumerate_a(pair)
         fields = TupleA._fields
     else:
         cores = CoreSpec(args.n1, args.m1)
-        tuples = enumerate_b(
-            pair, cores, workers=_workers(args), allow_large=args.allow_large
-        )
+        tuples = enumerate_b(pair, cores, allow_large=args.allow_large)
         fields = TupleB._fields
     histograms = {
         name: _histogram([t[i] for t in tuples]) for i, name in enumerate(fields)
@@ -244,9 +245,7 @@ def cmd_build(args) -> int:
         "requested_cores": [requested_cores.n1, requested_cores.m1],
     }
     if args.verify_associativity:
-        doc["associative"] = verify_associativity_exhaustive(
-            g, max_order=max(g.order, 512), workers=_workers(args)
-        )
+        doc["associative"] = verify_associativity_exhaustive(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(_table_text(g, t))
@@ -363,7 +362,6 @@ def build_parser() -> _Parser:
     pa = sub.add_parser("enumerate-a", help="list valid four-field tuples")
     add_pair_flags(pa)
     add_common(pa, ("text", "json", "csv"))
-    pa.add_argument("--workers", type=int, default=1)
     pa.set_defaults(func=cmd_enumerate)
 
     pb = sub.add_parser("enumerate-b", help="list valid six-field tuples for given cores")
@@ -371,7 +369,6 @@ def build_parser() -> _Parser:
     pb.add_argument("--n1", type=int, required=True, help="x-side core index (power of two)")
     pb.add_argument("--m1", type=int, required=True, help="z-side core index (power of two)")
     add_common(pb, ("text", "json", "csv"))
-    pb.add_argument("--workers", type=int, default=1)
     pb.add_argument("--allow-large", action="store_true", help="permit scans beyond the gate")
     pb.set_defaults(func=cmd_enumerate)
 
@@ -394,22 +391,21 @@ def build_parser() -> _Parser:
     bd.add_argument("--tuple", required=True, help="a,s,t,c or r,a,s,b,t,c")
     bd.add_argument("--format", choices=("text", "json"), default="text")
     bd.add_argument("--output", help="write the table to this file")
-    bd.add_argument("--max-table", type=int, default=DEFAULT_MAX_ORDER)
+    bd.add_argument("--max-table", type=_positive_int, default=DEFAULT_MAX_ORDER)
     bd.add_argument("--verify-associativity", action="store_true")
-    bd.add_argument("--workers", type=int, default=1)
     bd.set_defaults(func=cmd_build)
 
     tc = sub.add_parser("tc", help="enumerate cosets of a presentation and report structure")
     tc.add_argument("--preset", help=f"compiled-in presentation ({', '.join(PRESET_NAMES)})")
     tc.add_argument("--relators", help="path to a relator file")
-    tc.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    tc.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     add_common(tc)
     tc.set_defaults(func=cmd_tc)
 
     cc = sub.add_parser("crosscheck", help="compare collection and enumeration group orders")
     add_pair_flags(cc)
     cc.add_argument("--tuple", required=True, help="a,s,t,c or r,a,s,b,t,c")
-    cc.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS)
+    cc.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
     cc.add_argument("--format", choices=("text",), default="text")
     cc.add_argument("--output")
     cc.set_defaults(func=cmd_crosscheck)

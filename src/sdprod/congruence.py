@@ -12,11 +12,10 @@ callers may pass arbitrary integers.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .arith import SdPair, additive_order, derive_pair
+from .arith import SdPair, additive_order
 from .errors import CapacityError, DomainError
 
 # Full six-field scans are gated above this product-space size, reached at
@@ -160,18 +159,17 @@ def check_b(pair: SdPair, cores: CoreSpec, t: TupleB) -> Verdict:
     return Verdict(tuple(failures))
 
 
-def _enumerate_a_span(n: int, m: int, a_lo: int, a_hi: int) -> list[TupleA]:
-    """Valid four-field tuples with a in [a_lo, a_hi), in lexicographic order.
+def enumerate_a(pair: SdPair) -> list[TupleA]:
+    """All valid four-field tuples, lexicographic in (a, s, t, c).
 
     The nested loops reject on exactly the conditions of check_a, each
     tested as soon as its fields are bound, so the result is the filter
-    of check_a over the slice.
+    of check_a over the whole product space.
     """
-    pair = derive_pair(n, m)
     N, M = pair.N, pair.M
     alpha, beta = pair.alpha, pair.beta
     out = []
-    for a in range(a_lo, a_hi):
+    for a in range(M):
         if ((1 + a) * (1 + a) - 1) % M:
             continue
         for s in range(N):
@@ -187,31 +185,26 @@ def _enumerate_a_span(n: int, m: int, a_lo: int, a_hi: int) -> list[TupleA]:
     return out
 
 
-def enumerate_a(pair: SdPair, workers: int = 1) -> list[TupleA]:
-    """All valid four-field tuples, lexicographic in (a, s, t, c)."""
-    if workers <= 1:
-        return _enumerate_a_span(pair.n, pair.m, 0, pair.M)
-    spans = _split_range(pair.M, workers)
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        parts = pool.map(_enumerate_a_span, *_span_args(pair, spans))
-    merged = [t for part in parts for t in part]
-    merged.sort()
-    return merged
+def enumerate_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> list[TupleB]:
+    """All valid six-field tuples for the given cores, lexicographic order.
 
-
-def _enumerate_b_span(
-    n: int, m: int, n1: int, m1: int, r_lo: int, r_hi: int
-) -> list[TupleB]:
-    """Valid six-field tuples with r in [r_lo, r_hi), lexicographic order.
-
-    Same filter-of-checker structure as _enumerate_a_span: every reject
+    The full product space has (N*M)**3 points; scans beyond the size
+    reached at ranks (5, 5) must be requested explicitly via allow_large.
+    Same filter-of-checker structure as enumerate_a: every reject
     corresponds to one of D1..D12 or an order condition.
     """
-    pair = derive_pair(n, m)
+    validate_cores(pair, cores)
+    space = (pair.N * pair.M) ** 3
+    if space > LARGE_SCAN_GATE and not allow_large:
+        raise CapacityError(
+            f"six-field scan of {space} points exceeds the gate "
+            f"({LARGE_SCAN_GATE}); pass allow_large to run it"
+        )
+    n1, m1 = cores
     N, M = pair.N, pair.M
     alpha, beta = pair.alpha, pair.beta
     out = []
-    for r in range(r_lo, r_hi):
+    for r in range(N):
         if additive_order(r, N) != m1:
             continue
         for a in range(M):
@@ -242,42 +235,6 @@ def _enumerate_b_span(
                                 continue
                             out.append(TupleB(r, a, s, b, t, c))
     return out
-
-
-def enumerate_b(
-    pair: SdPair, cores: CoreSpec, workers: int = 1, allow_large: bool = False
-) -> list[TupleB]:
-    """All valid six-field tuples for the given cores, lexicographic order.
-
-    The full product space has (N*M)**3 points; scans beyond the size
-    reached at ranks (5, 5) must be requested explicitly via allow_large.
-    """
-    validate_cores(pair, cores)
-    space = (pair.N * pair.M) ** 3
-    if space > LARGE_SCAN_GATE and not allow_large:
-        raise CapacityError(
-            f"six-field scan of {space} points exceeds the gate "
-            f"({LARGE_SCAN_GATE}); pass allow_large to run it"
-        )
-    if workers <= 1:
-        return _enumerate_b_span(pair.n, pair.m, cores.n1, cores.m1, 0, pair.N)
-    spans = _split_range(pair.N, workers)
-    args = list(zip(*[(pair.n, pair.m, cores.n1, cores.m1, lo, hi) for lo, hi in spans]))
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        parts = pool.map(_enumerate_b_span, *args)
-    merged = [t for part in parts for t in part]
-    merged.sort()
-    return merged
-
-
-def _split_range(stop: int, workers: int) -> list[tuple[int, int]]:
-    workers = max(1, min(workers, stop))
-    step = -(-stop // workers)
-    return [(lo, min(lo + step, stop)) for lo in range(0, stop, step)]
-
-
-def _span_args(pair: SdPair, spans: list[tuple[int, int]]):
-    return zip(*[(pair.n, pair.m, lo, hi) for lo, hi in spans])
 
 
 def parity_audit(pair: SdPair, tuples: Iterable[tuple]) -> bool:

@@ -19,7 +19,6 @@ against each other in the tests.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -377,29 +376,18 @@ def core_of(g: GroupTable, h: SubgroupHandle) -> SubgroupHandle:
     return SubgroupHandle(elements=elems, generators=elems)
 
 
-def _assoc_span(product: list[list[int]], lo: int, hi: int) -> bool:
+def verify_associativity_exhaustive(g: GroupTable, max_order: int = DEFAULT_ASSOC_CAP) -> bool:
+    """Check (ab)c == a(bc) for all order**3 triples."""
+    if g.order > max_order:
+        raise CapacityError(
+            f"table too large for the cubic scan: order {g.order} exceeds cap {max_order}"
+        )
+    product = g.product
     rng = range(len(product))
-    for a in range(lo, hi):
+    for a in range(g.order):
         row_a = product[a]
         get_a = row_a.__getitem__
         for b in rng:
             if product[row_a[b]] != list(map(get_a, product[b])):
                 return False
     return True
-
-
-def verify_associativity_exhaustive(
-    g: GroupTable, max_order: int = DEFAULT_ASSOC_CAP, workers: int = 1
-) -> bool:
-    """Check (ab)c == a(bc) for all order**3 triples."""
-    if g.order > max_order:
-        raise CapacityError(
-            f"table too large for the cubic scan: order {g.order} exceeds cap {max_order}"
-        )
-    if workers <= 1:
-        return _assoc_span(g.product, 0, g.order)
-    step = -(-g.order // workers)
-    spans = [(lo, min(lo + step, g.order)) for lo in range(0, g.order, step)]
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
-        results = pool.map(_assoc_span, *zip(*[(g.product, lo, hi) for lo, hi in spans]))
-    return all(results)

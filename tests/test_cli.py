@@ -72,15 +72,6 @@ def test_enumerate_output_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "a,s,t,c"
 
 
-def test_enumerate_workers_output_identical(capsys):
-    _, seq, _ = run(capsys, ["enumerate-a", "--n", "4", "--m", "4", "--format", "json"])
-    _, par, _ = run(
-        capsys,
-        ["enumerate-a", "--n", "4", "--m", "4", "--format", "json", "--workers", "3"],
-    )
-    assert seq == par
-
-
 def test_enumerate_rank_errors(capsys):
     code, _, err = run(capsys, ["enumerate-a", "--n", "3", "--m", "4"])
     assert code == 1
@@ -159,14 +150,20 @@ def test_argparse_errors_exit_three(capsys):
         main(["no-such-command"])
     assert info.value.code == 3
     capsys.readouterr()
-
-
-def test_workers_must_be_positive(capsys):
-    code, _, err = run(
-        capsys, ["enumerate-a", "--n", "4", "--m", "4", "--workers", "0"]
-    )
-    assert code == 3
-    assert "--workers" in err
+    base = {
+        "--max-table": ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0"],
+        "--max-cosets": ["tc", "--preset", "example-6-5"],
+    }
+    for flag, argv in base.items():
+        for value in ("0", "-1"):
+            with pytest.raises(SystemExit) as info:
+                main(argv + [flag, value])
+            assert info.value.code == 3
+            assert flag in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate-a", "--n", "4", "--m", "4", "--workers", "2"])
+    assert info.value.code == 3
+    capsys.readouterr()
 
 
 def test_build_witness_text(capsys):
@@ -230,11 +227,21 @@ def test_build_verify_associativity(capsys):
         capsys,
         [
             "build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0",
-            "--verify-associativity", "--workers", "2",
+            "--verify-associativity",
         ],
     )
     assert code == 0
     assert "associativity: verified" in out
+
+
+def test_build_verify_associativity_cap(capsys):
+    code, out, err = run(
+        capsys,
+        ["build", "--n", "5", "--m", "5", "--tuple", "0,0,0,0", "--verify-associativity"],
+    )
+    assert code == 2
+    assert "cubic scan" in err
+    assert out == ""
 
 
 def test_tc_preset_text(capsys):

@@ -177,10 +177,6 @@ def test_enumerate_a_rank_symmetry():
     assert sorted(left) == swapped
 
 
-def test_enumerate_a_workers_agree():
-    assert enumerate_a(PAIR44, workers=3) == enumerate_a(PAIR44)
-
-
 @pytest.mark.parametrize("n,m", [(4, 4), (4, 5), (5, 4), (5, 5)])
 def test_enumerate_b_matches_brute_force_all_cores(n, m):
     pair = derive_pair(n, m)
@@ -207,11 +203,6 @@ def test_enumerate_b_trivial_cores_embed_enumerate_a(n, m):
     pair = derive_pair(n, m)
     embedded = [t4.to_tuple_b() for t4 in enumerate_a(pair)]
     assert enumerate_b(pair, CoreSpec(1, 1)) == embedded
-
-
-def test_enumerate_b_workers_agree():
-    cores = CoreSpec(2, 2)
-    assert enumerate_b(PAIR44, cores, workers=2) == enumerate_b(PAIR44, cores)
 
 
 def test_enumerate_b_scan_gate():

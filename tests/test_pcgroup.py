@@ -290,7 +290,3 @@ def test_associativity_cap():
     with pytest.raises(CapacityError):
         verify_associativity_exhaustive(g, max_order=100)
 
-
-def test_associativity_workers_agree():
-    g = witness_table()
-    assert verify_associativity_exhaustive(g, workers=2)
