@@ -39,6 +39,8 @@ from .fpcoset import (
     structure_report,
 )
 from .pcgroup import (
+    ASSOC_CAP_MESSAGE,
+    DEFAULT_ASSOC_CAP,
     DEFAULT_MAX_ORDER,
     build_table,
     core_of,
@@ -169,6 +171,12 @@ def _verdict_doc(verdict: Verdict, conditions: Sequence[str]) -> dict:
     }
 
 
+def _verdict_text(verdict: Verdict, conditions: Sequence[str], fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(_verdict_doc(verdict, conditions), indent=2) + "\n"
+    return "\n".join(_verdict_lines(verdict, conditions)) + "\n"
+
+
 def cmd_check(args) -> int:
     pair = derive_pair(args.n, args.m)
     if args.command == "check-a":
@@ -179,10 +187,7 @@ def cmd_check(args) -> int:
         t = TupleB(*_parse_tuple(args.tuple, (6,)))
         verdict = check_b(pair, CoreSpec(args.n1, args.m1), t)
         conditions = B_CONDITIONS
-    if args.format == "json":
-        _emit(args, json.dumps(_verdict_doc(verdict, conditions), indent=2) + "\n")
-    else:
-        _emit(args, "\n".join(_verdict_lines(verdict, conditions)) + "\n")
+    _emit(args, _verdict_text(verdict, conditions, args.format))
     return 0 if verdict.valid else 1
 
 
@@ -216,11 +221,13 @@ def cmd_build(args) -> int:
         conditions = B_CONDITIONS
         pc = pc_from_tuple_b(pair, t)
     if not verdict.valid:
-        if args.format == "json":
-            _emit(args, json.dumps(_verdict_doc(verdict, conditions), indent=2) + "\n")
-        else:
-            _emit(args, "\n".join(_verdict_lines(verdict, conditions)) + "\n")
+        # --output names the table file, so the verdict always goes to stdout
+        sys.stdout.write(_verdict_text(verdict, conditions, args.format))
         return 1
+    order = 4 * pair.N * pair.M
+    if args.verify_associativity and order > DEFAULT_ASSOC_CAP:
+        # refuse before the table is built: the scan's cap would refuse it anyway
+        raise CapacityError(ASSOC_CAP_MESSAGE.format(order=order, cap=DEFAULT_ASSOC_CAP))
 
     report = check_consistency(pc)
     g = build_table(pc, max_order=args.max_table)

@@ -388,15 +388,19 @@ def _closure(gens: Sequence[tuple[int, ...]], degree: int) -> set[tuple[int, ...
     return seen
 
 
-def _core(subgroup: set[tuple[int, ...]], whole: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Intersection of the conjugates of subgroup over the given elements."""
+def _core(subgroup: set[tuple[int, ...]], gens: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Largest normal subgroup inside subgroup, from the generators only:
+    K <- K meet K^g over the generators g until a full pass leaves K
+    unchanged.  Then K^g = K for every generator, so K is normal; and a
+    normal subgroup inside K lies inside every K^g, so it is never removed."""
+    conjugators = [(_inverse(g), g) for g in gens]
     core = set(subgroup)
-    for g in whole:
-        gi = _inverse(g)
-        core &= {_compose(_compose(gi, p), g) for p in core}
-        if len(core) == 1:
-            break
-    return core
+    while True:
+        size = len(core)
+        for gi, g in conjugators:
+            core &= {_compose(_compose(gi, p), g) for p in core}
+        if len(core) == size:
+            return core
 
 
 def _cyclic_powers(p: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -436,15 +440,14 @@ def structure_report(table: CosetTable, fp: FpPres) -> StructureReport:
     k_gens = [perms[g] for g in ("z", "w") if g in perms]
     h_set = _closure(h_gens, degree) if h_gens else {identity}
     k_set = _closure(k_gens, degree) if k_gens else {identity}
-    everything = _closure(list(perms.values()), degree)
 
     xz_pair: tuple[int, int] | None = None
     core_x_order: int | None = None
     core_z_order: int | None = None
     if "x" in perms:
-        core_x_order = len(_core(set(_cyclic_powers(perms["x"])), everything))
+        core_x_order = len(_core(set(_cyclic_powers(perms["x"])), perms.values()))
     if "z" in perms:
-        core_z_order = len(_core(set(_cyclic_powers(perms["z"])), everything))
+        core_z_order = len(_core(set(_cyclic_powers(perms["z"])), perms.values()))
     if "x" in perms and "z" in perms:
         px, pz = perms["x"], perms["z"]
         commutator = _compose(_compose(_compose(_inverse(px), _inverse(pz)), px), pz)

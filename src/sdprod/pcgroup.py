@@ -28,6 +28,7 @@ from .errors import CapacityError, DomainError
 
 DEFAULT_MAX_ORDER = 1 << 20
 DEFAULT_ASSOC_CAP = 512
+ASSOC_CAP_MESSAGE = "table too large for the cubic scan: order {order} exceeds cap {cap}"
 
 
 class NormalForm(NamedTuple):
@@ -351,37 +352,31 @@ def element_order(g: GroupTable, e: int) -> int:
 
 
 def is_normal(g: GroupTable, h: SubgroupHandle) -> bool:
-    """Conjugation-closure test over every group element."""
-    members = set(h.elements)
-    prod = g.product
-    for t in range(g.order):
-        ti = prod[t].index(0)
-        row_ti = prod[ti]
-        if any(prod[row_ti[e]][t] not in members for e in h.elements):
-            return False
-    return True
+    """h is normal exactly when it is its own core."""
+    return core_of(g, h).order == h.order
 
 
 def core_of(g: GroupTable, h: SubgroupHandle) -> SubgroupHandle:
-    """Largest normal subgroup inside h: intersection of all conjugates."""
+    """Largest normal subgroup inside h, from the four generators only:
+    K <- K meet K^s over s = w, y, z, x until a full pass leaves K unchanged.
+    Then K^s = K for every generator, so K is normal; and a normal subgroup
+    inside K lies inside every K^s, so it survives each step."""
     prod = g.product
+    conjugators = [(prod[inverse_of(g, s)], s) for s in (g.gen_w, g.gen_y, g.gen_z, g.gen_x)]
     core = set(h.elements)
-    for t in range(g.order):
-        ti = prod[t].index(0)
-        row_ti = prod[ti]
-        core &= {prod[row_ti[e]][t] for e in h.elements}
-        if len(core) == 1:
-            break
-    elems = tuple(sorted(core))
-    return SubgroupHandle(elements=elems, generators=elems)
+    while True:
+        size = len(core)
+        for row_si, s in conjugators:
+            core &= {prod[row_si[e]][s] for e in core}
+        if len(core) == size:
+            elems = tuple(sorted(core))
+            return SubgroupHandle(elements=elems, generators=elems)
 
 
 def verify_associativity_exhaustive(g: GroupTable, max_order: int = DEFAULT_ASSOC_CAP) -> bool:
     """Check (ab)c == a(bc) for all order**3 triples."""
     if g.order > max_order:
-        raise CapacityError(
-            f"table too large for the cubic scan: order {g.order} exceeds cap {max_order}"
-        )
+        raise CapacityError(ASSOC_CAP_MESSAGE.format(order=g.order, cap=max_order))
     product = g.product
     rng = range(len(product))
     for a in range(g.order):

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from sdprod import cli
 from sdprod.cli import main
 
 SD16_FILE = "x^8\ny^2\nY x y X^3\n"
@@ -189,10 +190,20 @@ def test_build_twisted_tuple_cores(capsys):
     assert doc["requested_cores"] == [2, 2]
 
 
-def test_build_invalid_tuple_stops_early(capsys):
+def test_build_invalid_tuple_stops_early(tmp_path, capsys):
     code, out, _ = run(capsys, ["build", "--n", "4", "--m", "4", "--tuple", "1,0,0,0"])
     assert code == 1
     assert "verdict: invalid" in out
+    # --output names the table file: the verdict still goes to stdout
+    target = tmp_path / "table.txt"
+    argv = ["build", "--n", "4", "--m", "4", "--tuple", "1,0,0,0", "--output", str(target)]
+    code, out, _ = run(capsys, argv)
+    assert code == 1
+    assert "verdict: invalid" in out
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 1
+    assert json.loads(out)["valid"] is False
+    assert not target.exists()
 
 
 def test_build_table_file(tmp_path, capsys):
@@ -234,13 +245,25 @@ def test_build_verify_associativity(capsys):
     assert "associativity: verified" in out
 
 
-def test_build_verify_associativity_cap(capsys):
+def test_build_verify_associativity_cap(capsys, monkeypatch):
     code, out, err = run(
         capsys,
         ["build", "--n", "5", "--m", "5", "--tuple", "0,0,0,0", "--verify-associativity"],
     )
     assert code == 2
     assert "cubic scan" in err
+    assert out == ""
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built for a refused associativity scan")
+
+    monkeypatch.setattr(cli, "build_table", no_table)
+    code, out, err = run(
+        capsys,
+        ["build", "--n", "6", "--m", "6", "--tuple", "0,0,0,0", "--verify-associativity"],
+    )
+    assert code == 2
+    assert err == "sdprod: limit: table too large for the cubic scan: order 4096 exceeds cap 512\n"
     assert out == ""
 
 

@@ -179,6 +179,24 @@ def test_structure_report_sd16():
     assert report.sd_h and not report.sd_k
 
 
+@pytest.mark.parametrize(
+    "n, m, t, e1, e2, order, cores",
+    [
+        (5, 5, (8, 0, 8, 0, 8, 0), 2, 14, 256, (4, 4)),
+        (5, 5, (0, 6, 6, 8, 0, 2), 2, 12, 512, (2, 8)),
+        (4, 5, (4, 6, 6, 8, 2, 4), 6, 10, 256, (4, 2)),
+    ],
+)
+def test_structure_report_twisted_cores(n, m, t, e1, e2, order, cores):
+    # With [x,z] != 1 these cores shrink under conjugation by x or z, not
+    # only by w and y.  The expected orders are the intersections of the
+    # conjugates over every element of the group.
+    fp = fp_from_extended(derive_pair(n, m), TupleB(*t), e1, e2)
+    report = structure_report(coset_enumerate(fp), fp)
+    assert report.order == order
+    assert (report.core_x_order, report.core_z_order) == cores
+
+
 def test_structure_report_requires_complete_table():
     table = CosetTable(rows=[[None] * 8], complete=False, count=1)
     with pytest.raises(DomainError):
