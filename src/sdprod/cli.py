@@ -55,6 +55,9 @@ from .pcgroup import (
 A_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
 B_CONDITIONS = tuple(f"D{i}" for i in range(1, 13)) + ("ORD-R", "ORD-B")
 PRESET_NAMES = ("example-6-5",)
+# the table file holds order**2 entries: about 84 MB at order 4096
+TABLE_FILE_CAP = 4096
+TABLE_FILE_CAP_MESSAGE = "table file too large: order {order} exceeds cap {cap}"
 
 
 class UsageError(Exception):
@@ -191,7 +194,8 @@ def cmd_check(args) -> int:
     return 0 if verdict.valid else 1
 
 
-def _table_text(g, t) -> str:
+def _write_table(fh, g, t) -> None:
+    """Write the table file one row at a time: it holds order**2 entries."""
     lines = [
         "# sdprod group table v1",
         f"n: {g.pair.n}",
@@ -199,8 +203,9 @@ def _table_text(g, t) -> str:
         f"tuple: {','.join(str(v) for v in t)}",
         f"order: {g.order}",
     ]
-    lines.extend(" ".join(str(v) for v in row) for row in g.product)
-    return "\n".join(lines) + "\n"
+    fh.write("\n".join(lines) + "\n")
+    for a in range(g.order):
+        fh.write(" ".join(map(str, g.row(a))) + "\n")
 
 
 def cmd_build(args) -> int:
@@ -228,6 +233,8 @@ def cmd_build(args) -> int:
     if args.verify_associativity and order > DEFAULT_ASSOC_CAP:
         # refuse before the table is built: the scan's cap would refuse it anyway
         raise CapacityError(ASSOC_CAP_MESSAGE.format(order=order, cap=DEFAULT_ASSOC_CAP))
+    if args.output and order > TABLE_FILE_CAP:
+        raise CapacityError(TABLE_FILE_CAP_MESSAGE.format(order=order, cap=TABLE_FILE_CAP))
 
     report = check_consistency(pc)
     g = build_table(pc, max_order=args.max_table)
@@ -255,7 +262,7 @@ def cmd_build(args) -> int:
         doc["associative"] = verify_associativity_exhaustive(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(_table_text(g, t))
+            _write_table(fh, g, t)
         doc["table_written_to"] = args.output
     if args.format == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")

@@ -72,19 +72,44 @@ class ConsistencyReport:
 
 @dataclass
 class GroupTable:
-    """Complete multiplication table over element indices.
+    """Multiplication table over element indices, stored implicitly.
 
-    index(w^a1 y^a2 z^a3 x^a4) = ((a1*2 + a2)*M + a3)*N + a4.
+    index(w^a1 y^a2 z^a3 x^a4) = ((a1*2 + a2)*M + a3)*N + a4.  Write the
+    (w, y) part of an index as its head, 2*a1 + a2, and the (z, x) part as
+    its tail.  Row u is fixed by its four prefixes u, u*y, u*w, u*w*y,
+    stored as indices in head order: u*v is the prefix that v's head
+    selects with v's tail added on, because x^z = x.  So the table costs
+    O(|G|) memory; `mul` looks up one product and `row` yields one row.
     """
 
     pair: SdPair
     order: int
-    product: list[list[int]]
+    prefixes: list[tuple[int, int, int, int]]
     labels: list[NormalForm]
     gen_w: int
     gen_y: int
     gen_z: int
     gen_x: int
+
+    def mul(self, a: int, b: int) -> int:
+        """Index of a * b."""
+        N, M = self.pair.N, self.pair.M
+        head, tail = divmod(b, M * N)
+        phead, ptail = divmod(self.prefixes[a][head], M * N)
+        return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
+
+    def row(self, a: int) -> list[int]:
+        """Row a of the table: a * v for v = 0, 1, ..., order - 1."""
+        N, M = self.pair.N, self.pair.M
+        out: list[int] = []
+        for p in self.prefixes[a]:
+            phead, ptail = divmod(p, M * N)
+            pz, px = divmod(ptail, N)
+            xs = [(px + vx) % N for vx in range(N)]
+            for vz in range(M):
+                zpart = (phead * M + (pz + vz) % M) * N
+                out += [zpart + x for x in xs]
+        return out
 
 
 @dataclass(frozen=True)
@@ -255,12 +280,26 @@ def index_nf(pair: SdPair, idx: int) -> NormalForm:
 
 
 def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
-    """Materialize the full multiplication table.
+    """Build the implicit multiplication table: four prefixes per element.
 
-    Requires a consistent presentation.  Each row is produced by absorbing
-    the column element's w/y letters via collect_multiply and then sliding
-    the abelian tail, which is exactly collect_multiply unrolled; rows and
-    columns are verified to be permutations.
+    Requires a consistent presentation.  The prefixes u, u*y, u*w, u*w*y
+    come from collect_multiply; the product u*v is then the prefix that
+    v's (w, y) head k selects, shifted by v's tail z^vz x^vx, which is
+    exactly collect_multiply unrolled.  `audit_table` checks that every
+    row and every column of that table is a permutation, in O(|G|):
+
+    - Column v is u -> shift(prefix_k(u), vz, vx), and the shift is a
+      bijection of G.  So every column is a permutation iff each of the
+      four prefix maps u -> prefix_k(u) is a bijection on G.
+    - Row u is the four blocks {prefix_k(u) z^i x^j}, the block of
+      prefix_k(u) being every element with that prefix's (w, y) head.  So
+      row u is a permutation iff the heads of its four prefixes are
+      pairwise distinct, that is, exactly 0, 1, 2 and 3.
+
+    The row check runs first and puts every prefix inside G, so the
+    column check may count distinct prefixes.  Both accept exactly the
+    tables that the full row and column scans accept, and they name the
+    same first failing row or column.
     """
     report = check_consistency(pc)
     if not report.overall:
@@ -281,40 +320,41 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     ]
     w_letter = NormalForm(1, 0, 0, 0)
     y_letter = NormalForm(0, 1, 0, 0)
-    product = []
-    for u in labels:
-        prefixes = (u, collect_multiply(pc, u, y_letter))
+    prefixes = []
+    for i, u in enumerate(labels):
         uw = collect_multiply(pc, u, w_letter)
-        prefixes += (uw, collect_multiply(pc, uw, y_letter))
-        row = [0] * order
-        pos = 0
-        for vw in range(2):
-            for vy in range(2):
-                pw, py, pz, px = prefixes[vw * 2 + vy]
-                base = (pw * 2 + py) * M
-                for vz in range(M):
-                    zpart = (base + (pz + vz) % M) * N
-                    for vx in range(N):
-                        row[pos] = zpart + (px + vx) % N
-                        pos += 1
-        product.append(row)
-    full = set(range(order))
-    for i, row in enumerate(product):
-        if set(row) != full:
-            raise RuntimeError(f"internal: row {i} of the product table is not a permutation")
-    for j in range(order):
-        if len({row[j] for row in product}) != order:
-            raise RuntimeError(f"internal: column {j} of the product table is not a permutation")
-    return GroupTable(
+        prefixes.append((
+            i,
+            nf_index(pc.pair, collect_multiply(pc, u, y_letter)),
+            nf_index(pc.pair, uw),
+            nf_index(pc.pair, collect_multiply(pc, uw, y_letter)),
+        ))
+    g = GroupTable(
         pair=pc.pair,
         order=order,
-        product=product,
+        prefixes=prefixes,
         labels=labels,
         gen_w=2 * M * N,
         gen_y=M * N,
         gen_z=N,
         gen_x=1,
     )
+    audit_table(g)
+    return g
+
+
+def audit_table(g: GroupTable) -> None:
+    """Raise RuntimeError unless every row and every column of g is a
+    permutation; build_table's docstring shows why these checks suffice."""
+    block = g.order // 4
+    for i, prefix in enumerate(g.prefixes):
+        if {p // block for p in prefix} != {0, 1, 2, 3}:
+            raise RuntimeError(f"internal: row {i} of the product table is not a permutation")
+    for k in range(4):
+        if len({prefix[k] for prefix in g.prefixes}) != g.order:
+            raise RuntimeError(
+                f"internal: column {k * block} of the product table is not a permutation"
+            )
 
 
 def _check_index(g: GroupTable, e: int) -> None:
@@ -326,11 +366,12 @@ def subgroup_closure(g: GroupTable, generators: tuple[int, ...] | list[int]) -> 
     """Closure of the generators, breadth first from the identity."""
     for e in generators:
         _check_index(g, e)
+    mul = g.mul
     seen = {0}
     queue = [0]
     for cur in queue:  # queue grows while iterating
         for gen in generators:
-            nxt = g.product[cur][gen]
+            nxt = mul(cur, gen)
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
@@ -338,15 +379,21 @@ def subgroup_closure(g: GroupTable, generators: tuple[int, ...] | list[int]) -> 
 
 
 def inverse_of(g: GroupTable, e: int) -> int:
+    """e * v is the identity only where v's head selects the prefix of e
+    with head 0; v's tail then cancels that prefix's tail."""
     _check_index(g, e)
-    return g.product[e].index(0)
+    N, M = g.pair.N, g.pair.M
+    prefix = g.prefixes[e]
+    head = [p // (M * N) for p in prefix].index(0)
+    pz, px = divmod(prefix[head], N)
+    return (head * M + -pz % M) * N + -px % N
 
 
 def element_order(g: GroupTable, e: int) -> int:
     _check_index(g, e)
     cur, k = e, 1
     while cur != 0:
-        cur = g.product[cur][e]
+        cur = g.mul(cur, e)
         k += 1
     return k
 
@@ -361,23 +408,23 @@ def core_of(g: GroupTable, h: SubgroupHandle) -> SubgroupHandle:
     K <- K meet K^s over s = w, y, z, x until a full pass leaves K unchanged.
     Then K^s = K for every generator, so K is normal; and a normal subgroup
     inside K lies inside every K^s, so it survives each step."""
-    prod = g.product
-    conjugators = [(prod[inverse_of(g, s)], s) for s in (g.gen_w, g.gen_y, g.gen_z, g.gen_x)]
+    mul = g.mul
+    conjugators = [(inverse_of(g, s), s) for s in (g.gen_w, g.gen_y, g.gen_z, g.gen_x)]
     core = set(h.elements)
     while True:
         size = len(core)
-        for row_si, s in conjugators:
-            core &= {prod[row_si[e]][s] for e in core}
+        for si, s in conjugators:
+            core &= {mul(mul(si, e), s) for e in core}
         if len(core) == size:
             elems = tuple(sorted(core))
             return SubgroupHandle(elements=elems, generators=elems)
 
 
 def verify_associativity_exhaustive(g: GroupTable, max_order: int = DEFAULT_ASSOC_CAP) -> bool:
-    """Check (ab)c == a(bc) for all order**3 triples."""
+    """Check (ab)c == a(bc) for all order**3 triples, on rows built here."""
     if g.order > max_order:
         raise CapacityError(ASSOC_CAP_MESSAGE.format(order=g.order, cap=max_order))
-    product = g.product
+    product = [g.row(a) for a in range(g.order)]
     rng = range(len(product))
     for a in range(g.order):
         row_a = product[a]

@@ -224,6 +224,33 @@ def test_build_table_file(tmp_path, capsys):
         assert sorted(int(v) for v in row.split()) == list(range(256))
 
 
+def test_build_table_file_cap(tmp_path, capsys, monkeypatch):
+    def no_table(*args, **kwargs):
+        raise AssertionError("the table was built for a refused table file")
+
+    monkeypatch.setattr(cli, "build_table", no_table)
+    target = tmp_path / "table.txt"
+    code, out, err = run(
+        capsys,
+        ["build", "--n", "7", "--m", "6", "--tuple", "0,0,0,0", "--output", str(target)],
+    )
+    assert code == 2
+    assert err == "sdprod: limit: table file too large: order 8192 exceeds cap 4096\n"
+    assert out == ""
+    assert not target.exists()
+
+
+def test_build_order_65536(capsys):
+    code, out, _ = run(
+        capsys, ["build", "--n", "8", "--m", "8", "--tuple", "0,0,0,0", "--format", "json"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["order"] == 65536
+    assert (doc["h_order"], doc["k_order"], doc["intersection_order"]) == (256, 256, 1)
+    assert (doc["core_x_order"], doc["core_z_order"]) == (128, 128)
+
+
 def test_build_max_table_cap(capsys):
     code, _, err = run(
         capsys,

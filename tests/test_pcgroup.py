@@ -1,9 +1,11 @@
 """Unit tests for collection, consistency checking, and table analysis."""
 
+from dataclasses import replace
 from itertools import product
 
 import pytest
 
+from sdprod import pcgroup
 from sdprod.arith import derive_pair
 from sdprod.congruence import (
     CoreSpec,
@@ -16,8 +18,8 @@ from sdprod.congruence import (
 )
 from sdprod.errors import CapacityError, DomainError
 from sdprod.pcgroup import (
-    GroupTable,
     NormalForm,
+    audit_table,
     build_table,
     check_consistency,
     collect_multiply,
@@ -44,7 +46,7 @@ def witness_table():
 def table_power(g, e, k):
     acc = 0
     for _ in range(k):
-        acc = g.product[acc][e]
+        acc = g.mul(acc, e)
     return acc
 
 
@@ -169,9 +171,65 @@ def test_build_table_matches_direct_collection():
     g = witness_table()
     pc = pc_from_tuple_a(PAIR44, WITNESS)
     for i in range(g.order):
+        row = g.row(i)
         for j in range(g.order):
             want = nf_index(PAIR44, collect_multiply(pc, g.labels[i], g.labels[j]))
-            assert g.product[i][j] == want
+            assert g.mul(i, j) == want
+            assert row[j] == want
+
+
+def full_scan_accepts(g):
+    """Reference audit: every row and every column is a permutation of G."""
+    rows = [g.row(a) for a in range(g.order)]
+    full = set(range(g.order))
+    return all(set(row) == full for row in rows) and all(
+        {row[j] for row in rows} == full for j in range(g.order)
+    )
+
+
+def with_prefix(g, u, k, value):
+    prefixes = g.prefixes.copy()
+    prefixes[u] = prefixes[u][:k] + (value,) + prefixes[u][k + 1 :]
+    return replace(g, prefixes=prefixes)
+
+
+def build_with_prefix(monkeypatch, u, letter, value):
+    """build_table on the witness, with collect_multiply(labels[u], letter) -> value."""
+    real = pcgroup.collect_multiply
+    u_nf, value_nf = index_nf(PAIR44, u), index_nf(PAIR44, value)
+
+    def faulty(pc, left, right):
+        return value_nf if (left, right) == (u_nf, letter) else real(pc, left, right)
+
+    monkeypatch.setattr(pcgroup, "collect_multiply", faulty)
+    return build_table(pc_from_tuple_a(PAIR44, WITNESS))
+
+
+def test_table_audit_catches_a_prefix_map_that_is_not_a_bijection(monkeypatch):
+    g = witness_table()
+    audit_table(g)
+    # element 7 times w now lands where element 6 times w does: the head
+    # stays w, so row 7 is a permutation, while column w repeats an entry
+    bad = with_prefix(g, 7, 2, g.prefixes[6][2])
+    assert not full_scan_accepts(bad)
+    with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
+        audit_table(bad)
+    with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
+        build_with_prefix(monkeypatch, 7, NormalForm(1, 0, 0, 0), g.prefixes[6][2])
+
+
+def test_table_audit_catches_a_row_with_a_repeated_head(monkeypatch):
+    g = witness_table()
+    # element 9 times y now has head 0, like element 9 itself
+    bad = with_prefix(g, 9, 1, 10)
+    assert not full_scan_accepts(bad)
+    with pytest.raises(RuntimeError, match="row 9 of the product table"):
+        audit_table(bad)
+    with pytest.raises(RuntimeError, match="row 9 of the product table"):
+        build_with_prefix(monkeypatch, 9, NormalForm(0, 1, 0, 0), 10)
+    # a prefix outside G is caught by the row check too
+    with pytest.raises(RuntimeError, match="row 9 of the product table"):
+        audit_table(with_prefix(g, 9, 3, g.order + g.prefixes[9][3]))
 
 
 def test_build_table_rejects_inconsistent():
@@ -193,9 +251,9 @@ def test_build_table_order_4nm_at_mixed_rank():
 def test_zero_tuple_factors_centralize():
     g = build_table(pc_from_tuple_a(PAIR44, TupleA(0, 0, 0, 0)))
     for u in (g.gen_x, g.gen_y):
-        assert g.product[u][g.gen_z] == g.product[g.gen_z][u]
+        assert g.mul(u, g.gen_z) == g.mul(g.gen_z, u)
     for v in (g.gen_z, g.gen_w):
-        assert g.product[v][g.gen_x] == g.product[g.gen_x][v]
+        assert g.mul(v, g.gen_x) == g.mul(g.gen_x, v)
 
 
 def test_subgroup_closure_orders():
@@ -212,8 +270,9 @@ def test_element_orders_and_inverses():
     assert element_order(g, g.gen_x) == 8
     assert element_order(g, g.gen_w) == 2
     assert inverse_of(g, 0) == 0
-    for e in (g.gen_x, g.gen_y, g.gen_z, g.gen_w):
-        assert g.product[e][inverse_of(g, e)] == 0
+    for e in range(g.order):
+        assert g.mul(e, inverse_of(g, e)) == 0
+        assert g.mul(inverse_of(g, e), e) == 0
 
 
 def test_normality_facts():
@@ -239,8 +298,8 @@ def test_core_shrinks_for_twisted_tuple():
     g = build_table(pc_from_tuple_b(PAIR44, TupleB(4, 0, 0, 4, 0, 0)))
     hx = subgroup_closure(g, (g.gen_x,))
     hz = subgroup_closure(g, (g.gen_z,))
-    x2 = g.product[g.gen_x][g.gen_x]
-    z2 = g.product[g.gen_z][g.gen_z]
+    x2 = g.mul(g.gen_x, g.gen_x)
+    z2 = g.mul(g.gen_z, g.gen_z)
     assert core_of(g, hx).elements == subgroup_closure(g, (x2,)).elements
     assert core_of(g, hz).elements == subgroup_closure(g, (z2,)).elements
 
@@ -249,7 +308,7 @@ def sd_relations_hold(g, gen_big, gen_inv, big_order):
     if element_order(g, gen_big) != big_order or element_order(g, gen_inv) != 2:
         return False
     twist = table_power(g, gen_big, big_order // 2 - 1)
-    conj = g.product[g.product[inverse_of(g, gen_inv)][gen_big]][gen_inv]
+    conj = g.mul(g.mul(inverse_of(g, gen_inv), gen_big), gen_inv)
     return conj == twist
 
 
@@ -270,18 +329,11 @@ def test_structure_of_every_valid_tuple_a():
 def test_associativity_exhaustive_and_fault_injection():
     g = witness_table()
     assert verify_associativity_exhaustive(g)
-    rows = [row.copy() for row in g.product]
-    rows[3][5], rows[3][6] = rows[3][6], rows[3][5]
-    bad = GroupTable(
-        pair=g.pair,
-        order=g.order,
-        product=rows,
-        labels=g.labels,
-        gen_w=g.gen_w,
-        gen_y=g.gen_y,
-        gen_z=g.gen_z,
-        gen_x=g.gen_x,
-    )
+    # swap u*y between elements 3 and 5: both products have head y, so every
+    # row and column is still a permutation, but the operation is no group
+    bad = with_prefix(with_prefix(g, 3, 1, g.prefixes[5][1]), 5, 1, g.prefixes[3][1])
+    audit_table(bad)
+    assert bad.mul(3, g.gen_y) == g.mul(5, g.gen_y)
     assert not verify_associativity_exhaustive(bad)
 
 
