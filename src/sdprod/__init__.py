@@ -19,7 +19,6 @@ from .fpcoset import (
     FpPres,
     StructureReport,
     coset_enumerate,
-    crosscheck_order,
     fp_from_extended,
     parse_relator_file,
     parse_relator_lines,

@@ -15,7 +15,7 @@ import json
 import sys
 from typing import Sequence
 
-from .arith import additive_order, derive_pair
+from .arith import SdPair, additive_order, derive_pair
 from .congruence import (
     CoreSpec,
     TupleA,
@@ -339,6 +339,20 @@ def cmd_tc(args) -> int:
     return 0
 
 
+def crosscheck_order(
+    pair: SdPair, t: TupleB, max_cosets: int = DEFAULT_MAX_COSETS
+) -> tuple[int, int]:
+    """The group order from each pipeline: (collection, enumeration).
+
+    The enumeration side runs on the ten-relator presentation with
+    [x,z] = 1.  A tuple that fails the twelve congruences makes
+    build_table raise DomainError: its consistency check agrees with them.
+    """
+    collected = build_table(pc_from_tuple_b(pair, t)).order
+    enumerated = coset_enumerate(fp_from_extended(pair, t, 0, 0), max_cosets).count
+    return collected, enumerated
+
+
 def cmd_crosscheck(args) -> int:
     pair = derive_pair(args.n, args.m)
     values = _parse_tuple(args.tuple, (4, 6))
@@ -350,8 +364,7 @@ def cmd_crosscheck(args) -> int:
     if not verdict.valid:
         _emit(args, "tuple invalid: " + ", ".join(verdict.failed_conditions()) + "\n")
         return 1
-    collected = build_table(pc_from_tuple_b(pair, t)).order
-    enumerated = coset_enumerate(fp_from_extended(pair, t, 0, 0), args.max_cosets).count
+    collected, enumerated = crosscheck_order(pair, t, args.max_cosets)
     agree = collected == enumerated
     _emit(
         args,

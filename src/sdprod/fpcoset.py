@@ -3,10 +3,12 @@
 This module is the second, deliberately independent route to the groups
 built by the collection engine: a presentation on (at most) the four
 generators w, y, z, x is enumerated over the trivial subgroup with a
-Todd-Coxeter procedure, and the resulting regular permutation action is
-interrogated directly.  None of the permutation routines here are shared
-with the table-based ones in pcgroup; keeping the two implementations
-apart is what makes the cross-checks meaningful.
+Todd-Coxeter procedure, and the structure report is read straight off
+the resulting coset table.  The cosets of the trivial subgroup are the
+elements of the group, so a word is evaluated by walking it from coset
+0, and two words are equal exactly when they end at the same coset.
+Nothing here is shared with the collection engine in pcgroup; keeping
+the two implementations apart is what makes the cross-checks meaningful.
 
 The enumeration strategy is the relator-driven (HLT) variant with row
 filling: cosets are processed in definition order; every relator is
@@ -21,15 +23,13 @@ permutation.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .arith import SdPair
-from .congruence import CoreSpec, TupleB, check_b_congruences
+from .congruence import CoreSpec, TupleB
 from .errors import CapacityError, DomainError
-from .pcgroup import build_table, pc_from_tuple_b
 
 DEFAULT_MAX_COSETS = 10**6
 GEN_NAMES = ("w", "y", "z", "x")
@@ -62,13 +62,12 @@ class FpPres:
 @dataclass
 class CosetTable:
     rows: list[list[int]]  # per coset: images under g1, g1^-1, g2, g2^-1, ...
-    complete: bool
     count: int
 
 
 @dataclass
 class StructureReport:
-    """Facts read off the regular permutation representation."""
+    """Facts read off the coset table of the trivial subgroup."""
 
     order: int
     gen_orders: dict[str, int]
@@ -315,7 +314,7 @@ def coset_enumerate(fp: FpPres, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTa
     state = _Enumeration(fp, max_cosets)
     state.run()
     rows = state.compact()
-    table = CosetTable(rows=rows, complete=True, count=len(rows))
+    table = CosetTable(rows=rows, count=len(rows))
     _audit(fp, table)
     return table
 
@@ -338,150 +337,113 @@ def _audit(fp: FpPres, table: CosetTable) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Permutation view of a complete table.
+# Structure read off the table: an element of G is the coset it sends
+# coset 0 to.
 
 
-def perm_of_gen(table: CosetTable, gen: int) -> tuple[int, ...]:
-    """Right action of generator gen (1-based) on the cosets."""
-    col = _col(gen)
-    return tuple(row[col] for row in table.rows)
+def _walk(rows: list[list[int]], word: Iterable[int]) -> int:
+    """The coset that word (letters as in FpPres.relators) reaches from coset 0."""
+    coset = 0
+    for letter in word:
+        coset = rows[coset][_col(letter)]
+    return coset
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply p first, then q
-    return tuple(q[i] for i in p)
+def _powers(rows: list[list[int]], letter: int) -> list[int]:
+    """The cosets of g^0, g^1, ..., g^(k-1), where k is the order of g."""
+    col = _col(letter)
+    out = [0]
+    cur = rows[0][col]
+    while cur != 0:
+        out.append(cur)
+        cur = rows[cur][col]
+    return out
 
 
-def _inverse(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, image in enumerate(p):
-        out[image] = i
-    return tuple(out)
-
-
-def _perm_order(p: tuple[int, ...]) -> int:
-    seen = [False] * len(p)
-    order = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = p[cur]
-            length += 1
-        order = math.lcm(order, length)
-    return order
-
-
-def _closure(gens: Sequence[tuple[int, ...]], degree: int) -> set[tuple[int, ...]]:
-    identity = tuple(range(degree))
-    seen = {identity}
-    queue = [identity]
-    for cur in queue:
-        for g in gens:
-            nxt = _compose(cur, g)
+def _orbit(rows: list[list[int]], letters: Iterable[int]) -> set[int]:
+    """The cosets of the subgroup the letters generate: the orbit of coset 0."""
+    cols = [_col(letter) for letter in letters]
+    seen = {0}
+    queue = [0]
+    for cur in queue:  # queue grows while iterating
+        for col in cols:
+            nxt = rows[cur][col]
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
     return seen
 
 
-def _core(subgroup: set[tuple[int, ...]], gens: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """Largest normal subgroup inside subgroup, from the generators only:
-    K <- K meet K^g over the generators g until a full pass leaves K
-    unchanged.  Then K^g = K for every generator, so K is normal; and a
-    normal subgroup inside K lies inside every K^g, so it is never removed."""
-    conjugators = [(_inverse(g), g) for g in gens]
-    core = set(subgroup)
-    while True:
-        size = len(core)
-        for gi, g in conjugators:
-            core &= {_compose(_compose(gi, p), g) for p in core}
-        if len(core) == size:
-            return core
+def _core_order(rows: list[list[int]], powers: list[int], letter: int, ngens: int) -> int:
+    """Order of the core of <g>, the largest normal subgroup of G inside <g>.
+
+    The subgroups of <g> are the <g^d> for the divisors d of k = ord(g),
+    and <g^d> lies inside <g^e> exactly when e divides d.  A product of
+    normal subgroups inside <g> is again one, so the core is the <g^d>
+    whose d divides every d' with <g^d'> normal: the least such d.  And
+    <g^d> is normal exactly when s^-1 g^d s lies in <g> for every
+    generator s.  That conjugate has the order k/d of g^d, and every
+    element of <g> of that order generates <g^d>, so then s^-1 <g^d> s =
+    <g^d>; conjugation by any element is a product of these conjugations
+    and their inverses.
+    """
+    members = set(powers)
+    k = len(powers)
+
+    def normal(d: int) -> bool:
+        return all(_walk(rows, (-s, *[letter] * d, s)) in members for s in range(1, ngens + 1))
+
+    # d = k always qualifies: <g^k> is the trivial subgroup
+    return k // next(d for d in range(1, k + 1) if k % d == 0 and normal(d))
 
 
-def _cyclic_powers(p: tuple[int, ...]) -> list[tuple[int, ...]]:
-    identity = tuple(range(len(p)))
-    out = [identity]
-    cur = p
-    while cur != identity:
-        out.append(cur)
-        cur = _compose(cur, p)
-    return out
+def _as_x_z_power(rows: list[list[int]], target: int, x_powers: list[int], z: int, z_order: int):
+    """The first (i, j) in lexicographic order with x^i z^j at coset target, or None."""
+    col = _col(z)
+    for i, cur in enumerate(x_powers):
+        for j in range(z_order):
+            if cur == target:
+                return i, j
+            cur = rows[cur][col]
+    return None
 
 
-def _is_semidihedral(px: tuple[int, ...], py: tuple[int, ...], pair_order: int) -> bool:
+def _is_semidihedral(
+    rows: list[list[int]], powers: dict[int, list[int]], x: int, y: int, pair_order: int
+) -> bool:
     """Do x, y generate a semidihedral group of order 2 * order(x)?"""
-    n_half = _perm_order(px)
-    if n_half < 8 or n_half & (n_half - 1) or _perm_order(py) != 2:
+    n_half = len(powers[x])
+    if n_half < 8 or n_half & (n_half - 1) or len(powers[y]) != 2:
         return False
     if pair_order != 2 * n_half:
         return False
     twist = pow(2, n_half.bit_length() - 2) - 1  # 2^(n-2) - 1 for N = 2^(n-1)
-    powers = _cyclic_powers(px)
-    return _compose(_compose(_inverse(py), px), py) == powers[twist % n_half]
+    return _walk(rows, (-y, x, y)) == powers[x][twist % n_half]
 
 
 def structure_report(table: CosetTable, fp: FpPres) -> StructureReport:
-    """Read the invariants of the enumerated group off its regular action."""
-    if not table.complete:
-        raise DomainError("incomplete table: cannot build a structure report")
-    degree = table.count
-    identity = tuple(range(degree))
-    perms: dict[str, tuple[int, ...]] = {}
-    for idx, name in enumerate(fp.names, start=1):
-        perms[name] = perm_of_gen(table, idx)
-    gen_orders = {name: _perm_order(p) for name, p in perms.items()}
-
-    h_gens = [perms[g] for g in ("x", "y") if g in perms]
-    k_gens = [perms[g] for g in ("z", "w") if g in perms]
-    h_set = _closure(h_gens, degree) if h_gens else {identity}
-    k_set = _closure(k_gens, degree) if k_gens else {identity}
-
-    xz_pair: tuple[int, int] | None = None
-    core_x_order: int | None = None
-    core_z_order: int | None = None
-    if "x" in perms:
-        core_x_order = len(_core(set(_cyclic_powers(perms["x"])), perms.values()))
-    if "z" in perms:
-        core_z_order = len(_core(set(_cyclic_powers(perms["z"])), perms.values()))
-    if "x" in perms and "z" in perms:
-        px, pz = perms["x"], perms["z"]
-        commutator = _compose(_compose(_compose(_inverse(px), _inverse(pz)), px), pz)
-        x_powers = _cyclic_powers(px)
-        z_powers = _cyclic_powers(pz)
-        for i, xp in enumerate(x_powers):
-            for j, zp in enumerate(z_powers):
-                if _compose(xp, zp) == commutator:
-                    xz_pair = (i, j)
-                    break
-            if xz_pair is not None:
-                break
-
-    sd_h = (
-        "x" in perms
-        and "y" in perms
-        and _is_semidihedral(perms["x"], perms["y"], len(h_set))
-    )
-    sd_k = (
-        "z" in perms
-        and "w" in perms
-        and _is_semidihedral(perms["z"], perms["w"], len(k_set))
-    )
+    """Read the invariants of the enumerated group off its coset table."""
+    rows = table.rows
+    letter = {name: i for i, name in enumerate(fp.names, start=1)}
+    powers = {g: _powers(rows, g) for g in letter.values()}
+    x, y, z, w = (letter.get(name) for name in ("x", "y", "z", "w"))
+    h = _orbit(rows, [g for g in (x, y) if g])
+    k = _orbit(rows, [g for g in (z, w) if g])
+    xz_pair = None
+    if x and z:
+        commutator = _walk(rows, (-x, -z, x, z))
+        xz_pair = _as_x_z_power(rows, commutator, powers[x], z, len(powers[z]))
     return StructureReport(
-        order=degree,
-        gen_orders=gen_orders,
-        h_order=len(h_set),
-        k_order=len(k_set),
-        intersection_order=len(h_set & k_set),
+        order=table.count,
+        gen_orders={name: len(powers[g]) for name, g in letter.items()},
+        h_order=len(h),
+        k_order=len(k),
+        intersection_order=len(h & k),
         xz_commutator=xz_pair,
-        core_x_order=core_x_order,
-        core_z_order=core_z_order,
-        sd_h=sd_h,
-        sd_k=sd_k,
+        core_x_order=_core_order(rows, powers[x], x, fp.ngens) if x else None,
+        core_z_order=_core_order(rows, powers[z], z, fp.ngens) if z else None,
+        sd_h=bool(x and y) and _is_semidihedral(rows, powers, x, y, len(h)),
+        sd_k=bool(z and w) and _is_semidihedral(rows, powers, z, w, len(k)),
     )
 
 
@@ -498,22 +460,3 @@ def verify_xz_commutator_location(report: StructureReport, cores: CoreSpec) -> b
         return False
     e1, e2 = report.xz_commutator
     return e1 % cores.n1 == 0 and e2 % cores.m1 == 0
-
-
-def crosscheck_order(pair: SdPair, t: TupleB, max_cosets: int = DEFAULT_MAX_COSETS) -> bool:
-    """Agreement of the two pipelines on the group order.
-
-    The tuple must satisfy the twelve congruences; the collection side
-    then builds its table while the enumeration side runs on the
-    ten-relator presentation with [x,z] = 1, and the coset count must
-    equal the table order.
-    """
-    t = TupleB(*t).reduced(pair)
-    verdict = check_b_congruences(pair, t)
-    if not verdict.valid:
-        raise DomainError(
-            "tuple fails the congruence system: " + ", ".join(verdict.failed_conditions())
-        )
-    collected = build_table(pc_from_tuple_b(pair, t)).order
-    enumerated = coset_enumerate(fp_from_extended(pair, t, 0, 0), max_cosets).count
-    return collected == enumerated

@@ -85,7 +85,6 @@ class GroupTable:
     pair: SdPair
     order: int
     prefixes: list[tuple[int, int, int, int]]
-    labels: list[NormalForm]
     gen_w: int
     gen_y: int
     gen_z: int
@@ -311,17 +310,17 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     order = 4 * N * M
     if order > max_order:
         raise CapacityError(f"table too large: order {order} exceeds cap {max_order}")
-    labels = [
+    elements = (
         NormalForm(w, y, z, x)
         for w in range(2)
         for y in range(2)
         for z in range(M)
         for x in range(N)
-    ]
+    )
     w_letter = NormalForm(1, 0, 0, 0)
     y_letter = NormalForm(0, 1, 0, 0)
     prefixes = []
-    for i, u in enumerate(labels):
+    for i, u in enumerate(elements):  # u is index_nf(pc.pair, i)
         uw = collect_multiply(pc, u, w_letter)
         prefixes.append((
             i,
@@ -333,7 +332,6 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
         pair=pc.pair,
         order=order,
         prefixes=prefixes,
-        labels=labels,
         gen_w=2 * M * N,
         gen_y=M * N,
         gen_z=N,

@@ -18,7 +18,7 @@ from contextlib import redirect_stdout
 from itertools import product
 
 from sdprod.arith import admissible_s_values, derive_pair, sqrt1_units
-from sdprod.cli import main
+from sdprod.cli import crosscheck_order, main
 from sdprod.congruence import (
     CoreSpec,
     TupleA,
@@ -29,7 +29,6 @@ from sdprod.congruence import (
     enumerate_b,
     parity_audit,
 )
-from sdprod.fpcoset import crosscheck_order
 from sdprod.pcgroup import (
     build_table,
     check_consistency,
@@ -202,7 +201,8 @@ def test_criterion_8_oracle_agreement():
     for n, m, k in ((4, 4, 20), (4, 5, 10)):
         pair = derive_pair(n, m)
         for t4 in rng.sample(enumerate_a(pair), k):
-            assert crosscheck_order(pair, t4.to_tuple_b()), (n, m, t4)
+            collected, enumerated = crosscheck_order(pair, t4.to_tuple_b())
+            assert collected == enumerated, (n, m, t4)
             checked += 1
     assert checked == 30
     return f"30 sampled tuples agree (seed {SAMPLING_SEED})"

@@ -380,6 +380,17 @@ def test_crosscheck_six_field(capsys):
 
 
 def test_crosscheck_rejects_invalid(capsys):
-    code, out, _ = run(capsys, ["crosscheck", "--n", "4", "--m", "4", "--tuple", "1,0,0,0"])
+    code, out, err = run(capsys, ["crosscheck", "--n", "4", "--m", "4", "--tuple", "1,0,0,0"])
     assert code == 1
-    assert "tuple invalid" in out
+    assert out == "tuple invalid: D2\n"
+    assert err == ""
+
+
+def test_crosscheck_coset_limit(capsys):
+    code, out, err = run(
+        capsys,
+        ["crosscheck", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--max-cosets", "10"],
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "sdprod: limit: coset limit exceeded: more than 10 cosets defined\n"

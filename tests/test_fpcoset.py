@@ -1,22 +1,23 @@
-"""Unit tests for coset enumeration and the permutation-based reports."""
+"""Unit tests for coset enumeration and the structure report read off the table."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 
 from sdprod.arith import derive_pair
+from sdprod.cli import crosscheck_order
 from sdprod.congruence import CoreSpec, TupleA, TupleB, enumerate_a
 from sdprod.errors import CapacityError, DomainError
 from sdprod.fpcoset import (
-    CosetTable,
     FpPres,
     RelatorSyntaxError,
+    StructureReport,
     coset_enumerate,
-    crosscheck_order,
     fp_from_extended,
     free_reduce,
     parse_relator_lines,
-    perm_of_gen,
     structure_report,
     verify_xz_commutator_location,
 )
@@ -25,6 +26,15 @@ PAIR44 = derive_pair(4, 4)
 FLAGSHIP_TUPLE = TupleB(4, 0, 0, 4, 0, 0)
 
 SD16_LINES = ["x^8", "y^2", "Y x y X^3"]
+# Two non-2-groups where <x> has order 6, so its subgroups do not form a
+# chain.  The core of <x> is <x^3> in A4 x Z2 and <x^2> in S3 x S3: a core
+# that only tries the powers x^(2^i) fails on the first.
+A4_Z2_LINES = ["w^2", "x w x w x w", "y^2", "x w y x w y x w y", "X W x w", "Y W y w"]
+S3_S3_LINES = [
+    "x w x w x w", "y^2", "y x w y x w", "z^3", "w^2",
+    "w z w z", "W X Z x w z", "W X W x w w", "Y Z y z", "Y W y w",
+]
+SRC = Path(__file__).resolve().parents[1] / "src" / "sdprod"
 
 
 def flagship_pres():
@@ -108,19 +118,16 @@ def test_parse_relator_errors():
 def test_enumerate_order_two():
     fp = parse_relator_lines(["w^2"])
     table = coset_enumerate(fp, 100)
-    assert table.complete
     assert table.count == 2
 
 
 def test_enumerate_sd16():
     table = coset_enumerate(parse_relator_lines(SD16_LINES), 10**6)
-    assert table.complete
     assert table.count == 16
 
 
 def test_enumerate_flagship():
     table = coset_enumerate(flagship_pres(), 10**6)
-    assert table.complete
     assert table.count == 256
 
 
@@ -139,9 +146,8 @@ def test_enumerate_coset_limit():
 def test_generators_act_as_permutations():
     fp = parse_relator_lines(SD16_LINES)
     table = coset_enumerate(fp, 10**6)
-    for idx in range(1, fp.ngens + 1):
-        p = perm_of_gen(table, idx)
-        assert sorted(p) == list(range(table.count))
+    for col in range(2 * fp.ngens):
+        assert sorted(row[col] for row in table.rows) == list(range(table.count))
 
 
 def test_structure_report_flagship():
@@ -197,17 +203,11 @@ def test_structure_report_twisted_cores(n, m, t, e1, e2, order, cores):
     assert (report.core_x_order, report.core_z_order) == cores
 
 
-def test_structure_report_requires_complete_table():
-    table = CosetTable(rows=[[None] * 8], complete=False, count=1)
-    with pytest.raises(DomainError):
-        structure_report(table, flagship_pres())
-
-
 def test_regular_representation_is_faithful():
     for fp in (parse_relator_lines(SD16_LINES), flagship_pres()):
         table = coset_enumerate(fp, 10**6)
         report = structure_report(table, fp)
-        gens = [perm_of_gen(table, i) for i in range(1, fp.ngens + 1)]
+        gens = [tuple(row[2 * i] for row in table.rows) for i in range(fp.ngens)]
         seen = {tuple(range(table.count))}
         frontier = [tuple(range(table.count))]
         while frontier:
@@ -243,8 +243,8 @@ def test_commutator_location_trivial_commutator():
 
 
 def test_crosscheck_order_examples():
-    assert crosscheck_order(PAIR44, TupleA(0, 2, 0, 0).to_tuple_b())
-    assert crosscheck_order(derive_pair(4, 5), TupleB(0, 0, 0, 0, 0, 0))
+    assert crosscheck_order(PAIR44, TupleA(0, 2, 0, 0).to_tuple_b()) == (256, 256)
+    assert crosscheck_order(derive_pair(4, 5), TupleB(0, 0, 0, 0, 0, 0)) == (512, 512)
 
 
 def test_crosscheck_order_rejects_invalid_tuple():
@@ -263,4 +263,65 @@ def test_crosscheck_order_every_valid_tuple_a():
     for n, m in ((4, 4), (4, 5)):
         pair = derive_pair(n, m)
         for t4 in enumerate_a(pair):
-            assert crosscheck_order(pair, t4.to_tuple_b()), (n, m, t4)
+            collected, enumerated = crosscheck_order(pair, t4.to_tuple_b())
+            assert collected == enumerated == 4 * pair.N * pair.M, (n, m, t4)
+
+
+@pytest.mark.parametrize(
+    "lines, want",
+    [
+        (
+            A4_Z2_LINES,
+            StructureReport(
+                order=24,
+                gen_orders={"w": 2, "y": 2, "x": 6},
+                h_order=24,
+                k_order=2,
+                intersection_order=2,
+                xz_commutator=None,
+                core_x_order=2,
+                core_z_order=None,
+                sd_h=False,
+                sd_k=False,
+            ),
+        ),
+        (
+            S3_S3_LINES,
+            StructureReport(
+                order=36,
+                gen_orders={"w": 2, "y": 2, "z": 3, "x": 6},
+                h_order=12,
+                k_order=6,
+                intersection_order=2,
+                xz_commutator=(0, 2),
+                core_x_order=3,
+                core_z_order=3,
+                sd_h=False,
+                sd_k=False,
+            ),
+        ),
+    ],
+    ids=["A4xZ2", "S3xS3"],
+)
+def test_structure_report_cores_off_a_chain(lines, want):
+    fp = parse_relator_lines(lines)
+    assert structure_report(coset_enumerate(fp), fp) == want
+
+
+def _imported_names(path):
+    """Every module name (split at the dots) and name the file at path imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    return names
+
+
+def test_fpcoset_and_pcgroup_share_no_code():
+    # the cross-check is evidence only while the two pipelines are independent
+    assert "pcgroup" not in _imported_names(SRC / "fpcoset.py")
+    assert "fpcoset" not in _imported_names(SRC / "pcgroup.py")

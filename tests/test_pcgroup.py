@@ -160,11 +160,11 @@ def test_nf_index_round_trip():
 def test_build_table_witness():
     g = witness_table()
     assert g.order == 256
-    assert g.labels[0] == NormalForm(0, 0, 0, 0)
-    assert g.labels[g.gen_x] == NormalForm(0, 0, 0, 1)
-    assert g.labels[g.gen_z] == NormalForm(0, 0, 1, 0)
-    assert g.labels[g.gen_y] == NormalForm(0, 1, 0, 0)
-    assert g.labels[g.gen_w] == NormalForm(1, 0, 0, 0)
+    assert index_nf(PAIR44, 0) == NormalForm(0, 0, 0, 0)
+    assert index_nf(PAIR44, g.gen_x) == NormalForm(0, 0, 0, 1)
+    assert index_nf(PAIR44, g.gen_z) == NormalForm(0, 0, 1, 0)
+    assert index_nf(PAIR44, g.gen_y) == NormalForm(0, 1, 0, 0)
+    assert index_nf(PAIR44, g.gen_w) == NormalForm(1, 0, 0, 0)
 
 
 def test_build_table_matches_direct_collection():
@@ -173,7 +173,8 @@ def test_build_table_matches_direct_collection():
     for i in range(g.order):
         row = g.row(i)
         for j in range(g.order):
-            want = nf_index(PAIR44, collect_multiply(pc, g.labels[i], g.labels[j]))
+            u, v = index_nf(PAIR44, i), index_nf(PAIR44, j)
+            want = nf_index(PAIR44, collect_multiply(pc, u, v))
             assert g.mul(i, j) == want
             assert row[j] == want
 
@@ -194,7 +195,7 @@ def with_prefix(g, u, k, value):
 
 
 def build_with_prefix(monkeypatch, u, letter, value):
-    """build_table on the witness, with collect_multiply(labels[u], letter) -> value."""
+    """build_table on the witness, with collect_multiply(index_nf(u), letter) -> value."""
     real = pcgroup.collect_multiply
     u_nf, value_nf = index_nf(PAIR44, u), index_nf(PAIR44, value)
 

@@ -10,13 +10,14 @@ both sides of each equivalence to be exercised.
 
 The core properties build whole groups, so they draw valid tuples from
 the complete listings at ranks (4, 4), (4, 5) and (5, 4) (orders 256 and
-512), where a brute-force core over every element stays cheap.
+512), where a brute-force core over every element stays cheap; the
+twisted one adds a random [x,z] = x^e1 z^e2.
 """
 
 from functools import lru_cache
 from itertools import groupby
 
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sdprod.arith import additive_order, admissible_s_values, derive_pair
@@ -31,6 +32,7 @@ from sdprod.congruence import (
     enumerate_a,
     enumerate_b,
 )
+from sdprod.errors import CapacityError
 from sdprod.fpcoset import coset_enumerate, fp_from_extended, parse_relator_lines, structure_report
 from sdprod.pcgroup import (
     build_table,
@@ -44,7 +46,11 @@ from sdprod.pcgroup import (
 RANKS = st.integers(4, 7)
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 GROUP_SETTINGS = settings(max_examples=40, deadline=None)
+TWISTED_SETTINGS = settings(max_examples=200, deadline=None)
 SMALL_PAIRS = st.sampled_from([(4, 4), (4, 5), (5, 4)]).map(lambda nm: derive_pair(*nm))
+# Twisted presentations at these ranks that close enumerate to at most 512
+# cosets; about one draw in fifty runs past this cap and is skipped.
+TWISTED_MAX_COSETS = 20_000
 
 
 def residue(modulus: int, special=()):
@@ -154,6 +160,32 @@ def brute_force_core(prod, h):
     return tuple(sorted(core))
 
 
+def brute_force_cyclic_core(table, col):
+    """Order of the intersection of the conjugates t^-1 <g> t over every
+    element t of the group, where g is the generator of column col.
+
+    Each element is the coset it sends coset 0 to, and acts on the cosets
+    by its full permutation, built here breadth first from the generators.
+    """
+    rows = table.rows
+    perms = {0: list(range(table.count))}
+    queue = [0]
+    for cur in queue:
+        for gen_col in range(0, len(rows[0]), 2):
+            nxt = rows[cur][gen_col]
+            if nxt not in perms:
+                perms[nxt] = [rows[v][gen_col] for v in perms[cur]]
+                queue.append(nxt)
+    powers = [0]
+    while rows[powers[-1]][col] != 0:
+        powers.append(rows[powers[-1]][col])
+    core = set(powers)
+    for t, perm_t in perms.items():
+        t_inverse = perm_t.index(0)
+        core &= {perm_t[perms[h][t_inverse]] for h in powers}
+    return len(core)
+
+
 def relator_lines(fp):
     """The relators in the relator file format, a run of one letter as x^k or X^k."""
     lines = []
@@ -191,6 +223,21 @@ def test_enumerated_cores_match_collected_cores(case):
     assert rep.order == g.order
     assert rep.core_x_order == core_of(g, subgroup_closure(g, (g.gen_x,))).order
     assert rep.core_z_order == core_of(g, subgroup_closure(g, (g.gen_z,))).order
+
+
+@TWISTED_SETTINGS
+@given(valid_small_tuples_b(), st.integers(0, 1 << 16), st.integers(0, 1 << 16))
+def test_twisted_cores_match_brute_force(case, e1, e2):
+    pair, t = case
+    fp = fp_from_extended(pair, t, e1, e2)
+    try:
+        table = coset_enumerate(fp, TWISTED_MAX_COSETS)
+    except CapacityError:
+        reject()
+    rep = structure_report(table, fp)
+    x_col, z_col = 2 * fp.names.index("x"), 2 * fp.names.index("z")
+    assert rep.core_x_order == brute_force_cyclic_core(table, x_col)
+    assert rep.core_z_order == brute_force_cyclic_core(table, z_col)
 
 
 @PROPERTY_SETTINGS
