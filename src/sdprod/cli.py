@@ -9,8 +9,7 @@ relator files).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import contextlib
 import json
 import sys
 from typing import Sequence
@@ -24,9 +23,7 @@ from .congruence import (
     check_a,
     check_b,
     check_b_congruences,
-    enumerate_a,
-    enumerate_b,
-    parity_audit,
+    solve_b,
 )
 from .errors import CapacityError, DomainError
 from .fpcoset import (
@@ -49,8 +46,12 @@ from .pcgroup import (
     pc_from_tuple_b,
     subgroup_closure,
     verify_associativity_exhaustive,
-    check_consistency,
 )
+
+# Not called here.  perfbench's tracer wraps each library function at its
+# sdprod.cli name, so these names stay importable from this module.
+from .congruence import enumerate_a, enumerate_b, parity_audit  # noqa: F401
+from .pcgroup import check_consistency  # noqa: F401
 
 A_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
 B_CONDITIONS = tuple(f"D{i}" for i in range(1, 13)) + ("ORD-R", "ORD-B")
@@ -92,61 +93,93 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _emit(args, text: str) -> None:
+@contextlib.contextmanager
+def _sink(args):
+    """The primary output: the --output file, or stdout."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
-def _histogram(values: Sequence[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return dict(sorted(out.items()))
+def _emit(args, text: str) -> None:
+    with _sink(args) as out:
+        out.write(text)
+
+
+# Per format: the separator between fields, the text before and after a
+# row, and the separator between rows.  The JSON layout is that of
+# json.dumps(indent=2) for a row inside the document's "tuples" list.
+_ROW_LAYOUT = {
+    "text": (",", "", "\n", ""),
+    "csv": (",", "", "\r\n", ""),
+    "json": (",\n      ", "\n    [\n      ", "\n    ]", ","),
+}
 
 
 def cmd_enumerate(args) -> int:
+    """Write the listing one prefix group at a time.
+
+    The count is known before the first row, so the gate is checked
+    before anything is written; histograms and parity are summed per
+    group and follow the rows.
+    """
     pair = derive_pair(args.n, args.m)
     if args.command == "enumerate-a":
-        tuples = enumerate_a(pair)
-        fields = TupleA._fields
+        # the four-field listing is the cores (1, 1) listing with r and b
+        # dropped, and has no gate
+        solution = solve_b(pair, CoreSpec(1, 1), allow_large=True)
+        fields, kept = TupleA._fields, (1, 2, 4)
     else:
-        cores = CoreSpec(args.n1, args.m1)
-        tuples = enumerate_b(pair, cores, allow_large=args.allow_large)
-        fields = TupleB._fields
-    histograms = {
-        name: _histogram([t[i] for t in tuples]) for i, name in enumerate(fields)
-    }
-    all_even = parity_audit(pair, tuples)
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(fields)
-        writer.writerows(tuples)
-        _emit(args, buf.getvalue())
-    elif args.format == "json":
-        doc = {
-            "n": args.n,
-            "m": args.m,
-            "count": len(tuples),
-            "fields": list(fields),
-            "tuples": [list(t) for t in tuples],
-            "histograms": {k: {str(v): c for v, c in h.items()} for k, h in histograms.items()},
-            "all_fields_even": all_even,
-        }
-        if args.command == "enumerate-b":
-            doc["n1"], doc["m1"] = args.n1, args.m1
-        _emit(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        lines = [",".join(str(v) for v in t) for t in tuples]
-        lines.append(f"count: {len(tuples)}")
-        for name in fields:
-            hist = " ".join(f"{v}={c}" for v, c in histograms[name].items())
-            lines.append(f"histogram {name}: {hist or '(empty)'}")
-        lines.append(f"parity: {'all fields even' if all_even else 'ODD FIELD PRESENT'}")
-        _emit(args, "\n".join(lines) + "\n")
+        solution = solve_b(pair, CoreSpec(args.n1, args.m1), allow_large=args.allow_large)
+        fields, kept = TupleB._fields, (0, 1, 2, 3, 4)
+    field_sep, row_start, row_end, row_sep = _ROW_LAYOUT[args.format]
+    c_text = [str(c) for c in range(pair.M)]
+    histograms: list[dict[int, int]] = [{} for _ in kept]
+    c_cosets: dict[tuple[int, int], int] = {}  # (first c, step) -> number of groups
+    with _sink(args) as out:
+        if args.format == "csv":
+            out.write(",".join(fields) + "\r\n")
+        elif args.format == "json":
+            head = {"n": args.n, "m": args.m, "count": solution.count, "fields": list(fields)}
+            out.write(json.dumps(head, indent=2)[:-2] + ',\n  "tuples": [')
+        sep = ""
+        for prefix, cs in solution.groups():
+            values = [prefix[i] for i in kept]
+            for hist, v in zip(histograms, values):
+                hist[v] = hist.get(v, 0) + len(cs)
+            key = (cs.start, cs.step)
+            c_cosets[key] = c_cosets.get(key, 0) + 1
+            lead = row_start + field_sep.join(map(str, values)) + field_sep
+            rows = (row_end + row_sep + lead).join(c_text[cs.start::cs.step])
+            out.write(sep + lead + rows + row_end)
+            sep = row_sep
+        c_hist: dict[int, int] = {}
+        for (start, step), groups in c_cosets.items():
+            for c in range(start, pair.M, step):
+                c_hist[c] = c_hist.get(c, 0) + groups
+        histograms.append(c_hist)
+        histograms = [dict(sorted(h.items())) for h in histograms]
+        all_even = all(v % 2 == 0 for h in histograms for v in h)
+        if args.format == "json":
+            tail = {
+                "histograms": {
+                    name: {str(v): k for v, k in h.items()} for name, h in zip(fields, histograms)
+                },
+                "all_fields_even": all_even,
+            }
+            if args.command == "enumerate-b":
+                tail["n1"], tail["m1"] = args.n1, args.m1
+            closing = "\n  ]" if solution.count else "]"
+            out.write(closing + "," + json.dumps(tail, indent=2)[1:] + "\n")
+        elif args.format == "text":
+            lines = [f"count: {solution.count}"]
+            for name, hist in zip(fields, histograms):
+                text = " ".join(f"{v}={k}" for v, k in hist.items())
+                lines.append(f"histogram {name}: {text or '(empty)'}")
+            lines.append(f"parity: {'all fields even' if all_even else 'ODD FIELD PRESENT'}")
+            out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -236,7 +269,6 @@ def cmd_build(args) -> int:
     if args.output and order > TABLE_FILE_CAP:
         raise CapacityError(TABLE_FILE_CAP_MESSAGE.format(order=order, cap=TABLE_FILE_CAP))
 
-    report = check_consistency(pc)
     g = build_table(pc, max_order=args.max_table)
     h = subgroup_closure(g, (g.gen_x, g.gen_y))
     k = subgroup_closure(g, (g.gen_z, g.gen_w))
@@ -246,8 +278,8 @@ def cmd_build(args) -> int:
     doc = {
         "tuple": list(t),
         "valid": True,
-        "consistency_passed": sum(1 for e in report.entries if e.passed),
-        "consistency_total": len(report.entries),
+        "consistency_passed": sum(1 for e in g.consistency.entries if e.passed),
+        "consistency_total": len(g.consistency.entries),
         "order": g.order,
         "h_order": h.order,
         "k_order": k.order,
@@ -374,75 +406,118 @@ def cmd_crosscheck(args) -> int:
     return 0 if agree else 1
 
 
+def _add_pair_flags(p) -> None:
+    p.add_argument("--n", type=int, required=True, help="rank of the first factor (>= 4)")
+    p.add_argument("--m", type=int, required=True, help="rank of the second factor (>= 4)")
+
+
+def _add_common(p, formats=("text", "json")) -> None:
+    p.add_argument("--format", choices=formats, default="text")
+    p.add_argument("--output", help="write the primary output to this file")
+
+
+def _enumerate_a_args(p) -> None:
+    _add_pair_flags(p)
+    _add_common(p, ("text", "json", "csv"))
+    p.set_defaults(func=cmd_enumerate)
+
+
+def _enumerate_b_args(p) -> None:
+    _add_pair_flags(p)
+    p.add_argument("--n1", type=int, required=True, help="x-side core index (power of two)")
+    p.add_argument("--m1", type=int, required=True, help="z-side core index (power of two)")
+    _add_common(p, ("text", "json", "csv"))
+    p.add_argument("--allow-large", action="store_true", help="permit listings beyond the gate")
+    p.set_defaults(func=cmd_enumerate)
+
+
+def _check_a_args(p) -> None:
+    _add_pair_flags(p)
+    p.add_argument("--tuple", required=True, help="a,s,t,c")
+    _add_common(p)
+    p.set_defaults(func=cmd_check)
+
+
+def _check_b_args(p) -> None:
+    _add_pair_flags(p)
+    p.add_argument("--n1", type=int, required=True)
+    p.add_argument("--m1", type=int, required=True)
+    p.add_argument("--tuple", required=True, help="r,a,s,b,t,c")
+    _add_common(p)
+    p.set_defaults(func=cmd_check)
+
+
+def _build_args(p) -> None:
+    _add_pair_flags(p)
+    p.add_argument("--tuple", required=True, help="a,s,t,c or r,a,s,b,t,c")
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    p.add_argument("--output", help="write the table to this file")
+    p.add_argument("--max-table", type=_positive_int, default=DEFAULT_MAX_ORDER)
+    p.add_argument("--verify-associativity", action="store_true")
+    p.set_defaults(func=cmd_build)
+
+
+def _tc_args(p) -> None:
+    p.add_argument("--preset", help=f"compiled-in presentation ({', '.join(PRESET_NAMES)})")
+    p.add_argument("--relators", help="path to a relator file")
+    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
+    _add_common(p)
+    p.set_defaults(func=cmd_tc)
+
+
+def _crosscheck_args(p) -> None:
+    _add_pair_flags(p)
+    p.add_argument("--tuple", required=True, help="a,s,t,c or r,a,s,b,t,c")
+    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
+    p.add_argument("--format", choices=("text",), default="text")
+    p.add_argument("--output")
+    p.set_defaults(func=cmd_crosscheck)
+
+
+# Subcommand -> (help line, function that adds its arguments).
+SUBCOMMANDS = {
+    "enumerate-a": ("list valid four-field tuples", _enumerate_a_args),
+    "enumerate-b": ("list valid six-field tuples for given cores", _enumerate_b_args),
+    "check-a": ("check one four-field tuple", _check_a_args),
+    "check-b": ("check one six-field tuple", _check_b_args),
+    "build": ("build the multiplication table and report structure", _build_args),
+    "tc": ("enumerate cosets of a presentation and report structure", _tc_args),
+    "crosscheck": ("compare collection and enumeration group orders", _crosscheck_args),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="sdprod", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    def add_pair_flags(p) -> None:
-        p.add_argument("--n", type=int, required=True, help="rank of the first factor (>= 4)")
-        p.add_argument("--m", type=int, required=True, help="rank of the second factor (>= 4)")
-
-    def add_common(p, formats=("text", "json")) -> None:
-        p.add_argument("--format", choices=formats, default="text")
-        p.add_argument("--output", help="write the primary output to this file")
-
-    pa = sub.add_parser("enumerate-a", help="list valid four-field tuples")
-    add_pair_flags(pa)
-    add_common(pa, ("text", "json", "csv"))
-    pa.set_defaults(func=cmd_enumerate)
-
-    pb = sub.add_parser("enumerate-b", help="list valid six-field tuples for given cores")
-    add_pair_flags(pb)
-    pb.add_argument("--n1", type=int, required=True, help="x-side core index (power of two)")
-    pb.add_argument("--m1", type=int, required=True, help="z-side core index (power of two)")
-    add_common(pb, ("text", "json", "csv"))
-    pb.add_argument("--allow-large", action="store_true", help="permit scans beyond the gate")
-    pb.set_defaults(func=cmd_enumerate)
-
-    ca = sub.add_parser("check-a", help="check one four-field tuple")
-    add_pair_flags(ca)
-    ca.add_argument("--tuple", required=True, help="a,s,t,c")
-    add_common(ca)
-    ca.set_defaults(func=cmd_check)
-
-    cb = sub.add_parser("check-b", help="check one six-field tuple")
-    add_pair_flags(cb)
-    cb.add_argument("--n1", type=int, required=True)
-    cb.add_argument("--m1", type=int, required=True)
-    cb.add_argument("--tuple", required=True, help="r,a,s,b,t,c")
-    add_common(cb)
-    cb.set_defaults(func=cmd_check)
-
-    bd = sub.add_parser("build", help="build the multiplication table and report structure")
-    add_pair_flags(bd)
-    bd.add_argument("--tuple", required=True, help="a,s,t,c or r,a,s,b,t,c")
-    bd.add_argument("--format", choices=("text", "json"), default="text")
-    bd.add_argument("--output", help="write the table to this file")
-    bd.add_argument("--max-table", type=_positive_int, default=DEFAULT_MAX_ORDER)
-    bd.add_argument("--verify-associativity", action="store_true")
-    bd.set_defaults(func=cmd_build)
-
-    tc = sub.add_parser("tc", help="enumerate cosets of a presentation and report structure")
-    tc.add_argument("--preset", help=f"compiled-in presentation ({', '.join(PRESET_NAMES)})")
-    tc.add_argument("--relators", help="path to a relator file")
-    tc.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
-    add_common(tc)
-    tc.set_defaults(func=cmd_tc)
-
-    cc = sub.add_parser("crosscheck", help="compare collection and enumeration group orders")
-    add_pair_flags(cc)
-    cc.add_argument("--tuple", required=True, help="a,s,t,c or r,a,s,b,t,c")
-    cc.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
-    cc.add_argument("--format", choices=("text",), default="text")
-    cc.add_argument("--output")
-    cc.set_defaults(func=cmd_crosscheck)
+    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse argv as build_parser() does, building only the subparser
+    that argv[0] names when that gives the same result.
+
+    A subparser prints its own help, usage and errors, the same bytes in
+    both builds.  The full parser is built for a missing or unknown
+    command and for top-level help, which the top level answers, and for
+    arguments the subparser leaves over, which the top level reports as
+    unrecognized.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in SUBCOMMANDS:
+        parser = _Parser(prog=f"sdprod {argv[0]}")
+        SUBCOMMANDS[argv[0]][1](parser)
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"sdprod: error: {exc}", file=sys.stderr)

@@ -12,14 +12,14 @@ callers may pass arbitrary integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .arith import SdPair, additive_order
+from .arith import SdPair, additive_order, admissible_s_values
 from .errors import CapacityError, DomainError
 
-# Full six-field scans are gated above this product-space size, reached at
-# ranks (5, 5): (16 * 16) ** 3.
+# Six-field listings are gated above this many tuples.
 LARGE_SCAN_GATE = 1 << 24
 
 
@@ -159,82 +159,167 @@ def check_b(pair: SdPair, cores: CoreSpec, t: TupleB) -> Verdict:
     return Verdict(tuple(failures))
 
 
+def _of_order(order: int, modulus: int) -> range:
+    """Residues modulo a power of two of the given additive order: the odd
+    multiples of modulus/order, or 0 alone for order 1."""
+    if order > modulus:
+        return range(0)
+    step = modulus // order
+    return range(step if order > 1 else 0, modulus, 2 * step)
+
+
+def _coset(u: int, v: int, modulus: int) -> tuple[int, int] | None:
+    """The integers x with u*x = v modulo a power of two, as (x0, step)
+    with 0 <= x0 < step, or None when there are none.
+
+    With g = gcd(u, modulus) there are solutions iff g divides v, and then
+    x = (v/g) * (u/g)^-1 modulo modulus/g, a power of two.
+    """
+    g = math.gcd(u, modulus)
+    if v % g:
+        return None
+    step = modulus // g
+    return v // g * pow(u // g, -1, step) % step, step
+
+
+def _meet(*cosets: tuple[int, int] | None) -> tuple[int, int] | None:
+    """Intersection of cosets x0 + step*Z whose steps are powers of two.
+
+    Every step divides the largest, so the intersection is the coset of
+    the largest step if that coset lies in all the others, else empty.
+    """
+    if None in cosets:
+        return None
+    x0, step = max(cosets, key=lambda coset: coset[1])
+    if any((x0 - x) % s for x, s in cosets):
+        return None
+    return x0, step
+
+
+def _c_coset(pair: SdPair, r: int, a: int, b: int, t: int) -> tuple[int, int] | None:
+    """The c that satisfy D10, D11 and D12 once r, a, b and t are fixed."""
+    return _meet(
+        _coset(1 + pair.beta, -t * b, pair.M),
+        _coset(r, -t * (1 + pair.alpha), pair.N),
+        _coset(2 + a, 0, pair.M),
+    )
+
+
+class Head(NamedTuple):
+    """One (a, s) of a solution set and the steps of its t and c lattices."""
+
+    a: int
+    s: int
+    t_step: int
+    c_step: int
+
+
+@dataclass(frozen=True)
+class SolutionSet:
+    """The valid six-field tuples of one core spec, in closed form.
+
+    A tuple (r, a, s, b, t, c) is valid iff r is in r_values, b in
+    b_values, (a, s) belongs to a head, t is a multiple of its t_step
+    below N and c lies in the coset that `groups` yields for t.
+    """
+
+    pair: SdPair
+    r_values: range
+    b_values: range
+    heads: tuple[Head, ...]
+
+    @property
+    def count(self) -> int:
+        """Number of valid tuples, without listing them."""
+        N, M = self.pair.N, self.pair.M
+        per_rb = sum(N // h.t_step * (M // h.c_step) for h in self.heads)
+        return len(self.r_values) * len(self.b_values) * per_rb
+
+    def groups(self) -> Iterator[tuple[tuple[int, int, int, int, int], range]]:
+        """Prefixes (r, a, s, b, t) with the range of their valid c, in
+        lexicographic order.
+
+        For fixed (r, a, s, b) the pairs (t, c) passing D9..D12 form a
+        subgroup, since those congruences are homogeneous in t and c.  Its
+        t values are the multiples of t_step, and the c that go with
+        t = k*t_step are k*c_unit plus the multiples of c_step, where
+        c_unit is one c that goes with t_step.
+        """
+        N, M = self.pair.N, self.pair.M
+        for r in self.r_values:
+            for a, s, t_step, c_step in self.heads:
+                for b in self.b_values:
+                    c_unit = _c_coset(self.pair, r, a, b, t_step)[0] if t_step < N else 0
+                    for k, t in enumerate(range(0, N, t_step)):
+                        yield (r, a, s, b, t), range(k * c_unit % c_step, M, c_step)
+
+
+def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> SolutionSet:
+    """Solve D1..D12, ORD-R and ORD-B for one core spec.
+
+    ORD-R and ORD-B fix r and b up to an odd factor, a unit.  D1 and D4..D8
+    ask that a product of constants with r and/or b vanish, which a unit
+    does not change.  Which t admit a c, and the step of those c, depend
+    on r and b only through their powers of two as well: a unit in r or b
+    multiplies the solutions of D10 and D11 by an odd number, which keeps
+    their parity and the power of two dividing them, and D10 and D12 ask
+    nothing else of c.  So each (a, s) that D2 and D3 admit is decided,
+    and its t and c steps found, once at the smallest r and b,
+    r_values[0] and b_values[0].
+
+    A solution set of more than LARGE_SCAN_GATE tuples is refused unless
+    allow_large is set.
+    """
+    validate_cores(pair, cores)
+    N, M = pair.N, pair.M
+    r_values = _of_order(cores.m1, N)
+    b_values = _of_order(cores.n1, M)
+    heads = []
+    if r_values and b_values:
+        r, b = r_values[0], b_values[0]
+        for a in sorted(admissible_s_values(M)):
+            for s in sorted(admissible_s_values(N)):
+                if not check_b_congruences(pair, TupleB(r, a, s, b, 0, 0)).valid:
+                    continue
+                # the t with a solution c form a subgroup: the smallest power
+                # of two among them generates it
+                t_step = next(
+                    (
+                        t
+                        for t in (1 << j for j in range(pair.n - 1))
+                        if t * (2 + s) % N == 0 and _c_coset(pair, r, a, b, t)
+                    ),
+                    N,
+                )
+                heads.append(Head(a, s, t_step, _c_coset(pair, r, a, b, 0)[1]))
+    solution = SolutionSet(pair, r_values, b_values, tuple(heads))
+    if solution.count > LARGE_SCAN_GATE and not allow_large:
+        raise CapacityError(
+            f"six-field listing of {solution.count} tuples exceeds the gate "
+            f"({LARGE_SCAN_GATE}); pass allow_large to run it"
+        )
+    return solution
+
+
 def enumerate_a(pair: SdPair) -> list[TupleA]:
     """All valid four-field tuples, lexicographic in (a, s, t, c).
 
-    The nested loops reject on exactly the conditions of check_a, each
-    tested as soon as its fields are bound, so the result is the filter
-    of check_a over the whole product space.
+    C1..C6 are D1..D12 at r = b = 0, the only r and b of additive order 1,
+    so these are the six-field tuples of cores (1, 1) with r and b dropped.
+    The four-field listing has no gate.
     """
-    N, M = pair.N, pair.M
-    alpha, beta = pair.alpha, pair.beta
-    out = []
-    for a in range(M):
-        if ((1 + a) * (1 + a) - 1) % M:
-            continue
-        for s in range(N):
-            if ((1 + s) * (1 + s) - 1) % N:
-                continue
-            for t in range(N):
-                if t * (2 + s) % N or t * (1 + alpha) % N:
-                    continue
-                for c in range(M):
-                    if c * (1 + beta) % M or c * (2 + a) % M:
-                        continue
-                    out.append(TupleA(a, s, t, c))
-    return out
+    solution = solve_b(pair, CoreSpec(1, 1), allow_large=True)
+    return [TupleA(a, s, t, c) for (_, a, s, _, t), cs in solution.groups() for c in cs]
 
 
 def enumerate_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> list[TupleB]:
     """All valid six-field tuples for the given cores, lexicographic order.
 
-    The full product space has (N*M)**3 points; scans beyond the size
-    reached at ranks (5, 5) must be requested explicitly via allow_large.
-    Same filter-of-checker structure as enumerate_a: every reject
-    corresponds to one of D1..D12 or an order condition.
+    Listings of more than LARGE_SCAN_GATE tuples must be requested
+    explicitly via allow_large.
     """
-    validate_cores(pair, cores)
-    space = (pair.N * pair.M) ** 3
-    if space > LARGE_SCAN_GATE and not allow_large:
-        raise CapacityError(
-            f"six-field scan of {space} points exceeds the gate "
-            f"({LARGE_SCAN_GATE}); pass allow_large to run it"
-        )
-    n1, m1 = cores
-    N, M = pair.N, pair.M
-    alpha, beta = pair.alpha, pair.beta
-    out = []
-    for r in range(N):
-        if additive_order(r, N) != m1:
-            continue
-        for a in range(M):
-            if ((1 + a) * (1 + a) - 1) % M or r * (alpha + 1 + a) % N:
-                continue
-            for s in range(N):
-                if ((1 + s) * (1 + s) - 1) % N or r * (beta - 1 - s) % N:
-                    continue
-                for b in range(M):
-                    if additive_order(b, M) != n1:
-                        continue
-                    if (
-                        b * (1 + s + beta) % M
-                        or b * r % M
-                        or b * (alpha - 1 - a) % M
-                        or r * b % N
-                    ):
-                        continue
-                    for t in range(N):
-                        if t * (2 + s) % N:
-                            continue
-                        for c in range(M):
-                            if (
-                                (c * (1 + beta) + t * b) % M
-                                or (t * (1 + alpha) + c * r) % N
-                                or c * (2 + a) % M
-                            ):
-                                continue
-                            out.append(TupleB(r, a, s, b, t, c))
-    return out
+    solution = solve_b(pair, cores, allow_large)
+    return [TupleB(*prefix, c) for prefix, cs in solution.groups() for c in cs]
 
 
 def parity_audit(pair: SdPair, tuples: Iterable[tuple]) -> bool:

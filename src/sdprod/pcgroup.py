@@ -85,6 +85,7 @@ class GroupTable:
     pair: SdPair
     order: int
     prefixes: list[tuple[int, int, int, int]]
+    consistency: ConsistencyReport  # the check build_table made before building
     gen_w: int
     gen_y: int
     gen_z: int
@@ -332,6 +333,7 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
         pair=pc.pair,
         order=order,
         prefixes=prefixes,
+        consistency=report,
         gen_w=2 * M * N,
         gen_y=M * N,
         gen_z=N,

@@ -3,10 +3,11 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
-from sdprod import cli
+from sdprod import cli, pcgroup
 from sdprod.cli import main
 
 SD16_FILE = "x^8\ny^2\nY x y X^3\n"
@@ -81,12 +82,22 @@ def test_enumerate_rank_errors(capsys):
     assert code == 2
 
 
-def test_enumerate_b_scan_gate(capsys):
-    code, _, err = run(
-        capsys, ["enumerate-b", "--n", "5", "--m", "6", "--n1", "1", "--m1", "1"]
-    )
+def test_enumerate_b_scan_gate(tmp_path, capsys):
+    # 16,810,000 tuples at (13, 13), cores (1, 1): refused before any byte
+    # is written, and without listing them
+    target = tmp_path / "out.txt"
+    argv = ["enumerate-b", "--n", "13", "--m", "13", "--n1", "1", "--m1", "1"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + ["--output", str(target)])
+    assert time.perf_counter() - start < 1.0
     assert code == 2
-    assert "exceeds the gate" in err
+    assert out == ""
+    assert "listing of 16810000 tuples exceeds the gate" in err
+    assert not target.exists()
+    # the gate counts tuples, not grid points: (5, 6) needs no flag
+    code, out, _ = run(capsys, ["enumerate-b", "--n", "5", "--m", "6", "--n1", "1", "--m1", "1"])
+    assert code == 0
+    assert "count: 720" in out
 
 
 def test_enumerate_b_bad_cores(capsys):
@@ -165,6 +176,71 @@ def test_argparse_errors_exit_three(capsys):
         main(["enumerate-a", "--n", "4", "--m", "4", "--workers", "2"])
     assert info.value.code == 3
     capsys.readouterr()
+
+
+# One valid command line per subcommand, for the parser comparisons.
+VALID_ARGV = {
+    "enumerate-a": ["enumerate-a", "--n", "4", "--m", "4"],
+    "enumerate-b": ["enumerate-b", "--n", "4", "--m", "4", "--n1", "2", "--m1", "2"],
+    "check-a": ["check-a", "--n", "4", "--m", "4", "--tuple", "0,2,0,0"],
+    "check-b": ["check-b", "--n", "4", "--m", "4", "--n1", "2", "--m1", "2", "--tuple", "4,0,0,4,0,0"],
+    "build": ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0"],
+    "tc": ["tc", "--preset", "example-6-5"],
+    "crosscheck": ["crosscheck", "--n", "4", "--m", "4", "--tuple", "0,2,0,0"],
+}
+PARSER_CASES = (
+    [["--help"], ["no-such-command"], []]
+    + [[name, "--help"] for name in VALID_ARGV]
+    + [[name, "--bogus"] for name in VALID_ARGV]
+    + [argv + ["--format", "xml"] for argv in VALID_ARGV.values()]
+    + [argv + ["--bogus"] for argv in VALID_ARGV.values()]
+    + [argv + ["extra"] for argv in VALID_ARGV.values()]
+)
+
+
+def exit_of(capsys, parse, argv):
+    with pytest.raises(SystemExit) as info:
+        parse(argv)
+    cap = capsys.readouterr()
+    return info.value.code, cap.out, cap.err
+
+
+def test_parser_covers_every_subcommand():
+    assert set(VALID_ARGV) == set(cli.SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
+def test_single_subparser_answers_like_full_parser(capsys, argv):
+    got = exit_of(capsys, main, argv)
+    assert got == exit_of(capsys, cli.build_parser().parse_args, argv)
+    assert got[0] == (0 if "--help" in argv else 3)
+
+
+def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
+    def no_full_parser():
+        raise AssertionError("the full parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", no_full_parser)
+    for argv in VALID_ARGV.values():
+        code, _, err = run(capsys, argv)
+        assert code == 0, argv
+        assert err == ""
+
+
+def test_build_checks_consistency_once(capsys, monkeypatch):
+    calls = []
+    checked = pcgroup.check_consistency
+
+    def counted(pc):
+        calls.append(pc)
+        return checked(pc)
+
+    monkeypatch.setattr(pcgroup, "check_consistency", counted)
+    monkeypatch.setattr(cli, "check_consistency", counted)
+    code, out, _ = run(capsys, ["build", "--n", "4", "--m", "4", "--tuple", "4,0,0,4,0,0"])
+    assert code == 0
+    assert "consistency: 16/16 identities hold" in out
+    assert len(calls) == 1
 
 
 def test_build_witness_text(capsys):

@@ -5,6 +5,7 @@ brute-force pass over the full parameter grid (see brute_enumerate_b):
 the library enumerator must reproduce them exactly.
 """
 
+import time
 from itertools import product
 
 import numpy as np
@@ -19,8 +20,10 @@ from sdprod.congruence import (
     check_b,
     check_b_congruences,
     enumerate_a,
+    LARGE_SCAN_GATE,
     enumerate_b,
     parity_audit,
+    solve_b,
     validate_cores,
 )
 from sdprod.errors import CapacityError, DomainError
@@ -205,13 +208,34 @@ def test_enumerate_b_trivial_cores_embed_enumerate_a(n, m):
     assert enumerate_b(pair, CoreSpec(1, 1)) == embedded
 
 
+def brute_count_a(pair):
+    """Number of valid four-field tuples: C1..C6 bind t and c separately,
+    so the count is a sum over (a, s) of the t in range(N) times the c in
+    range(M) that pass."""
+    N, M = pair.N, pair.M
+    total = 0
+    for a in admissible_s_values(M):
+        for s in admissible_s_values(N):
+            ts = sum(1 for t in range(N) if t * (2 + s) % N == 0 and t * (1 + pair.alpha) % N == 0)
+            cs = sum(1 for c in range(M) if c * (1 + pair.beta) % M == 0 and c * (2 + a) % M == 0)
+            total += ts * cs
+    return total
+
+
 def test_enumerate_b_scan_gate():
-    pair = derive_pair(5, 6)
-    with pytest.raises(CapacityError):
+    # cores (1, 1) list the four-field tuples; at (13, 13) there are just
+    # more of them than the gate allows
+    pair = derive_pair(13, 13)
+    assert brute_count_a(pair) == 16_810_000 > LARGE_SCAN_GATE
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="16810000 tuples"):
         enumerate_b(pair, CoreSpec(1, 1))
-    got = enumerate_b(pair, CoreSpec(1, 1), allow_large=True)
+    assert time.perf_counter() - start < 1.0
+    assert solve_b(pair, CoreSpec(1, 1), allow_large=True).count == 16_810_000
+    # the gate counts tuples, not grid points: (5, 6) needs no flag
+    pair = derive_pair(5, 6)
     embedded = [t4.to_tuple_b() for t4 in enumerate_a(pair)]
-    assert got == embedded
+    assert enumerate_b(pair, CoreSpec(1, 1)) == embedded
 
 
 def test_check_b_congruences_ignores_orders():

@@ -12,11 +12,21 @@ The core properties build whole groups, so they draw valid tuples from
 the complete listings at ranks (4, 4), (4, 5) and (5, 4) (orders 256 and
 512), where a brute-force core over every element stays cheap; the
 twisted one adds a random [x,z] = x^e1 z^e2.
+
+The closed-form solver is compared with a brute-force filter at random
+ranks and core specs, and the streamed listings with a copy of the
+whole-document formatter that the CLI used before.
 """
 
+import contextlib
+import csv
+import io
+import json
 from functools import lru_cache
 from itertools import groupby
 
+import numpy as np
+import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
@@ -31,6 +41,8 @@ from sdprod.congruence import (
     check_b_congruences,
     enumerate_a,
     enumerate_b,
+    parity_audit,
+    solve_b,
 )
 from sdprod.errors import CapacityError
 from sdprod.fpcoset import coset_enumerate, fp_from_extended, parse_relator_lines, structure_report
@@ -42,6 +54,7 @@ from sdprod.pcgroup import (
     pc_from_tuple_b,
     subgroup_closure,
 )
+from test_congruence import all_core_specs, brute_enumerate_b
 
 RANKS = st.integers(4, 7)
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
@@ -97,6 +110,14 @@ def cored_tuples_b(draw):
         st.integers(0, pair.m - 1).map(lambda k: 1 << k),
     )
     return pair, draw(st.one_of(st.just(own), other)), t
+
+
+@st.composite
+def core_specs(draw):
+    pair = derive_pair(draw(RANKS), draw(RANKS))
+    n1 = 1 << draw(st.integers(0, pair.n - 1))
+    m1 = 1 << draw(st.integers(0, pair.m - 1))
+    return pair, CoreSpec(n1, m1)
 
 
 @lru_cache(maxsize=None)
@@ -259,3 +280,130 @@ def test_tc_untwisted_order_4096(tmp_path, capsys):
     assert "|<z,w>| = 64 (semidihedral: yes)" in out
     assert "intersection: 1" in out
     assert "core of <x>: 32  core of <z>: 32" in out
+
+
+def staged_brute_enumerate_b(pair, cores):
+    """The filter of brute_enumerate_b (tests/test_congruence.py), in
+    stages so that ranks up to 7 fit in memory.
+
+    Each axis is first cut to the residues that pass its one-variable
+    condition (ORD-R, D2, D3, ORD-B), tested over the whole ring.  The grid
+    of the remaining (r, a, s, b) goes through D1 and D4..D8, and the full
+    (t, c) grid of every prefix left through D9..D12.
+    """
+    N, M, alpha, beta = pair.N, pair.M, pair.alpha, pair.beta
+    axes = (
+        [r for r in range(N) if additive_order(r, N) == cores.m1],
+        [a for a in range(M) if (1 + a) * (1 + a) % M == 1],
+        [s for s in range(N) if (1 + s) * (1 + s) % N == 1],
+        [b for b in range(M) if additive_order(b, M) == cores.n1],
+    )
+    grid = np.meshgrid(*(np.array(x, dtype=np.int64) for x in axes), indexing="ij")
+    r, a, s, b = (g.ravel() for g in grid)
+    ok = (r * (alpha + 1 + a)) % N == 0
+    ok &= (b * (1 + s + beta)) % M == 0
+    ok &= (r * (beta - 1 - s)) % N == 0
+    ok &= (b * r) % M == 0
+    ok &= (b * (alpha - 1 - a)) % M == 0
+    ok &= (r * b) % N == 0
+    prefixes = np.stack([r[ok], a[ok], s[ok], b[ok]], axis=1)
+    r, a, s, b = (prefixes[:, i].reshape(-1, 1, 1) for i in range(4))
+    t = np.arange(N, dtype=np.int64).reshape(1, N, 1)
+    c = np.arange(M, dtype=np.int64).reshape(1, 1, M)
+    ok = (t * (2 + s)) % N == 0
+    ok = ok & ((c * (1 + beta) + t * b) % M == 0)
+    ok = ok & ((t * (1 + alpha) + c * r) % N == 0)
+    ok = ok & ((c * (2 + a)) % M == 0)
+    # argwhere walks (prefix, t, c) in row-major order: lexicographic
+    return [TupleB(*map(int, prefixes[i]), int(tt), int(cc)) for i, tt, cc in np.argwhere(ok)]
+
+
+@pytest.mark.parametrize("n,m", [(4, 4), (4, 5), (5, 4)])
+def test_staged_oracle_equals_full_grid_oracle(n, m):
+    pair = derive_pair(n, m)
+    for cores in all_core_specs(pair):
+        assert staged_brute_enumerate_b(pair, cores) == brute_enumerate_b(pair, cores), cores
+
+
+@PROPERTY_SETTINGS
+@given(core_specs())
+def test_solver_groups_match_brute_force(case):
+    pair, cores = case
+    solution = solve_b(pair, cores, allow_large=True)
+    flat = [TupleB(*prefix, c) for prefix, cs in solution.groups() for c in cs]
+    assert flat == staged_brute_enumerate_b(pair, cores)
+    assert solution.count == len(flat)
+
+
+def reference_listing(args, tuples, fields):
+    """The listing as the whole-document formatter wrote it: csv.writer,
+    json.dumps(indent=2), and lines joined once."""
+    histograms = {}
+    for i, name in enumerate(fields):
+        counts = {}
+        for t in tuples:
+            counts[t[i]] = counts.get(t[i], 0) + 1
+        histograms[name] = dict(sorted(counts.items()))
+    all_even = parity_audit(derive_pair(args["n"], args["m"]), tuples)
+    if args["format"] == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(fields)
+        writer.writerows(tuples)
+        return buf.getvalue()
+    if args["format"] == "json":
+        doc = {
+            "n": args["n"],
+            "m": args["m"],
+            "count": len(tuples),
+            "fields": list(fields),
+            "tuples": [list(t) for t in tuples],
+            "histograms": {k: {str(v): c for v, c in h.items()} for k, h in histograms.items()},
+            "all_fields_even": all_even,
+        }
+        if "n1" in args:
+            doc["n1"], doc["m1"] = args["n1"], args["m1"]
+        return json.dumps(doc, indent=2) + "\n"
+    lines = [",".join(str(v) for v in t) for t in tuples]
+    lines.append(f"count: {len(tuples)}")
+    for name in fields:
+        hist = " ".join(f"{v}={c}" for v, c in histograms[name].items())
+        lines.append(f"histogram {name}: {hist or '(empty)'}")
+    lines.append(f"parity: {'all fields even' if all_even else 'ODD FIELD PRESENT'}")
+    return "\n".join(lines) + "\n"
+
+
+def listing_stdout(pair, cores, fmt):
+    """stdout of the CLI listing and of the reference formatter:
+    enumerate-a when cores is None, else enumerate-b."""
+    args = {"n": pair.n, "m": pair.m, "format": fmt}
+    argv = ["--n", str(pair.n), "--m", str(pair.m), "--format", fmt]
+    if cores is None:
+        argv = ["enumerate-a"] + argv
+        want = reference_listing(args, enumerate_a(pair), TupleA._fields)
+    else:
+        args["n1"], args["m1"] = cores
+        argv = ["enumerate-b", "--n1", str(cores.n1), "--m1", str(cores.m1), "--allow-large"] + argv
+        want = reference_listing(args, enumerate_b(pair, cores, allow_large=True), TupleB._fields)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue(), want
+
+
+@PROPERTY_SETTINGS
+@given(core_specs(), st.booleans(), st.sampled_from(["text", "json", "csv"]))
+def test_listing_matches_reference_formatter(case, four_field, fmt):
+    pair, cores = case
+    got, want = listing_stdout(pair, None if four_field else cores, fmt)
+    assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_empty_listing_matches_reference_formatter(fmt):
+    # no r and b of additive order 8 at (4, 4) have r*b = 0
+    got, want = listing_stdout(derive_pair(4, 4), CoreSpec(8, 8), fmt)
+    assert got == want
+    if fmt == "json":
+        assert '\n  "count": 0,\n' in got
+        assert '\n  "tuples": [],\n' in got
