@@ -205,35 +205,25 @@ def _c_coset(pair: SdPair, r: int, a: int, b: int, t: int) -> tuple[int, int] | 
     )
 
 
-class Head(NamedTuple):
-    """One (a, s) of a solution set and the steps of its t and c lattices."""
-
-    a: int
-    s: int
-    t_step: int
-    c_step: int
-
-
-@dataclass(frozen=True)
 class SolutionSet:
     """The valid six-field tuples of one core spec, in closed form.
 
-    A tuple (r, a, s, b, t, c) is valid iff r is in r_values, b in
-    b_values, (a, s) belongs to a head, t is a multiple of its t_step
-    below N and c lies in the coset that `groups` yields for t.
+    A tuple (r, a, s, b, t, c) is valid iff r is in r_values, b is in
+    b_values, heads holds some (a, s, t_step, c_step), t is a multiple of
+    t_step below N, and c lies in the coset that `groups` yields for t.
+    `count` is their number, found without listing them.
     """
 
-    pair: SdPair
-    r_values: range
-    b_values: range
-    heads: tuple[Head, ...]
-
-    @property
-    def count(self) -> int:
-        """Number of valid tuples, without listing them."""
-        N, M = self.pair.N, self.pair.M
-        per_rb = sum(N // h.t_step * (M // h.c_step) for h in self.heads)
-        return len(self.r_values) * len(self.b_values) * per_rb
+    def __init__(
+        self,
+        pair: SdPair,
+        r_values: range,
+        b_values: range,
+        heads: tuple[tuple[int, int, int, int], ...],
+    ):
+        self.pair, self.r_values, self.b_values, self.heads = pair, r_values, b_values, heads
+        per_rb = sum(pair.N // t_step * (pair.M // c_step) for _, _, t_step, c_step in heads)
+        self.count = len(r_values) * len(b_values) * per_rb
 
     def groups(self) -> Iterator[tuple[tuple[int, int, int, int, int], range]]:
         """Prefixes (r, a, s, b, t) with the range of their valid c, in
@@ -291,7 +281,7 @@ def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> Solutio
                     ),
                     N,
                 )
-                heads.append(Head(a, s, t_step, _c_coset(pair, r, a, b, 0)[1]))
+                heads.append((a, s, t_step, _c_coset(pair, r, a, b, 0)[1]))
     solution = SolutionSet(pair, r_values, b_values, tuple(heads))
     if solution.count > LARGE_SCAN_GATE and not allow_large:
         raise CapacityError(
