@@ -45,13 +45,13 @@ from .pcgroup import (
     pc_from_tuple_a,
     pc_from_tuple_b,
     subgroup_closure,
-    verify_associativity_exhaustive,
+    verify_associativity_generators,
 )
 
 # Not called here.  perfbench's tracer wraps each library function at its
 # sdprod.cli name, so these names stay importable from this module.
 from .congruence import enumerate_a, enumerate_b, parity_audit  # noqa: F401
-from .pcgroup import check_consistency  # noqa: F401
+from .pcgroup import check_consistency, verify_associativity_exhaustive  # noqa: F401
 
 A_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
 B_CONDITIONS = tuple(f"D{i}" for i in range(1, 13)) + ("ORD-R", "ORD-B")
@@ -127,13 +127,11 @@ def cmd_enumerate(args) -> int:
     """
     pair = derive_pair(args.n, args.m)
     if args.command == "enumerate-a":
-        # the four-field listing is the cores (1, 1) listing with r and b
-        # dropped, and has no gate
-        solution = solve_b(pair, CoreSpec(1, 1), allow_large=True)
-        fields, kept = TupleA._fields, (1, 2, 4)
+        # the four-field listing is the cores (1, 1) listing with r and b dropped
+        cores, fields, kept = CoreSpec(1, 1), TupleA._fields, (1, 2, 4)
     else:
-        solution = solve_b(pair, CoreSpec(args.n1, args.m1), allow_large=args.allow_large)
-        fields, kept = TupleB._fields, (0, 1, 2, 3, 4)
+        cores, fields, kept = CoreSpec(args.n1, args.m1), TupleB._fields, (0, 1, 2, 3, 4)
+    solution = solve_b(pair, cores, allow_large=args.allow_large)
     field_sep, row_start, row_end, row_sep = _ROW_LAYOUT[args.format]
     c_text = [str(c) for c in range(pair.M)]
     histograms: list[dict[int, int]] = [{} for _ in kept]
@@ -228,7 +226,9 @@ def cmd_check(args) -> int:
 
 
 def _write_table(fh, g, t) -> None:
-    """Write the table file one row at a time: it holds order**2 entries."""
+    """Write the table file one row at a time: it holds order**2 entries.
+
+    Each row is spelled from the numerals of the indices, made once."""
     lines = [
         "# sdprod group table v1",
         f"n: {g.pair.n}",
@@ -237,8 +237,9 @@ def _write_table(fh, g, t) -> None:
         f"order: {g.order}",
     ]
     fh.write("\n".join(lines) + "\n")
+    text = [str(i) for i in range(g.order)]
     for a in range(g.order):
-        fh.write(" ".join(map(str, g.row(a))) + "\n")
+        fh.write(" ".join(g.row(a, text)) + "\n")
 
 
 def cmd_build(args) -> int:
@@ -291,7 +292,7 @@ def cmd_build(args) -> int:
         "requested_cores": [requested_cores.n1, requested_cores.m1],
     }
     if args.verify_associativity:
-        doc["associative"] = verify_associativity_exhaustive(g)
+        doc["associative"] = verify_associativity_generators(g)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             _write_table(fh, g, t)
@@ -416,19 +417,22 @@ def _add_common(p, formats=("text", "json")) -> None:
     p.add_argument("--output", help="write the primary output to this file")
 
 
+def _add_listing_flags(p) -> None:
+    _add_common(p, ("text", "json", "csv"))
+    p.add_argument("--allow-large", action="store_true", help="permit listings beyond the gate")
+    p.set_defaults(func=cmd_enumerate)
+
+
 def _enumerate_a_args(p) -> None:
     _add_pair_flags(p)
-    _add_common(p, ("text", "json", "csv"))
-    p.set_defaults(func=cmd_enumerate)
+    _add_listing_flags(p)
 
 
 def _enumerate_b_args(p) -> None:
     _add_pair_flags(p)
     p.add_argument("--n1", type=int, required=True, help="x-side core index (power of two)")
     p.add_argument("--m1", type=int, required=True, help="z-side core index (power of two)")
-    _add_common(p, ("text", "json", "csv"))
-    p.add_argument("--allow-large", action="store_true", help="permit listings beyond the gate")
-    p.set_defaults(func=cmd_enumerate)
+    _add_listing_flags(p)
 
 
 def _check_a_args(p) -> None:

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple
 from .arith import SdPair, additive_order, admissible_s_values
 from .errors import CapacityError, DomainError
 
-# Six-field listings are gated above this many tuples.
+# Listings are gated above this many tuples.
 LARGE_SCAN_GATE = 1 << 24
 
 
@@ -285,7 +285,7 @@ def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> Solutio
     solution = SolutionSet(pair, r_values, b_values, tuple(heads))
     if solution.count > LARGE_SCAN_GATE and not allow_large:
         raise CapacityError(
-            f"six-field listing of {solution.count} tuples exceeds the gate "
+            f"listing of {solution.count} tuples exceeds the gate "
             f"({LARGE_SCAN_GATE}); pass allow_large to run it"
         )
     return solution

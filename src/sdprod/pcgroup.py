@@ -20,7 +20,7 @@ against each other in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .arith import SdPair
 from .congruence import TupleA, TupleB
@@ -98,17 +98,25 @@ class GroupTable:
         phead, ptail = divmod(self.prefixes[a][head], M * N)
         return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
 
-    def row(self, a: int) -> list[int]:
-        """Row a of the table: a * v for v = 0, 1, ..., order - 1."""
+    def row(self, a: int, labels: Sequence | None = None) -> list:
+        """Row a of the table: a * v for v = 0, 1, ..., order - 1, each
+        product given as labels[product] (by default the index itself).
+
+        The products of prefix p with the v of one head and one z exponent
+        are the x-range of one z-coset, rotated to start at p's x
+        exponent: two slices of labels.
+        """
         N, M = self.pair.N, self.pair.M
-        out: list[int] = []
+        if labels is None:
+            labels = list(range(self.order))
+        out: list = []
         for p in self.prefixes[a]:
             phead, ptail = divmod(p, M * N)
             pz, px = divmod(ptail, N)
-            xs = [(px + vx) % N for vx in range(N)]
             for vz in range(M):
-                zpart = (phead * M + (pz + vz) % M) * N
-                out += [zpart + x for x in xs]
+                base = (phead * M + (pz + vz) % M) * N
+                out += labels[base + px : base + N]
+                out += labels[base : base + px]
         return out
 
 
@@ -431,5 +439,46 @@ def verify_associativity_exhaustive(g: GroupTable, max_order: int = DEFAULT_ASSO
         get_a = row_a.__getitem__
         for b in rng:
             if product[row_a[b]] != list(map(get_a, product[b])):
+                return False
+    return True
+
+
+def verify_associativity_generators(g: GroupTable) -> bool:
+    """Light's associativity test (Clifford and Preston, *The Algebraic
+    Theory of Semigroups* I, 1961, section 1.2): 4 * order**2 lookups in
+    O(order) memory.
+
+    Call c good when (ab)c = a(bc) for all a, b.  The good elements are
+    closed under products: for good c and d,
+    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).
+    So the table is associative once w, y, z and x are good and every
+    element is a product of them, that is, once the closure of
+    {w, y, z, x} under right multiplication by the four is all of G.
+    With R_a the row of a and rho_c the column of c (b -> bc), c is good
+    when rho_c after R_a equals R_a after rho_c, for every a.
+
+    False also answers a table that the four do not generate, where the
+    test decides nothing.  build_table's tables are all generated: their
+    prefix 0 is u itself, so z and x move through a whole head block, and
+    y and w take each block to two others.
+    """
+    columns = [
+        [g.mul(b, c) for b in range(g.order)] for c in (g.gen_w, g.gen_y, g.gen_z, g.gen_x)
+    ]
+    products = {g.gen_w, g.gen_y, g.gen_z, g.gen_x}
+    queue = list(products)
+    for cur in queue:  # queue grows while iterating
+        for col in columns:
+            nxt = col[cur]
+            if nxt not in products:
+                products.add(nxt)
+                queue.append(nxt)
+    if len(products) != g.order:
+        return False
+    labels = list(range(g.order))
+    for a in range(g.order):
+        row = g.row(a, labels)
+        for col in columns:
+            if [col[v] for v in row] != [row[v] for v in col]:
                 return False
     return True

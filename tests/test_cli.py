@@ -8,7 +8,10 @@ import time
 import pytest
 
 from sdprod import cli, pcgroup
+from sdprod.arith import derive_pair
 from sdprod.cli import main
+from sdprod.congruence import TupleA, TupleB
+from sdprod.pcgroup import build_table
 
 SD16_FILE = "x^8\ny^2\nY x y X^3\n"
 
@@ -80,6 +83,26 @@ def test_enumerate_rank_errors(capsys):
     assert "rank too small" in err
     code, _, err = run(capsys, ["enumerate-a", "--n", "25", "--m", "4"])
     assert code == 2
+
+
+def test_enumerate_a_gate(tmp_path, capsys):
+    # the four-field listing at (13, 13) has the 16,810,000 tuples of
+    # cores (1, 1): refused before any byte is written, as enumerate-b is
+    target = tmp_path / "out.txt"
+    argv = ["enumerate-a", "--n", "13", "--m", "13"]
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv + ["--output", str(target)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "sdprod: limit: listing of 16810000 tuples exceeds the gate (16777216); "
+        "pass allow_large to run it\n"
+    )
+    assert not target.exists()
+    code, out, _ = run(capsys, ["enumerate-a", "--n", "10", "--m", "10"])
+    assert code == 0
+    assert "count: 266256" in out
 
 
 def test_enumerate_b_scan_gate(tmp_path, capsys):
@@ -300,6 +323,43 @@ def test_build_table_file(tmp_path, capsys):
         assert sorted(int(v) for v in row.split()) == list(range(256))
 
 
+def reference_table_file(n, m, t):
+    """The table file as the row-at-a-time writer wrote it, from mul alone."""
+    pair = derive_pair(n, m)
+    if len(t) == 4:
+        pc = pcgroup.pc_from_tuple_a(pair, TupleA(*t))
+    else:
+        pc = pcgroup.pc_from_tuple_b(pair, TupleB(*t))
+    g = build_table(pc)
+    head = [
+        "# sdprod group table v1", f"n: {n}", f"m: {m}", f"tuple: {','.join(map(str, t))}",
+        f"order: {g.order}",
+    ]
+    rows = [" ".join(str(g.mul(a, v)) for v in range(g.order)) for a in range(g.order)]
+    return "\n".join(head + rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n,m,t",
+    [
+        (4, 4, (2, 2, 2, 2)),
+        (4, 5, (6, 2, 2, 2)),
+        (5, 4, (2, 6, 2, 2)),
+        (5, 5, (6, 6, 2, 2)),
+        (4, 4, (4, 0, 0, 4, 4, 4)),
+        (4, 5, (4, 0, 0, 8, 4, 8)),
+        (5, 4, (8, 0, 0, 4, 8, 4)),
+        (5, 5, (8, 0, 0, 8, 8, 8)),
+    ],
+)
+def test_build_table_file_matches_reference(tmp_path, capsys, n, m, t):
+    target = tmp_path / "table.txt"
+    argv = ["build", "--n", str(n), "--m", str(m), "--tuple", ",".join(map(str, t))]
+    code, _, _ = run(capsys, argv + ["--output", str(target)])
+    assert code == 0
+    assert target.read_text() == reference_table_file(n, m, t)
+
+
 def test_build_table_file_cap(tmp_path, capsys, monkeypatch):
     def no_table(*args, **kwargs):
         raise AssertionError("the table was built for a refused table file")
@@ -336,7 +396,13 @@ def test_build_max_table_cap(capsys):
     assert "table" in err
 
 
-def test_build_verify_associativity(capsys):
+def test_build_verify_associativity(capsys, monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("build ran the cubic scan")
+
+    # build checks the four generators only; the cubic scan is the tests' oracle
+    monkeypatch.setattr(cli, "verify_associativity_exhaustive", no_scan)
+    monkeypatch.setattr(pcgroup, "verify_associativity_exhaustive", no_scan)
     code, out, _ = run(
         capsys,
         [

@@ -33,6 +33,7 @@ from sdprod.pcgroup import (
     pc_from_tuple_b,
     subgroup_closure,
     verify_associativity_exhaustive,
+    verify_associativity_generators,
 )
 
 PAIR44 = derive_pair(4, 4)
@@ -330,12 +331,55 @@ def test_structure_of_every_valid_tuple_a():
 def test_associativity_exhaustive_and_fault_injection():
     g = witness_table()
     assert verify_associativity_exhaustive(g)
+    assert verify_associativity_generators(g)
     # swap u*y between elements 3 and 5: both products have head y, so every
     # row and column is still a permutation, but the operation is no group
     bad = with_prefix(with_prefix(g, 3, 1, g.prefixes[5][1]), 5, 1, g.prefixes[3][1])
     audit_table(bad)
     assert bad.mul(3, g.gen_y) == g.mul(5, g.gen_y)
     assert not verify_associativity_exhaustive(bad)
+    assert not verify_associativity_generators(bad)
+
+
+@pytest.mark.parametrize("swapped", [(2, 3), (1, 3)], ids=["only-w-fails", "only-y-fails"])
+def test_associativity_fault_seen_by_one_generator(swapped):
+    """Swap the prefixes `swapped` between elements 3 and 5 of the witness.
+
+    The heads not in `swapped` form an index-2 subgroup H (<y,z,x> or
+    <w,z,x>), and the new product is u*v for v in H and f(u)*v otherwise,
+    f swapping 3 and 5.  Every c in H still satisfies (ab)c = a(bc), so
+    only the one generator outside H, w or y, shows the fault.
+    """
+    g = witness_table()
+    bad = g
+    for k in swapped:
+        bad = with_prefix(with_prefix(bad, 3, k, g.prefixes[5][k]), 5, k, g.prefixes[3][k])
+    audit_table(bad)
+    assert not verify_associativity_exhaustive(bad)
+    assert not verify_associativity_generators(bad)
+
+
+def test_associativity_generators_must_reach_every_element():
+    """An audited table that is a group, but not one w, y, z, x generate.
+
+    Prefix k of (head h, tail t) is (head h xor k, tail t x): the Klein
+    four-group times the tails, with x added to every product, so the
+    element 0 is no identity.  The homomorphism to Z/2 that sends an
+    element to 1 plus its w bit, y bit, z exponent and x exponent, mod 2,
+    kills the four generators: they reach half of G, and Light's test
+    proves nothing.
+    """
+    g = witness_table()
+    N, block = PAIR44.N, g.order // 4
+    prefixes = []
+    for u in range(g.order):
+        head, tail = divmod(u, block)
+        zx = tail - tail % N + (tail + 1) % N
+        prefixes.append(tuple((head ^ k) * block + zx for k in range(4)))
+    klein = replace(g, prefixes=prefixes)
+    audit_table(klein)
+    assert verify_associativity_exhaustive(klein)
+    assert not verify_associativity_generators(klein)
 
 
 def test_associativity_cap():

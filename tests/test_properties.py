@@ -11,7 +11,9 @@ both sides of each equivalence to be exercised.
 The core properties build whole groups, so they draw valid tuples from
 the complete listings at ranks (4, 4), (4, 5) and (5, 4) (orders 256 and
 512), where a brute-force core over every element stays cheap; the
-twisted one adds a random [x,z] = x^e1 z^e2.
+twisted one adds a random [x,z] = x^e1 z^e2.  The associativity check
+from the four generators is compared with the cubic scan on those
+tables and on copies with random prefixes swapped.
 
 The closed-form solver is compared with a brute-force filter at random
 ranks and core specs, and the streamed listings with a copy of the
@@ -22,6 +24,7 @@ import contextlib
 import csv
 import io
 import json
+from dataclasses import replace
 from functools import lru_cache
 from itertools import groupby
 
@@ -47,12 +50,16 @@ from sdprod.congruence import (
 from sdprod.errors import CapacityError
 from sdprod.fpcoset import coset_enumerate, fp_from_extended, parse_relator_lines, structure_report
 from sdprod.pcgroup import (
+    audit_table,
     build_table,
     check_consistency,
     core_of,
     is_normal,
+    pc_from_tuple_a,
     pc_from_tuple_b,
     subgroup_closure,
+    verify_associativity_exhaustive,
+    verify_associativity_generators,
 )
 from test_congruence import all_core_specs, brute_enumerate_b
 
@@ -259,6 +266,54 @@ def test_twisted_cores_match_brute_force(case, e1, e2):
     x_col, z_col = 2 * fp.names.index("x"), 2 * fp.names.index("z")
     assert rep.core_x_order == brute_force_cyclic_core(table, x_col)
     assert rep.core_z_order == brute_force_cyclic_core(table, z_col)
+
+
+@lru_cache(maxsize=None)
+def buildable_a(pair):
+    return tuple(enumerate_a(pair))
+
+
+@st.composite
+def valid_tables(draw, pairs):
+    """The table of a valid four- or six-field tuple."""
+    pair = draw(pairs)
+    if draw(st.booleans()):
+        listing, presentation = buildable_a(pair), pc_from_tuple_a
+    else:
+        listing, presentation = buildable_b(pair), pc_from_tuple_b
+    return build_table(presentation(pair, listing[draw(st.integers(0, len(listing) - 1))]))
+
+
+def swap_prefix(g, k, u_pick, v_pick):
+    """g with prefix k swapped between rows u and v, v picked among the
+    rows whose prefix k has the head of u's, so that every row and column
+    stays a permutation."""
+    block = g.order // 4
+    u = u_pick % g.order
+    head = g.prefixes[u][k] // block
+    partners = [v for v in range(g.order) if v != u and g.prefixes[v][k] // block == head]
+    v = partners[v_pick % len(partners)]
+    prefixes = g.prefixes.copy()
+    prefixes[u] = prefixes[u][:k] + (g.prefixes[v][k],) + prefixes[u][k + 1 :]
+    prefixes[v] = prefixes[v][:k] + (g.prefixes[u][k],) + prefixes[v][k + 1 :]
+    bad = replace(g, prefixes=prefixes)
+    audit_table(bad)
+    return bad
+
+
+@GROUP_SETTINGS
+@given(valid_tables(SMALL_PAIRS), st.integers(0, 3), st.integers(0, 1 << 16), st.integers(0, 1 << 16))
+def test_generator_associativity_matches_exhaustive_on_swaps(g, k, u_pick, v_pick):
+    bad = swap_prefix(g, k, u_pick, v_pick)
+    assert verify_associativity_generators(bad) == verify_associativity_exhaustive(bad)
+
+
+# The cubic scan of an associative table takes about 0.5 s at order 256
+# and 6 s at order 512, so the unswapped tables are drawn at order 256.
+@settings(max_examples=8, deadline=None)
+@given(valid_tables(st.just(derive_pair(4, 4))))
+def test_generator_associativity_matches_exhaustive_on_valid_tables(g):
+    assert verify_associativity_generators(g) == verify_associativity_exhaustive(g)
 
 
 @PROPERTY_SETTINGS
