@@ -475,9 +475,8 @@ def verify_associativity_generators(g: GroupTable) -> bool:
                 queue.append(nxt)
     if len(products) != g.order:
         return False
-    labels = list(range(g.order))
     for a in range(g.order):
-        row = g.row(a, labels)
+        row = g.row(a)
         for col in columns:
             if [col[v] for v in row] != [row[v] for v in col]:
                 return False
