@@ -286,7 +286,7 @@ def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> Solutio
     if solution.count > LARGE_SCAN_GATE and not allow_large:
         raise CapacityError(
             f"listing of {solution.count} tuples exceeds the gate "
-            f"({LARGE_SCAN_GATE}); pass allow_large to run it"
+            f"({LARGE_SCAN_GATE}); pass --allow-large to run it"
         )
     return solution
 

@@ -15,9 +15,16 @@ filling: cosets are processed in definition order; every relator is
 scanned and filled at every live coset; coincidences are merged
 immediately, always keeping the smaller coset number; after each coset's
 relator scans, its remaining undefined generator images are defined in
-column order.  The procedure is deterministic, and the finished table is
-renumbered in breadth-first order from the identity coset, then audited:
-every relator must close at every coset and every column must be a
+column order.  Each relator is compiled once per run to the table
+columns it walks.  A doubling lookahead bounds the waste: when the
+number of cosets defined reaches a mark (LOOKAHEAD_FIRST at first),
+every relator is scanned at every live coset without defining, which
+only fills deductions and merges coincidences, and the mark is set to
+twice the number defined.  Runs below the first mark make HLT's exact
+sequence of definitions.  The procedure is deterministic, and the
+finished table is renumbered in breadth-first order from the identity
+coset, so it does not depend on the strategy; it is then audited: every
+relator must close at every coset and every column must be a
 permutation.
 """
 
@@ -32,6 +39,10 @@ from .congruence import CoreSpec, TupleB
 from .errors import CapacityError, DomainError
 
 DEFAULT_MAX_COSETS = 10**6
+# cosets defined when the first lookahead pass runs; each pass sets the
+# next mark to twice the number defined.  Runs that stay below it, such as
+# example-6-5 (1,132 definitions), define exactly what plain HLT does.
+LOOKAHEAD_FIRST = 8192
 GEN_NAMES = ("w", "y", "z", "x")
 
 
@@ -183,9 +194,10 @@ class _Enumeration:
     """Working state of one Todd-Coxeter run."""
 
     def __init__(self, fp: FpPres, max_cosets: int):
-        self.fp = fp
         self.ncols = 2 * fp.ngens
         self.max_cosets = max_cosets
+        # each relator as the columns it walks, compiled once per run
+        self.relators = [[_col(g) for g in rel] for rel in fp.relators]
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find over coset numbers, parent[i] <= i
 
@@ -199,15 +211,17 @@ class _Enumeration:
         return root
 
     def define(self, coset: int, col: int) -> int:
-        if len(self.rows) >= self.max_cosets:
+        rows = self.rows
+        new = len(rows)
+        if new >= self.max_cosets:
             raise CapacityError(
                 f"coset limit exceeded: more than {self.max_cosets} cosets defined"
             )
-        new = len(self.rows)
-        self.rows.append([None] * self.ncols)
+        row = [None] * self.ncols
+        row[col ^ 1] = coset
+        rows.append(row)
         self.parent.append(new)
-        self.rows[coset][col] = new
-        self.rows[new][col ^ 1] = coset
+        rows[coset][col] = new
         return new
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
@@ -221,94 +235,126 @@ class _Enumeration:
 
     def coincidence(self, a: int, b: int) -> None:
         """Identify two cosets and propagate, smaller number survives."""
+        rows, parent, rep, merge = self.rows, self.parent, self.rep, self._merge
         queue: list[int] = []
-        self._merge(a, b, queue)
-        qi = 0
-        while qi < len(queue):
-            dead = queue[qi]
-            qi += 1
-            row = self.rows[dead]
-            for col in range(self.ncols):
-                target = row[col]
+        merge(a, b, queue)
+        for dead in queue:  # the queue grows while it is walked
+            for col, target in enumerate(rows[dead]):
                 if target is None:
                     continue
-                self.rows[target][col ^ 1] = None
-                mu, nu = self.rep(dead), self.rep(target)
-                if self.rows[mu][col] is not None:
-                    self._merge(nu, self.rows[mu][col], queue)
-                elif self.rows[nu][col ^ 1] is not None:
-                    self._merge(mu, self.rows[nu][col ^ 1], queue)
+                inv = col ^ 1
+                rows[target][inv] = None
+                mu = rep(dead)
+                nu = target if parent[target] == target else rep(target)
+                mu_row, nu_row = rows[mu], rows[nu]
+                if mu_row[col] is not None:
+                    merge(nu, mu_row[col], queue)
+                elif nu_row[inv] is not None:
+                    merge(mu, nu_row[inv], queue)
                 else:
-                    self.rows[mu][col] = nu
-                    self.rows[nu][col ^ 1] = mu
+                    mu_row[col] = nu
+                    nu_row[inv] = mu
 
-    def scan_and_fill(self, coset: int, word: tuple[int, ...]) -> None:
+    def scan_and_fill(self, coset: int, cols: list[int], fill: bool = True) -> None:
+        """Scan a compiled relator at coset from both ends.  A closed scan
+        may give a coincidence and a one-letter gap a deduction; a longer
+        gap gets the next forward coset defined if fill, else ends the scan."""
         rows = self.rows
         f, i = coset, 0
-        b, j = coset, len(word)
+        b, j = coset, len(cols)
         while True:
-            while i < j and rows[f][_col(word[i])] is not None:
-                f = rows[f][_col(word[i])]
+            while i < j:
+                nxt = rows[f][cols[i]]
+                if nxt is None:
+                    break
+                f = nxt
                 i += 1
             if i == j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j > i and rows[b][_col(-word[j - 1])] is not None:
-                b = rows[b][_col(-word[j - 1])]
+            while j > i:
+                nxt = rows[b][cols[j - 1] ^ 1]
+                if nxt is None:
+                    break
+                b = nxt
                 j -= 1
             if j == i:
                 self.coincidence(f, b)
                 return
+            col = cols[i]
             if j == i + 1:
-                col = _col(word[i])
                 rows[f][col] = b
                 rows[b][col ^ 1] = f
                 return
-            self.define(f, _col(word[i]))
+            if not fill:
+                return
+            f = self.define(f, col)
+            i += 1
 
     def run(self) -> None:
+        rows, parent, relators = self.rows, self.parent, self.relators
+        scan_and_fill = self.scan_and_fill
+        mark = LOOKAHEAD_FIRST
         coset = 0
-        while coset < len(self.rows):
-            if self.rep(coset) != coset:
-                coset += 1
-                continue
-            for rel in self.fp.relators:
-                self.scan_and_fill(coset, rel)
-                if self.rep(coset) != coset:
-                    break
-            if self.rep(coset) == coset:
-                for col in range(self.ncols):
-                    if self.rows[coset][col] is None:
-                        self.define(coset, col)
+        while coset < len(rows):
+            if len(rows) >= mark:
+                self.lookahead()
+                mark = 2 * len(rows)
+            if parent[coset] == coset:  # same as rep(coset) == coset, as parent[i] <= i
+                for cols in relators:
+                    scan_and_fill(coset, cols)
+                    if parent[coset] != coset:
+                        break
+                else:
+                    row = rows[coset]
+                    for col in range(self.ncols):
+                        if row[col] is None:
+                            self.define(coset, col)
             coset += 1
+
+    def lookahead(self) -> None:
+        """Scan every relator at every live coset without defining."""
+        parent, relators = self.parent, self.relators
+        scan_and_fill = self.scan_and_fill
+        for coset in range(len(self.rows)):
+            for cols in relators:
+                if parent[coset] != coset:
+                    break
+                scan_and_fill(coset, cols, False)
 
     def compact(self) -> list[list[int]]:
         """Renumber the live cosets breadth first from the identity coset."""
-        order: list[int] = [self.rep(0)]
-        new_index = {order[0]: 0}
+        rep = self.rep
+        order: list[int] = [rep(0)]
+        new_index = {order[0]: 0}  # coset number, live or merged -> new number
+        table = []
         for cur in order:
-            for col in range(self.ncols):
-                target = self.rows[cur][col]
+            new_row = []
+            for target in self.rows[cur]:
                 if target is None:
                     raise RuntimeError("internal: incomplete row survived the enumeration")
-                target = self.rep(target)
-                if target not in new_index:
-                    new_index[target] = len(order)
-                    order.append(target)
-        live = sum(1 for i in range(len(self.parent)) if self.parent[i] == i)
+                k = new_index.get(target)
+                if k is None:
+                    root = rep(target)
+                    k = new_index.get(root)
+                    if k is None:
+                        k = new_index[root] = len(order)
+                        order.append(root)
+                    new_index[target] = k
+                new_row.append(k)
+            table.append(new_row)
+        live = sum(1 for i, p in enumerate(self.parent) if p == i)
         if len(order) != live:
             raise RuntimeError("internal: coset graph is not connected")
-        return [
-            [new_index[self.rep(self.rows[old][col])] for col in range(self.ncols)]
-            for old in order
-        ]
+        return table
 
 
 def coset_enumerate(fp: FpPres, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
-    """Enumerate the cosets of the trivial subgroup; see the module docstring
-    for the strategy.  Raises CapacityError if the run needs more than
-    max_cosets coset definitions (including ones later merged away)."""
+    """Enumerate the cosets of the trivial subgroup by HLT with a doubling
+    lookahead; see the module docstring for the strategy.  Raises
+    CapacityError if the run needs more than max_cosets coset definitions,
+    counting every coset defined, including ones later merged away."""
     if max_cosets < 1:
         raise DomainError(f"max_cosets must be positive, got {max_cosets}")
     state = _Enumeration(fp, max_cosets)

@@ -97,7 +97,7 @@ def test_enumerate_a_gate(tmp_path, capsys):
     assert out == ""
     assert err == (
         "sdprod: limit: listing of 16810000 tuples exceeds the gate (16777216); "
-        "pass allow_large to run it\n"
+        "pass --allow-large to run it\n"
     )
     assert not target.exists()
     code, out, _ = run(capsys, ["enumerate-a", "--n", "10", "--m", "10"])
@@ -505,6 +505,18 @@ def test_tc_coset_limit(capsys):
     code, _, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "100"])
     assert code == 2
     assert "coset limit" in err
+
+
+def test_tc_coset_limit_at_the_definition_count(capsys):
+    # the example-6-5 run defines 1,132 cosets, merged ones included
+    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1132"])
+    assert code == 0
+    assert "cosets: 256" in out
+    assert err == ""
+    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1131"])
+    assert code == 2
+    assert out == ""
+    assert err == "sdprod: limit: coset limit exceeded: more than 1131 cosets defined\n"
 
 
 def test_crosscheck_agree(capsys):

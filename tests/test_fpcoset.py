@@ -11,9 +11,11 @@ from sdprod.cli import crosscheck_order
 from sdprod.congruence import CoreSpec, TupleA, TupleB, enumerate_a
 from sdprod.errors import CapacityError, DomainError
 from sdprod.fpcoset import (
+    LOOKAHEAD_FIRST,
     FpPres,
     RelatorSyntaxError,
     StructureReport,
+    _Enumeration,
     coset_enumerate,
     fp_from_extended,
     free_reduce,
@@ -141,6 +143,14 @@ def test_enumerate_deterministic():
 def test_enumerate_coset_limit():
     with pytest.raises(CapacityError):
         coset_enumerate(flagship_pres(), 100)
+
+
+def test_definitions_below_the_lookahead_mark():
+    # below the first lookahead mark the enumerator makes HLT's exact
+    # sequence of definitions, so --max-cosets bites where it always did
+    state = _Enumeration(flagship_pres(), 10**6)
+    state.run()
+    assert len(state.rows) == 1132 < LOOKAHEAD_FIRST
 
 
 def test_generators_act_as_permutations():

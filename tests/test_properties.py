@@ -11,9 +11,11 @@ both sides of each equivalence to be exercised.
 The core properties build whole groups, so they draw valid tuples from
 the complete listings at ranks (4, 4), (4, 5) and (5, 4) (orders 256 and
 512), where a brute-force core over every element stays cheap; the
-twisted one adds a random [x,z] = x^e1 z^e2.  The associativity check
-from the four generators is compared with the cubic scan on those
-tables and on copies with random prefixes swapped.
+twisted one adds a random [x,z] = x^e1 z^e2.  On the same twisted
+presentations the coset enumerator's table is compared with a copy of
+the plain HLT enumerator it replaced.  The associativity check from the
+four generators is compared with the cubic scan on those tables and on
+copies with random prefixes swapped.
 
 The closed-form solver is compared with a brute-force filter at random
 ranks and core specs, and the streamed listings with a copy of the
@@ -48,7 +50,14 @@ from sdprod.congruence import (
     solve_b,
 )
 from sdprod.errors import CapacityError
-from sdprod.fpcoset import coset_enumerate, fp_from_extended, parse_relator_lines, structure_report
+from sdprod.fpcoset import (
+    LOOKAHEAD_FIRST,
+    _Enumeration,
+    coset_enumerate,
+    fp_from_extended,
+    parse_relator_lines,
+    structure_report,
+)
 from sdprod.pcgroup import (
     audit_table,
     build_table,
@@ -266,6 +275,159 @@ def test_twisted_cores_match_brute_force(case, e1, e2):
     x_col, z_col = 2 * fp.names.index("x"), 2 * fp.names.index("z")
     assert rep.core_x_order == brute_force_cyclic_core(table, x_col)
     assert rep.core_z_order == brute_force_cyclic_core(table, z_col)
+
+
+class ReferenceHLT:
+    """Plain HLT coset enumeration, as fpcoset ran it before its relators
+    were compiled to columns and before it had a lookahead: the reference
+    for the enumerator's tables.  Letters are as in FpPres.relators."""
+
+    def __init__(self, fp, max_cosets):
+        self.fp = fp
+        self.ncols = 2 * fp.ngens
+        self.max_cosets = max_cosets
+        self.rows = [[None] * self.ncols]
+        self.parent = [0]
+
+    @staticmethod
+    def col(letter):
+        return 2 * (abs(letter) - 1) + (letter < 0)
+
+    def rep(self, k):
+        parent = self.parent
+        root = k
+        while parent[root] != root:
+            root = parent[root]
+        while parent[k] != root:
+            parent[k], k = root, parent[k]
+        return root
+
+    def define(self, coset, col):
+        if len(self.rows) >= self.max_cosets:
+            raise CapacityError(f"more than {self.max_cosets} cosets defined")
+        new = len(self.rows)
+        self.rows.append([None] * self.ncols)
+        self.parent.append(new)
+        self.rows[coset][col] = new
+        self.rows[new][col ^ 1] = coset
+
+    def merge(self, a, b, queue):
+        a, b = self.rep(a), self.rep(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        self.parent[b] = a
+        queue.append(b)
+
+    def coincidence(self, a, b):
+        queue = []
+        self.merge(a, b, queue)
+        qi = 0
+        while qi < len(queue):
+            dead = queue[qi]
+            qi += 1
+            row = self.rows[dead]
+            for col in range(self.ncols):
+                target = row[col]
+                if target is None:
+                    continue
+                self.rows[target][col ^ 1] = None
+                mu, nu = self.rep(dead), self.rep(target)
+                if self.rows[mu][col] is not None:
+                    self.merge(nu, self.rows[mu][col], queue)
+                elif self.rows[nu][col ^ 1] is not None:
+                    self.merge(mu, self.rows[nu][col ^ 1], queue)
+                else:
+                    self.rows[mu][col] = nu
+                    self.rows[nu][col ^ 1] = mu
+
+    def scan_and_fill(self, coset, word):
+        rows, col = self.rows, self.col
+        f, i = coset, 0
+        b, j = coset, len(word)
+        while True:
+            while i < j and rows[f][col(word[i])] is not None:
+                f = rows[f][col(word[i])]
+                i += 1
+            if i == j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j > i and rows[b][col(-word[j - 1])] is not None:
+                b = rows[b][col(-word[j - 1])]
+                j -= 1
+            if j == i:
+                self.coincidence(f, b)
+                return
+            if j == i + 1:
+                rows[f][col(word[i])] = b
+                rows[b][col(word[i]) ^ 1] = f
+                return
+            self.define(f, col(word[i]))
+
+    def run(self):
+        coset = 0
+        while coset < len(self.rows):
+            if self.rep(coset) != coset:
+                coset += 1
+                continue
+            for rel in self.fp.relators:
+                self.scan_and_fill(coset, rel)
+                if self.rep(coset) != coset:
+                    break
+            if self.rep(coset) == coset:
+                for col in range(self.ncols):
+                    if self.rows[coset][col] is None:
+                        self.define(coset, col)
+            coset += 1
+
+    def compact(self):
+        order = [self.rep(0)]
+        new_index = {order[0]: 0}
+        for cur in order:
+            for col in range(self.ncols):
+                target = self.rep(self.rows[cur][col])
+                if target not in new_index:
+                    new_index[target] = len(order)
+                    order.append(target)
+        return [[new_index[self.rep(self.rows[old][col])] for col in range(self.ncols)] for old in order]
+
+
+def reference_run(fp, max_cosets):
+    """The reference's compacted table and the number of cosets it defined."""
+    ref = ReferenceHLT(fp, max_cosets)
+    ref.run()
+    return ref.compact(), len(ref.rows)
+
+
+@TWISTED_SETTINGS
+@given(valid_small_tuples_b(), st.integers(0, 1 << 16), st.integers(0, 1 << 16))
+def test_twisted_tables_match_reference_hlt(case, e1, e2):
+    pair, t = case
+    fp = fp_from_extended(pair, t, e1, e2)
+    try:
+        want, _ = reference_run(fp, TWISTED_MAX_COSETS)
+        got = coset_enumerate(fp, TWISTED_MAX_COSETS)
+    except CapacityError:
+        reject()
+    assert got.rows == want
+
+
+def test_table_past_the_lookahead_mark_matches_reference_hlt():
+    # plain HLT defines 17,897 cosets for this group of order 256; after
+    # the first lookahead pass, at 8,192 definitions, 14 more finish the
+    # run.  A lookahead scan that defined, or that dropped a coincidence,
+    # would change that count but not the table.
+    fp = fp_from_extended(derive_pair(4, 5), TupleB(4, 14, 4, 4, 0, 0), 6, 8)
+    want, defined = reference_run(fp, 10**6)
+    assert defined == 17_897
+    state = _Enumeration(fp, 10**6)
+    state.run()
+    assert LOOKAHEAD_FIRST == 8192
+    assert len(state.rows) == 8206
+    assert state.compact() == want
+    assert coset_enumerate(fp).rows == want
 
 
 @lru_cache(maxsize=None)
