@@ -228,7 +228,11 @@ def cmd_check(args) -> int:
 def _write_table(fh, g, t) -> None:
     """Write the table file one row at a time: it holds order**2 entries.
 
-    Each row is spelled from the numerals of the indices, made once."""
+    Row a lists a*v over v in index order: for each prefix p of a and each
+    z exponent of v, the x-coset of one element run from that element
+    onward and wrapping around (see GroupTable.row).  Each element's x-run
+    is spelled once, so row a is a join of 4M pre-joined runs: those of p,
+    p + N, ... taken along p's z-coset inside its head block, wrapping."""
     lines = [
         "# sdprod group table v1",
         f"n: {g.pair.n}",
@@ -237,9 +241,19 @@ def _write_table(fh, g, t) -> None:
         f"order: {g.order}",
     ]
     fh.write("\n".join(lines) + "\n")
-    text = [str(i) for i in range(g.order)]
-    for a in range(g.order):
-        fh.write(" ".join(g.row(a, text)) + "\n")
+    N, block = g.pair.N, g.pair.N * g.pair.M
+    runs: list[str] = []
+    for base in range(0, g.order, N):
+        coset = [str(i) for i in range(base, base + N)]
+        runs += [" ".join(coset[j:] + coset[:j]) for j in range(N)]
+    for prefix in g.prefixes:
+        parts: list[str] = []
+        for p in prefix:
+            head = p - p % block
+            parts += runs[p : head + block : N]
+            parts += runs[head + p % N : p : N]
+        fh.write(" ".join(parts))
+        fh.write("\n")  # apart, so that the row is not copied once more to end it
 
 
 def cmd_build(args) -> int:

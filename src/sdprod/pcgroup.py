@@ -8,7 +8,10 @@ a3 modulo M and a4 modulo N.  The engine stores the conjugation data
     z^y = z^(1+a) x^r    x^y = x^alpha     x^z = x
 
 and multiplies normal forms by moving the right factor's letters into
-place.  x^z = x is hard-wired: z and x always commute here.
+place.  x^z = x is hard-wired: z and x always commute here, so w and y
+act on the abelian tail z^i x^j by fixed linear maps.  The group table is
+built from those maps, taken once per presentation from collection on
+the generator letters, not by collecting each element.
 
 Consistency of such a presentation is decided by sixteen overlap
 identities, evaluated below by actually iterating the conjugation maps.
@@ -20,7 +23,8 @@ against each other in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import permutations
+from typing import Iterator, NamedTuple, Sequence
 
 from .arith import SdPair
 from .congruence import TupleA, TupleB
@@ -29,6 +33,7 @@ from .errors import CapacityError, DomainError
 DEFAULT_MAX_ORDER = 1 << 20
 DEFAULT_ASSOC_CAP = 512
 ASSOC_CAP_MESSAGE = "table too large for the cubic scan: order {order} exceeds cap {cap}"
+_HEAD_PERMUTATIONS = frozenset(permutations(range(4)))  # the heads of a row that is a permutation
 
 
 class NormalForm(NamedTuple):
@@ -78,7 +83,8 @@ class GroupTable:
     (w, y) part of an index as its head, 2*a1 + a2, and the (z, x) part as
     its tail.  Row u is fixed by its four prefixes u, u*y, u*w, u*w*y,
     stored as indices in head order: u*v is the prefix that v's head
-    selects with v's tail added on, because x^z = x.  So the table costs
+    selects with v's tail added on, because x^z = x.  build_table writes
+    the prefixes from the tail maps of y and w.  So the table costs
     O(|G|) memory; `mul` looks up one product and `row` yields one row.
     """
 
@@ -287,11 +293,50 @@ def index_nf(pair: SdPair, idx: int) -> NormalForm:
     return NormalForm(idx // 2, idx % 2, z, x)
 
 
+def _tail_map(
+    pair: SdPair, z_image: Sequence[int], x_image: Sequence[int], shift: Sequence[int] = (0, 0)
+) -> list[int]:
+    """Image of every tail z^i x^j, at position i*N + j, as a tail index.
+
+    The map sends z to z_image and x to x_image, extended linearly over
+    the abelian tail, and adds shift to every image: the (z, x) exponents
+    of each are given as a pair."""
+    N, M = pair.N, pair.M
+    jz = [j * x_image[0] % M for j in range(N)]
+    jx = [j * x_image[1] % N for j in range(N)]
+    out: list[int] = []
+    for i in range(M):
+        iz, ix = i * z_image[0] + shift[0], i * z_image[1] + shift[1]
+        out += [(iz + a) % M * N + (ix + b) % N for a, b in zip(jz, jx)]
+    return out
+
+
+def _head_block(
+    head: int, block: int, ty: list[int], tw: list[int]
+) -> Iterator[tuple[int, int, int, int]]:
+    """Prefixes u, u*y, u*w, u*w*y of the elements u with (w, y) head
+    `head`, in index order.  ty and tw are the tail maps of y and w, tw
+    already holding the (c, t) that w leaves when it passes the head's y."""
+    base = head * block
+    return zip(
+        range(base, base + block),
+        [(head ^ 1) * block + k for k in ty],
+        [(head ^ 2) * block + k for k in tw],
+        [(head ^ 3) * block + ty[k] for k in tw],
+    )
+
+
 def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     """Build the implicit multiplication table: four prefixes per element.
 
-    Requires a consistent presentation.  The prefixes u, u*y, u*w, u*w*y
-    come from collect_multiply; the product u*v is then the prefix that
+    Requires a consistent presentation.  Right multiplication by y flips
+    the head's y and conjugates the tail z^i x^j by y; by w it flips the
+    head's w and conjugates the tail by w, adding the (c, t) of
+    y^w = y z^c x^t when the head holds y.  Both conjugations are linear
+    maps of the abelian tail, so collect_multiply on the generator letters
+    gives them once per presentation, as three tail maps of NM entries,
+    and the prefixes u, u*y, u*w, u*w*y are list arithmetic on those maps,
+    one head block at a time.  The product u*v is then the prefix that
     v's (w, y) head k selects, shifted by v's tail z^vz x^vx, which is
     exactly collect_multiply unrolled.  `audit_table` checks that every
     row and every column of that table is a permutation, in O(|G|):
@@ -305,9 +350,9 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
       pairwise distinct, that is, exactly 0, 1, 2 and 3.
 
     The row check runs first and puts every prefix inside G, so the
-    column check may count distinct prefixes.  Both accept exactly the
-    tables that the full row and column scans accept, and they name the
-    same first failing row or column.
+    column check may mark each prefix in a bytearray of |G| flags.  Both
+    accept exactly the tables that the full row and column scans accept,
+    and they name the same first failing row or column.
     """
     report = check_consistency(pc)
     if not report.overall:
@@ -319,24 +364,23 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     order = 4 * N * M
     if order > max_order:
         raise CapacityError(f"table too large: order {order} exceeds cap {max_order}")
-    elements = (
-        NormalForm(w, y, z, x)
-        for w in range(2)
-        for y in range(2)
-        for z in range(M)
-        for x in range(N)
-    )
     w_letter = NormalForm(1, 0, 0, 0)
     y_letter = NormalForm(0, 1, 0, 0)
-    prefixes = []
-    for i, u in enumerate(elements):  # u is index_nf(pc.pair, i)
-        uw = collect_multiply(pc, u, w_letter)
-        prefixes.append((
-            i,
-            nf_index(pc.pair, collect_multiply(pc, u, y_letter)),
-            nf_index(pc.pair, uw),
-            nf_index(pc.pair, collect_multiply(pc, uw, y_letter)),
-        ))
+    z_letter = NormalForm(0, 0, 1, 0)
+    x_letter = NormalForm(0, 0, 0, 1)
+
+    def tail(u: NormalForm, letter: NormalForm) -> tuple[int, int]:
+        return collect_multiply(pc, u, letter)[2:]
+
+    ty = _tail_map(pc.pair, tail(z_letter, y_letter), tail(x_letter, y_letter))
+    w_images = (tail(z_letter, w_letter), tail(x_letter, w_letter))
+    tw = _tail_map(pc.pair, *w_images)
+    tw_past_y = _tail_map(pc.pair, *w_images, shift=tail(y_letter, w_letter))
+    block = M * N
+    prefixes: list[tuple[int, int, int, int]] = []
+    for head in range(4):
+        prefixes += _head_block(head, block, ty, tw_past_y if head & 1 else tw)
+    del ty, tw, tw_past_y  # freed before the audit's working lists
     g = GroupTable(
         pair=pc.pair,
         order=order,
@@ -353,13 +397,24 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
 
 def audit_table(g: GroupTable) -> None:
     """Raise RuntimeError unless every row and every column of g is a
-    permutation; build_table's docstring shows why these checks suffice."""
+    permutation; build_table's docstring shows why these checks suffice.
+
+    The row check reads the four heads of every row in one list
+    comprehension; then each column marks its prefixes in a bytearray."""
     block = g.order // 4
-    for i, prefix in enumerate(g.prefixes):
-        if {p // block for p in prefix} != {0, 1, 2, 3}:
-            raise RuntimeError(f"internal: row {i} of the product table is not a permutation")
+    rows_ok = [
+        (a // block, b // block, c // block, d // block) in _HEAD_PERMUTATIONS
+        for a, b, c, d in g.prefixes
+    ]
+    if False in rows_ok:
+        raise RuntimeError(
+            f"internal: row {rows_ok.index(False)} of the product table is not a permutation"
+        )
     for k in range(4):
-        if len({prefix[k] for prefix in g.prefixes}) != g.order:
+        seen = bytearray(g.order)
+        for prefix in g.prefixes:
+            seen[prefix[k]] = 1
+        if 0 in seen:
             raise RuntimeError(
                 f"internal: column {k * block} of the product table is not a permutation"
             )

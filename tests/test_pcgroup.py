@@ -195,15 +195,19 @@ def with_prefix(g, u, k, value):
     return replace(g, prefixes=prefixes)
 
 
-def build_with_prefix(monkeypatch, u, letter, value):
-    """build_table on the witness, with collect_multiply(index_nf(u), letter) -> value."""
-    real = pcgroup.collect_multiply
-    u_nf, value_nf = index_nf(PAIR44, u), index_nf(PAIR44, value)
+def build_with_prefix(monkeypatch, u, k, value):
+    """build_table on the witness, with prefix k of element u set to value
+    as u's head block is assembled."""
+    real = pcgroup._head_block
+    block = PAIR44.N * PAIR44.M
 
-    def faulty(pc, left, right):
-        return value_nf if (left, right) == (u_nf, letter) else real(pc, left, right)
+    def faulty(head, *args):
+        rows = list(real(head, *args))
+        if head == u // block:
+            rows[u % block] = rows[u % block][:k] + (value,) + rows[u % block][k + 1 :]
+        return rows
 
-    monkeypatch.setattr(pcgroup, "collect_multiply", faulty)
+    monkeypatch.setattr(pcgroup, "_head_block", faulty)
     return build_table(pc_from_tuple_a(PAIR44, WITNESS))
 
 
@@ -217,7 +221,7 @@ def test_table_audit_catches_a_prefix_map_that_is_not_a_bijection(monkeypatch):
     with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
         audit_table(bad)
     with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
-        build_with_prefix(monkeypatch, 7, NormalForm(1, 0, 0, 0), g.prefixes[6][2])
+        build_with_prefix(monkeypatch, 7, 2, g.prefixes[6][2])
 
 
 def test_table_audit_catches_a_row_with_a_repeated_head(monkeypatch):
@@ -228,7 +232,7 @@ def test_table_audit_catches_a_row_with_a_repeated_head(monkeypatch):
     with pytest.raises(RuntimeError, match="row 9 of the product table"):
         audit_table(bad)
     with pytest.raises(RuntimeError, match="row 9 of the product table"):
-        build_with_prefix(monkeypatch, 9, NormalForm(0, 1, 0, 0), 10)
+        build_with_prefix(monkeypatch, 9, 1, 10)
     # a prefix outside G is caught by the row check too
     with pytest.raises(RuntimeError, match="row 9 of the product table"):
         audit_table(with_prefix(g, 9, 3, g.order + g.prefixes[9][3]))

@@ -15,7 +15,10 @@ twisted one adds a random [x,z] = x^e1 z^e2.  On the same twisted
 presentations the coset enumerator's table is compared with a copy of
 the plain HLT enumerator it replaced.  The associativity check from the
 four generators is compared with the cubic scan on those tables and on
-copies with random prefixes swapped.
+copies with random prefixes swapped.  On valid tuples at random ranks,
+drawn from the closed-form solution sets, every prefix of the table is
+compared with collection, and the table file up to order 1024 with a
+copy of the row-by-row writer it replaced.
 
 The closed-form solver is compared with a brute-force filter at random
 ranks and core specs, and the streamed listings with a copy of the
@@ -36,9 +39,10 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from sdprod.arith import additive_order, admissible_s_values, derive_pair
-from sdprod.cli import main
+from sdprod.cli import _write_table, main
 from sdprod.congruence import (
     CoreSpec,
+    SolutionSet,
     TupleA,
     TupleB,
     check_a,
@@ -62,8 +66,11 @@ from sdprod.pcgroup import (
     audit_table,
     build_table,
     check_consistency,
+    collect_multiply,
     core_of,
+    index_nf,
     is_normal,
+    nf_index,
     pc_from_tuple_a,
     pc_from_tuple_b,
     subgroup_closure,
@@ -476,6 +483,84 @@ def test_generator_associativity_matches_exhaustive_on_swaps(g, k, u_pick, v_pic
 @given(valid_tables(st.just(derive_pair(4, 4))))
 def test_generator_associativity_matches_exhaustive_on_valid_tables(g):
     assert verify_associativity_generators(g) == verify_associativity_exhaustive(g)
+
+
+@st.composite
+def buildable_tuples(draw, pairs):
+    """A tuple that `build` accepts: four-field, from the cores (1, 1)
+    solution set, or six-field at the cores its own r and b select.  One
+    r and b are drawn first, so that only their (t, c) groups are listed."""
+    pair = draw(pairs)
+    four_field = draw(st.booleans())
+    low = 0 if four_field else min(pair.n, pair.m) - 1
+    solution = solve_b(
+        pair, CoreSpec(1 << draw(st.integers(0, low)), 1 << draw(st.integers(0, low))), True
+    )
+    if not solution.count:
+        reject()
+    r, b = draw(st.sampled_from(solution.r_values)), draw(st.sampled_from(solution.b_values))
+    groups = list(SolutionSet(pair, range(r, r + 1), range(b, b + 1), solution.heads).groups())
+    (r, a, s, b, t), cs = draw(st.sampled_from(groups))
+    c = draw(st.sampled_from(cs))
+    if four_field:
+        return pair, TupleA(a, s, t, c)
+    return pair, TupleB(r, a, s, b, t, c)
+
+
+def table_of(pair, t):
+    if len(t) == 4:
+        assert check_a(pair, t).valid
+        return build_table(pc_from_tuple_a(pair, t))
+    cores = CoreSpec(additive_order(t.b, pair.M), additive_order(t.r, pair.N))
+    assert check_b(pair, cores, t).valid
+    return build_table(pc_from_tuple_b(pair, t))
+
+
+@GROUP_SETTINGS
+@given(buildable_tuples(st.builds(derive_pair, RANKS, RANKS)))
+def test_prefixes_match_collection(case):
+    """build_table assembles u*y, u*w and u*w*y from tail maps; each must
+    be the product that collection gives."""
+    pair, t = case
+    g = table_of(pair, t)
+    pc = pc_from_tuple_a(pair, t) if len(t) == 4 else pc_from_tuple_b(pair, t)
+    w, y = index_nf(pair, g.gen_w), index_nf(pair, g.gen_y)
+    for i, (u, uy, uw, uwy) in enumerate(g.prefixes):
+        nf = index_nf(pair, i)
+        assert u == i
+        assert uy == nf_index(pair, collect_multiply(pc, nf, y))
+        assert uw == nf_index(pair, collect_multiply(pc, nf, w))
+        assert uwy == nf_index(pair, collect_multiply(pc, collect_multiply(pc, nf, w), y))
+
+
+def reference_table_file(g, t) -> bytes:
+    """The table file as the writer before pre-joined x-runs spelled it:
+    every row joined from the numerals of GroupTable.row."""
+    out = io.StringIO()
+    out.write(
+        f"# sdprod group table v1\nn: {g.pair.n}\nm: {g.pair.m}\n"
+        f"tuple: {','.join(str(v) for v in t)}\norder: {g.order}\n"
+    )
+    text = [str(i) for i in range(g.order)]
+    for a in range(g.order):
+        out.write(" ".join(g.row(a, text)) + "\n")
+    return out.getvalue().encode()
+
+
+# Rank pairs of order at most 1024.
+FILE_PAIRS = st.sampled_from([(4, 4), (4, 5), (5, 4), (5, 5), (4, 6), (6, 4)]).map(
+    lambda nm: derive_pair(*nm)
+)
+
+
+@GROUP_SETTINGS
+@given(buildable_tuples(FILE_PAIRS))
+def test_table_file_matches_reference_writer(case):
+    pair, t = case
+    g = table_of(pair, t)
+    out = io.StringIO()
+    _write_table(out, g, t)
+    assert out.getvalue().encode() == reference_table_file(g, t)
 
 
 @PROPERTY_SETTINGS
