@@ -507,13 +507,14 @@ def buildable_tuples(draw, pairs):
     return pair, TupleB(r, a, s, b, t, c)
 
 
-def table_of(pair, t):
+def presentation(pair, t):
+    """The presentation of a tuple, checked valid as `build` checks it."""
     if len(t) == 4:
         assert check_a(pair, t).valid
-        return build_table(pc_from_tuple_a(pair, t))
+        return pc_from_tuple_a(pair, t)
     cores = CoreSpec(additive_order(t.b, pair.M), additive_order(t.r, pair.N))
     assert check_b(pair, cores, t).valid
-    return build_table(pc_from_tuple_b(pair, t))
+    return pc_from_tuple_b(pair, t)
 
 
 @GROUP_SETTINGS
@@ -522,8 +523,8 @@ def test_prefixes_match_collection(case):
     """build_table assembles u*y, u*w and u*w*y from tail maps; each must
     be the product that collection gives."""
     pair, t = case
-    g = table_of(pair, t)
-    pc = pc_from_tuple_a(pair, t) if len(t) == 4 else pc_from_tuple_b(pair, t)
+    pc = presentation(pair, t)
+    g = build_table(pc)
     w, y = index_nf(pair, g.gen_w), index_nf(pair, g.gen_y)
     for i, (u, uy, uw, uwy) in enumerate(g.prefixes):
         nf = index_nf(pair, i)
@@ -557,7 +558,7 @@ FILE_PAIRS = st.sampled_from([(4, 4), (4, 5), (5, 4), (5, 5), (4, 6), (6, 4)]).m
 @given(buildable_tuples(FILE_PAIRS))
 def test_table_file_matches_reference_writer(case):
     pair, t = case
-    g = table_of(pair, t)
+    g = build_table(presentation(pair, t))
     out = io.StringIO()
     _write_table(out, g, t)
     assert out.getvalue().encode() == reference_table_file(g, t)
