@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .errors import CapacityError, DomainError
 
 MIN_RANK = 4
-DEFAULT_MAX_RANK = 20
+MAX_RANK = 20
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,15 @@ class SdPair:
     beta: int
 
 
-def derive_pair(n: int, m: int, max_rank: int = DEFAULT_MAX_RANK) -> SdPair:
+def derive_pair(n: int, m: int) -> SdPair:
     """Validate the ranks and derive (N, M, alpha, beta)."""
     for name, value in (("n", n), ("m", m)):
         if not isinstance(value, int):
             raise DomainError(f"rank {name} must be an integer, got {value!r}")
         if value < MIN_RANK:
             raise DomainError(f"rank too small: {name}={value} (need {name} >= {MIN_RANK})")
-        if value > max_rank:
-            raise CapacityError(f"rank too large: {name}={value} (cap is {max_rank})")
+        if value > MAX_RANK:
+            raise CapacityError(f"rank too large: {name}={value} (cap is {MAX_RANK})")
     N = 1 << (n - 1)
     M = 1 << (m - 1)
     return SdPair(n=n, m=m, N=N, M=M, alpha=(1 << (n - 2)) - 1, beta=(1 << (m - 2)) - 1)

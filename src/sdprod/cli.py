@@ -41,7 +41,6 @@ from .pcgroup import (
     DEFAULT_MAX_ORDER,
     build_table,
     core_of,
-    is_normal,
     pc_from_tuple_a,
     pc_from_tuple_b,
     subgroup_closure,
@@ -51,7 +50,7 @@ from .pcgroup import (
 # Not called here.  perfbench's tracer wraps each library function at its
 # sdprod.cli name, so these names stay importable from this module.
 from .congruence import enumerate_a, enumerate_b, parity_audit  # noqa: F401
-from .pcgroup import check_consistency, verify_associativity_exhaustive  # noqa: F401
+from .pcgroup import check_consistency, is_normal, verify_associativity_exhaustive  # noqa: F401
 
 A_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
 B_CONDITIONS = tuple(f"D{i}" for i in range(1, 13)) + ("ORD-R", "ORD-B")
@@ -181,8 +180,17 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _verdict_lines(verdict: Verdict, conditions: Sequence[str]) -> list[str]:
+def _verdict_text(verdict: Verdict, conditions: Sequence[str], fmt: str) -> str:
     failed = {f.condition: f.residual for f in verdict.failures}
+    if fmt == "json":
+        doc = {
+            "conditions": {
+                tag: {"passed": tag not in failed, "residual": failed.get(tag, 0)}
+                for tag in conditions
+            },
+            "valid": verdict.valid,
+        }
+        return json.dumps(doc, indent=2) + "\n"
     lines = []
     for tag in conditions:
         if tag in failed:
@@ -191,24 +199,7 @@ def _verdict_lines(verdict: Verdict, conditions: Sequence[str]) -> list[str]:
         else:
             lines.append(f"{tag}: pass")
     lines.append(f"verdict: {'valid' if verdict.valid else 'invalid'}")
-    return lines
-
-
-def _verdict_doc(verdict: Verdict, conditions: Sequence[str]) -> dict:
-    failed = {f.condition: f.residual for f in verdict.failures}
-    return {
-        "conditions": {
-            tag: {"passed": tag not in failed, "residual": failed.get(tag, 0)}
-            for tag in conditions
-        },
-        "valid": verdict.valid,
-    }
-
-
-def _verdict_text(verdict: Verdict, conditions: Sequence[str], fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(_verdict_doc(verdict, conditions), indent=2) + "\n"
-    return "\n".join(_verdict_lines(verdict, conditions)) + "\n"
+    return "\n".join(lines) + "\n"
 
 
 def cmd_check(args) -> int:
@@ -290,6 +281,8 @@ def cmd_build(args) -> int:
     sub_x = subgroup_closure(g, (g.gen_x,))
     sub_z = subgroup_closure(g, (g.gen_z,))
     meet = len(set(h.elements) & set(k.elements))
+    core_x = core_of(g, sub_x).order
+    core_z = core_of(g, sub_z).order
     doc = {
         "tuple": list(t),
         "valid": True,
@@ -299,10 +292,10 @@ def cmd_build(args) -> int:
         "h_order": h.order,
         "k_order": k.order,
         "intersection_order": meet,
-        "x_normal": is_normal(g, sub_x),
-        "z_normal": is_normal(g, sub_z),
-        "core_x_order": core_of(g, sub_x).order,
-        "core_z_order": core_of(g, sub_z).order,
+        "x_normal": core_x == sub_x.order,
+        "z_normal": core_z == sub_z.order,
+        "core_x_order": core_x,
+        "core_z_order": core_z,
         "requested_cores": [requested_cores.n1, requested_cores.m1],
     }
     if args.verify_associativity:

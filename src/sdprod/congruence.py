@@ -100,19 +100,18 @@ def validate_cores(pair: SdPair, cores: CoreSpec) -> None:
             raise DomainError(f"invalid core spec: {name}={value} does not divide {bound}")
 
 
+_C_OF_D = {"D2": "C1", "D3": "C2", "D9": "C3", "D10": "C4", "D11": "C5", "D12": "C6"}
+
+
 def check_a(pair: SdPair, t: TupleA) -> Verdict:
-    """Evaluate the six conditions C1..C6 on a four-field tuple."""
-    a, s, tt, c = TupleA(*t).reduced(pair)
-    N, M = pair.N, pair.M
-    conditions = (
-        ("C1", ((1 + a) * (1 + a) - 1) % M),
-        ("C2", ((1 + s) * (1 + s) - 1) % N),
-        ("C3", tt * (2 + s) % N),
-        ("C4", c * (1 + pair.beta) % M),
-        ("C5", tt * (1 + pair.alpha) % N),
-        ("C6", c * (2 + a) % M),
-    )
-    return Verdict(tuple(Failure(tag, res) for tag, res in conditions if res))
+    """Evaluate the six conditions C1..C6 on a four-field tuple.
+
+    They are D2, D3, D9, D10, D11 and D12 of its six-field embedding
+    (r = b = 0), with the same residuals.  D1 and D4..D8 are multiples
+    of r or b, so they vanish there.
+    """
+    failures = check_b_congruences(pair, TupleA(*t).to_tuple_b()).failures
+    return Verdict(tuple(Failure(_C_OF_D[f.condition], f.residual) for f in failures))
 
 
 def check_b_congruences(pair: SdPair, t: TupleB) -> Verdict:

@@ -104,32 +104,28 @@ class GroupTable:
         phead, ptail = divmod(self.prefixes[a][head], M * N)
         return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
 
-    def row(self, a: int, labels: Sequence | None = None) -> list:
-        """Row a of the table: a * v for v = 0, 1, ..., order - 1, each
-        product given as labels[product] (by default the index itself).
+    def row(self, a: int) -> list[int]:
+        """Row a of the table: a * v for v = 0, 1, ..., order - 1.
 
         The products of prefix p with the v of one head and one z exponent
         are the x-range of one z-coset, rotated to start at p's x
-        exponent: two slices of labels.
+        exponent: two ranges of indices.
         """
         N, M = self.pair.N, self.pair.M
-        if labels is None:
-            labels = list(range(self.order))
-        out: list = []
+        out: list[int] = []
         for p in self.prefixes[a]:
             phead, ptail = divmod(p, M * N)
             pz, px = divmod(ptail, N)
             for vz in range(M):
                 base = (phead * M + (pz + vz) % M) * N
-                out += labels[base + px : base + N]
-                out += labels[base : base + px]
+                out += range(base + px, base + N)
+                out += range(base, base + px)
         return out
 
 
 @dataclass(frozen=True)
 class SubgroupHandle:
     elements: tuple[int, ...]  # sorted element indices
-    generators: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -137,16 +133,9 @@ class SubgroupHandle:
 
 
 def pc_from_tuple_a(pair: SdPair, t: TupleA) -> PcData:
-    a, s, tt, c = TupleA(*t).reduced(pair)
-    return PcData(
-        pair=pair,
-        yw_zexp=c,
-        yw_xexp=tt,
-        xw_zexp=0,
-        xw_xexp=(1 + s) % pair.N,
-        zy_zexp=(1 + a) % pair.M,
-        zy_xexp=0,
-    )
+    """The presentation of a four-field tuple: that of its six-field
+    embedding, with no cross-action (r = b = 0)."""
+    return pc_from_tuple_b(pair, TupleA(*t).to_tuple_b())
 
 
 def pc_from_tuple_b(pair: SdPair, t: TupleB) -> PcData:
@@ -438,7 +427,7 @@ def subgroup_closure(g: GroupTable, generators: tuple[int, ...] | list[int]) -> 
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return SubgroupHandle(elements=tuple(sorted(seen)), generators=tuple(generators))
+    return SubgroupHandle(elements=tuple(sorted(seen)))
 
 
 def inverse_of(g: GroupTable, e: int) -> int:
@@ -470,7 +459,16 @@ def core_of(g: GroupTable, h: SubgroupHandle) -> SubgroupHandle:
     """Largest normal subgroup inside h, from the four generators only:
     K <- K meet K^s over s = w, y, z, x until a full pass leaves K unchanged.
     Then K^s = K for every generator, so K is normal; and a normal subgroup
-    inside K lies inside every K^s, so it survives each step."""
+    inside K lies inside every K^s, so it survives each step.
+
+    For every h inside the abelian tail <z, x>, <x> and <z> among them, the
+    first pass already reaches the core, and the second only confirms it.
+    z and x act trivially on the tail.  w and y are involutions, and their
+    conjugations commute on the tail: y^w = y z^c x^t, and z^c x^t acts
+    trivially.  So G acts on the tail through {1, w, y, wy}, the core is
+    K meet K^w meet K^y meet K^wy, and the w and y steps of one pass make
+    exactly that.  Subgroups outside the tail have no such bound here.
+    """
     mul = g.mul
     conjugators = [(inverse_of(g, s), s) for s in (g.gen_w, g.gen_y, g.gen_z, g.gen_x)]
     core = set(h.elements)
@@ -479,8 +477,7 @@ def core_of(g: GroupTable, h: SubgroupHandle) -> SubgroupHandle:
         for si, s in conjugators:
             core &= {mul(mul(si, e), s) for e in core}
         if len(core) == size:
-            elems = tuple(sorted(core))
-            return SubgroupHandle(elements=elems, generators=elems)
+            return SubgroupHandle(elements=tuple(sorted(core)))
 
 
 def verify_associativity_exhaustive(g: GroupTable, max_order: int = DEFAULT_ASSOC_CAP) -> bool:

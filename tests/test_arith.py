@@ -47,7 +47,7 @@ def test_rank_cap():
         derive_pair(21, 4)
     with pytest.raises(CapacityError):
         derive_pair(4, 23)
-    assert derive_pair(22, 4, max_rank=25).N == 1 << 21
+    assert derive_pair(20, 20).N == 1 << 19
 
 
 def test_sqrt1_units_matches_brute_force():

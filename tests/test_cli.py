@@ -1,9 +1,12 @@
 """End-to-end tests for the command-line interface via main(argv)."""
 
+import ast
 import csv
 import io
 import json
+import re
 import time
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,7 @@ from sdprod.congruence import TupleA, TupleB
 from sdprod.pcgroup import build_table
 
 SD16_FILE = "x^8\ny^2\nY x y X^3\n"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, argv):
@@ -264,6 +268,22 @@ def test_build_checks_consistency_once(capsys, monkeypatch):
     assert code == 0
     assert "consistency: 16/16 identities hold" in out
     assert len(calls) == 1
+
+
+def test_build_computes_each_core_once(capsys, monkeypatch):
+    calls = []
+    core_of = pcgroup.core_of
+
+    def counted(g, h):
+        calls.append(h)
+        return core_of(g, h)
+
+    monkeypatch.setattr(pcgroup, "core_of", counted)
+    monkeypatch.setattr(cli, "core_of", counted)
+    code, out, _ = run(capsys, ["build", "--n", "4", "--m", "4", "--tuple", "4,0,0,4,0,0"])
+    assert code == 0
+    assert "core of <x>: order 4  core of <z>: order 4" in out
+    assert len(calls) == 2
 
 
 def test_build_witness_text(capsys):
@@ -548,3 +568,20 @@ def test_crosscheck_coset_limit(capsys):
     assert code == 2
     assert out == ""
     assert err == "sdprod: limit: coset limit exceeded: more than 10 cosets defined\n"
+
+
+def test_tracer_only_imports_are_the_readme_list():
+    # perfbench's tracer wraps library functions at their sdprod.cli names,
+    # so cli imports some it never calls; the README names every one
+    tree = ast.parse((ROOT / "src" / "sdprod" / "cli.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"no\s+longer\s+calls\s+\(([^)]*)\)", readme)
+    assert listed, "README lists no tracer-only imports"
+    assert imported - used == set(re.findall(r"`(\w+)`", listed.group(1)))

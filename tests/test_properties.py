@@ -267,6 +267,19 @@ def test_enumerated_cores_match_collected_cores(case):
     assert rep.order == g.order
     assert rep.core_x_order == core_of(g, subgroup_closure(g, (g.gen_x,))).order
     assert rep.core_z_order == core_of(g, subgroup_closure(g, (g.gen_z,))).order
+    # the whole build report against the other pipeline; a factor is normal
+    # iff its core is the whole of its generator's cyclic group
+    out = io.StringIO()
+    argv = ["build", "--n", str(pair.n), "--m", str(pair.m), "--format", "json"]
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--tuple", ",".join(map(str, t))]) == 0
+    doc = json.loads(out.getvalue())
+    assert (doc["order"], doc["h_order"], doc["k_order"], doc["intersection_order"]) == (
+        rep.order, rep.h_order, rep.k_order, rep.intersection_order
+    )
+    assert (doc["core_x_order"], doc["core_z_order"]) == (rep.core_x_order, rep.core_z_order)
+    assert doc["x_normal"] == (rep.core_x_order == rep.gen_orders["x"])
+    assert doc["z_normal"] == (rep.core_z_order == rep.gen_orders["z"])
 
 
 @TWISTED_SETTINGS
@@ -544,7 +557,7 @@ def reference_table_file(g, t) -> bytes:
     )
     text = [str(i) for i in range(g.order)]
     for a in range(g.order):
-        out.write(" ".join(g.row(a, text)) + "\n")
+        out.write(" ".join([text[v] for v in g.row(a)]) + "\n")
     return out.getvalue().encode()
 
 
