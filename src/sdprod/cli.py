@@ -237,9 +237,10 @@ def _write_table(fh, g, t) -> None:
     for base in range(0, g.order, N):
         coset = [str(i) for i in range(base, base + N)]
         runs += [" ".join(coset[j:] + coset[:j]) for j in range(N)]
-    for prefix in g.prefixes:
+    for a in range(g.order):
         parts: list[str] = []
-        for p in prefix:
+        for k in range(4):
+            p = g.prefix(a, k)
             head = p - p % block
             parts += runs[p : head + block : N]
             parts += runs[head + p % N : p : N]

@@ -43,6 +43,9 @@ DEFAULT_MAX_COSETS = 10**6
 # next mark to twice the number defined.  Runs that stay below it, such as
 # example-6-5 (1,132 definitions), define exactly what plain HLT does.
 LOOKAHEAD_FIRST = 8192
+# letters a relator file may spell, ^k repetitions summed.  The relators
+# of fp_from_extended spell at most 6(N + M) + 26, under this to (20, 20).
+MAX_RELATOR_LETTERS = 1 << 23
 GEN_NAMES = ("w", "y", "z", "x")
 
 
@@ -142,10 +145,12 @@ def parse_relator_lines(lines: Iterable[str]) -> FpPres:
     One relator per line; tokens from w, y, z, x with uppercase meaning
     the inverse letter and an optional ^k repetition (k >= 1).  Blank
     lines and # comments are skipped.  Generators are numbered in the
-    fixed order w, y, z, x restricted to the letters that appear.
+    fixed order w, y, z, x restricted to the letters that appear.  More
+    than MAX_RELATOR_LETTERS letters raise CapacityError before expansion.
     """
     tokenized: list[list[tuple[str, bool, int]]] = []
     seen: set[str] = set()
+    total = 0
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -156,9 +161,13 @@ def parse_relator_lines(lines: Iterable[str]) -> FpPres:
             if not match:
                 raise RelatorSyntaxError(f"line {lineno}: bad token {token!r}")
             letter, power = match.groups()
-            count = int(power) if power else 1
+            try:
+                count = int(power) if power else 1
+            except ValueError:  # more digits than int() converts
+                count = MAX_RELATOR_LETTERS + 1
             if count < 1:
                 raise RelatorSyntaxError(f"line {lineno}: bad repetition in {token!r}")
+            total += count
             word.append((letter.lower(), letter.isupper(), count))
             seen.add(letter.lower())
         if not word:
@@ -166,6 +175,8 @@ def parse_relator_lines(lines: Iterable[str]) -> FpPres:
         tokenized.append(word)
     if not tokenized:
         raise RelatorSyntaxError("no relators found")
+    if total > MAX_RELATOR_LETTERS:
+        raise CapacityError(f"relator file too long: over {MAX_RELATOR_LETTERS} letters")
     names = tuple(g for g in GEN_NAMES if g in seen)
     number = {g: i + 1 for i, g in enumerate(names)}
     relators = []

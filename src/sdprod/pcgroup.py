@@ -23,8 +23,7 @@ against each other in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import SdPair
 from .congruence import TupleA, TupleB
@@ -33,7 +32,6 @@ from .errors import CapacityError, DomainError
 DEFAULT_MAX_ORDER = 1 << 20
 DEFAULT_ASSOC_CAP = 512
 ASSOC_CAP_MESSAGE = "table too large for the cubic scan: order {order} exceeds cap {cap}"
-_HEAD_PERMUTATIONS = frozenset(permutations(range(4)))  # the heads of a row that is a permutation
 
 
 class NormalForm(NamedTuple):
@@ -81,27 +79,43 @@ class GroupTable:
 
     index(w^a1 y^a2 z^a3 x^a4) = ((a1*2 + a2)*M + a3)*N + a4.  Write the
     (w, y) part of an index as its head, 2*a1 + a2, and the (z, x) part as
-    its tail.  Row u is fixed by its four prefixes u, u*y, u*w, u*w*y,
-    stored as indices in head order: u*v is the prefix that v's head
-    selects with v's tail added on, because x^z = x.  build_table writes
-    the prefixes from the tail maps of y and w.  So the table costs
-    O(|G|) memory; `mul` looks up one product and `row` yields one row.
+    its tail.  Row u is fixed by its four prefixes u, u*y, u*w, u*w*y, in
+    head order: u*v is the prefix that v's head selects with v's tail
+    added on, because x^z = x.  The table keeps only the three tail maps
+    that give those prefixes (see `prefix`), NM entries each, so it costs
+    3|G|/4 entries; `mul` looks up one product and `row` yields one row.
     """
 
     pair: SdPair
     order: int
-    prefixes: list[tuple[int, int, int, int]]
+    ty: list[int]  # tail of z^i x^j y, at position i*N + j
+    tw: list[int]  # tail of z^i x^j w
+    tw_past_y: list[int]  # tail of y z^i x^j w
     consistency: ConsistencyReport  # the check build_table made before building
     gen_w: int
     gen_y: int
     gen_z: int
     gen_x: int
 
+    def prefix(self, u: int, k: int) -> int:
+        """Prefix k of u: u, u*y, u*w or u*w*y for k = 0, 1, 2, 3.
+
+        Its head is u's head xor k.  Its tail is u's tail sent through the
+        w map if k holds w (the one past y when u's head holds y), and
+        then through the y map if k holds y."""
+        block = self.order // 4
+        head, tail = divmod(u, block)
+        if k & 2:
+            tail = (self.tw_past_y if head & 1 else self.tw)[tail]
+        if k & 1:
+            tail = self.ty[tail]
+        return (head ^ k) * block + tail
+
     def mul(self, a: int, b: int) -> int:
         """Index of a * b."""
         N, M = self.pair.N, self.pair.M
         head, tail = divmod(b, M * N)
-        phead, ptail = divmod(self.prefixes[a][head], M * N)
+        phead, ptail = divmod(self.prefix(a, head), M * N)
         return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
 
     def row(self, a: int) -> list[int]:
@@ -113,8 +127,8 @@ class GroupTable:
         """
         N, M = self.pair.N, self.pair.M
         out: list[int] = []
-        for p in self.prefixes[a]:
-            phead, ptail = divmod(p, M * N)
+        for k in range(4):
+            phead, ptail = divmod(self.prefix(a, k), M * N)
             pz, px = divmod(ptail, N)
             for vz in range(M):
                 base = (phead * M + (pz + vz) % M) * N
@@ -300,48 +314,28 @@ def _tail_map(
     return out
 
 
-def _head_block(
-    head: int, block: int, ty: list[int], tw: list[int]
-) -> Iterator[tuple[int, int, int, int]]:
-    """Prefixes u, u*y, u*w, u*w*y of the elements u with (w, y) head
-    `head`, in index order.  ty and tw are the tail maps of y and w, tw
-    already holding the (c, t) that w leaves when it passes the head's y."""
-    base = head * block
-    return zip(
-        range(base, base + block),
-        [(head ^ 1) * block + k for k in ty],
-        [(head ^ 2) * block + k for k in tw],
-        [(head ^ 3) * block + ty[k] for k in tw],
-    )
-
-
 def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
-    """Build the implicit multiplication table: four prefixes per element.
+    """Build the implicit multiplication table: three tail maps of NM entries.
 
     Requires a consistent presentation.  Right multiplication by y flips
     the head's y and conjugates the tail z^i x^j by y; by w it flips the
     head's w and conjugates the tail by w, adding the (c, t) of
     y^w = y z^c x^t when the head holds y.  Both conjugations are linear
     maps of the abelian tail, so collect_multiply on the generator letters
-    gives them once per presentation, as three tail maps of NM entries,
-    and the prefixes u, u*y, u*w, u*w*y are list arithmetic on those maps,
-    one head block at a time.  The product u*v is then the prefix that
-    v's (w, y) head k selects, shifted by v's tail z^vz x^vx, which is
-    exactly collect_multiply unrolled.  `audit_table` checks that every
-    row and every column of that table is a permutation, in O(|G|):
+    gives them once per presentation, as the maps ty, tw and tw_past_y.
+    The product u*v is then the prefix of u that v's (w, y) head k selects
+    (GroupTable.prefix), shifted by v's tail z^vz x^vx, which is exactly
+    collect_multiply unrolled.  `audit_table` checks that every row and
+    every column of that table is a permutation, in O(|G|):
 
+    - Row u is the four blocks {prefix_k(u) z^i x^j}, one per (w, y)
+      head, since prefix_k(u) has u's head xor k.  So row u is a
+      permutation once each prefix lies in G.
     - Column v is u -> shift(prefix_k(u), vz, vx), and the shift is a
-      bijection of G.  So every column is a permutation iff each of the
-      four prefix maps u -> prefix_k(u) is a bijection on G.
-    - Row u is the four blocks {prefix_k(u) z^i x^j}, the block of
-      prefix_k(u) being every element with that prefix's (w, y) head.  So
-      row u is a permutation iff the heads of its four prefixes are
-      pairwise distinct, that is, exactly 0, 1, 2 and 3.
-
-    The row check runs first and puts every prefix inside G, so the
-    column check may mark each prefix in a bytearray of |G| flags.  Both
-    accept exactly the tables that the full row and column scans accept,
-    and they name the same first failing row or column.
+      bijection of G.  So column v is a permutation iff the tail maps
+      that k applies are permutations of range(NM), which also puts every
+      prefix in G.  The audit thus accepts exactly the tables that the
+      full row and column scans accept.
     """
     report = check_consistency(pc)
     if not report.overall:
@@ -361,19 +355,13 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     def tail(u: NormalForm, letter: NormalForm) -> tuple[int, int]:
         return collect_multiply(pc, u, letter)[2:]
 
-    ty = _tail_map(pc.pair, tail(z_letter, y_letter), tail(x_letter, y_letter))
     w_images = (tail(z_letter, w_letter), tail(x_letter, w_letter))
-    tw = _tail_map(pc.pair, *w_images)
-    tw_past_y = _tail_map(pc.pair, *w_images, shift=tail(y_letter, w_letter))
-    block = M * N
-    prefixes: list[tuple[int, int, int, int]] = []
-    for head in range(4):
-        prefixes += _head_block(head, block, ty, tw_past_y if head & 1 else tw)
-    del ty, tw, tw_past_y  # freed before the audit's working lists
     g = GroupTable(
         pair=pc.pair,
         order=order,
-        prefixes=prefixes,
+        ty=_tail_map(pc.pair, tail(z_letter, y_letter), tail(x_letter, y_letter)),
+        tw=_tail_map(pc.pair, *w_images),
+        tw_past_y=_tail_map(pc.pair, *w_images, shift=tail(y_letter, w_letter)),
         consistency=report,
         gen_w=2 * M * N,
         gen_y=M * N,
@@ -386,26 +374,21 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
 
 def audit_table(g: GroupTable) -> None:
     """Raise RuntimeError unless every row and every column of g is a
-    permutation; build_table's docstring shows why these checks suffice.
+    permutation; build_table's docstring shows why it suffices that each
+    tail map is a permutation of range(NM).
 
-    The row check reads the four heads of every row in one list
-    comprehension; then each column marks its prefixes in a bytearray."""
+    Each map is range-checked and then marked in a bytearray.  A failure
+    names the first failing column of the table: y when ty fails, else w,
+    the first column that reads tw and tw_past_y."""
     block = g.order // 4
-    rows_ok = [
-        (a // block, b // block, c // block, d // block) in _HEAD_PERMUTATIONS
-        for a, b, c, d in g.prefixes
-    ]
-    if False in rows_ok:
-        raise RuntimeError(
-            f"internal: row {rows_ok.index(False)} of the product table is not a permutation"
-        )
-    for k in range(4):
-        seen = bytearray(g.order)
-        for prefix in g.prefixes:
-            seen[prefix[k]] = 1
+    for column, tails in ((g.gen_y, g.ty), (g.gen_w, g.tw), (g.gen_w, g.tw_past_y)):
+        seen = bytearray(block)
+        if len(tails) == block and min(tails) >= 0 and max(tails) < block:
+            for t in tails:
+                seen[t] = 1
         if 0 in seen:
             raise RuntimeError(
-                f"internal: column {k * block} of the product table is not a permutation"
+                f"internal: column {column} of the product table is not a permutation"
             )
 
 
@@ -432,22 +415,24 @@ def subgroup_closure(g: GroupTable, generators: tuple[int, ...] | list[int]) -> 
 
 def inverse_of(g: GroupTable, e: int) -> int:
     """e * v is the identity only where v's head selects the prefix of e
-    with head 0; v's tail then cancels that prefix's tail."""
+    with head 0, that is where v's head is e's; v's tail then cancels that
+    prefix's tail."""
     _check_index(g, e)
     N, M = g.pair.N, g.pair.M
-    prefix = g.prefixes[e]
-    head = [p // (M * N) for p in prefix].index(0)
-    pz, px = divmod(prefix[head], N)
+    head = e // (M * N)
+    pz, px = divmod(g.prefix(e, head), N)
     return (head * M + -pz % M) * N + -px % N
 
 
 def element_order(g: GroupTable, e: int) -> int:
+    """The least k >= 1 with e^k = 1; RuntimeError if g.order products miss it."""
     _check_index(g, e)
-    cur, k = e, 1
-    while cur != 0:
+    cur = e
+    for k in range(1, g.order + 1):
+        if cur == 0:
+            return k
         cur = g.mul(cur, e)
-        k += 1
-    return k
+    raise RuntimeError(f"internal: the powers of element {e} never reach the identity")
 
 
 def is_normal(g: GroupTable, h: SubgroupHandle) -> bool:
@@ -510,9 +495,9 @@ def verify_associativity_generators(g: GroupTable) -> bool:
     when rho_c after R_a equals R_a after rho_c, for every a.
 
     False also answers a table that the four do not generate, where the
-    test decides nothing.  build_table's tables are all generated: their
-    prefix 0 is u itself, so z and x move through a whole head block, and
-    y and w take each block to two others.
+    test decides nothing.  build_table's tables are all generated: prefix
+    0 is u itself by construction, so z and x move through a whole head
+    block, and y and w take each block to two others.
     """
     columns = [
         [g.mul(b, c) for b in range(g.order)] for c in (g.gen_w, g.gen_y, g.gen_z, g.gen_x)

@@ -515,6 +515,15 @@ def test_tc_bad_relator_file(tmp_path, capsys):
     assert "relator" in err
 
 
+def test_tc_relator_file_past_the_letter_cap(tmp_path, capsys):
+    rel = tmp_path / "long.rel"
+    rel.write_text("x^100000000000000000000\n")
+    code, out, err = run(capsys, ["tc", "--relators", str(rel)])
+    assert code == 2
+    assert out == ""
+    assert "sdprod: limit: relator file too long" in err
+
+
 def test_tc_missing_relator_file(tmp_path, capsys):
     code, _, err = run(capsys, ["tc", "--relators", str(tmp_path / "absent.rel")])
     assert code == 1

@@ -2,16 +2,18 @@
 
 import ast
 import dataclasses
+import sys
 from pathlib import Path
 
 import pytest
 
-from sdprod.arith import derive_pair
+from sdprod.arith import MAX_RANK, derive_pair
 from sdprod.cli import crosscheck_order
 from sdprod.congruence import CoreSpec, TupleA, TupleB, enumerate_a
 from sdprod.errors import CapacityError, DomainError
 from sdprod.fpcoset import (
     LOOKAHEAD_FIRST,
+    MAX_RELATOR_LETTERS,
     FpPres,
     RelatorSyntaxError,
     StructureReport,
@@ -115,6 +117,31 @@ def test_parse_relator_errors():
         parse_relator_lines(["x X"])
     with pytest.raises(RelatorSyntaxError):
         parse_relator_lines([])
+
+
+def test_parse_relator_letter_cap():
+    # each is refused while tokenising, before a letter is written out
+    for lines in (
+        [f"x^{sys.maxsize + 1}"],
+        [f"x^{MAX_RELATOR_LETTERS + 1}"],
+        [f"x^{MAX_RELATOR_LETTERS}", "y"],
+        ["x^" + "1" * 5000],  # more digits than int() converts
+    ):
+        with pytest.raises(CapacityError, match="relator file too long"):
+            parse_relator_lines(lines)
+
+
+def test_relator_letter_cap_fits_every_presentation():
+    # the longest relators fp_from_extended writes stay within 6(N + M) + 26
+    # letters, and the cap holds that bound at the largest ranks
+    for n, m in ((4, 4), (5, 9), (10, 10)):
+        pair = derive_pair(n, m)
+        N, M = pair.N, pair.M
+        t = TupleB(N - 1, M - 1, N - 1, M - 1, N - 1, M - 1)
+        fp = fp_from_extended(pair, t, N - 1, M - 1)
+        assert sum(map(len, fp.relators)) <= 6 * (N + M) + 26
+    top = derive_pair(MAX_RANK, MAX_RANK)
+    assert 6 * (top.N + top.M) + 26 <= MAX_RELATOR_LETTERS
 
 
 def test_enumerate_order_two():

@@ -1,12 +1,13 @@
 """Unit tests for collection, consistency checking, and table analysis."""
 
-from dataclasses import replace
+import tracemalloc
+from dataclasses import dataclass, replace
 from itertools import product
 
 import pytest
 
 from sdprod import pcgroup
-from sdprod.arith import derive_pair
+from sdprod.arith import SdPair, derive_pair
 from sdprod.congruence import (
     CoreSpec,
     TupleA,
@@ -189,53 +190,119 @@ def full_scan_accepts(g):
     )
 
 
+@dataclass
+class PrefixTable:
+    """A product table that stores the four prefixes u, u*y, u*w, u*w*y of
+    every element, in head order, and multiplies as GroupTable does.
+
+    GroupTable derives its prefixes from three tail maps, so a change to
+    one map moves a whole column.  This form lets a test set one product
+    of one row and hand the result to what reads only `order`, `mul`,
+    `row` and the generators: Light's test, the cubic scan and
+    `element_order`.
+    """
+
+    pair: SdPair
+    order: int
+    prefixes: list[tuple[int, int, int, int]]
+    gen_w: int
+    gen_y: int
+    gen_z: int
+    gen_x: int
+
+    @classmethod
+    def of(cls, g):
+        prefixes = [tuple(g.prefix(u, k) for k in range(4)) for u in range(g.order)]
+        return cls(g.pair, g.order, prefixes, g.gen_w, g.gen_y, g.gen_z, g.gen_x)
+
+    def mul(self, a, b):
+        N, M = self.pair.N, self.pair.M
+        head, tail = divmod(b, M * N)
+        phead, ptail = divmod(self.prefixes[a][head], M * N)
+        return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
+
+    def row(self, a):
+        N, M = self.pair.N, self.pair.M
+        out = []
+        for p in self.prefixes[a]:
+            phead, ptail = divmod(p, M * N)
+            pz, px = divmod(ptail, N)
+            for vz in range(M):
+                base = (phead * M + (pz + vz) % M) * N
+                out += range(base + px, base + N)
+                out += range(base, base + px)
+        return out
+
+
 def with_prefix(g, u, k, value):
     prefixes = g.prefixes.copy()
     prefixes[u] = prefixes[u][:k] + (value,) + prefixes[u][k + 1 :]
     return replace(g, prefixes=prefixes)
 
 
-def build_with_prefix(monkeypatch, u, k, value):
-    """build_table on the witness, with prefix k of element u set to value
-    as u's head block is assembled."""
-    real = pcgroup._head_block
-    block = PAIR44.N * PAIR44.M
+def with_entry(tails, i, value):
+    tails = tails.copy()
+    tails[i] = value
+    return tails
 
-    def faulty(head, *args):
-        rows = list(real(head, *args))
-        if head == u // block:
-            rows[u % block] = rows[u % block][:k] + (value,) + rows[u % block][k + 1 :]
-        return rows
 
-    monkeypatch.setattr(pcgroup, "_head_block", faulty)
+def build_with_entry(monkeypatch, call, i, value):
+    """build_table on the witness, with entry i of one tail map set to
+    value: the map of the given _tail_map call, 0 for ty, 1 for tw and 2
+    for tw_past_y, in the order build_table takes them."""
+    real = pcgroup._tail_map
+    calls = iter(range(3))
+
+    def faulty(*args, **kwargs):
+        tails = real(*args, **kwargs)
+        return with_entry(tails, i, value) if next(calls) == call else tails
+
+    monkeypatch.setattr(pcgroup, "_tail_map", faulty)
     return build_table(pc_from_tuple_a(PAIR44, WITNESS))
 
 
-def test_table_audit_catches_a_prefix_map_that_is_not_a_bijection(monkeypatch):
+def test_prefix_table_matches_the_table():
+    g = witness_table()
+    p = PrefixTable.of(g)
+    assert full_scan_accepts(p)
+    for a in range(0, g.order, 7):
+        assert p.row(a) == g.row(a)
+        assert [p.mul(a, b) for b in range(g.order)] == g.row(a)
+
+
+def test_table_audit_catches_a_tail_map_that_is_not_a_bijection(monkeypatch):
     g = witness_table()
     audit_table(g)
     # element 7 times w now lands where element 6 times w does: the head
     # stays w, so row 7 is a permutation, while column w repeats an entry
-    bad = with_prefix(g, 7, 2, g.prefixes[6][2])
+    bad = replace(g, tw=with_entry(g.tw, 7, g.tw[6]))
+    assert bad.mul(7, g.gen_w) == g.mul(6, g.gen_w)
     assert not full_scan_accepts(bad)
     with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
         audit_table(bad)
     with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
-        build_with_prefix(monkeypatch, 7, 2, g.prefixes[6][2])
+        build_with_entry(monkeypatch, 1, 7, g.tw[6])
+    # the same fault past y shows in the w column too, now at element y x^7
+    bad = replace(g, tw_past_y=with_entry(g.tw_past_y, 7, g.tw_past_y[6]))
+    assert bad.mul(g.gen_y + 7, g.gen_w) == g.mul(g.gen_y + 6, g.gen_w)
+    assert not full_scan_accepts(bad)
+    with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
+        audit_table(bad)
 
 
-def test_table_audit_catches_a_row_with_a_repeated_head(monkeypatch):
+def test_table_audit_catches_a_tail_map_entry_outside_the_block(monkeypatch):
     g = witness_table()
-    # element 9 times y now has head 0, like element 9 itself
-    bad = with_prefix(g, 9, 1, 10)
+    block = g.order // 4
+    # element 9 times y now leaves the y block
+    bad = replace(g, ty=with_entry(g.ty, 9, block + g.ty[9]))
     assert not full_scan_accepts(bad)
-    with pytest.raises(RuntimeError, match="row 9 of the product table"):
+    with pytest.raises(RuntimeError, match=f"column {g.gen_y} of the product table"):
         audit_table(bad)
-    with pytest.raises(RuntimeError, match="row 9 of the product table"):
-        build_with_prefix(monkeypatch, 9, 1, 10)
-    # a prefix outside G is caught by the row check too
-    with pytest.raises(RuntimeError, match="row 9 of the product table"):
-        audit_table(with_prefix(g, 9, 3, g.order + g.prefixes[9][3]))
+    with pytest.raises(RuntimeError, match=f"column {g.gen_y} of the product table"):
+        build_with_entry(monkeypatch, 0, 9, block + g.ty[9])
+    # a negative entry would index the map from its end
+    with pytest.raises(RuntimeError, match=f"column {g.gen_y} of the product table"):
+        audit_table(replace(g, ty=with_entry(g.ty, 9, -1)))
 
 
 def test_build_table_rejects_inconsistent():
@@ -246,6 +313,21 @@ def test_build_table_rejects_inconsistent():
 def test_build_table_size_cap():
     with pytest.raises(CapacityError):
         build_table(pc_from_tuple_a(PAIR44, WITNESS), max_order=100)
+
+
+def test_table_memory_follows_the_tails():
+    """The table keeps three tail maps of order/4 entries, and nothing per
+    element: order 65,536 builds under 64 bytes per element."""
+    pc = pc_from_tuple_a(derive_pair(8, 8), TupleA(0, 0, 0, 0))
+    tracemalloc.start()
+    try:
+        g = build_table(pc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 65_536
+    assert len(g.ty) == len(g.tw) == len(g.tw_past_y) == g.order // 4
+    assert peak < 64 * g.order
 
 
 def test_build_table_order_4nm_at_mixed_rank():
@@ -338,8 +420,9 @@ def test_associativity_exhaustive_and_fault_injection():
     assert verify_associativity_generators(g)
     # swap u*y between elements 3 and 5: both products have head y, so every
     # row and column is still a permutation, but the operation is no group
-    bad = with_prefix(with_prefix(g, 3, 1, g.prefixes[5][1]), 5, 1, g.prefixes[3][1])
-    audit_table(bad)
+    p = PrefixTable.of(g)
+    bad = with_prefix(with_prefix(p, 3, 1, p.prefixes[5][1]), 5, 1, p.prefixes[3][1])
+    assert full_scan_accepts(bad)
     assert bad.mul(3, g.gen_y) == g.mul(5, g.gen_y)
     assert not verify_associativity_exhaustive(bad)
     assert not verify_associativity_generators(bad)
@@ -354,17 +437,18 @@ def test_associativity_fault_seen_by_one_generator(swapped):
     f swapping 3 and 5.  Every c in H still satisfies (ab)c = a(bc), so
     only the one generator outside H, w or y, shows the fault.
     """
-    g = witness_table()
+    g = PrefixTable.of(witness_table())
     bad = g
     for k in swapped:
         bad = with_prefix(with_prefix(bad, 3, k, g.prefixes[5][k]), 5, k, g.prefixes[3][k])
-    audit_table(bad)
+    assert full_scan_accepts(bad)
     assert not verify_associativity_exhaustive(bad)
     assert not verify_associativity_generators(bad)
 
 
-def test_associativity_generators_must_reach_every_element():
-    """An audited table that is a group, but not one w, y, z, x generate.
+def klein_table():
+    """A table whose rows and columns are permutations and that is a group,
+    but not one w, y, z, x generate.
 
     Prefix k of (head h, tail t) is (head h xor k, tail t x): the Klein
     four-group times the tails, with x added to every product, so the
@@ -373,17 +457,29 @@ def test_associativity_generators_must_reach_every_element():
     kills the four generators: they reach half of G, and Light's test
     proves nothing.
     """
-    g = witness_table()
+    g = PrefixTable.of(witness_table())
     N, block = PAIR44.N, g.order // 4
     prefixes = []
     for u in range(g.order):
         head, tail = divmod(u, block)
         zx = tail - tail % N + (tail + 1) % N
         prefixes.append(tuple((head ^ k) * block + zx for k in range(4)))
-    klein = replace(g, prefixes=prefixes)
-    audit_table(klein)
+    return replace(g, prefixes=prefixes)
+
+
+def test_associativity_generators_must_reach_every_element():
+    klein = klein_table()
+    assert full_scan_accepts(klein)
     assert verify_associativity_exhaustive(klein)
     assert not verify_associativity_generators(klein)
+
+
+def test_element_order_stops_when_the_powers_miss_the_identity():
+    # every product adds an x, so the k-th power of z is z^k x^(k-1), which
+    # is element 0 only if the even M divides k and the even N divides k - 1
+    klein = klein_table()
+    with pytest.raises(RuntimeError, match=f"element {klein.gen_z}"):
+        element_order(klein, klein.gen_z)
 
 
 def test_associativity_cap():

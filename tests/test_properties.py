@@ -15,10 +15,10 @@ twisted one adds a random [x,z] = x^e1 z^e2.  On the same twisted
 presentations the coset enumerator's table is compared with a copy of
 the plain HLT enumerator it replaced.  The associativity check from the
 four generators is compared with the cubic scan on those tables and on
-copies with random prefixes swapped.  On valid tuples at random ranks,
-drawn from the closed-form solution sets, every prefix of the table is
-compared with collection, and the table file up to order 1024 with a
-copy of the row-by-row writer it replaced.
+per-element copies of them with random prefixes swapped.  On valid
+tuples at random ranks, drawn from the closed-form solution sets, every
+prefix of the table is compared with collection, and the table file up
+to order 1024 with a copy of the row-by-row writer it replaced.
 
 The closed-form solver is compared with a brute-force filter at random
 ranks and core specs, and the streamed listings with a copy of the
@@ -63,7 +63,6 @@ from sdprod.fpcoset import (
     structure_report,
 )
 from sdprod.pcgroup import (
-    audit_table,
     build_table,
     check_consistency,
     collect_multiply,
@@ -78,6 +77,7 @@ from sdprod.pcgroup import (
     verify_associativity_generators,
 )
 from test_congruence import all_core_specs, brute_enumerate_b
+from test_pcgroup import PrefixTable, full_scan_accepts
 
 RANKS = st.integers(4, 7)
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
@@ -467,9 +467,10 @@ def valid_tables(draw, pairs):
 
 
 def swap_prefix(g, k, u_pick, v_pick):
-    """g with prefix k swapped between rows u and v, v picked among the
-    rows whose prefix k has the head of u's, so that every row and column
-    stays a permutation."""
+    """The PrefixTable of g with prefix k swapped between rows u and v, v
+    picked among the rows whose prefix k has the head of u's, so that
+    every row and column stays a permutation."""
+    g = PrefixTable.of(g)
     block = g.order // 4
     u = u_pick % g.order
     head = g.prefixes[u][k] // block
@@ -479,7 +480,7 @@ def swap_prefix(g, k, u_pick, v_pick):
     prefixes[u] = prefixes[u][:k] + (g.prefixes[v][k],) + prefixes[u][k + 1 :]
     prefixes[v] = prefixes[v][:k] + (g.prefixes[u][k],) + prefixes[v][k + 1 :]
     bad = replace(g, prefixes=prefixes)
-    audit_table(bad)
+    assert full_scan_accepts(bad)
     return bad
 
 
@@ -533,13 +534,14 @@ def presentation(pair, t):
 @GROUP_SETTINGS
 @given(buildable_tuples(st.builds(derive_pair, RANKS, RANKS)))
 def test_prefixes_match_collection(case):
-    """build_table assembles u*y, u*w and u*w*y from tail maps; each must
-    be the product that collection gives."""
+    """GroupTable.prefix gives u*y, u*w and u*w*y from tail maps; each
+    must be the product that collection gives."""
     pair, t = case
     pc = presentation(pair, t)
     g = build_table(pc)
     w, y = index_nf(pair, g.gen_w), index_nf(pair, g.gen_y)
-    for i, (u, uy, uw, uwy) in enumerate(g.prefixes):
+    for i in range(g.order):
+        u, uy, uw, uwy = (g.prefix(i, k) for k in range(4))
         nf = index_nf(pair, i)
         assert u == i
         assert uy == nf_index(pair, collect_multiply(pc, nf, y))
