@@ -362,7 +362,8 @@ def _report_text(rep: StructureReport) -> str:
         f"|<z,w>| = {rep.k_order} (semidihedral: {'yes' if rep.sd_k else 'no'})",
         f"intersection: {rep.intersection_order}",
         f"[x,z] = {xz}",
-        f"core of <x>: {rep.core_x_order}  core of <z>: {rep.core_z_order}",
+        # a core order is at least 1; None means the generator is not named
+        f"core of <x>: {rep.core_x_order or 'n/a'}  core of <z>: {rep.core_z_order or 'n/a'}",
     ]
     return "\n".join(lines) + "\n"
 
@@ -385,13 +386,28 @@ def crosscheck_order(
 ) -> tuple[int, int]:
     """The group order from each pipeline: (collection, enumeration).
 
+    A tuple that fails the twelve congruences makes build_table raise
+    DomainError: its consistency check agrees with them.
+
     The enumeration side runs on the ten-relator presentation with
-    [x,z] = 1.  A tuple that fails the twelve congruences makes
-    build_table raise DomainError: its consistency check agrees with them.
+    [x,z] = 1, over H = <x, y> and then over K = <z, w>, and reads the
+    order off the two indices where it can.  H is a quotient of SD_2N,
+    as x^N, y^2 and x^y = x^alpha are relators, and every nontrivial
+    normal subgroup of SD_2N contains its centre <x^(N/2)>.  So if
+    x^(N/2) moves the coset K, it is not 1, |H| = 2N, and |G| =
+    |G:H|*|H| = 4NM when |G:H| = 2M.  For a valid tuple H meets K
+    trivially, so the two runs decide.  Any other outcome falls back to
+    enumerating the elements of G, so a presentation that collapses
+    still reports its true order.  max_cosets caps each run on its own.
     """
     collected = build_table(pc_from_tuple_b(pair, t)).order
-    enumerated = coset_enumerate(fp_from_extended(pair, t, 0, 0), max_cosets).count
-    return collected, enumerated
+    fp = fp_from_extended(pair, t, 0, 0)
+    w, y, z, x = (1 + fp.names.index(name) for name in "wyzx")
+    if coset_enumerate(fp, max_cosets, subgroup=((x,), (y,))).count == 2 * pair.M:
+        over_k = coset_enumerate(fp, max_cosets, subgroup=((z,), (w,)))
+        if over_k.walk((x,) * (pair.N // 2)) != 0:
+            return collected, 4 * pair.N * pair.M
+    return collected, coset_enumerate(fp, max_cosets).count
 
 
 def cmd_crosscheck(args) -> int:

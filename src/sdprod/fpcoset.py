@@ -2,16 +2,18 @@
 
 This module is the second, deliberately independent route to the groups
 built by the collection engine: a presentation on (at most) the four
-generators w, y, z, x is enumerated over the trivial subgroup with a
-Todd-Coxeter procedure, and the structure report is read straight off
-the resulting coset table.  The cosets of the trivial subgroup are the
-elements of the group, so a word is evaluated by walking it from coset
-0, and two words are equal exactly when they end at the same coset.
+generators w, y, z, x is enumerated with a Todd-Coxeter procedure over
+a subgroup given by generating words, the trivial subgroup by default.
+Coset 0 is the subgroup itself, and a word sends it to the coset of the
+word's element.  Over the trivial subgroup the cosets are the elements
+of the group, so two words are equal exactly when they end at the same
+coset, and the structure report is read straight off that table.
 Nothing here is shared with the collection engine in pcgroup; keeping
 the two implementations apart is what makes the cross-checks meaningful.
 
 The enumeration strategy is the relator-driven (HLT) variant with row
-filling: cosets are processed in definition order; every relator is
+filling: each subgroup word is first scanned and filled at coset 0;
+then cosets are processed in definition order; every relator is
 scanned and filled at every live coset; coincidences are merged
 immediately, always keeping the smaller coset number; after each coset's
 relator scans, its remaining undefined generator images are defined in
@@ -24,8 +26,8 @@ twice the number defined.  Runs below the first mark make HLT's exact
 sequence of definitions.  The procedure is deterministic, and the
 finished table is renumbered in breadth-first order from the identity
 coset, so it does not depend on the strategy; it is then audited: every
-relator must close at every coset and every column must be a
-permutation.
+relator must close at every coset, every subgroup word must fix coset 0,
+and every column must be a permutation.
 """
 
 from __future__ import annotations
@@ -77,6 +79,13 @@ class FpPres:
 class CosetTable:
     rows: list[list[int]]  # per coset: images under g1, g1^-1, g2, g2^-1, ...
     count: int
+
+    def walk(self, word: Iterable[int]) -> int:
+        """The coset that word (letters as in FpPres.relators) reaches from coset 0."""
+        rows, coset = self.rows, 0
+        for letter in word:
+            coset = rows[coset][_col(letter)]
+        return coset
 
 
 @dataclass
@@ -303,9 +312,11 @@ class _Enumeration:
             f = self.define(f, col)
             i += 1
 
-    def run(self) -> None:
+    def run(self, subgroup: Sequence[Sequence[int]] = ()) -> None:
         rows, parent, relators = self.rows, self.parent, self.relators
         scan_and_fill = self.scan_and_fill
+        for word in subgroup:
+            scan_and_fill(0, [_col(g) for g in word])  # coset 0 survives every merge
         mark = LOOKAHEAD_FIRST
         coset = 0
         while coset < len(rows):
@@ -361,23 +372,36 @@ class _Enumeration:
         return table
 
 
-def coset_enumerate(fp: FpPres, max_cosets: int = DEFAULT_MAX_COSETS) -> CosetTable:
-    """Enumerate the cosets of the trivial subgroup by HLT with a doubling
-    lookahead; see the module docstring for the strategy.  Raises
-    CapacityError if the run needs more than max_cosets coset definitions,
-    counting every coset defined, including ones later merged away."""
+def coset_enumerate(
+    fp: FpPres,
+    max_cosets: int = DEFAULT_MAX_COSETS,
+    subgroup: Sequence[Sequence[int]] = (),
+) -> CosetTable:
+    """Enumerate the cosets of the subgroup the words of subgroup generate
+    (letters as in FpPres.relators; none for the trivial subgroup) by HLT
+    with a doubling lookahead; see the module docstring for the strategy.
+    The count is the subgroup's index, and coset 0 is the subgroup.
+    Raises CapacityError if the run needs more than max_cosets coset
+    definitions, counting every coset defined, including ones later
+    merged away."""
     if max_cosets < 1:
         raise DomainError(f"max_cosets must be positive, got {max_cosets}")
+    if any(g == 0 or abs(g) > fp.ngens for word in subgroup for g in word):
+        raise DomainError(f"subgroup letter out of range: {subgroup}")
     state = _Enumeration(fp, max_cosets)
-    state.run()
+    state.run(subgroup)
     rows = state.compact()
     table = CosetTable(rows=rows, count=len(rows))
-    _audit(fp, table)
+    _audit(fp, table, subgroup)
     return table
 
 
-def _audit(fp: FpPres, table: CosetTable) -> None:
-    """Re-scan every relator at every coset and check column bijectivity."""
+def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> None:
+    """Re-scan every relator at every coset and every subgroup word at
+    coset 0, and check column bijectivity."""
+    for word in subgroup:
+        if table.walk(word) != 0:
+            raise RuntimeError("internal: subgroup word does not fix coset 0")
     rows = table.rows
     size = range(table.count)
     for col in range(2 * fp.ngens):
@@ -394,16 +418,8 @@ def _audit(fp: FpPres, table: CosetTable) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Structure read off the table: an element of G is the coset it sends
-# coset 0 to.
-
-
-def _walk(rows: list[list[int]], word: Iterable[int]) -> int:
-    """The coset that word (letters as in FpPres.relators) reaches from coset 0."""
-    coset = 0
-    for letter in word:
-        coset = rows[coset][_col(letter)]
-    return coset
+# Structure read off the table of the trivial subgroup: an element of G is
+# the coset it sends coset 0 to.
 
 
 def _powers(rows: list[list[int]], letter: int) -> list[int]:
@@ -431,7 +447,7 @@ def _orbit(rows: list[list[int]], letters: Iterable[int]) -> set[int]:
     return seen
 
 
-def _core_order(rows: list[list[int]], powers: list[int], letter: int, ngens: int) -> int:
+def _core_order(table: CosetTable, powers: list[int], letter: int, ngens: int) -> int:
     """Order of the core of <g>, the largest normal subgroup of G inside <g>.
 
     The subgroups of <g> are the <g^d> for the divisors d of k = ord(g),
@@ -448,7 +464,7 @@ def _core_order(rows: list[list[int]], powers: list[int], letter: int, ngens: in
     k = len(powers)
 
     def normal(d: int) -> bool:
-        return all(_walk(rows, (-s, *[letter] * d, s)) in members for s in range(1, ngens + 1))
+        return all(table.walk((-s, *[letter] * d, s)) in members for s in range(1, ngens + 1))
 
     # d = k always qualifies: <g^k> is the trivial subgroup
     return k // next(d for d in range(1, k + 1) if k % d == 0 and normal(d))
@@ -466,7 +482,7 @@ def _as_x_z_power(rows: list[list[int]], target: int, x_powers: list[int], z: in
 
 
 def _is_semidihedral(
-    rows: list[list[int]], powers: dict[int, list[int]], x: int, y: int, pair_order: int
+    table: CosetTable, powers: dict[int, list[int]], x: int, y: int, pair_order: int
 ) -> bool:
     """Do x, y generate a semidihedral group of order 2 * order(x)?"""
     n_half = len(powers[x])
@@ -475,7 +491,7 @@ def _is_semidihedral(
     if pair_order != 2 * n_half:
         return False
     twist = pow(2, n_half.bit_length() - 2) - 1  # 2^(n-2) - 1 for N = 2^(n-1)
-    return _walk(rows, (-y, x, y)) == powers[x][twist % n_half]
+    return table.walk((-y, x, y)) == powers[x][twist % n_half]
 
 
 def structure_report(table: CosetTable, fp: FpPres) -> StructureReport:
@@ -488,7 +504,7 @@ def structure_report(table: CosetTable, fp: FpPres) -> StructureReport:
     k = _orbit(rows, [g for g in (z, w) if g])
     xz_pair = None
     if x and z:
-        commutator = _walk(rows, (-x, -z, x, z))
+        commutator = table.walk((-x, -z, x, z))
         xz_pair = _as_x_z_power(rows, commutator, powers[x], z, len(powers[z]))
     return StructureReport(
         order=table.count,
@@ -497,10 +513,10 @@ def structure_report(table: CosetTable, fp: FpPres) -> StructureReport:
         k_order=len(k),
         intersection_order=len(h & k),
         xz_commutator=xz_pair,
-        core_x_order=_core_order(rows, powers[x], x, fp.ngens) if x else None,
-        core_z_order=_core_order(rows, powers[z], z, fp.ngens) if z else None,
-        sd_h=bool(x and y) and _is_semidihedral(rows, powers, x, y, len(h)),
-        sd_k=bool(z and w) and _is_semidihedral(rows, powers, z, w, len(k)),
+        core_x_order=_core_order(table, powers[x], x, fp.ngens) if x else None,
+        core_z_order=_core_order(table, powers[z], z, fp.ngens) if z else None,
+        sd_h=bool(x and y) and _is_semidihedral(table, powers, x, y, len(h)),
+        sd_k=bool(z and w) and _is_semidihedral(table, powers, z, w, len(k)),
     )
 
 

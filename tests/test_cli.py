@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sdprod import cli, pcgroup
+from sdprod import cli, fpcoset, pcgroup
 from sdprod.arith import derive_pair
 from sdprod.cli import main
 from sdprod.congruence import TupleA, TupleB
@@ -495,6 +495,23 @@ def test_tc_relator_file(tmp_path, capsys):
     assert "[x,z] = not a product of an x power and a z power" in out
 
 
+def test_tc_report_names_a_missing_core(tmp_path, capsys):
+    # a core of a generator the file does not name reads n/a, and null in JSON
+    rel = tmp_path / "sd16.rel"
+    rel.write_text(SD16_FILE)
+    code, out, _ = run(capsys, ["tc", "--relators", str(rel)])
+    assert code == 0
+    assert "core of <x>: 8  core of <z>: n/a\n" in out
+    code, out, _ = run(capsys, ["tc", "--relators", str(rel), "--format", "json"])
+    assert code == 0
+    assert (json.loads(out)["core_x_order"], json.loads(out)["core_z_order"]) == (8, None)
+    rel.write_text("w^2\n")
+    code, out, _ = run(capsys, ["tc", "--relators", str(rel)])
+    assert code == 0
+    assert out.endswith("core of <x>: n/a  core of <z>: n/a\n")
+    assert "None" not in out
+
+
 def test_tc_flag_combinations(capsys):
     code, _, err = run(capsys, ["tc"])
     assert code == 3
@@ -577,6 +594,57 @@ def test_crosscheck_coset_limit(capsys):
     assert code == 2
     assert out == ""
     assert err == "sdprod: limit: coset limit exceeded: more than 10 cosets defined\n"
+
+
+def test_crosscheck_coset_limit_caps_each_run(capsys):
+    # each run counts its own definitions: the factor runs define 70 and 51
+    # cosets, where enumerating the 256 elements would define 766
+    code, out, err = run(
+        capsys,
+        ["crosscheck", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--max-cosets", "500"],
+    )
+    assert code == 0
+    assert out == "collection: 256, enumeration: 256, AGREE\n"
+    assert err == ""
+
+
+def test_crosscheck_enumerates_the_cosets_of_h_and_k_only(monkeypatch):
+    subgroups = []
+
+    def counted(fp, max_cosets, subgroup=()):
+        subgroups.append(subgroup)
+        return fpcoset.coset_enumerate(fp, max_cosets, subgroup)
+
+    monkeypatch.setattr(cli, "coset_enumerate", counted)
+    for n, m, t in ((4, 4, TupleA(0, 2, 0, 0).to_tuple_b()), (5, 4, TupleB(0, 0, 0, 0, 0, 0))):
+        subgroups.clear()
+        pair = derive_pair(n, m)
+        assert cli.crosscheck_order(pair, t) == (4 * pair.N * pair.M,) * 2
+        assert len(subgroups) == 2 and all(subgroups)
+
+
+@pytest.mark.parametrize(
+    "n, m, t, e, order",
+    [
+        # G/H has index 8, not 2M = 32
+        (4, 5, (2, 8, 2, 0, 0, 0), (4, 14), 512),
+        # G/H has index 2M = 16, but x^(N/2) = 1 fixes the coset K
+        (4, 4, (0, 2, 6, 4, 2, 2), (6, 0), 256),
+    ],
+)
+def test_crosscheck_falls_back_to_the_elements_of_a_collapsed_group(capsys, monkeypatch, n, m, t, e, order):
+    # with [x,z] = x^e1 z^e2 these presentations collapse to 128 elements,
+    # and the factor runs do not decide, so the elements are enumerated
+    def twisted(pair, t, e1, e2):
+        return fpcoset.fp_from_extended(pair, t, *e)
+
+    monkeypatch.setattr(cli, "fp_from_extended", twisted)
+    assert cli.crosscheck_order(derive_pair(n, m), TupleB(*t)) == (order, 128)
+    argv = ["crosscheck", "--n", str(n), "--m", str(m), "--tuple", ",".join(map(str, t))]
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == f"collection: {order}, enumeration: 128, DISAGREE\n"
+    assert err == ""
 
 
 def test_tracer_only_imports_are_the_readme_list():

@@ -17,6 +17,7 @@ from sdprod.fpcoset import (
     FpPres,
     RelatorSyntaxError,
     StructureReport,
+    _audit,
     _Enumeration,
     coset_enumerate,
     fp_from_extended,
@@ -172,6 +173,36 @@ def test_enumerate_coset_limit():
         coset_enumerate(flagship_pres(), 100)
 
 
+def test_enumerate_over_a_subgroup():
+    # SD16 = <x, y>: <x> has index 2, <y> index 8, <x^4> (the centre) index 8
+    fp = parse_relator_lines(SD16_LINES)
+    y, x = 1, 2
+    assert coset_enumerate(fp, subgroup=((x,),)).count == 2
+    assert coset_enumerate(fp, subgroup=((y,),)).count == 8
+    assert coset_enumerate(fp, subgroup=((x,) * 4,)).count == 8
+    assert coset_enumerate(fp, subgroup=((x,), (y,))).count == 1
+    over_y = coset_enumerate(fp, subgroup=((y,),))
+    assert over_y.walk((y,)) == 0
+    assert over_y.walk((x,) * 4) != 0  # the centre meets <y> trivially
+    assert coset_enumerate(fp, subgroup=()).rows == coset_enumerate(fp).rows
+    with pytest.raises(DomainError):
+        coset_enumerate(fp, subgroup=((3,),))
+
+
+def test_audit_catches_a_subgroup_word_that_moves_coset_0(monkeypatch):
+    fp = parse_relator_lines(SD16_LINES)
+    x = 2
+    table = coset_enumerate(fp)
+    _audit(fp, table, ((x,) * 8,))
+    with pytest.raises(RuntimeError, match="subgroup word does not fix coset 0"):
+        _audit(fp, table, ((x,),))
+    # a run that drops its subgroup words is caught by its own audit
+    run = _Enumeration.run
+    monkeypatch.setattr(_Enumeration, "run", lambda self, subgroup=(): run(self))
+    with pytest.raises(RuntimeError, match="subgroup word does not fix coset 0"):
+        coset_enumerate(fp, subgroup=((x,),))
+
+
 def test_definitions_below_the_lookahead_mark():
     # below the first lookahead mark the enumerator makes HLT's exact
     # sequence of definitions, so --max-cosets bites where it always did
@@ -296,12 +327,15 @@ def test_crosscheck_order_limit_is_capacity_not_disagreement():
 
 def test_crosscheck_order_every_valid_tuple_a():
     """Both pipelines agree on the group order for every valid four-field
-    tuple at ranks (4,4) and (4,5)."""
+    tuple at ranks (4,4) and (4,5), and the order read off the cosets of
+    H and K is the number of elements that full enumeration finds."""
     for n, m in ((4, 4), (4, 5)):
         pair = derive_pair(n, m)
         for t4 in enumerate_a(pair):
-            collected, enumerated = crosscheck_order(pair, t4.to_tuple_b())
-            assert collected == enumerated == 4 * pair.N * pair.M, (n, m, t4)
+            t = t4.to_tuple_b()
+            collected, enumerated = crosscheck_order(pair, t)
+            full = coset_enumerate(fp_from_extended(pair, t, 0, 0)).count
+            assert collected == enumerated == full == 4 * pair.N * pair.M, (n, m, t4)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,11 @@ the complete listings at ranks (4, 4), (4, 5) and (5, 4) (orders 256 and
 512), where a brute-force core over every element stays cheap; the
 twisted one adds a random [x,z] = x^e1 z^e2.  On the same twisted
 presentations the coset enumerator's table is compared with a copy of
-the plain HLT enumerator it replaced.  The associativity check from the
+the plain HLT enumerator it replaced, and, up to ranks (5, 5), the index
+of <x, y> and of <z, w> from an enumeration over each with the order of
+that subgroup in the full table.  crosscheck's order, read off those two
+subgroup runs, is compared with full enumeration at random ranks in
+[4, 6].  The associativity check from the
 four generators is compared with the cubic scan on those tables and on
 per-element copies of them with random prefixes swapped.  On valid
 tuples at random ranks, drawn from the closed-form solution sets, every
@@ -35,11 +39,11 @@ from itertools import groupby
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from sdprod.arith import additive_order, admissible_s_values, derive_pair
-from sdprod.cli import _write_table, main
+from sdprod.cli import _write_table, crosscheck_order, main
 from sdprod.congruence import (
     CoreSpec,
     SolutionSet,
@@ -84,6 +88,7 @@ PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 GROUP_SETTINGS = settings(max_examples=40, deadline=None)
 TWISTED_SETTINGS = settings(max_examples=200, deadline=None)
 SMALL_PAIRS = st.sampled_from([(4, 4), (4, 5), (5, 4)]).map(lambda nm: derive_pair(*nm))
+PAIRS_UP_TO_5 = st.sampled_from([(4, 4), (4, 5), (5, 4), (5, 5)]).map(lambda nm: derive_pair(*nm))
 # Twisted presentations at these ranks that close enumerate to at most 512
 # cosets; about one draw in fifty runs past this cap and is skipped.
 TWISTED_MAX_COSETS = 20_000
@@ -188,8 +193,8 @@ def buildable_b(pair):
 
 
 @st.composite
-def valid_small_tuples_b(draw):
-    pair = draw(SMALL_PAIRS)
+def valid_small_tuples_b(draw, pairs=SMALL_PAIRS):
+    pair = draw(pairs)
     listing = buildable_b(pair)
     return pair, listing[draw(st.integers(0, len(listing) - 1))]
 
@@ -450,6 +455,28 @@ def test_table_past_the_lookahead_mark_matches_reference_hlt():
     assert coset_enumerate(fp).rows == want
 
 
+@TWISTED_SETTINGS
+@example(case=(derive_pair(4, 5), TupleB(2, 8, 2, 0, 0, 0)), e1=4, e2=14)  # collapses to 128
+@given(
+    valid_small_tuples_b(PAIRS_UP_TO_5),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+)
+def test_subgroup_index_times_order_is_the_group_order(case, e1, e2):
+    # on twisted presentations, many of which collapse below 4NM
+    pair, t = case
+    fp = fp_from_extended(pair, t, e1, e2)
+    w, y, z, x = (1 + fp.names.index(g) for g in "wyzx")
+    try:
+        rep = structure_report(coset_enumerate(fp, TWISTED_MAX_COSETS), fp)
+        over_h = coset_enumerate(fp, TWISTED_MAX_COSETS, subgroup=((x,), (y,)))
+        over_k = coset_enumerate(fp, TWISTED_MAX_COSETS, subgroup=((z,), (w,)))
+    except CapacityError:
+        reject()
+    assert over_h.count * rep.h_order == rep.order
+    assert over_k.count * rep.k_order == rep.order
+
+
 @lru_cache(maxsize=None)
 def buildable_a(pair):
     return tuple(enumerate_a(pair))
@@ -547,6 +574,15 @@ def test_prefixes_match_collection(case):
         assert uy == nf_index(pair, collect_multiply(pc, nf, y))
         assert uw == nf_index(pair, collect_multiply(pc, nf, w))
         assert uwy == nf_index(pair, collect_multiply(pc, collect_multiply(pc, nf, w), y))
+
+
+@GROUP_SETTINGS
+@given(buildable_tuples(st.builds(derive_pair, st.integers(4, 6), st.integers(4, 6))))
+def test_crosscheck_order_matches_full_enumeration(case):
+    pair, t = case
+    t = t if len(t) == 6 else t.to_tuple_b()
+    full = coset_enumerate(fp_from_extended(pair, t, 0, 0)).count
+    assert crosscheck_order(pair, t) == (4 * pair.N * pair.M, full)
 
 
 def reference_table_file(g, t) -> bytes:
