@@ -17,21 +17,26 @@ then cosets are processed in definition order; every relator is
 scanned and filled at every live coset; coincidences are merged
 immediately, always keeping the smaller coset number; after each coset's
 relator scans, its remaining undefined generator images are defined in
-column order.  Each relator is compiled once per run to the table
-columns it walks.  A doubling lookahead bounds the waste: when the
-number of cosets defined reaches a mark (LOOKAHEAD_FIRST at first),
-every relator is scanned at every live coset without defining, which
-only fills deductions and merges coincidences, and the mark is set to
-twice the number defined.  Runs below the first mark make HLT's exact
-sequence of definitions.  The procedure is deterministic, and the
+column order.  The relators scanned are a rewritten copy, compiled once
+per run to the table columns they walk: runs of a generator with a
+power relator g^k are reduced modulo k, and the relators are taken
+shortest first (see _compile_relators).  A doubling lookahead bounds
+the waste: when the number of cosets defined reaches a mark
+(LOOKAHEAD_FIRST at first), every relator is scanned at every live
+coset without defining, which only fills deductions and merges
+coincidences, and the mark is set to twice the number defined.  Runs
+below the first mark make the exact sequence of definitions of plain
+HLT on the rewritten relators.  The procedure is deterministic, and the
 finished table is renumbered in breadth-first order from the identity
-coset, so it does not depend on the strategy; it is then audited: every
-relator must close at every coset, every subgroup word must fix coset 0,
-and every column must be a permutation.
+coset, so it does not depend on the strategy; it is then audited
+against the relators as given: every relator must close at every
+coset, every subgroup word must fix coset 0, and every column must be
+a permutation.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -43,7 +48,8 @@ from .errors import CapacityError, DomainError
 DEFAULT_MAX_COSETS = 10**6
 # cosets defined when the first lookahead pass runs; each pass sets the
 # next mark to twice the number defined.  Runs that stay below it, such as
-# example-6-5 (1,132 definitions), define exactly what plain HLT does.
+# example-6-5 (1,095 definitions), define exactly what plain HLT does on
+# the rewritten, shortest-first relators.
 LOOKAHEAD_FIRST = 8192
 # letters a relator file may spell, ^k repetitions summed.  The relators
 # of fp_from_extended spell at most 6(N + M) + 26, under this to (20, 20).
@@ -210,16 +216,50 @@ def _col(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (letter < 0)
 
 
+def _compile_relators(relators: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The relators as the columns HLT scans: power-reduced, shortest first.
+
+    For each generator g with a pure-power relator g^k or g^-k (the least
+    such k, the first relator spelling it), a run a^n of a = g or g^-1 in
+    the other relators becomes a^e with e = n mod k taken in (-k/2, k/2],
+    so only runs longer than k/2 change, and a relator that becomes empty
+    is dropped.  These are Tietze transformations, so the group is
+    unchanged, and no relator grows.  The result is sorted by length,
+    stably: short relators close and deduce first.
+    """
+    period: dict[int, tuple[int, int]] = {}  # g -> (k, index of the relator g^k)
+    for i, rel in enumerate(relators):
+        g = abs(rel[0])
+        if (g not in period or len(rel) < period[g][0]) and rel.count(rel[0]) == len(rel):
+            period[g] = (len(rel), i)
+    compiled = []
+    for i, rel in enumerate(relators):
+        cols: list[int] = []
+        for letter, run in itertools.groupby(rel):
+            n = len(list(run))
+            power = period.get(abs(letter))
+            if power is not None and power[1] != i:
+                k = power[0]
+                n %= k
+                if 2 * n > k:
+                    letter, n = -letter, k - n
+            cols += [_col(letter)] * n
+        if cols:
+            compiled.append(cols)
+    compiled.sort(key=len)
+    return compiled
+
+
 class _Enumeration:
     """Working state of one Todd-Coxeter run."""
 
     def __init__(self, fp: FpPres, max_cosets: int):
         self.ncols = 2 * fp.ngens
         self.max_cosets = max_cosets
-        # each relator as the columns it walks, compiled once per run
-        self.relators = [[_col(g) for g in rel] for rel in fp.relators]
+        self.relators = _compile_relators(fp.relators)
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find over coset numbers, parent[i] <= i
+        self.live = 1  # cosets i with parent[i] == i
 
     def rep(self, k: int) -> int:
         parent = self.parent
@@ -241,6 +281,7 @@ class _Enumeration:
         row[col ^ 1] = coset
         rows.append(row)
         self.parent.append(new)
+        self.live += 1
         rows[coset][col] = new
         return new
 
@@ -251,6 +292,7 @@ class _Enumeration:
         if a > b:
             a, b = b, a
         self.parent[b] = a
+        self.live -= 1
         queue.append(b)
 
     def coincidence(self, a: int, b: int) -> None:
@@ -366,8 +408,7 @@ class _Enumeration:
                     new_index[target] = k
                 new_row.append(k)
             table.append(new_row)
-        live = sum(1 for i, p in enumerate(self.parent) if p == i)
-        if len(order) != live:
+        if len(order) != self.live:
             raise RuntimeError("internal: coset graph is not connected")
         return table
 
@@ -379,11 +420,12 @@ def coset_enumerate(
 ) -> CosetTable:
     """Enumerate the cosets of the subgroup the words of subgroup generate
     (letters as in FpPres.relators; none for the trivial subgroup) by HLT
-    with a doubling lookahead; see the module docstring for the strategy.
-    The count is the subgroup's index, and coset 0 is the subgroup.
-    Raises CapacityError if the run needs more than max_cosets coset
-    definitions, counting every coset defined, including ones later
-    merged away."""
+    over power-reduced relators taken shortest first, with a doubling
+    lookahead; see the module docstring for the strategy.  The count is
+    the subgroup's index, and coset 0 is the subgroup; the table is
+    audited against fp's own relators.  Raises CapacityError if the run
+    needs more than max_cosets coset definitions, counting every coset
+    defined, including ones later merged away."""
     if max_cosets < 1:
         raise DomainError(f"max_cosets must be positive, got {max_cosets}")
     if any(g == 0 or abs(g) > fp.ngens for word in subgroup for g in word):

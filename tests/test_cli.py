@@ -554,15 +554,38 @@ def test_tc_coset_limit(capsys):
 
 
 def test_tc_coset_limit_at_the_definition_count(capsys):
-    # the example-6-5 run defines 1,132 cosets, merged ones included
-    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1132"])
+    # the example-6-5 run defines 1,095 cosets, merged ones included
+    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1095"])
     assert code == 0
     assert "cosets: 256" in out
     assert err == ""
-    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1131"])
+    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1094"])
     assert code == 2
     assert out == ""
-    assert err == "sdprod: limit: coset limit exceeded: more than 1131 cosets defined\n"
+    assert err == "sdprod: limit: coset limit exceeded: more than 1094 cosets defined\n"
+
+
+def test_readme_definition_counts_match_a_run():
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    preset = re.search(r"`example-6-5` defines ([\d,]+) cosets on its way to 256, "
+                       r"so `--max-cosets ([\d,]+)` stops it", readme)
+    factors = re.search(r"the two factor runs define (\d+) and (\d+) cosets, "
+                        r"where the 256 elements take (\d+) definitions", readme)
+    assert preset and factors, "README no longer states the definition counts"
+    defined, stop = (int(v.replace(",", "")) for v in preset.groups())
+
+    def definitions(fp, subgroup=()):
+        state = fpcoset._Enumeration(fp, 10**6)
+        state.run(subgroup)
+        return len(state.rows)
+
+    assert definitions(cli._preset_presentation("example-6-5")) == defined == stop + 1
+    pair = derive_pair(4, 4)
+    fp = fpcoset.fp_from_extended(pair, TupleA(0, 2, 0, 0).reduced(pair).to_tuple_b(), 0, 0)
+    w, y, z, x = (1 + fp.names.index(name) for name in "wyzx")
+    assert [definitions(fp, ((x,), (y,))), definitions(fp, ((z,), (w,))), definitions(fp)] == [
+        int(v) for v in factors.groups()
+    ]
 
 
 def test_crosscheck_agree(capsys):
@@ -597,8 +620,8 @@ def test_crosscheck_coset_limit(capsys):
 
 
 def test_crosscheck_coset_limit_caps_each_run(capsys):
-    # each run counts its own definitions: the factor runs define 70 and 51
-    # cosets, where enumerating the 256 elements would define 766
+    # each run counts its own definitions: the factor runs define 22 and 28
+    # cosets, where enumerating the 256 elements would define 657
     code, out, err = run(
         capsys,
         ["crosscheck", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--max-cosets", "500"],

@@ -4,9 +4,11 @@ import ast
 import dataclasses
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from sdprod import fpcoset
 from sdprod.arith import MAX_RANK, derive_pair
 from sdprod.cli import crosscheck_order
 from sdprod.congruence import CoreSpec, TupleA, TupleB, enumerate_a
@@ -18,6 +20,8 @@ from sdprod.fpcoset import (
     RelatorSyntaxError,
     StructureReport,
     _audit,
+    _col,
+    _compile_relators,
     _Enumeration,
     coset_enumerate,
     fp_from_extended,
@@ -26,6 +30,7 @@ from sdprod.fpcoset import (
     structure_report,
     verify_xz_commutator_location,
 )
+from test_properties import ReferenceHLT
 
 PAIR44 = derive_pair(4, 4)
 FLAGSHIP_TUPLE = TupleB(4, 0, 0, 4, 0, 0)
@@ -203,12 +208,90 @@ def test_audit_catches_a_subgroup_word_that_moves_coset_0(monkeypatch):
         coset_enumerate(fp, subgroup=((x,),))
 
 
+def as_letters(compiled):
+    """A presentation whose relators spell the compiled columns."""
+    relators = tuple(
+        tuple(-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in cols) for cols in compiled
+    )
+    return SimpleNamespace(ngens=max(abs(g) for rel in relators for g in rel), relators=relators)
+
+
 def test_definitions_below_the_lookahead_mark():
-    # below the first lookahead mark the enumerator makes HLT's exact
-    # sequence of definitions, so --max-cosets bites where it always did
-    state = _Enumeration(flagship_pres(), 10**6)
+    # below the first lookahead mark the enumerator makes the exact
+    # sequence of definitions of plain HLT on the rewritten relators, so
+    # --max-cosets bites where plain HLT would stop.  The flagship's [x,z]
+    # is x^2 z^2; at x^6 z^6 its runs Z^5 and X^6 shrink.
+    for e, defined in (((2, 2), 1095), ((6, 6), 1475)):
+        fp = fp_from_extended(PAIR44, FLAGSHIP_TUPLE, *e)
+        state = _Enumeration(fp, 10**6)
+        state.run()
+        ref = ReferenceHLT(as_letters(_compile_relators(fp.relators)), 10**6)
+        ref.run()
+        assert len(state.rows) == defined < LOOKAHEAD_FIRST
+        assert state.rows == ref.rows
+        assert list(map(state.rep, range(defined))) == list(map(ref.rep, range(defined)))
+
+
+def test_worst_twisted_definition_count():
+    # the costliest twisted relator file of the benchmark's verify workload:
+    # a change of strategy that costs definitions fails here
+    fp = fp_from_extended(derive_pair(5, 5), TupleB(8, 0, 8, 0, 8, 0), 2, 14)
+    state = _Enumeration(fp, 10**6)
     state.run()
-    assert len(state.rows) == 1132 < LOOKAHEAD_FIRST
+    assert len(state.rows) == 10_948
+    assert len(state.compact()) == 256
+
+
+SD32_LINES = ["x^16", "y^2", "Y x y X^7"]
+
+
+@pytest.mark.parametrize(
+    "lines, compiled, same_group",  # columns: y 0, Y 1, x 2, X 3
+    [
+        # an inverted power relator: x^9 becomes X^7
+        (["X^16", "y^2", "Y x y x^9"], [[0, 0], [1, 2, 0] + [3] * 7, [3] * 16], SD32_LINES),
+        # x^16 and x^8: runs reduce modulo 8, and x^16 vanishes
+        (["x^16", "y^2", "x^8", "Y x y x^5"], [[0, 0], [1, 2, 0, 3, 3, 3], [2] * 8], SD16_LINES),
+        # x^32 beside x^16 vanishes; the audit still checks it
+        (SD32_LINES + ["x^32"], [[0, 0], [1, 2, 0] + [3] * 7, [2] * 16], SD32_LINES),
+        # no power relator: only reordered
+        (["x y x", "x Y"], [[2, 1], [2, 0, 2]], ["x^3", "x Y"]),
+    ],
+    ids=["inverted-power", "two-powers", "x^32-beside-x^16", "no-power"],
+)
+def test_compile_relators(lines, compiled, same_group):
+    fp = parse_relator_lines(lines)
+    assert _compile_relators(fp.relators) == compiled
+    assert coset_enumerate(fp).rows == coset_enumerate(parse_relator_lines(same_group)).rows
+
+
+@pytest.mark.parametrize("n, m", [(4, 4), (5, 5), (4, 5)])
+def test_compiled_relators_are_no_longer_than_their_source(n, m):
+    pair = derive_pair(n, m)
+    shrunk = 0
+    for e1 in range(pair.N):
+        for e2 in range(pair.M):
+            fp = fp_from_extended(pair, TupleB(4, 0, 0, 4, 0, 0), e1, e2)
+            powers = fp.relators[:4]  # x^N, y^2, z^M, w^2: compiled as they are
+            power_cols = [[_col(g) for g in rel] for rel in powers]
+            for rel in fp.relators[4:]:
+                rest = _compile_relators(powers + (rel,))
+                for cols in power_cols:
+                    rest.remove(cols)
+                assert len(rest) == 1 and len(rest[0]) <= len(rel)
+                shrunk += len(rest[0]) < len(rel)
+    assert shrunk
+
+
+def test_audit_catches_a_rewrite_that_drops_a_relator(monkeypatch):
+    # x^6 and x^4 give x^2 = 1; a rewrite that loses the x^2 it derives
+    # from x^6 enumerates Z4, where x^6 does not close
+    fp = parse_relator_lines(["x^6", "x^4"])
+    assert coset_enumerate(fp).count == 2
+    compile_relators = fpcoset._compile_relators
+    monkeypatch.setattr(fpcoset, "_compile_relators", lambda rels: compile_relators(rels)[1:])
+    with pytest.raises(RuntimeError, match="relator does not close"):
+        coset_enumerate(fp)
 
 
 def test_generators_act_as_permutations():

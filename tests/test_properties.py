@@ -304,8 +304,10 @@ def test_twisted_cores_match_brute_force(case, e1, e2):
 
 class ReferenceHLT:
     """Plain HLT coset enumeration, as fpcoset ran it before its relators
-    were compiled to columns and before it had a lookahead: the reference
-    for the enumerator's tables.  Letters are as in FpPres.relators."""
+    were compiled to columns, power-reduced and sorted, and before it had
+    a lookahead: the reference for the enumerator's tables.  It scans the
+    relators of fp as they stand, in order.  Letters are as in
+    FpPres.relators."""
 
     def __init__(self, fp, max_cosets):
         self.fp = fp
@@ -440,8 +442,9 @@ def test_twisted_tables_match_reference_hlt(case, e1, e2):
 
 
 def test_table_past_the_lookahead_mark_matches_reference_hlt():
-    # plain HLT defines 17,897 cosets for this group of order 256; after
-    # the first lookahead pass, at 8,192 definitions, 14 more finish the
+    # plain HLT on the relators as given defines 17,897 cosets for this
+    # group of order 256.  On its rewritten relators the enumerator reaches
+    # the first lookahead pass at 8,192 definitions, and 5 more finish the
     # run.  A lookahead scan that defined, or that dropped a coincidence,
     # would change that count but not the table.
     fp = fp_from_extended(derive_pair(4, 5), TupleB(4, 14, 4, 4, 0, 0), 6, 8)
@@ -450,7 +453,7 @@ def test_table_past_the_lookahead_mark_matches_reference_hlt():
     state = _Enumeration(fp, 10**6)
     state.run()
     assert LOOKAHEAD_FIRST == 8192
-    assert len(state.rows) == 8206
+    assert len(state.rows) == 8197
     assert state.compact() == want
     assert coset_enumerate(fp).rows == want
 
