@@ -18,10 +18,10 @@ scanned and filled at every live coset; coincidences are merged
 immediately, always keeping the smaller coset number; after each coset's
 relator scans, its remaining undefined generator images are defined in
 column order.  The relators scanned are a rewritten copy, compiled once
-per run to the table columns they walk: runs of a generator with a
-power relator g^k are reduced modulo k, and the relators are taken
-shortest first (see _compile_relators).  A doubling lookahead bounds
-the waste: when the number of cosets defined reaches a mark
+per presentation to the table columns they walk: runs of a generator
+with a power relator g^k are reduced modulo k, and the relators are
+taken shortest first (see _compile_relators).  A doubling lookahead
+bounds the waste: when the number of cosets defined reaches a mark
 (LOOKAHEAD_FIRST at first), every relator is scanned at every live
 coset without defining, which only fills deductions and merges
 coincidences, and the mark is set to twice the number defined.  Runs
@@ -36,6 +36,7 @@ a permutation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -250,13 +251,22 @@ def _compile_relators(relators: Sequence[Sequence[int]]) -> list[list[int]]:
     return compiled
 
 
+@functools.lru_cache(maxsize=1)
+def _columns_of(relators: tuple[tuple[int, ...], ...], compile_relators) -> list[list[int]]:
+    """compile_relators(relators), kept for the last presentation: crosscheck
+    enumerates one presentation two or three times, and each run scans the
+    same columns without changing them.  The compiler is part of the key,
+    so a run never scans columns that another compiler made."""
+    return compile_relators(relators)
+
+
 class _Enumeration:
     """Working state of one Todd-Coxeter run."""
 
     def __init__(self, fp: FpPres, max_cosets: int):
         self.ncols = 2 * fp.ngens
         self.max_cosets = max_cosets
-        self.relators = _compile_relators(fp.relators)
+        self.relators = _columns_of(fp.relators, _compile_relators)
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find over coset numbers, parent[i] <= i
         self.live = 1  # cosets i with parent[i] == i

@@ -83,7 +83,8 @@ class GroupTable:
     head order: u*v is the prefix that v's head selects with v's tail
     added on, because x^z = x.  The table keeps only the three tail maps
     that give those prefixes (see `prefix`), NM entries each, so it costs
-    3|G|/4 entries; `mul` looks up one product and `row` yields one row.
+    3|G|/4 entries; `mul` looks up one product, `row` yields one row, and
+    `core_orders` reads the cores of <x> and <z> off the maps.
     """
 
     pair: SdPair
@@ -135,6 +136,35 @@ class GroupTable:
                 out += range(base + px, base + N)
                 out += range(base, base + px)
         return out
+
+    def core_orders(self) -> tuple[int, int]:
+        """Orders of the cores of <x> and <z>, read off the tail maps in at
+        most log N + log M steps.
+
+        z and x act trivially on the abelian tail <z, x>.  w and y are
+        involutions, and their conjugations commute on the tail: y^w =
+        y z^c x^t, and z^c x^t acts trivially.  So G acts on the tail
+        through {1, w, y, wy}, and a subgroup of the tail is normal once w
+        and y map it into itself.  The subgroups of <x> form the chain
+        <x^d>, d a power of two, one of each order; a conjugate of x^d has
+        the order of x^d, so <x^d> is normal exactly when the conjugates of
+        x^d by w and y lie in <x>.  Then so is every <x^2d> below it, and
+        the core is <x^d> for the least d that passes, of order N/d.
+        x^d w = w (x^d)^w, so tw[d], at x^d's tail index d, is the
+        conjugate of x^d by w, and ty[d] its conjugate by y; each lies in
+        <x> when its z exponent is 0, that is when it is below N.  The same
+        holds for <z^d>, at tail index d*N, whose conjugates lie in <z>
+        when their x exponent is 0.
+        """
+        N, M = self.pair.N, self.pair.M
+        tw, ty = self.tw, self.ty
+        d = 1
+        while d < N and not (tw[d] < N and ty[d] < N):
+            d *= 2
+        e = 1
+        while e < M and not (tw[e * N] % N == 0 and ty[e * N] % N == 0):
+            e *= 2
+        return N // d, M // e
 
 
 @dataclass(frozen=True)
@@ -447,12 +477,11 @@ def core_of(g: GroupTable, h: SubgroupHandle) -> SubgroupHandle:
     inside K lies inside every K^s, so it survives each step.
 
     For every h inside the abelian tail <z, x>, <x> and <z> among them, the
-    first pass already reaches the core, and the second only confirms it.
-    z and x act trivially on the tail.  w and y are involutions, and their
-    conjugations commute on the tail: y^w = y z^c x^t, and z^c x^t acts
-    trivially.  So G acts on the tail through {1, w, y, wy}, the core is
-    K meet K^w meet K^y meet K^wy, and the w and y steps of one pass make
-    exactly that.  Subgroups outside the tail have no such bound here.
+    first pass already reaches the core, and the second only confirms it:
+    G acts on the tail through {1, w, y, wy} (see GroupTable.core_orders,
+    which reads the cores of <x> and <z> off the tail maps), so the core
+    is K meet K^w meet K^y meet K^wy, and the w and y steps of one pass
+    make exactly that.  Subgroups outside the tail have no such bound here.
     """
     mul = g.mul
     conjugators = [(inverse_of(g, s), s) for s in (g.gen_w, g.gen_y, g.gen_z, g.gen_x)]

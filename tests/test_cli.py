@@ -270,20 +270,45 @@ def test_build_checks_consistency_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_build_computes_each_core_once(capsys, monkeypatch):
-    calls = []
-    core_of = pcgroup.core_of
+def test_build_reads_its_cores_without_subgroup_closures(capsys, monkeypatch):
+    # the structure lines come from the tail maps: no closure, no core walk
+    def refuse(*args):
+        raise AssertionError("build called a per-element subgroup routine")
 
-    def counted(g, h):
-        calls.append(h)
-        return core_of(g, h)
-
-    monkeypatch.setattr(pcgroup, "core_of", counted)
-    monkeypatch.setattr(cli, "core_of", counted)
-    code, out, _ = run(capsys, ["build", "--n", "4", "--m", "4", "--tuple", "4,0,0,4,0,0"])
-    assert code == 0
-    assert "core of <x>: order 4  core of <z>: order 4" in out
-    assert len(calls) == 2
+    for module in (cli, pcgroup):
+        monkeypatch.setattr(module, "core_of", refuse)
+        monkeypatch.setattr(module, "subgroup_closure", refuse)
+    argv = ["build", "--n", "4", "--m", "4", "--tuple", "4,0,0,4,0,0"]
+    assert run(capsys, argv) == (
+        0,
+        "tuple: 4,0,0,4,0,0 (valid)\n"
+        "consistency: 16/16 identities hold\n"
+        "order: 256\n"
+        "|H| = 16  |K| = 16  |H meet K| = 1\n"
+        "<x> normal: NO  <z> normal: NO\n"
+        "core of <x>: order 4  core of <z>: order 4\n",
+        "",
+    )
+    code, out, err = run(capsys, argv + ["--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == json.dumps(
+        {
+            "tuple": [4, 0, 0, 4, 0, 0],
+            "valid": True,
+            "consistency_passed": 16,
+            "consistency_total": 16,
+            "order": 256,
+            "h_order": 16,
+            "k_order": 16,
+            "intersection_order": 1,
+            "x_normal": False,
+            "z_normal": False,
+            "core_x_order": 4,
+            "core_z_order": 4,
+            "requested_cores": [2, 2],
+        },
+        indent=2,
+    ) + "\n"
 
 
 def test_build_witness_text(capsys):
@@ -644,6 +669,35 @@ def test_crosscheck_enumerates_the_cosets_of_h_and_k_only(monkeypatch):
         pair = derive_pair(n, m)
         assert cli.crosscheck_order(pair, t) == (4 * pair.N * pair.M,) * 2
         assert len(subgroups) == 2 and all(subgroups)
+
+
+@pytest.mark.parametrize(
+    "e, runs",
+    [
+        ((0, 0), 2),  # the factor runs over H and K decide
+        ((6, 0), 3),  # they do not, and the elements are enumerated too
+    ],
+)
+def test_crosscheck_compiles_its_relators_once(monkeypatch, e, runs):
+    compiled, enumerated = [], []
+    compile_relators = fpcoset._compile_relators
+
+    def counted_compile(relators):
+        compiled.append(relators)
+        return compile_relators(relators)
+
+    def counted_enumerate(fp, max_cosets, subgroup=()):
+        enumerated.append(subgroup)
+        return fpcoset.coset_enumerate(fp, max_cosets, subgroup)
+
+    monkeypatch.setattr(fpcoset, "_compile_relators", counted_compile)
+    monkeypatch.setattr(cli, "coset_enumerate", counted_enumerate)
+    monkeypatch.setattr(
+        cli, "fp_from_extended", lambda pair, t, e1, e2: fpcoset.fp_from_extended(pair, t, *e)
+    )
+    cli.crosscheck_order(derive_pair(4, 4), TupleB(0, 2, 6, 4, 2, 2))
+    assert len(enumerated) == runs
+    assert len(compiled) == 1
 
 
 @pytest.mark.parametrize(

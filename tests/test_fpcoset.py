@@ -479,3 +479,19 @@ def test_fpcoset_and_pcgroup_share_no_code():
     # the cross-check is evidence only while the two pipelines are independent
     assert "pcgroup" not in _imported_names(SRC / "fpcoset.py")
     assert "fpcoset" not in _imported_names(SRC / "pcgroup.py")
+
+
+def test_pcgroup_takes_only_types_from_arith_and_congruence():
+    # the collection side reads its cores off its own tail maps: it may take
+    # the parameter types from the arithmetic and congruence layers, never
+    # additive_order or the solver, whose answers it is checked against
+    assert "sdprod" not in _imported_names(SRC / "pcgroup.py")
+    imported = {}
+    for node in ast.walk(ast.parse((SRC / "pcgroup.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.setdefault(node.module, set()).update(alias.name for alias in node.names)
+    assert imported == {
+        "arith": {"SdPair"},
+        "congruence": {"TupleA", "TupleB"},
+        "errors": {"CapacityError", "DomainError"},
+    }

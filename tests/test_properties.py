@@ -17,7 +17,8 @@ the plain HLT enumerator it replaced, and, up to ranks (5, 5), the index
 of <x, y> and of <z, w> from an enumeration over each with the order of
 that subgroup in the full table.  crosscheck's order, read off those two
 subgroup runs, is compared with full enumeration at random ranks in
-[4, 6].  The associativity check from the
+[4, 6], and at those ranks the core orders read off the tail maps with
+core_of over the closed subgroups.  The associativity check from the
 four generators is compared with the cubic scan on those tables and on
 per-element copies of them with random prefixes swapped.  On valid
 tuples at random ranks, drawn from the closed-form solution sets, every
@@ -577,6 +578,28 @@ def test_prefixes_match_collection(case):
         assert uy == nf_index(pair, collect_multiply(pc, nf, y))
         assert uw == nf_index(pair, collect_multiply(pc, nf, w))
         assert uwy == nf_index(pair, collect_multiply(pc, collect_multiply(pc, nf, w), y))
+
+
+@GROUP_SETTINGS
+@example(case=(derive_pair(4, 4), TupleB(4, 0, 0, 4, 0, 0)))  # both cores of order 4
+@example(case=(derive_pair(4, 4), TupleB(0, 2, 4, 1, 0, 0)))  # cores 1 and 8
+@example(case=(derive_pair(4, 4), TupleB(1, 4, 2, 0, 0, 0)))  # cores 8 and 1
+@given(
+    buildable_tuples(st.builds(derive_pair, st.integers(4, 6), st.integers(4, 6))).map(
+        lambda case: (case[0], case[1] if len(case[1]) == 6 else case[1].to_tuple_b())
+    )
+)
+def test_core_orders_read_off_the_tail_maps_match_closures(case):
+    """GroupTable.core_orders against core_of over the closed subgroups,
+    and the factor orders that build reports as fixed against closure."""
+    pair, t = case
+    g = build_table(pc_from_tuple_b(pair, t))
+    want = tuple(core_of(g, subgroup_closure(g, (gen,))).order for gen in (g.gen_x, g.gen_z))
+    assert g.core_orders() == want
+    h = subgroup_closure(g, (g.gen_x, g.gen_y))
+    k = subgroup_closure(g, (g.gen_z, g.gen_w))
+    assert (h.order, k.order) == (2 * pair.N, 2 * pair.M)
+    assert set(h.elements) & set(k.elements) == {0}
 
 
 @GROUP_SETTINGS
