@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 from typing import Sequence
@@ -524,21 +525,39 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse argv as build_parser() does, building only the subparser
-    that argv[0] names when that gives the same result.
+@functools.lru_cache(maxsize=None)
+def _subparser(name: str) -> _Parser:
+    """The parser of one subcommand, as build_parser() would add it.
 
-    A subparser prints its own help, usage and errors, the same bytes in
-    both builds.  The full parser is built for a missing or unknown
-    command and for top-level help, which the top level answers, and for
-    arguments the subparser leaves over, which the top level reports as
-    unrecognized.
+    Built on first use and kept for the process: main() may be called
+    many times in one process, and building a parser costs several times
+    what parsing with it does.  Parsing leaves the parser as it was and
+    returns a new Namespace, and help reads the terminal width when it is
+    formatted, so a kept parser answers as a new one would.  Callers pass
+    only names in SUBCOMMANDS, which bounds the cache.
+    """
+    parser = _Parser(prog=f"sdprod {name}")
+    SUBCOMMANDS[name][1](parser)
+    return parser
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse argv as build_parser() does, using only the subparser that
+    argv[0] names when that gives the same result.
+
+    That subparser is built once per process (_subparser), so a process
+    that calls main() many times builds each subcommand's parser at most
+    once, and the console script, which parses once, builds only the one
+    it needs.  A subparser prints its own help, usage and errors, the same
+    bytes in both parsers.  The full parser is built on each call that
+    needs it: for a missing or unknown command and for top-level help,
+    which the top level answers, and for arguments the subparser leaves
+    over, which the top level reports as unrecognized.  Each of these
+    ends in SystemExit, so the full parser is not kept.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in SUBCOMMANDS:
-        parser = _Parser(prog=f"sdprod {argv[0]}")
-        SUBCOMMANDS[argv[0]][1](parser)
-        args, extra = parser.parse_known_args(argv[1:])
+        args, extra = _subparser(argv[0]).parse_known_args(argv[1:])
         if not extra:
             args.command = argv[0]
             return args

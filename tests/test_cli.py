@@ -254,6 +254,76 @@ def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
         assert err == ""
 
 
+# main() keeps each subcommand's parser for the process; these tests show
+# that one call in a process cannot change the answer of the next.
+
+
+def test_options_do_not_leak_into_the_next_call(tmp_path, capsys):
+    target = tmp_path / "table.txt"
+    argv = ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0"]
+    code, out, _ = run(capsys, argv + ["--output", str(target)])
+    assert (code, out.endswith(f"table written to: {target}\n")) == (0, True)
+    target.unlink()
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.startswith("tuple: 0,2,0,0 (valid)\n")
+    assert "table written to" not in out
+    assert not target.exists()
+
+    rel = tmp_path / "sd16.rel"
+    rel.write_text(SD16_FILE)
+    code, out, err = run(capsys, ["tc", "--relators", str(rel), "--max-cosets", "5"])
+    assert (code, out) == (2, "")
+    assert "limit" in err
+    code, out, _ = run(capsys, ["tc", "--relators", str(rel)])
+    assert code == 0
+    assert out.startswith("cosets: 16\n")
+
+    argv = VALID_ARGV["check-b"]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert (code, json.loads(out)["valid"]) == (0, True)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.startswith("D1: pass\n")
+    assert out.endswith("verdict: valid\n")
+
+
+def test_parser_errors_do_not_affect_the_next_call(capsys):
+    for argv in PARSER_CASES:
+        valid = VALID_ARGV.get(argv[0] if argv else None, VALID_ARGV["check-b"])
+        got = exit_of(capsys, main, argv)
+        assert got == exit_of(capsys, cli.build_parser().parse_args, argv), argv
+        want_args = cli.build_parser().parse_args(valid)
+        want = (want_args.func(want_args), *capsys.readouterr())
+        assert run(capsys, valid) == want, (argv, valid)
+
+
+def test_main_builds_no_parser_once_warm(capsys, monkeypatch):
+    for argv in VALID_ARGV.values():
+        assert run(capsys, argv)[0] == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counted)
+    cycle = list(VALID_ARGV.values())
+    for i in range(100):
+        assert run(capsys, cycle[i % len(cycle)])[0] == 0
+    assert built == []
+
+
+def test_unknown_commands_do_not_grow_the_parser_cache(capsys):
+    for i in range(1000):
+        with pytest.raises(SystemExit) as info:
+            main([f"no-such-command-{i}", "--n", "4"])
+        assert info.value.code == 3
+    capsys.readouterr()
+    assert cli._subparser.cache_info().currsize <= len(cli.SUBCOMMANDS)
+
+
 def test_build_checks_consistency_once(capsys, monkeypatch):
     calls = []
     checked = pcgroup.check_consistency

@@ -27,7 +27,10 @@ to order 1024 with a copy of the row-by-row writer it replaced.
 
 The closed-form solver is compared with a brute-force filter at random
 ranks and core specs, and the streamed listings with a copy of the
-whole-document formatter that the CLI used before.
+whole-document formatter that the CLI used before.  Random sequences of
+command lines, run one after another in this process through main, where
+each subcommand's parser is kept, are compared one by one with the same
+command line under a freshly built parser.
 """
 
 import contextlib
@@ -43,6 +46,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from sdprod import cli
 from sdprod.arith import additive_order, admissible_s_values, derive_pair
 from sdprod.cli import _write_table, crosscheck_order, main
 from sdprod.congruence import (
@@ -81,6 +85,7 @@ from sdprod.pcgroup import (
     verify_associativity_exhaustive,
     verify_associativity_generators,
 )
+from test_cli import PARSER_CASES, VALID_ARGV
 from test_congruence import all_core_specs, brute_enumerate_b
 from test_pcgroup import PrefixTable, full_scan_accepts
 
@@ -108,8 +113,8 @@ def residue(modulus: int, special=()):
 
 
 @st.composite
-def tuples_a(draw):
-    pair = derive_pair(draw(RANKS), draw(RANKS))
+def tuples_a(draw, ranks=RANKS):
+    pair = derive_pair(draw(ranks), draw(ranks))
     N, M = pair.N, pair.M
     t = TupleA(
         draw(residue(M, admissible_s_values(M))),
@@ -121,8 +126,8 @@ def tuples_a(draw):
 
 
 @st.composite
-def tuples_b(draw):
-    pair, t4 = draw(tuples_a())
+def tuples_b(draw, ranks=RANKS):
+    pair, t4 = draw(tuples_a(ranks))
     r, b = draw(residue(pair.N)), draw(residue(pair.M))
     return pair, TupleB(r, t4.a, t4.s, b, t4.t, t4.c)
 
@@ -787,3 +792,55 @@ def test_empty_listing_matches_reference_formatter(fmt):
     if fmt == "json":
         assert '\n  "count": 0,\n' in got
         assert '\n  "tuples": [],\n' in got
+
+
+SESSION_RANKS = st.integers(4, 6)
+
+
+@st.composite
+def command_lines(draw):
+    """check-a, check-b, build or crosscheck on a valid or a random tuple at
+    ranks in [4, 6], in either format, or one of the parser error and help
+    cases.  crosscheck has no JSON format, so --format json is a usage
+    error there."""
+    if draw(st.integers(0, 4)) == 0:
+        return draw(st.sampled_from(PARSER_CASES))
+    command = draw(st.sampled_from(["check-a", "check-b", "build", "crosscheck"]))
+    if draw(st.booleans()):
+        pair, t = draw(buildable_tuples(st.builds(derive_pair, SESSION_RANKS, SESSION_RANKS)))
+    else:
+        pair, t = draw(tuples_b(SESSION_RANKS))
+    if command == "check-a" and len(t) == 6:
+        t = TupleA(t.a, t.s, t.t, t.c)
+    elif command == "check-b" and len(t) == 4:
+        t = t.to_tuple_b()
+    argv = [command, "--n", str(pair.n), "--m", str(pair.m), "--tuple", ",".join(map(str, t))]
+    if command == "check-b":  # the cores build would request
+        argv += ["--n1", str(additive_order(t.b, pair.M)), "--m1", str(additive_order(t.r, pair.N))]
+    return argv + draw(st.sampled_from([[], ["--format", "text"], ["--format", "json"]]))
+
+
+def answer(argv):
+    """main(argv)'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def fresh_answer(argv):
+    """The answer under a full parser built for this one call."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+        return answer(argv)
+
+
+@GROUP_SETTINGS
+@example(session=[VALID_ARGV["check-b"] + ["--format", "json"], VALID_ARGV["check-b"]])
+@given(st.lists(command_lines(), min_size=2, max_size=6))
+def test_calls_in_one_process_answer_as_alone(session):
+    answers = [answer(argv) for argv in session]
+    assert answers == [fresh_answer(argv) for argv in session]
