@@ -30,12 +30,10 @@ from .pcgroup import (
     GroupTable,
     NormalForm,
     PcData,
-    SubgroupHandle,
     build_table,
     check_consistency,
     collect_multiply,
     core_of,
-    element_order,
     is_normal,
     pc_from_tuple_a,
     pc_from_tuple_b,

@@ -37,7 +37,6 @@ from .fpcoset import (
     structure_report,
 )
 from .pcgroup import (
-    ASSOC_CAP_MESSAGE,
     DEFAULT_ASSOC_CAP,
     DEFAULT_MAX_ORDER,
     build_table,
@@ -276,8 +275,11 @@ def cmd_build(args) -> int:
         return 1
     order = 4 * pair.N * pair.M
     if args.verify_associativity and order > DEFAULT_ASSOC_CAP:
-        # refuse before the table is built: the scan's cap would refuse it anyway
-        raise CapacityError(ASSOC_CAP_MESSAGE.format(order=order, cap=DEFAULT_ASSOC_CAP))
+        # refuse before the table is built
+        raise CapacityError(
+            f"table too large for the associativity check: order {order} "
+            f"exceeds cap {DEFAULT_ASSOC_CAP}"
+        )
     if args.output and order > TABLE_FILE_CAP:
         raise CapacityError(TABLE_FILE_CAP_MESSAGE.format(order=order, cap=TABLE_FILE_CAP))
 

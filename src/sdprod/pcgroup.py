@@ -167,15 +167,6 @@ class GroupTable:
         return N // d, M // e
 
 
-@dataclass(frozen=True)
-class SubgroupHandle:
-    elements: tuple[int, ...]  # sorted element indices
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-
 def pc_from_tuple_a(pair: SdPair, t: TupleA) -> PcData:
     """The presentation of a four-field tuple: that of its six-field
     embedding, with no cross-action (r = b = 0)."""
@@ -427,8 +418,9 @@ def _check_index(g: GroupTable, e: int) -> None:
         raise DomainError(f"element index out of range: {e!r}")
 
 
-def subgroup_closure(g: GroupTable, generators: tuple[int, ...] | list[int]) -> SubgroupHandle:
-    """Closure of the generators, breadth first from the identity."""
+def subgroup_closure(g: GroupTable, generators: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """Sorted element indices of the closure of the generators, breadth
+    first from the identity."""
     for e in generators:
         _check_index(g, e)
     mul = g.mul
@@ -440,41 +432,21 @@ def subgroup_closure(g: GroupTable, generators: tuple[int, ...] | list[int]) -> 
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return SubgroupHandle(elements=tuple(sorted(seen)))
+    return tuple(sorted(seen))
 
 
-def inverse_of(g: GroupTable, e: int) -> int:
-    """e * v is the identity only where v's head selects the prefix of e
-    with head 0, that is where v's head is e's; v's tail then cancels that
-    prefix's tail."""
-    _check_index(g, e)
-    N, M = g.pair.N, g.pair.M
-    head = e // (M * N)
-    pz, px = divmod(g.prefix(e, head), N)
-    return (head * M + -pz % M) * N + -px % N
-
-
-def element_order(g: GroupTable, e: int) -> int:
-    """The least k >= 1 with e^k = 1; RuntimeError if g.order products miss it."""
-    _check_index(g, e)
-    cur = e
-    for k in range(1, g.order + 1):
-        if cur == 0:
-            return k
-        cur = g.mul(cur, e)
-    raise RuntimeError(f"internal: the powers of element {e} never reach the identity")
-
-
-def is_normal(g: GroupTable, h: SubgroupHandle) -> bool:
+def is_normal(g: GroupTable, h: tuple[int, ...]) -> bool:
     """h is normal exactly when it is its own core."""
-    return core_of(g, h).order == h.order
+    return len(core_of(g, h)) == len(h)
 
 
-def core_of(g: GroupTable, h: SubgroupHandle) -> SubgroupHandle:
-    """Largest normal subgroup inside h, from the four generators only:
-    K <- K meet K^s over s = w, y, z, x until a full pass leaves K unchanged.
-    Then K^s = K for every generator, so K is normal; and a normal subgroup
-    inside K lies inside every K^s, so it survives each step.
+def core_of(g: GroupTable, h: tuple[int, ...]) -> tuple[int, ...]:
+    """Largest normal subgroup inside h, as sorted element indices, from
+    the four generators only: K <- K meet K^s over s = w, y, z, x until a
+    full pass leaves K unchanged.  Then K^s = K for every generator, so K
+    is normal; and a normal subgroup inside K lies inside every K^s, so it
+    survives each step.  The inverses come from the presentation: w and y
+    are involutions, z^-1 = z^(M-1) and x^-1 = x^(N-1).
 
     For every h inside the abelian tail <z, x>, <x> and <z> among them, the
     first pass already reaches the core, and the second only confirms it:
@@ -484,14 +456,17 @@ def core_of(g: GroupTable, h: SubgroupHandle) -> SubgroupHandle:
     make exactly that.  Subgroups outside the tail have no such bound here.
     """
     mul = g.mul
-    conjugators = [(inverse_of(g, s), s) for s in (g.gen_w, g.gen_y, g.gen_z, g.gen_x)]
-    core = set(h.elements)
+    N, M = g.pair.N, g.pair.M
+    conjugators = [
+        (g.gen_w, g.gen_w), (g.gen_y, g.gen_y), ((M - 1) * N, g.gen_z), (N - 1, g.gen_x)
+    ]
+    core = set(h)
     while True:
         size = len(core)
         for si, s in conjugators:
             core &= {mul(mul(si, e), s) for e in core}
         if len(core) == size:
-            return SubgroupHandle(elements=tuple(sorted(core)))
+            return tuple(sorted(core))
 
 
 def verify_associativity_exhaustive(g: GroupTable, max_order: int = DEFAULT_ASSOC_CAP) -> bool:

@@ -535,7 +535,7 @@ def test_build_verify_associativity_cap(capsys, monkeypatch):
         ["build", "--n", "5", "--m", "5", "--tuple", "0,0,0,0", "--verify-associativity"],
     )
     assert code == 2
-    assert "cubic scan" in err
+    assert "associativity check" in err
     assert out == ""
 
     def no_table(*args, **kwargs):
@@ -547,7 +547,9 @@ def test_build_verify_associativity_cap(capsys, monkeypatch):
         ["build", "--n", "6", "--m", "6", "--tuple", "0,0,0,0", "--verify-associativity"],
     )
     assert code == 2
-    assert err == "sdprod: limit: table too large for the cubic scan: order 4096 exceeds cap 512\n"
+    assert err == (
+        "sdprod: limit: table too large for the associativity check: order 4096 exceeds cap 512\n"
+    )
     assert out == ""
 
 
@@ -809,3 +811,18 @@ def test_tracer_only_imports_are_the_readme_list():
     listed = re.search(r"no\s+longer\s+calls\s+\(([^)]*)\)", readme)
     assert listed, "README lists no tracer-only imports"
     assert imported - used == set(re.findall(r"`(\w+)`", listed.group(1)))
+
+
+def test_cli_binds_every_name_the_tracer_wraps():
+    # perfbench's tracer replaces each LAYER_OF key at its sdprod.cli name,
+    # so a library function cli stops importing breaks traced benchmark runs
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    layer_of = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "LAYER_OF" for t in node.targets)
+    )
+    names = [ast.literal_eval(key) for key in layer_of.keys]
+    assert names, "perfbench/tracer.py wraps no functions"
+    assert [name for name in names if not hasattr(cli, name)] == []
