@@ -28,11 +28,9 @@ from .fpcoset import (
 from .pcgroup import (
     ConsistencyReport,
     GroupTable,
-    NormalForm,
     PcData,
     build_table,
     check_consistency,
-    collect_multiply,
     core_of,
     is_normal,
     pc_from_tuple_a,

@@ -354,7 +354,9 @@ def _report_doc(rep: StructureReport) -> dict:
 
 def _report_text(rep: StructureReport) -> str:
     orders = "  ".join(f"order({g})={rep.gen_orders[g]}" for g in ("x", "y", "z", "w") if g in rep.gen_orders)
-    if rep.xz_commutator is None:
+    if "x" not in rep.gen_orders or "z" not in rep.gen_orders:
+        xz = "n/a"
+    elif rep.xz_commutator is None:
         xz = "not a product of an x power and a z power"
     elif rep.xz_commutator == (0, 0):
         xz = "1"
@@ -419,10 +421,12 @@ def cmd_crosscheck(args) -> int:
     pair = derive_pair(args.n, args.m)
     values = _parse_tuple(args.tuple, (4, 6))
     if len(values) == 4:
-        t = TupleA(*values).reduced(pair).to_tuple_b()
+        t4 = TupleA(*values).reduced(pair)
+        verdict = check_a(pair, t4)
+        t = t4.to_tuple_b()
     else:
         t = TupleB(*values).reduced(pair)
-    verdict = check_b_congruences(pair, t)
+        verdict = check_b_congruences(pair, t)
     if not verdict.valid:
         _emit(args, "tuple invalid: " + ", ".join(verdict.failed_conditions()) + "\n")
         return 1

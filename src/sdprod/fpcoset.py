@@ -217,7 +217,8 @@ def _col(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (letter < 0)
 
 
-def _compile_relators(relators: Sequence[Sequence[int]]) -> list[list[int]]:
+@functools.lru_cache(maxsize=1)
+def _compile_relators(relators: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     """The relators as the columns HLT scans: power-reduced, shortest first.
 
     For each generator g with a pure-power relator g^k or g^-k (the least
@@ -227,6 +228,10 @@ def _compile_relators(relators: Sequence[Sequence[int]]) -> list[list[int]]:
     is dropped.  These are Tietze transformations, so the group is
     unchanged, and no relator grows.  The result is sorted by length,
     stably: short relators close and deduce first.
+
+    The last presentation's columns are kept: crosscheck enumerates one
+    presentation two or three times, and each run scans the same columns
+    without changing them, so callers must not change them either.
     """
     period: dict[int, tuple[int, int]] = {}  # g -> (k, index of the relator g^k)
     for i, rel in enumerate(relators):
@@ -251,22 +256,13 @@ def _compile_relators(relators: Sequence[Sequence[int]]) -> list[list[int]]:
     return compiled
 
 
-@functools.lru_cache(maxsize=1)
-def _columns_of(relators: tuple[tuple[int, ...], ...], compile_relators) -> list[list[int]]:
-    """compile_relators(relators), kept for the last presentation: crosscheck
-    enumerates one presentation two or three times, and each run scans the
-    same columns without changing them.  The compiler is part of the key,
-    so a run never scans columns that another compiler made."""
-    return compile_relators(relators)
-
-
 class _Enumeration:
     """Working state of one Todd-Coxeter run."""
 
     def __init__(self, fp: FpPres, max_cosets: int):
         self.ncols = 2 * fp.ngens
         self.max_cosets = max_cosets
-        self.relators = _columns_of(fp.relators, _compile_relators)
+        self.relators = _compile_relators(fp.relators)
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find over coset numbers, parent[i] <= i
         self.live = 1  # cosets i with parent[i] == i

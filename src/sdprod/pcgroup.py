@@ -1,17 +1,17 @@
-"""Polycyclic collection engine for the four-generator presentations.
+"""Polycyclic presentations of the four-generator products and their tables.
 
 Generators are ordered w, y, z, x with relative orders 2, 2, M, N.  Every
 element has a unique normal form w^a1 y^a2 z^a3 x^a4 with a1, a2 in {0, 1},
-a3 modulo M and a4 modulo N.  The engine stores the conjugation data
+a3 modulo M and a4 modulo N.  A presentation is its conjugation data
 
     y^w = y z^c x^t      z^w = z^beta      x^w = z^b x^(1+s)
     z^y = z^(1+a) x^r    x^y = x^alpha     x^z = x
 
-and multiplies normal forms by moving the right factor's letters into
-place.  x^z = x is hard-wired: z and x always commute here, so w and y
-act on the abelian tail z^i x^j by fixed linear maps.  The group table is
-built from those maps, taken once per presentation from collection on
-the generator letters, not by collecting each element.
+x^z = x is hard-wired: z and x always commute here, so w and y act on
+the abelian tail z^i x^j by fixed linear maps.  Once the presentation is
+consistent, those maps are its relations: z and x go to the images
+written above, and every other tail follows linearly.  The group table
+keeps only those maps (see GroupTable).
 
 Consistency of such a presentation is decided by sixteen overlap
 identities, evaluated below by actually iterating the conjugation maps.
@@ -32,13 +32,6 @@ from .errors import CapacityError, DomainError
 DEFAULT_MAX_ORDER = 1 << 20
 DEFAULT_ASSOC_CAP = 512
 ASSOC_CAP_MESSAGE = "table too large for the cubic scan: order {order} exceeds cap {cap}"
-
-
-class NormalForm(NamedTuple):
-    w: int
-    y: int
-    z: int
-    x: int
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,8 @@ class GroupTable:
     its tail.  Row u is fixed by its four prefixes u, u*y, u*w, u*w*y, in
     head order: u*v is the prefix that v's head selects with v's tail
     added on, because x^z = x.  The table keeps only the three tail maps
-    that give those prefixes (see `prefix`), NM entries each, so it costs
+    that give those prefixes (see `prefix`), each the action of w or y on
+    the tail as the presentation writes it, NM entries each, so it costs
     3|G|/4 entries; `mul` looks up one product, `row` yields one row, and
     `core_orders` reads the cores of <x> and <z> off the maps.
     """
@@ -202,29 +196,6 @@ def _conj_by_y(pc: PcData, ze: int, xe: int) -> tuple[int, int]:
     )
 
 
-def collect_multiply(pc: PcData, u: NormalForm, v: NormalForm) -> NormalForm:
-    """Normal form of u * v.
-
-    The letters of v are absorbed left to right: its w moves past u's
-    tail (conjugating the tail, and turning a y it passes into y z^c x^t),
-    then its y, then the abelian tail adds up.  w and y are involutions,
-    so conjugation by the generator equals conjugation by its inverse.
-    """
-    N, M = pc.pair.N, pc.pair.M
-    uw, uy, uz, ux = u
-    vw, vy, vz, vx = v
-    if vw:
-        uz, ux = _conj_by_w(pc, uz, ux)
-        if uy:
-            uz = (uz + pc.yw_zexp) % M
-            ux = (ux + pc.yw_xexp) % N
-        uw ^= 1
-    if vy:
-        uz, ux = _conj_by_y(pc, uz, ux)
-        uy ^= 1
-    return NormalForm(uw, uy, (uz + vz) % M, (ux + vx) % N)
-
-
 def _iterate_conj(fn, ze: int, xe: int, times: int) -> tuple[int, int]:
     """Apply a conjugation map repeatedly; a fixed point ends the walk early."""
     for _ in range(times):
@@ -305,18 +276,6 @@ def check_consistency(pc: PcData) -> ConsistencyReport:
     return report
 
 
-def nf_index(pair: SdPair, nf: NormalForm) -> int:
-    return ((nf.w * 2 + nf.y) * pair.M + nf.z) * pair.N + nf.x
-
-
-def index_nf(pair: SdPair, idx: int) -> NormalForm:
-    x = idx % pair.N
-    idx //= pair.N
-    z = idx % pair.M
-    idx //= pair.M
-    return NormalForm(idx // 2, idx % 2, z, x)
-
-
 def _tail_map(
     pair: SdPair, z_image: Sequence[int], x_image: Sequence[int], shift: Sequence[int] = (0, 0)
 ) -> list[int]:
@@ -342,12 +301,15 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     the head's y and conjugates the tail z^i x^j by y; by w it flips the
     head's w and conjugates the tail by w, adding the (c, t) of
     y^w = y z^c x^t when the head holds y.  Both conjugations are linear
-    maps of the abelian tail, so collect_multiply on the generator letters
-    gives them once per presentation, as the maps ty, tw and tw_past_y.
-    The product u*v is then the prefix of u that v's (w, y) head k selects
-    (GroupTable.prefix), shifted by v's tail z^vz x^vx, which is exactly
-    collect_multiply unrolled.  `audit_table` checks that every row and
-    every column of that table is a permutation, in O(|G|):
+    maps of the abelian tail, and the presentation gives the images of z
+    and x under each: z^y = z^(1+a) x^r and x^y = x^alpha make ty,
+    z^w = z^beta and x^w = z^b x^(1+s) make tw, and tw_past_y is tw
+    shifted by the z^c x^t of y^w.  The consistency check above is what
+    makes these relations a well-defined action on the tail.  The product
+    u*v is then the prefix of u that v's (w, y) head k selects
+    (GroupTable.prefix), shifted by v's tail z^vz x^vx.  `audit_table`
+    checks that every row and every column of that table is a
+    permutation, in O(|G|):
 
     - Row u is the four blocks {prefix_k(u) z^i x^j}, one per (w, y)
       head, since prefix_k(u) has u's head xor k.  So row u is a
@@ -368,21 +330,13 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     order = 4 * N * M
     if order > max_order:
         raise CapacityError(f"table too large: order {order} exceeds cap {max_order}")
-    w_letter = NormalForm(1, 0, 0, 0)
-    y_letter = NormalForm(0, 1, 0, 0)
-    z_letter = NormalForm(0, 0, 1, 0)
-    x_letter = NormalForm(0, 0, 0, 1)
-
-    def tail(u: NormalForm, letter: NormalForm) -> tuple[int, int]:
-        return collect_multiply(pc, u, letter)[2:]
-
-    w_images = (tail(z_letter, w_letter), tail(x_letter, w_letter))
+    w_images = ((pc.pair.beta, 0), (pc.xw_zexp, pc.xw_xexp))
     g = GroupTable(
         pair=pc.pair,
         order=order,
-        ty=_tail_map(pc.pair, tail(z_letter, y_letter), tail(x_letter, y_letter)),
+        ty=_tail_map(pc.pair, (pc.zy_zexp, pc.zy_xexp), (0, pc.pair.alpha)),
         tw=_tail_map(pc.pair, *w_images),
-        tw_past_y=_tail_map(pc.pair, *w_images, shift=tail(y_letter, w_letter)),
+        tw_past_y=_tail_map(pc.pair, *w_images, shift=(pc.yw_zexp, pc.yw_xexp)),
         consistency=report,
         gen_w=2 * M * N,
         gen_y=M * N,

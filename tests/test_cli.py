@@ -589,7 +589,21 @@ def test_tc_relator_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["tc", "--relators", str(rel)])
     assert code == 0
     assert "cosets: 16" in out
-    assert "[x,z] = not a product of an x power and a z power" in out
+    # the file names no z, so [x,z] is not defined
+    assert "[x,z] = n/a\n" in out
+    code, out, _ = run(capsys, ["tc", "--relators", str(rel), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["xz_commutator"] is None
+
+
+def test_tc_reports_a_commutator_outside_the_x_z_products(tmp_path, capsys):
+    # S3 = <x, z>: [x,z] has order 3, while x^i z^j takes only 4 values
+    rel = tmp_path / "s3.rel"
+    rel.write_text("x^2\nz^2\nx z x z x z\n")
+    code, out, _ = run(capsys, ["tc", "--relators", str(rel)])
+    assert code == 0
+    assert "cosets: 6" in out
+    assert "[x,z] = not a product of an x power and a z power\n" in out
 
 
 def test_tc_report_names_a_missing_core(tmp_path, capsys):
@@ -700,7 +714,17 @@ def test_crosscheck_six_field(capsys):
 
 
 def test_crosscheck_rejects_invalid(capsys):
+    # a four-field tuple fails C1..C6, as check-a names them; six fields fail D1..D12
     code, out, err = run(capsys, ["crosscheck", "--n", "4", "--m", "4", "--tuple", "1,0,0,0"])
+    assert code == 1
+    assert out == "tuple invalid: C1\n"
+    assert err == ""
+    code, out, _ = run(capsys, ["check-a", "--n", "4", "--m", "4", "--tuple", "1,0,0,0"])
+    assert code == 1
+    assert "C1: FAIL" in out
+    code, out, err = run(
+        capsys, ["crosscheck", "--n", "4", "--m", "4", "--tuple", "0,1,0,0,0,0"]
+    )
     assert code == 1
     assert out == "tuple invalid: D2\n"
     assert err == ""
@@ -751,25 +775,20 @@ def test_crosscheck_enumerates_the_cosets_of_h_and_k_only(monkeypatch):
     ],
 )
 def test_crosscheck_compiles_its_relators_once(monkeypatch, e, runs):
-    compiled, enumerated = [], []
-    compile_relators = fpcoset._compile_relators
-
-    def counted_compile(relators):
-        compiled.append(relators)
-        return compile_relators(relators)
+    enumerated = []
 
     def counted_enumerate(fp, max_cosets, subgroup=()):
         enumerated.append(subgroup)
         return fpcoset.coset_enumerate(fp, max_cosets, subgroup)
 
-    monkeypatch.setattr(fpcoset, "_compile_relators", counted_compile)
     monkeypatch.setattr(cli, "coset_enumerate", counted_enumerate)
     monkeypatch.setattr(
         cli, "fp_from_extended", lambda pair, t, e1, e2: fpcoset.fp_from_extended(pair, t, *e)
     )
+    fpcoset._compile_relators.cache_clear()
     cli.crosscheck_order(derive_pair(4, 4), TupleB(0, 2, 6, 4, 2, 2))
     assert len(enumerated) == runs
-    assert len(compiled) == 1
+    assert fpcoset._compile_relators.cache_info().misses == 1
 
 
 @pytest.mark.parametrize(
@@ -826,3 +845,30 @@ def test_cli_binds_every_name_the_tracer_wraps():
     names = [ast.literal_eval(key) for key in layer_of.keys]
     assert names, "perfbench/tracer.py wraps no functions"
     assert [name for name in names if not hasattr(cli, name)] == []
+
+
+def test_every_public_definition_is_used_in_the_package():
+    # a public function or class that no other package code names is
+    # test-only code, which belongs in the tests
+    planned = {"verify_xz_commutator_location"}  # for the survey of the twisted regime
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((ROOT / "src" / "sdprod").glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    defined = {
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    referenced = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    assert sorted(defined - referenced - planned) == []

@@ -275,7 +275,7 @@ def test_compiled_relators_are_no_longer_than_their_source(n, m):
             powers = fp.relators[:4]  # x^N, y^2, z^M, w^2: compiled as they are
             power_cols = [[_col(g) for g in rel] for rel in powers]
             for rel in fp.relators[4:]:
-                rest = _compile_relators(powers + (rel,))
+                rest = list(_compile_relators(powers + (rel,)))  # a copy: the list is cached
                 for cols in power_cols:
                     rest.remove(cols)
                 assert len(rest) == 1 and len(rest[0]) <= len(rel)

@@ -1,8 +1,10 @@
-"""Unit tests for collection, consistency checking, and table analysis."""
+"""Unit tests for consistency checking and the table, with collection as
+the reference that the table is compared with."""
 
 import tracemalloc
 from dataclasses import dataclass, replace
 from itertools import product
+from typing import NamedTuple
 
 import pytest
 
@@ -19,15 +21,11 @@ from sdprod.congruence import (
 )
 from sdprod.errors import CapacityError, DomainError
 from sdprod.pcgroup import (
-    NormalForm,
     audit_table,
     build_table,
     check_consistency,
-    collect_multiply,
     core_of,
-    index_nf,
     is_normal,
-    nf_index,
     pc_from_tuple_a,
     pc_from_tuple_b,
     subgroup_closure,
@@ -177,6 +175,52 @@ def test_build_table_matches_direct_collection():
             want = nf_index(PAIR44, collect_multiply(pc, u, v))
             assert g.mul(i, j) == want
             assert row[j] == want
+
+
+class NormalForm(NamedTuple):
+    """The element w^a1 y^a2 z^a3 x^a4 as its exponents (a1, a2, a3, a4)."""
+
+    w: int
+    y: int
+    z: int
+    x: int
+
+
+def nf_index(pair, nf):
+    return ((nf.w * 2 + nf.y) * pair.M + nf.z) * pair.N + nf.x
+
+
+def index_nf(pair, idx):
+    rest, x = divmod(idx, pair.N)
+    head, z = divmod(rest, pair.M)
+    return NormalForm(head // 2, head % 2, z, x)
+
+
+def collect_multiply(pc, u, v):
+    """Normal form of u * v by collection, the reference for the table.
+
+    The letters of v are absorbed left to right.  Its w moves past u's
+    tail z^uz x^ux, which becomes (z^w)^uz (x^w)^ux with z^w = z^beta and
+    x^w = z^b x^(1+s), and past a y of u, which becomes y z^c x^t.  Then
+    its y moves past the tail, which becomes (z^y)^uz (x^y)^ux with
+    z^y = z^(1+a) x^r and x^y = x^alpha.  Then the abelian tails add up.
+    w and y are involutions, so conjugation by either equals conjugation
+    by its inverse.  The formulas are written here from the presentation,
+    not taken from pcgroup, so the comparison with the table is
+    independent of how build_table reads the same relations.
+    """
+    N, M = pc.pair.N, pc.pair.M
+    uw, uy, uz, ux = u
+    vw, vy, vz, vx = v
+    if vw:
+        uz, ux = (pc.pair.beta * uz + pc.xw_zexp * ux) % M, pc.xw_xexp * ux % N
+        if uy:
+            uz, ux = (uz + pc.yw_zexp) % M, (ux + pc.yw_xexp) % N
+        uw ^= 1
+    if vy:
+        uz, ux = pc.zy_zexp * uz % M, (pc.zy_xexp * uz + pc.pair.alpha * ux) % N
+        uy ^= 1
+    return NormalForm(uw, uy, (uz + vz) % M, (ux + vx) % N)
 
 
 def full_scan_accepts(g):

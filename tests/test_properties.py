@@ -74,11 +74,8 @@ from sdprod.fpcoset import (
 from sdprod.pcgroup import (
     build_table,
     check_consistency,
-    collect_multiply,
     core_of,
-    index_nf,
     is_normal,
-    nf_index,
     pc_from_tuple_a,
     pc_from_tuple_b,
     subgroup_closure,
@@ -87,7 +84,7 @@ from sdprod.pcgroup import (
 )
 from test_cli import PARSER_CASES, VALID_ARGV
 from test_congruence import all_core_specs, brute_enumerate_b
-from test_pcgroup import PrefixTable, full_scan_accepts
+from test_pcgroup import PrefixTable, collect_multiply, full_scan_accepts, index_nf, nf_index
 
 RANKS = st.integers(4, 7)
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
