@@ -38,8 +38,8 @@ from .fpcoset import (
 )
 from .pcgroup import (
     DEFAULT_ASSOC_CAP,
-    DEFAULT_MAX_ORDER,
     build_table,
+    check_consistency,
     pc_from_tuple_a,
     pc_from_tuple_b,
     verify_associativity_generators,
@@ -49,7 +49,6 @@ from .pcgroup import (
 # sdprod.cli name, so these names stay importable from this module.
 from .congruence import enumerate_a, enumerate_b, parity_audit  # noqa: F401
 from .pcgroup import (  # noqa: F401
-    check_consistency,
     core_of,
     is_normal,
     subgroup_closure,
@@ -263,8 +262,9 @@ def cmd_build(args) -> int:
         requested_cores = CoreSpec(1, 1)
     else:
         t = TupleB(*values).reduced(pair)
+        # clamped, so that a b or r of larger order fails ORD-B or ORD-R
         requested_cores = CoreSpec(
-            additive_order(t.b, pair.M), additive_order(t.r, pair.N)
+            min(additive_order(t.b, pair.M), pair.N), min(additive_order(t.r, pair.N), pair.M)
         )
         verdict = check_b(pair, requested_cores, t)
         conditions = B_CONDITIONS
@@ -283,17 +283,18 @@ def cmd_build(args) -> int:
     if args.output and order > TABLE_FILE_CAP:
         raise CapacityError(TABLE_FILE_CAP_MESSAGE.format(order=order, cap=TABLE_FILE_CAP))
 
-    g = build_table(pc, max_order=args.max_table)
+    consistency = check_consistency(pc)
+    consistency.require()
     # A consistent presentation has 4NM distinct normal forms w^a y^b z^c x^d,
     # so H = <x, y> has the 2N with a = c = 0, K = <z, w> the 2M with
     # b = d = 0, and they share only the identity.
-    core_x, core_z = g.core_orders()
+    core_x, core_z = pc.core_orders()
     doc = {
         "tuple": list(t),
         "valid": True,
-        "consistency_passed": sum(1 for e in g.consistency.entries if e.passed),
-        "consistency_total": len(g.consistency.entries),
-        "order": g.order,
+        "consistency_passed": sum(1 for e in consistency.entries if e.passed),
+        "consistency_total": len(consistency.entries),
+        "order": order,
         "h_order": 2 * pair.N,
         "k_order": 2 * pair.M,
         "intersection_order": 1,
@@ -303,19 +304,21 @@ def cmd_build(args) -> int:
         "core_z_order": core_z,
         "requested_cores": [requested_cores.n1, requested_cores.m1],
     }
-    if args.verify_associativity:
-        doc["associative"] = verify_associativity_generators(g)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            _write_table(fh, g, t)
-        doc["table_written_to"] = args.output
+    if args.verify_associativity or args.output:
+        g = build_table(pc)
+        if args.verify_associativity:
+            doc["associative"] = verify_associativity_generators(g)
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                _write_table(fh, g, t)
+            doc["table_written_to"] = args.output
     if args.format == "json":
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         lines = [
             f"tuple: {','.join(str(v) for v in t)} (valid)",
             f"consistency: {doc['consistency_passed']}/{doc['consistency_total']} identities hold",
-            f"order: {g.order}",
+            f"order: {order}",
             f"|H| = {doc['h_order']}  |K| = {doc['k_order']}  "
             f"|H meet K| = {doc['intersection_order']}",
             f"<x> normal: {'yes' if doc['x_normal'] else 'NO'}  "
@@ -393,8 +396,9 @@ def crosscheck_order(
 ) -> tuple[int, int]:
     """The group order from each pipeline: (collection, enumeration).
 
-    A tuple that fails the twelve congruences makes build_table raise
-    DomainError: its consistency check agrees with them.
+    The collection side builds no table: it is the consistency check,
+    which agrees with the twelve congruences and raises DomainError when
+    they fail, and 4NM, the number of normal forms.
 
     The enumeration side runs on the ten-relator presentation with
     [x,z] = 1, over H = <x, y> and then over K = <z, w>, and reads the
@@ -407,7 +411,8 @@ def crosscheck_order(
     enumerating the elements of G, so a presentation that collapses
     still reports its true order.  max_cosets caps each run on its own.
     """
-    collected = build_table(pc_from_tuple_b(pair, t)).order
+    check_consistency(pc_from_tuple_b(pair, t)).require()
+    collected = 4 * pair.N * pair.M
     fp = fp_from_extended(pair, t, 0, 0)
     w, y, z, x = (1 + fp.names.index(name) for name in "wyzx")
     if coset_enumerate(fp, max_cosets, subgroup=((x,), (y,))).count == 2 * pair.M:
@@ -489,7 +494,6 @@ def _build_args(p) -> None:
     p.add_argument("--tuple", required=True, help="a,s,t,c or r,a,s,b,t,c")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", help="write the table to this file")
-    p.add_argument("--max-table", type=_positive_int, default=DEFAULT_MAX_ORDER)
     p.add_argument("--verify-associativity", action="store_true")
     p.set_defaults(func=cmd_build)
 

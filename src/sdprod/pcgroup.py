@@ -46,6 +46,29 @@ class PcData:
     zy_zexp: int  # 1+a in z^y = z^(1+a) x^r
     zy_xexp: int  # r
 
+    def core_orders(self) -> tuple[int, int]:
+        """Orders of the cores of <x> and <z> in a consistent presentation,
+        in at most log N + log M steps and with no table.
+
+        z and x act trivially on the abelian tail <z, x>, and y^w =
+        y z^c x^t, so the conjugations by the involutions w and y commute
+        there: G acts on the tail through {1, w, y, wy}, and a subgroup of
+        the tail is normal once w and y map it into itself.  The subgroups
+        of <x> are the chain <x^d>, d a power of two, one of each order, and
+        a conjugate of x^d has the order of x^d; so <x^d> is normal exactly
+        when the conjugates of x^d by w and y have z exponent 0.  Then so is
+        every <x^2d>, and the core is <x^d> for the least such d, of order
+        N/d.  Likewise <z^e>, with x exponent 0.
+        """
+        N, M = self.pair.N, self.pair.M
+        d = 1
+        while d < N and (_conj_by_w(self, 0, d)[0] or _conj_by_y(self, 0, d)[0]):
+            d *= 2
+        e = 1
+        while e < M and (_conj_by_w(self, e, 0)[1] or _conj_by_y(self, e, 0)[1]):
+            e *= 2
+        return N // d, M // e
+
 
 class ConsistencyEntry(NamedTuple):
     family: str  # "P" (power-conjugate), "W" (power of image), "C" (mixed)
@@ -65,6 +88,14 @@ class ConsistencyReport:
     def failed(self) -> tuple[ConsistencyEntry, ...]:
         return tuple(e for e in self.entries if not e.passed)
 
+    def require(self) -> None:
+        """Raise DomainError naming the failed identities, if any failed."""
+        if not self.overall:
+            raise DomainError(
+                "inconsistent presentation: "
+                + ", ".join(f"{e.family}{e.index}" for e in self.failed())
+            )
+
 
 @dataclass
 class GroupTable:
@@ -77,8 +108,7 @@ class GroupTable:
     added on, because x^z = x.  The table keeps only the three tail maps
     that give those prefixes (see `prefix`), each the action of w or y on
     the tail as the presentation writes it, NM entries each, so it costs
-    3|G|/4 entries; `mul` looks up one product, `row` yields one row, and
-    `core_orders` reads the cores of <x> and <z> off the maps.
+    3|G|/4 entries; `mul` looks up one product and `row` yields one row.
     """
 
     pair: SdPair
@@ -86,7 +116,6 @@ class GroupTable:
     ty: list[int]  # tail of z^i x^j y, at position i*N + j
     tw: list[int]  # tail of z^i x^j w
     tw_past_y: list[int]  # tail of y z^i x^j w
-    consistency: ConsistencyReport  # the check build_table made before building
     gen_w: int
     gen_y: int
     gen_z: int
@@ -130,35 +159,6 @@ class GroupTable:
                 out += range(base + px, base + N)
                 out += range(base, base + px)
         return out
-
-    def core_orders(self) -> tuple[int, int]:
-        """Orders of the cores of <x> and <z>, read off the tail maps in at
-        most log N + log M steps.
-
-        z and x act trivially on the abelian tail <z, x>.  w and y are
-        involutions, and their conjugations commute on the tail: y^w =
-        y z^c x^t, and z^c x^t acts trivially.  So G acts on the tail
-        through {1, w, y, wy}, and a subgroup of the tail is normal once w
-        and y map it into itself.  The subgroups of <x> form the chain
-        <x^d>, d a power of two, one of each order; a conjugate of x^d has
-        the order of x^d, so <x^d> is normal exactly when the conjugates of
-        x^d by w and y lie in <x>.  Then so is every <x^2d> below it, and
-        the core is <x^d> for the least d that passes, of order N/d.
-        x^d w = w (x^d)^w, so tw[d], at x^d's tail index d, is the
-        conjugate of x^d by w, and ty[d] its conjugate by y; each lies in
-        <x> when its z exponent is 0, that is when it is below N.  The same
-        holds for <z^d>, at tail index d*N, whose conjugates lie in <z>
-        when their x exponent is 0.
-        """
-        N, M = self.pair.N, self.pair.M
-        tw, ty = self.tw, self.ty
-        d = 1
-        while d < N and not (tw[d] < N and ty[d] < N):
-            d *= 2
-        e = 1
-        while e < M and not (tw[e * N] % N == 0 and ty[e * N] % N == 0):
-            e *= 2
-        return N // d, M // e
 
 
 def pc_from_tuple_a(pair: SdPair, t: TupleA) -> PcData:
@@ -320,12 +320,7 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
       prefix in G.  The audit thus accepts exactly the tables that the
       full row and column scans accept.
     """
-    report = check_consistency(pc)
-    if not report.overall:
-        raise DomainError(
-            "inconsistent presentation: "
-            + ", ".join(f"{e.family}{e.index}" for e in report.failed())
-        )
+    check_consistency(pc).require()
     N, M = pc.pair.N, pc.pair.M
     order = 4 * N * M
     if order > max_order:
@@ -337,7 +332,6 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
         ty=_tail_map(pc.pair, (pc.zy_zexp, pc.zy_xexp), (0, pc.pair.alpha)),
         tw=_tail_map(pc.pair, *w_images),
         tw_past_y=_tail_map(pc.pair, *w_images, shift=(pc.yw_zexp, pc.yw_xexp)),
-        consistency=report,
         gen_w=2 * M * N,
         gen_y=M * N,
         gen_z=N,
@@ -404,10 +398,10 @@ def core_of(g: GroupTable, h: tuple[int, ...]) -> tuple[int, ...]:
 
     For every h inside the abelian tail <z, x>, <x> and <z> among them, the
     first pass already reaches the core, and the second only confirms it:
-    G acts on the tail through {1, w, y, wy} (see GroupTable.core_orders,
-    which reads the cores of <x> and <z> off the tail maps), so the core
-    is K meet K^w meet K^y meet K^wy, and the w and y steps of one pass
-    make exactly that.  Subgroups outside the tail have no such bound here.
+    G acts on the tail through {1, w, y, wy} (see PcData.core_orders,
+    which reads the cores of <x> and <z> off the presentation), so the
+    core is K meet K^w meet K^y meet K^wy, and the w and y steps of one
+    pass make exactly that.  Subgroups outside the tail have no such bound here.
     """
     mul = g.mul
     N, M = g.pair.N, g.pair.M

@@ -189,20 +189,19 @@ def test_argparse_errors_exit_three(capsys):
         main(["no-such-command"])
     assert info.value.code == 3
     capsys.readouterr()
-    base = {
-        "--max-table": ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0"],
-        "--max-cosets": ["tc", "--preset", "example-6-5"],
-    }
-    for flag, argv in base.items():
-        for value in ("0", "-1"):
-            with pytest.raises(SystemExit) as info:
-                main(argv + [flag, value])
-            assert info.value.code == 3
-            assert flag in capsys.readouterr().err
-    with pytest.raises(SystemExit) as info:
-        main(["enumerate-a", "--n", "4", "--m", "4", "--workers", "2"])
-    assert info.value.code == 3
-    capsys.readouterr()
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as info:
+            main(["tc", "--preset", "example-6-5", "--max-cosets", value])
+        assert info.value.code == 3
+        assert "--max-cosets" in capsys.readouterr().err
+    for argv in (
+        ["enumerate-a", "--n", "4", "--m", "4", "--workers", "2"],
+        ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--max-table", "100"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 3
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 # One valid command line per subcommand, for the parser comparisons.
@@ -381,6 +380,54 @@ def test_build_reads_its_cores_without_subgroup_closures(capsys, monkeypatch):
     ) + "\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "n, m, t, failed",
+    [
+        # b = 1 has additive order M = 32, above N = 8
+        (4, 6, "0,0,0,1,0,0", ("D4", "D7", "ORD-B")),
+        # r = 1 has additive order N = 32, above M = 8
+        (6, 4, "1,0,0,0,0,0", ("D1", "D5", "ORD-R")),
+    ],
+)
+def test_build_verdict_on_an_r_or_b_too_large_for_the_other_factor(capsys, fmt, n, m, t, failed):
+    argv = ["build", "--n", str(n), "--m", str(m), "--tuple", t, "--format", fmt]
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["valid"] is False
+        assert tuple(tag for tag, v in doc["conditions"].items() if not v["passed"]) == failed
+        assert doc["conditions"][failed[-1]]["residual"] == 32
+    else:
+        assert tuple(line.split(":")[0] for line in out.splitlines() if "FAIL" in line) == failed
+        assert f"{failed[-1]}: FAIL (order 32)\n" in out
+        assert out.endswith("verdict: invalid\n")
+
+
+def test_build_and_crosscheck_report_without_a_table(capsys, monkeypatch):
+    # build reads its report off the presentation, and crosscheck's
+    # collection side is the consistency check and 4NM
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built for a report")
+
+    monkeypatch.setattr(cli, "build_table", no_table)
+    for n, order, core in ((4, 256, 8), (20, 2**40, 2**19)):
+        argv = ["build", "--n", str(n), "--m", str(n), "--tuple", "0,0,0,0"]
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert f"order: {order}\n" in out
+        assert f"core of <x>: order {core}  core of <z>: order {core}\n" in out
+        code, out, err = run(capsys, argv + ["--format", "json"])
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert (doc["order"], doc["core_x_order"], doc["core_z_order"]) == (order, core, core)
+    # (11, 10) is past the 2^20 order that a table may have
+    for n, m, order in ((4, 4, 256), (5, 4, 512), (11, 10, 2**21)):
+        argv = ["crosscheck", "--n", str(n), "--m", str(m), "--tuple", "0,0,0,0"]
+        assert run(capsys, argv) == (0, f"collection: {order}, enumeration: {order}, AGREE\n", "")
+
+
 def test_build_witness_text(capsys):
     code, out, _ = run(capsys, ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0"])
     assert code == 0
@@ -500,15 +547,6 @@ def test_build_order_65536(capsys):
     assert doc["order"] == 65536
     assert (doc["h_order"], doc["k_order"], doc["intersection_order"]) == (256, 256, 1)
     assert (doc["core_x_order"], doc["core_z_order"]) == (128, 128)
-
-
-def test_build_max_table_cap(capsys):
-    code, _, err = run(
-        capsys,
-        ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--max-table", "100"],
-    )
-    assert code == 2
-    assert "table" in err
 
 
 def test_build_verify_associativity(capsys, monkeypatch):
@@ -830,6 +868,25 @@ def test_tracer_only_imports_are_the_readme_list():
     listed = re.search(r"no\s+longer\s+calls\s+\(([^)]*)\)", readme)
     assert listed, "README lists no tracer-only imports"
     assert imported - used == set(re.findall(r"`(\w+)`", listed.group(1)))
+
+
+def test_readme_synopses_name_only_flags_the_parsers_have():
+    # a flag removed from a subcommand must leave its README synopsis too
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    named: dict[str, set[str]] = {}
+    for block in re.findall(r"^```\n(.*?)^```", readme, re.S | re.M):
+        command = None
+        for line in block.splitlines():
+            if line.startswith("sdprod "):
+                command = line.split()[1]
+            elif not line.startswith(" "):
+                command = None
+            if command:
+                named.setdefault(command, set()).update(re.findall(r"--[\w-]+", line))
+    assert set(named) == set(cli.SUBCOMMANDS)
+    for command, flags in named.items():
+        options = set(re.findall(r"--[\w-]+", cli._subparser(command).format_help()))
+        assert flags - options == set(), command
 
 
 def test_cli_binds_every_name_the_tracer_wraps():

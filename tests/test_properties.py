@@ -17,13 +17,17 @@ the plain HLT enumerator it replaced, and, up to ranks (5, 5), the index
 of <x, y> and of <z, w> from an enumeration over each with the order of
 that subgroup in the full table.  crosscheck's order, read off those two
 subgroup runs, is compared with full enumeration at random ranks in
-[4, 6], and at those ranks the core orders read off the tail maps with
-core_of over the closed subgroups.  The associativity check from the
-four generators is compared with the cubic scan on those tables and on
-per-element copies of them with random prefixes swapped.  On valid
-tuples at random ranks, drawn from the closed-form solution sets, every
-prefix of the table is compared with collection, and the table file up
-to order 1024 with a copy of the row-by-row writer it replaced.
+[4, 6], and at those ranks the core orders read off the presentation
+with core_of over the closed subgroups.  At every rank the CLI accepts,
+up to 20, where no table is built, those core orders are compared with
+the core spec whose solution set the tuple came from, and exchanging the
+roles of H and K, an involution on valid tuples, keeps every verdict.
+The associativity check from the four generators is compared with the
+cubic scan on those tables and on per-element copies of them with random
+prefixes swapped.  On valid tuples at random ranks, drawn from the
+closed-form solution sets, every prefix of the table is compared with
+collection, and the table file up to order 1024 with a copy of the
+row-by-row writer it replaced.
 
 The closed-form solver is compared with a brute-force filter at random
 ranks and core specs, and the streamed listings with a copy of the
@@ -39,7 +43,7 @@ import io
 import json
 from dataclasses import replace
 from functools import lru_cache
-from itertools import groupby
+from itertools import groupby, islice
 
 import numpy as np
 import pytest
@@ -87,6 +91,8 @@ from test_congruence import all_core_specs, brute_enumerate_b
 from test_pcgroup import PrefixTable, collect_multiply, full_scan_accepts, index_nf, nf_index
 
 RANKS = st.integers(4, 7)
+# Every rank the CLI accepts; no table is built at these ranks.
+ALL_RANKS = st.integers(4, 20)
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 GROUP_SETTINGS = settings(max_examples=40, deadline=None)
 TWISTED_SETTINGS = settings(max_examples=200, deadline=None)
@@ -130,8 +136,8 @@ def tuples_b(draw, ranks=RANKS):
 
 
 @st.composite
-def cored_tuples_b(draw):
-    pair, t = draw(tuples_b())
+def cored_tuples_b(draw, ranks=RANKS):
+    pair, t = draw(tuples_b(ranks))
     own = CoreSpec(
         min(additive_order(t.b, pair.M), pair.N), min(additive_order(t.r, pair.N), pair.M)
     )
@@ -141,6 +147,25 @@ def cored_tuples_b(draw):
         st.integers(0, pair.m - 1).map(lambda k: 1 << k),
     )
     return pair, draw(st.one_of(st.just(own), other)), t
+
+
+@st.composite
+def valid_cored_tuples_b(draw, ranks=ALL_RANKS):
+    """A core spec with a nonempty solution set and one of its tuples: r
+    and b drawn from the set's, the tuple from the first few groups of
+    that r and b.  At the ranks tried, every nonempty set had one core
+    index of at most 2, so the draw favours those specs."""
+    pair = derive_pair(draw(ranks), draw(ranks))
+    big, small = draw(st.integers(0, min(pair.n, pair.m) - 1)), draw(st.integers(0, 1))
+    i, j = (big, small) if draw(st.booleans()) else (small, big)
+    cores = CoreSpec(1 << i, 1 << j)
+    solution = solve_b(pair, cores, allow_large=True)
+    if not solution.count:
+        reject()
+    r, b = draw(st.sampled_from(solution.r_values)), draw(st.sampled_from(solution.b_values))
+    restricted = SolutionSet(pair, range(r, r + 1), range(b, b + 1), solution.heads)
+    (r, a, s, b, t), cs = draw(st.sampled_from(list(islice(restricted.groups(), 8))))
+    return pair, cores, TupleB(r, a, s, b, t, draw(st.sampled_from(cs)))
 
 
 @st.composite
@@ -173,6 +198,33 @@ def test_enumerate_a_is_filter_of_check_a(case):
 def test_enumerate_b_is_filter_of_check_b(case):
     pair, cores, t = case
     assert (t in listing_b(pair, cores)) == check_b(pair, cores, t).valid
+
+
+def swap_h_and_k(pair, t):
+    """The tuple of G = KH at ranks (m, n), where t at ranks (n, m)
+    describes G = HK: x, y trade places with z, w.  Reading w^y off
+    y^w = y u, u = z^c x^t, gives w^y = w u^w, whence the last two fields."""
+    r, a, s, b, tt, c = TupleB(*t).reduced(pair)
+    swapped = derive_pair(pair.m, pair.n)
+    return swapped, TupleB(b, s, a, r, (pair.beta * c + b * tt) % pair.M, (1 + s) * tt % pair.N)
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(valid_cored_tuples_b(), cored_tuples_b(ALL_RANKS)))
+def test_swapping_h_and_k_keeps_the_verdict(case):
+    pair, cores, t = case
+    swapped, t_swapped = swap_h_and_k(pair, t)
+    valid = check_b(pair, cores, t).valid
+    assert check_b(swapped, CoreSpec(cores.m1, cores.n1), t_swapped).valid == valid
+    if valid:
+        assert swap_h_and_k(swapped, t_swapped) == (pair, TupleB(*t).reduced(pair))
+
+
+@PROPERTY_SETTINGS
+@given(valid_cored_tuples_b())
+def test_core_orders_are_the_cores_solve_b_was_asked_for(case):
+    pair, cores, t = case
+    assert pc_from_tuple_b(pair, t).core_orders() == (pair.N // cores.n1, pair.M // cores.m1)
 
 
 @PROPERTY_SETTINGS
@@ -591,13 +643,15 @@ def test_prefixes_match_collection(case):
         lambda case: (case[0], case[1] if len(case[1]) == 6 else case[1].to_tuple_b())
     )
 )
-def test_core_orders_read_off_the_tail_maps_match_closures(case):
-    """GroupTable.core_orders against core_of over the closed subgroups,
-    and the factor orders that build reports as fixed against closure."""
+def test_core_orders_read_off_the_presentation_match_closures(case):
+    """PcData.core_orders against core_of over the closed subgroups of the
+    table, and the factor orders that build reports as fixed against
+    closure."""
     pair, t = case
-    g = build_table(pc_from_tuple_b(pair, t))
+    pc = pc_from_tuple_b(pair, t)
+    g = build_table(pc)
     want = tuple(len(core_of(g, subgroup_closure(g, (gen,)))) for gen in (g.gen_x, g.gen_z))
-    assert g.core_orders() == want
+    assert pc.core_orders() == want
     h = subgroup_closure(g, (g.gen_x, g.gen_y))
     k = subgroup_closure(g, (g.gen_z, g.gen_w))
     assert (len(h), len(k)) == (2 * pair.N, 2 * pair.M)
