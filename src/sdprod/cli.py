@@ -61,6 +61,7 @@ PRESET_NAMES = ("example-6-5",)
 # the table file holds order**2 entries: about 84 MB at order 4096
 TABLE_FILE_CAP = 4096
 TABLE_FILE_CAP_MESSAGE = "table file too large: order {order} exceeds cap {cap}"
+CROSSCHECK_MAX_RANK = 12
 
 
 class UsageError(Exception):
@@ -274,20 +275,17 @@ def cmd_build(args) -> int:
         sys.stdout.write(_verdict_text(verdict, conditions, args.format))
         return 1
     order = 4 * pair.N * pair.M
-    if args.verify_associativity and order > DEFAULT_ASSOC_CAP:
-        # refuse before the table is built
+    if args.verify_associativity and order > DEFAULT_ASSOC_CAP:  # refused before the table
         raise CapacityError(
             f"table too large for the associativity check: order {order} "
             f"exceeds cap {DEFAULT_ASSOC_CAP}"
         )
     if args.output and order > TABLE_FILE_CAP:
         raise CapacityError(TABLE_FILE_CAP_MESSAGE.format(order=order, cap=TABLE_FILE_CAP))
-
     consistency = check_consistency(pc)
     consistency.require()
-    # A consistent presentation has 4NM distinct normal forms w^a y^b z^c x^d,
-    # so H = <x, y> has the 2N with a = c = 0, K = <z, w> the 2M with
-    # b = d = 0, and they share only the identity.
+    # 4NM distinct normal forms w^a y^b z^c x^d: H = <x, y> has the 2N with
+    # a = c = 0, K = <z, w> the 2M with b = d = 0, and they share only the identity.
     core_x, core_z = pc.core_orders()
     doc = {
         "tuple": list(t),
@@ -410,7 +408,11 @@ def crosscheck_order(
     trivially, so the two runs decide.  Any other outcome falls back to
     enumerating the elements of G, so a presentation that collapses
     still reports its true order.  max_cosets caps each run on its own.
+    The runs scan x^N and z^M at every coset, so their work grows with
+    max(N, M)^2, not 4NM, and ranks above CROSSCHECK_MAX_RANK are refused.
     """
+    if max(pair.n, pair.m) > CROSSCHECK_MAX_RANK:
+        raise CapacityError(f"rank too large for crosscheck (cap is {CROSSCHECK_MAX_RANK})")
     check_consistency(pc_from_tuple_b(pair, t)).require()
     collected = 4 * pair.N * pair.M
     fp = fp_from_extended(pair, t, 0, 0)

@@ -294,7 +294,7 @@ def _tail_map(
     return out
 
 
-def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
+def build_table(pc: PcData) -> GroupTable:
     """Build the implicit multiplication table: three tail maps of NM entries.
 
     Requires a consistent presentation.  Right multiplication by y flips
@@ -323,8 +323,8 @@ def build_table(pc: PcData, max_order: int = DEFAULT_MAX_ORDER) -> GroupTable:
     check_consistency(pc).require()
     N, M = pc.pair.N, pc.pair.M
     order = 4 * N * M
-    if order > max_order:
-        raise CapacityError(f"table too large: order {order} exceeds cap {max_order}")
+    if order > DEFAULT_MAX_ORDER:
+        raise CapacityError(f"table too large: order {order} exceeds cap {DEFAULT_MAX_ORDER}")
     w_images = ((pc.pair.beta, 0), (pc.xw_zexp, pc.xw_xexp))
     g = GroupTable(
         pair=pc.pair,
@@ -398,10 +398,9 @@ def core_of(g: GroupTable, h: tuple[int, ...]) -> tuple[int, ...]:
 
     For every h inside the abelian tail <z, x>, <x> and <z> among them, the
     first pass already reaches the core, and the second only confirms it:
-    G acts on the tail through {1, w, y, wy} (see PcData.core_orders,
-    which reads the cores of <x> and <z> off the presentation), so the
-    core is K meet K^w meet K^y meet K^wy, and the w and y steps of one
-    pass make exactly that.  Subgroups outside the tail have no such bound here.
+    G acts on the tail through {1, w, y, wy} (see PcData.core_orders), so
+    the core is K meet K^w meet K^y meet K^wy, and the w and y steps of one
+    pass make exactly that.  Subgroups outside the tail have no such bound.
     """
     mul = g.mul
     N, M = g.pair.N, g.pair.M

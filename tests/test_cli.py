@@ -790,6 +790,31 @@ def test_crosscheck_coset_limit_caps_each_run(capsys):
     assert err == ""
 
 
+class _Started(Exception):
+    pass
+
+
+def test_crosscheck_refuses_ranks_above_its_cap_before_any_run(capsys, monkeypatch):
+    # the factor runs grow with max(N, M)^2, not with the order: (4, 13),
+    # of order 2^17, takes longer than (12, 12), of order 2^24
+    def started(*args, **kwargs):
+        raise _Started
+
+    monkeypatch.setattr(cli, "check_consistency", started)
+    monkeypatch.setattr(cli, "coset_enumerate", started)
+    for n, m in ((13, 4), (4, 13), (20, 20)):
+        argv = ["crosscheck", "--n", str(n), "--m", str(m), "--tuple", "0,0,0,0"]
+        assert run(capsys, argv) == (
+            2, "", "sdprod: limit: rank too large for crosscheck (cap is 12)\n"
+        )
+    # an invalid tuple is still named, at any rank
+    argv = ["crosscheck", "--n", "20", "--m", "20", "--tuple", "1,0,0,0"]
+    assert run(capsys, argv) == (1, "tuple invalid: C1\n", "")
+    for n, m in ((12, 12), (12, 4), (4, 12)):
+        with pytest.raises(_Started):
+            main(["crosscheck", "--n", str(n), "--m", str(m), "--tuple", "0,0,0,0"])
+
+
 def test_crosscheck_enumerates_the_cosets_of_h_and_k_only(monkeypatch):
     subgroups = []
 

@@ -352,8 +352,9 @@ def test_build_table_rejects_inconsistent():
 
 
 def test_build_table_size_cap():
-    with pytest.raises(CapacityError):
-        build_table(pc_from_tuple_a(PAIR44, WITNESS), max_order=100)
+    # order 2^21: refused after the consistency check, before any tail map
+    with pytest.raises(CapacityError, match="order 2097152 exceeds cap 1048576"):
+        build_table(pc_from_tuple_a(derive_pair(11, 10), TupleA(0, 0, 0, 0)))
 
 
 def test_table_memory_follows_the_tails():
