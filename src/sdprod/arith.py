@@ -7,7 +7,7 @@ No floating point is used anywhere in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapacityError, DomainError
 
@@ -15,8 +15,7 @@ MIN_RANK = 4
 MAX_RANK = 20
 
 
-@dataclass(frozen=True)
-class SdPair:
+class SdPair(NamedTuple):
     """Derived parameters for a pair of semidihedral 2-groups.
 
     The first group has order 2^n with cyclic subgroup of order N = 2^(n-1)

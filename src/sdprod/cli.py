@@ -4,6 +4,9 @@ Exit codes: 0 success / valid; 1 domain-level invalidity (bad ranks, bad
 cores, a tuple failing its checks, disagreeing pipelines); 2 a resource
 cap was hit; 3 usage errors (unknown flags, malformed tuples, unparsable
 relator files).
+
+json is imported by the functions that write it, on first use: a text
+command never loads it, and importing this module stays cheap.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 from typing import Sequence
 
@@ -62,6 +64,8 @@ PRESET_NAMES = ("example-6-5",)
 TABLE_FILE_CAP = 4096
 TABLE_FILE_CAP_MESSAGE = "table file too large: order {order} exceeds cap {cap}"
 CROSSCHECK_MAX_RANK = 12
+# [x,z] in a tc report when x and z are named but [x,z] is no x^i z^j
+XZ_NOT_A_PRODUCT = "not a product of an x power and a z power"
 
 
 class UsageError(Exception):
@@ -143,6 +147,8 @@ def cmd_enumerate(args) -> int:
         if args.format == "csv":
             out.write(",".join(fields) + "\r\n")
         elif args.format == "json":
+            import json  # also for the tail below
+
             head = {"n": args.n, "m": args.m, "count": solution.count, "fields": list(fields)}
             out.write(json.dumps(head, indent=2)[:-2] + ',\n  "tuples": [')
         sep = ""
@@ -187,6 +193,8 @@ def cmd_enumerate(args) -> int:
 def _verdict_text(verdict: Verdict, conditions: Sequence[str], fmt: str) -> str:
     failed = {f.condition: f.residual for f in verdict.failures}
     if fmt == "json":
+        import json
+
         doc = {
             "conditions": {
                 tag: {"passed": tag not in failed, "residual": failed.get(tag, 0)}
@@ -236,15 +244,14 @@ def _write_table(fh, g, t) -> None:
         f"order: {g.order}",
     ]
     fh.write("\n".join(lines) + "\n")
-    N, block = g.pair.N, g.pair.N * g.pair.M
+    N, block, prefixes = g.pair.N, g.pair.N * g.pair.M, g.prefixes
     runs: list[str] = []
     for base in range(0, g.order, N):
         coset = [str(i) for i in range(base, base + N)]
         runs += [" ".join(coset[j:] + coset[:j]) for j in range(N)]
     for a in range(g.order):
         parts: list[str] = []
-        for k in range(4):
-            p = g.prefix(a, k)
+        for p in prefixes(a):
             head = p - p % block
             parts += runs[p : head + block : N]
             parts += runs[head + p % N : p : N]
@@ -311,6 +318,8 @@ def cmd_build(args) -> int:
                 _write_table(fh, g, t)
             doc["table_written_to"] = args.output
     if args.format == "json":
+        import json
+
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         lines = [
@@ -338,6 +347,14 @@ def _preset_presentation(name: str):
     return fp_from_extended(pair, TupleB(4, 0, 0, 4, 0, 0), 2, 2)
 
 
+def _xz_value(rep: StructureReport) -> list[int] | str | None:
+    """[x,z] as (e1, e2) of x^e1 z^e2, XZ_NOT_A_PRODUCT, or None when the
+    presentation does not name both x and z."""
+    if "x" not in rep.gen_orders or "z" not in rep.gen_orders:
+        return None
+    return XZ_NOT_A_PRODUCT if rep.xz_commutator is None else list(rep.xz_commutator)
+
+
 def _report_doc(rep: StructureReport) -> dict:
     return {
         "order": rep.order,
@@ -345,7 +362,7 @@ def _report_doc(rep: StructureReport) -> dict:
         "h_order": rep.h_order,
         "k_order": rep.k_order,
         "intersection_order": rep.intersection_order,
-        "xz_commutator": list(rep.xz_commutator) if rep.xz_commutator else None,
+        "xz_commutator": _xz_value(rep),
         "core_x_order": rep.core_x_order,
         "core_z_order": rep.core_z_order,
         "h_semidihedral": rep.sd_h,
@@ -355,14 +372,13 @@ def _report_doc(rep: StructureReport) -> dict:
 
 def _report_text(rep: StructureReport) -> str:
     orders = "  ".join(f"order({g})={rep.gen_orders[g]}" for g in ("x", "y", "z", "w") if g in rep.gen_orders)
-    if "x" not in rep.gen_orders or "z" not in rep.gen_orders:
+    xz = _xz_value(rep)
+    if xz is None:
         xz = "n/a"
-    elif rep.xz_commutator is None:
-        xz = "not a product of an x power and a z power"
-    elif rep.xz_commutator == (0, 0):
+    elif xz == [0, 0]:
         xz = "1"
-    else:
-        xz = f"x^{rep.xz_commutator[0]} z^{rep.xz_commutator[1]}"
+    elif isinstance(xz, list):
+        xz = f"x^{xz[0]} z^{xz[1]}"
     lines = [
         f"cosets: {rep.order}",
         orders or "generators: none named",
@@ -383,6 +399,8 @@ def cmd_tc(args) -> int:
     table = coset_enumerate(fp, max_cosets=args.max_cosets)
     rep = structure_report(table, fp)
     if args.format == "json":
+        import json
+
         _emit(args, json.dumps(_report_doc(rep), indent=2) + "\n")
     else:
         _emit(args, _report_text(rep))

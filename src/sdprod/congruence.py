@@ -13,7 +13,6 @@ callers may pass arbitrary integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import SdPair, additive_order, admissible_s_values
@@ -79,8 +78,7 @@ class Failure(NamedTuple):
     residual: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     failures: tuple[Failure, ...]
 
     @property

@@ -39,8 +39,7 @@ from __future__ import annotations
 import functools
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import SdPair
 from .congruence import CoreSpec, TupleB
@@ -62,28 +61,33 @@ class RelatorSyntaxError(ValueError):
     """A relator file line that does not parse."""
 
 
-@dataclass(frozen=True)
-class FpPres:
-    """Finite presentation: positive letters 1..ngens, negative inverses."""
-
+class _FpFields(NamedTuple):
     ngens: int
     names: tuple[str, ...]
     relators: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.ngens < 1 or len(self.names) != self.ngens:
+
+class FpPres(_FpFields):
+    """Finite presentation: positive letters 1..ngens, negative inverses.
+
+    The constructor checks the fields; _replace and _make do not."""
+
+    __slots__ = ()
+
+    def __new__(cls, ngens: int, names: tuple[str, ...], relators: tuple[tuple[int, ...], ...]):
+        if ngens < 1 or len(names) != ngens:
             raise DomainError("generator names must match the generator count")
-        for rel in self.relators:
+        for rel in relators:
             if not rel:
                 raise DomainError("empty relator")
-            if any(g == 0 or abs(g) > self.ngens for g in rel):
+            if any(g == 0 or abs(g) > ngens for g in rel):
                 raise DomainError(f"relator letter out of range: {rel}")
             if free_reduce(rel) != rel:
                 raise DomainError(f"relator not freely reduced: {rel}")
+        return super().__new__(cls, ngens, names, relators)
 
 
-@dataclass
-class CosetTable:
+class CosetTable(NamedTuple):
     rows: list[list[int]]  # per coset: images under g1, g1^-1, g2, g2^-1, ...
     count: int
 
@@ -95,8 +99,7 @@ class CosetTable:
         return coset
 
 
-@dataclass
-class StructureReport:
+class StructureReport(NamedTuple):
     """Facts read off the coset table of the trivial subgroup."""
 
     order: int

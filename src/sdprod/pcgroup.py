@@ -22,7 +22,6 @@ against each other in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .arith import SdPair
@@ -34,8 +33,7 @@ DEFAULT_ASSOC_CAP = 512
 ASSOC_CAP_MESSAGE = "table too large for the cubic scan: order {order} exceeds cap {cap}"
 
 
-@dataclass(frozen=True)
-class PcData:
+class PcData(NamedTuple):
     """Conjugation exponents of one presentation, everything reduced."""
 
     pair: SdPair
@@ -61,11 +59,12 @@ class PcData:
         N/d.  Likewise <z^e>, with x exponent 0.
         """
         N, M = self.pair.N, self.pair.M
+        cw, cy = _conjugations(self)
         d = 1
-        while d < N and (_conj_by_w(self, 0, d)[0] or _conj_by_y(self, 0, d)[0]):
+        while d < N and (cw(0, d)[0] or cy(0, d)[0]):
             d *= 2
         e = 1
-        while e < M and (_conj_by_w(self, e, 0)[1] or _conj_by_y(self, e, 0)[1]):
+        while e < M and (cw(e, 0)[1] or cy(e, 0)[1]):
             e *= 2
         return N // d, M // e
 
@@ -77,8 +76,7 @@ class ConsistencyEntry(NamedTuple):
     residual: tuple[int, int]  # exponent discrepancy (z part mod M, x part mod N)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     entries: tuple[ConsistencyEntry, ...]
 
     @property
@@ -97,8 +95,7 @@ class ConsistencyReport:
             )
 
 
-@dataclass
-class GroupTable:
+class GroupTable(NamedTuple):
     """Multiplication table over element indices, stored implicitly.
 
     index(w^a1 y^a2 z^a3 x^a4) = ((a1*2 + a2)*M + a3)*N + a4.  Write the
@@ -106,7 +103,7 @@ class GroupTable:
     its tail.  Row u is fixed by its four prefixes u, u*y, u*w, u*w*y, in
     head order: u*v is the prefix that v's head selects with v's tail
     added on, because x^z = x.  The table keeps only the three tail maps
-    that give those prefixes (see `prefix`), each the action of w or y on
+    that give those prefixes (see `prefixes`), each the action of w or y on
     the tail as the presentation writes it, NM entries each, so it costs
     3|G|/4 entries; `mul` looks up one product and `row` yields one row.
     """
@@ -121,25 +118,30 @@ class GroupTable:
     gen_z: int
     gen_x: int
 
-    def prefix(self, u: int, k: int) -> int:
-        """Prefix k of u: u, u*y, u*w or u*w*y for k = 0, 1, 2, 3.
+    def prefixes(self, u: int) -> tuple[int, int, int, int]:
+        """The prefixes of u: u, u*y, u*w and u*w*y, prefix k at position k.
 
-        Its head is u's head xor k.  Its tail is u's tail sent through the
+        Prefix k has u's head xor k.  Its tail is u's tail sent through the
         w map if k holds w (the one past y when u's head holds y), and
-        then through the y map if k holds y."""
-        block = self.order // 4
+        then through the y map if k holds y.  All four come from one call,
+        which reads the maps once: a field read of this record costs more
+        than a local one, and the table file and Light's test take the
+        prefixes of every element."""
+        block, ty = self.order // 4, self.ty
         head, tail = divmod(u, block)
-        if k & 2:
-            tail = (self.tw_past_y if head & 1 else self.tw)[tail]
-        if k & 1:
-            tail = self.ty[tail]
-        return (head ^ k) * block + tail
+        w_tail = (self.tw_past_y if head & 1 else self.tw)[tail]
+        return (
+            u,
+            (head ^ 1) * block + ty[tail],
+            (head ^ 2) * block + w_tail,
+            (head ^ 3) * block + ty[w_tail],
+        )
 
     def mul(self, a: int, b: int) -> int:
         """Index of a * b."""
         N, M = self.pair.N, self.pair.M
         head, tail = divmod(b, M * N)
-        phead, ptail = divmod(self.prefix(a, head), M * N)
+        phead, ptail = divmod(self.prefixes(a)[head], M * N)
         return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
 
     def row(self, a: int) -> list[int]:
@@ -151,8 +153,8 @@ class GroupTable:
         """
         N, M = self.pair.N, self.pair.M
         out: list[int] = []
-        for k in range(4):
-            phead, ptail = divmod(self.prefix(a, k), M * N)
+        for p in self.prefixes(a):
+            phead, ptail = divmod(p, M * N)
             pz, px = divmod(ptail, N)
             for vz in range(M):
                 base = (phead * M + (pz + vz) % M) * N
@@ -180,20 +182,21 @@ def pc_from_tuple_b(pair: SdPair, t: TupleB) -> PcData:
     )
 
 
-def _conj_by_w(pc: PcData, ze: int, xe: int) -> tuple[int, int]:
-    """Image of z^ze x^xe under conjugation by w."""
-    return (
-        (pc.pair.beta * ze + pc.xw_zexp * xe) % pc.pair.M,
-        pc.xw_xexp * xe % pc.pair.N,
-    )
+def _conjugations(pc: PcData):
+    """The conjugations by w and by y of the tail, as functions that take
+    the exponents (ze, xe) of z^ze x^xe to those of its image.
 
+    The exponents are bound once: the checks call these maps in loops."""
+    N, M, alpha, beta = pc.pair.N, pc.pair.M, pc.pair.alpha, pc.pair.beta
+    b, s1, a1, r = pc.xw_zexp, pc.xw_xexp, pc.zy_zexp, pc.zy_xexp
 
-def _conj_by_y(pc: PcData, ze: int, xe: int) -> tuple[int, int]:
-    """Image of z^ze x^xe under conjugation by y."""
-    return (
-        pc.zy_zexp * ze % pc.pair.M,
-        (pc.zy_xexp * ze + pc.pair.alpha * xe) % pc.pair.N,
-    )
+    def by_w(ze: int, xe: int) -> tuple[int, int]:
+        return (beta * ze + b * xe) % M, s1 * xe % N
+
+    def by_y(ze: int, xe: int) -> tuple[int, int]:
+        return a1 * ze % M, (r * ze + alpha * xe) % N
+
+    return by_w, by_y
 
 
 def _iterate_conj(fn, ze: int, xe: int, times: int) -> tuple[int, int]:
@@ -218,8 +221,7 @@ def check_consistency(pc: PcData) -> ConsistencyReport:
     Each residual is the leftover (z exponent, x exponent) pair.
     """
     N, M = pc.pair.N, pc.pair.M
-    cw = lambda ze, xe: _conj_by_w(pc, ze, xe)  # noqa: E731
-    cy = lambda ze, xe: _conj_by_y(pc, ze, xe)  # noqa: E731
+    cw, cy = _conjugations(pc)
     cz = lambda ze, xe: (ze, xe)  # noqa: E731  x^z = x, tails are fixed
     c, t = pc.yw_zexp, pc.yw_xexp
     entries = []
@@ -307,7 +309,7 @@ def build_table(pc: PcData) -> GroupTable:
     shifted by the z^c x^t of y^w.  The consistency check above is what
     makes these relations a well-defined action on the tail.  The product
     u*v is then the prefix of u that v's (w, y) head k selects
-    (GroupTable.prefix), shifted by v's tail z^vz x^vx.  `audit_table`
+    (GroupTable.prefixes), shifted by v's tail z^vz x^vx.  `audit_table`
     checks that every row and every column of that table is a
     permutation, in O(|G|):
 

@@ -642,6 +642,11 @@ def test_tc_reports_a_commutator_outside_the_x_z_products(tmp_path, capsys):
     assert code == 0
     assert "cosets: 6" in out
     assert "[x,z] = not a product of an x power and a z power\n" in out
+    # JSON names the case with the same phrase, and keeps null for a file
+    # without x or z (test_tc_relator_file)
+    code, out, _ = run(capsys, ["tc", "--relators", str(rel), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["xz_commutator"] == "not a product of an x power and a z power"
 
 
 def test_tc_report_names_a_missing_core(tmp_path, capsys):

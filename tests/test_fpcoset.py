@@ -1,7 +1,6 @@
 """Unit tests for coset enumeration and the structure report read off the table."""
 
 import ast
-import dataclasses
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -85,12 +84,17 @@ def test_fp_from_extended_plain_commutator_when_untwisted():
 
 
 def test_fp_pres_validation():
-    with pytest.raises(ValueError):
-        FpPres(2, ("y", "x"), ((),))
-    with pytest.raises(ValueError):
-        FpPres(2, ("y", "x"), ((3,),))
-    with pytest.raises(ValueError):
-        FpPres(2, ("y", "x"), ((1, -1),))
+    for fields, match in (
+        ((2, ("y", "x"), ((),)), "empty relator"),
+        ((2, ("y", "x"), ((3,),)), "out of range"),
+        ((2, ("y", "x"), ((1, -1),)), "not freely reduced"),
+        ((2, ("x",), ((1,),)), "generator count"),
+        ((0, (), ()), "generator count"),
+    ):
+        with pytest.raises(DomainError, match=match):
+            FpPres(*fields)
+        with pytest.raises(DomainError, match=match):
+            FpPres(ngens=fields[0], names=fields[1], relators=fields[2])
 
 
 def test_parse_relator_lines():
@@ -379,7 +383,7 @@ def test_commutator_location_checks():
     assert verify_xz_commutator_location(report, CoreSpec(2, 2))
     assert verify_xz_commutator_location(report, CoreSpec(1, 1))
     assert not verify_xz_commutator_location(report, CoreSpec(4, 2))
-    faulted = dataclasses.replace(report, xz_commutator=(1, 1))
+    faulted = report._replace(xz_commutator=(1, 1))
     assert not verify_xz_commutator_location(faulted, CoreSpec(2, 2))
     with pytest.raises(DomainError):
         verify_xz_commutator_location(report, CoreSpec(0, 2))

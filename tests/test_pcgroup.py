@@ -253,7 +253,7 @@ class PrefixTable:
 
     @classmethod
     def of(cls, g):
-        prefixes = [tuple(g.prefix(u, k) for k in range(4)) for u in range(g.order)]
+        prefixes = [g.prefixes(u) for u in range(g.order)]
         return cls(g.pair, g.order, prefixes, g.gen_w, g.gen_y, g.gen_z, g.gen_x)
 
     def mul(self, a, b):
@@ -316,7 +316,7 @@ def test_table_audit_catches_a_tail_map_that_is_not_a_bijection(monkeypatch):
     audit_table(g)
     # element 7 times w now lands where element 6 times w does: the head
     # stays w, so row 7 is a permutation, while column w repeats an entry
-    bad = replace(g, tw=with_entry(g.tw, 7, g.tw[6]))
+    bad = g._replace(tw=with_entry(g.tw, 7, g.tw[6]))
     assert bad.mul(7, g.gen_w) == g.mul(6, g.gen_w)
     assert not full_scan_accepts(bad)
     with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
@@ -324,7 +324,7 @@ def test_table_audit_catches_a_tail_map_that_is_not_a_bijection(monkeypatch):
     with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
         build_with_entry(monkeypatch, 1, 7, g.tw[6])
     # the same fault past y shows in the w column too, now at element y x^7
-    bad = replace(g, tw_past_y=with_entry(g.tw_past_y, 7, g.tw_past_y[6]))
+    bad = g._replace(tw_past_y=with_entry(g.tw_past_y, 7, g.tw_past_y[6]))
     assert bad.mul(g.gen_y + 7, g.gen_w) == g.mul(g.gen_y + 6, g.gen_w)
     assert not full_scan_accepts(bad)
     with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
@@ -335,7 +335,7 @@ def test_table_audit_catches_a_tail_map_entry_outside_the_block(monkeypatch):
     g = witness_table()
     block = g.order // 4
     # element 9 times y now leaves the y block
-    bad = replace(g, ty=with_entry(g.ty, 9, block + g.ty[9]))
+    bad = g._replace(ty=with_entry(g.ty, 9, block + g.ty[9]))
     assert not full_scan_accepts(bad)
     with pytest.raises(RuntimeError, match=f"column {g.gen_y} of the product table"):
         audit_table(bad)
@@ -343,7 +343,7 @@ def test_table_audit_catches_a_tail_map_entry_outside_the_block(monkeypatch):
         build_with_entry(monkeypatch, 0, 9, block + g.ty[9])
     # a negative entry would index the map from its end
     with pytest.raises(RuntimeError, match=f"column {g.gen_y} of the product table"):
-        audit_table(replace(g, ty=with_entry(g.ty, 9, -1)))
+        audit_table(g._replace(ty=with_entry(g.ty, 9, -1)))
 
 
 def test_build_table_rejects_inconsistent():

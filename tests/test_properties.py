@@ -220,6 +220,23 @@ def test_swapping_h_and_k_keeps_the_verdict(case):
         assert swap_h_and_k(swapped, t_swapped) == (pair, TupleB(*t).reduced(pair))
 
 
+def test_swapping_h_and_k_keeps_the_verdict_on_the_whole_44_grid():
+    """Validity commutes with the swap on all 2^18 six-field tuples at
+    (4,4).  The swap is a bijection of that grid: r, a, s and b are read
+    back off the image, then t from (1+s)t and c from beta*c + bt, as
+    1 + s and beta are odd.  So it suffices that the swap maps the valid
+    tuples of each core spec (n1, m1) onto those of (m1, n1)."""
+    pair = derive_pair(4, 4)
+    specs = [CoreSpec(n1, m1) for n1 in (1, 2, 4, 8) for m1 in (1, 2, 4, 8)]
+    valid = {
+        cores: {TupleB(*prefix, c) for prefix, cs in solve_b(pair, cores).groups() for c in cs}
+        for cores in specs
+    }
+    assert sum(map(len, valid.values())) == 880
+    for (n1, m1), tuples in valid.items():
+        assert {swap_h_and_k(pair, t)[1] for t in tuples} == valid[CoreSpec(m1, n1)]
+
+
 @PROPERTY_SETTINGS
 @given(valid_cored_tuples_b())
 def test_core_orders_are_the_cores_solve_b_was_asked_for(case):
@@ -619,14 +636,14 @@ def presentation(pair, t):
 @GROUP_SETTINGS
 @given(buildable_tuples(st.builds(derive_pair, RANKS, RANKS)))
 def test_prefixes_match_collection(case):
-    """GroupTable.prefix gives u*y, u*w and u*w*y from tail maps; each
+    """GroupTable.prefixes gives u*y, u*w and u*w*y from tail maps; each
     must be the product that collection gives."""
     pair, t = case
     pc = presentation(pair, t)
     g = build_table(pc)
     w, y = index_nf(pair, g.gen_w), index_nf(pair, g.gen_y)
     for i in range(g.order):
-        u, uy, uw, uwy = (g.prefix(i, k) for k in range(4))
+        u, uy, uw, uwy = g.prefixes(i)
         nf = index_nf(pair, i)
         assert u == i
         assert uy == nf_index(pair, collect_multiply(pc, nf, y))
