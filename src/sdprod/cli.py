@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import sys
 from typing import Sequence
 
@@ -126,23 +127,29 @@ _ROW_LAYOUT = {
 
 
 def cmd_enumerate(args) -> int:
-    """Write the listing one prefix group at a time.
+    """Write the listing one prefix group (r, a, s, b, t) at a time.
 
-    The count is known before the first row, so the gate is checked
-    before anything is written; histograms and parity are summed per
-    group and follow the rows.
+    The count, the histograms and the parity come from the solution set in
+    closed form, so the gate is checked before anything is written and
+    the loop over the groups only writes.  A block's (r, a, s, b) text is
+    rendered once, the t and c text once per listing, and each group is
+    one join and one write, so memory is bounded by one group's rows and
+    one block's c text.
     """
     pair = derive_pair(args.n, args.m)
     if args.command == "enumerate-a":
         # the four-field listing is the cores (1, 1) listing with r and b dropped
-        cores, fields, kept = CoreSpec(1, 1), TupleA._fields, (1, 2, 4)
+        cores, fields, kept = CoreSpec(1, 1), TupleA._fields, (1, 2)
     else:
-        cores, fields, kept = CoreSpec(args.n1, args.m1), TupleB._fields, (0, 1, 2, 3, 4)
+        cores, fields, kept = CoreSpec(args.n1, args.m1), TupleB._fields, (0, 1, 2, 3)
     solution = solve_b(pair, cores, allow_large=args.allow_large)
     field_sep, row_start, row_end, row_sep = _ROW_LAYOUT[args.format]
+    # each row is written after the end of the row before it (before_row),
+    # so a group is one join; the listing's first row drops it (skip)
+    before_row = row_end + row_sep
+    skip = len(before_row)
+    t_text = [str(t) + field_sep for t in range(pair.N)]
     c_text = [str(c) for c in range(pair.M)]
-    histograms: list[dict[int, int]] = [{} for _ in kept]
-    c_cosets: dict[tuple[int, int], int] = {}  # (first c, step) -> number of groups
     with _sink(args) as out:
         if args.format == "csv":
             out.write(",".join(fields) + "\r\n")
@@ -151,28 +158,24 @@ def cmd_enumerate(args) -> int:
 
             head = {"n": args.n, "m": args.m, "count": solution.count, "fields": list(fields)}
             out.write(json.dumps(head, indent=2)[:-2] + ',\n  "tuples": [')
-        sep = ""
-        for prefix, cs in solution.groups():
-            values = [prefix[i] for i in kept]
-            for hist, v in zip(histograms, values):
-                hist[v] = hist.get(v, 0) + len(cs)
-            key = (cs.start, cs.step)
-            c_cosets[key] = c_cosets.get(key, 0) + 1
-            lead = row_start + field_sep.join(map(str, values)) + field_sep
-            rows = (row_end + row_sep + lead).join(c_text[cs.start::cs.step])
-            out.write(sep + lead + rows + row_end)
-            sep = row_sep
-        c_hist: dict[int, int] = {}
-        for (start, step), groups in c_cosets.items():
-            for c in range(start, pair.M, step):
-                c_hist[c] = c_hist.get(c, 0) + groups
-        histograms.append(c_hist)
-        histograms = [dict(sorted(h.items())) for h in histograms]
-        all_even = all(v % 2 == 0 for h in histograms for v in h)
+        for block in solution.blocks():
+            t_step, c_unit, c_step = block[4:]
+            lead = before_row + row_start + "".join(str(block[i]) + field_sep for i in kept)
+            # the c of t = k*t_step start at k*c_unit modulo c_step, which
+            # repeats with period p; joining [""] + cs puts a lead before each c
+            p = c_step // math.gcd(c_unit, c_step)
+            c_rows = [["", *c_text[k * c_unit % c_step :: c_step]] for k in range(p)]
+            for k, t in enumerate(range(0, pair.N, t_step)):
+                out.write((lead + t_text[t]).join(c_rows[k % p])[skip:])
+                skip = 0
+        if solution.count:
+            out.write(row_end)
+        histograms = solution.histograms()
+        all_even = all(v % 2 == 0 for name in fields for v in histograms[name])
         if args.format == "json":
             tail = {
                 "histograms": {
-                    name: {str(v): k for v, k in h.items()} for name, h in zip(fields, histograms)
+                    name: {str(v): k for v, k in histograms[name].items()} for name in fields
                 },
                 "all_fields_even": all_even,
             }
@@ -182,8 +185,8 @@ def cmd_enumerate(args) -> int:
             out.write(closing + "," + json.dumps(tail, indent=2)[1:] + "\n")
         elif args.format == "text":
             lines = [f"count: {solution.count}"]
-            for name, hist in zip(fields, histograms):
-                text = " ".join(f"{v}={k}" for v, k in hist.items())
+            for name in fields:
+                text = " ".join(f"{v}={k}" for v, k in histograms[name].items())
                 lines.append(f"histogram {name}: {text or '(empty)'}")
             lines.append(f"parity: {'all fields even' if all_even else 'ODD FIELD PRESENT'}")
             out.write("\n".join(lines) + "\n")

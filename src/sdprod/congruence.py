@@ -207,8 +207,9 @@ class SolutionSet:
 
     A tuple (r, a, s, b, t, c) is valid iff r is in r_values, b is in
     b_values, heads holds some (a, s, t_step, c_step), t is a multiple of
-    t_step below N, and c lies in the coset that `groups` yields for t.
-    `count` is their number, found without listing them.
+    t_step below N, and c lies in the coset that `blocks` gives for t.
+    `count` is their number and `histograms` the number taking each value
+    of each field, both found without listing them.
     """
 
     def __init__(
@@ -222,23 +223,80 @@ class SolutionSet:
         per_rb = sum(pair.N // t_step * (pair.M // c_step) for _, _, t_step, c_step in heads)
         self.count = len(r_values) * len(b_values) * per_rb
 
-    def groups(self) -> Iterator[tuple[tuple[int, int, int, int, int], range]]:
-        """Prefixes (r, a, s, b, t) with the range of their valid c, in
-        lexicographic order.
+    def blocks(self) -> Iterator[tuple[int, int, int, int, int, int, int]]:
+        """(r, a, s, b, t_step, c_unit, c_step) per block, in lexicographic
+        order of (r, a, s, b).
 
         For fixed (r, a, s, b) the pairs (t, c) passing D9..D12 form a
         subgroup, since those congruences are homogeneous in t and c.  Its
-        t values are the multiples of t_step, and the c that go with
-        t = k*t_step are k*c_unit plus the multiples of c_step, where
-        c_unit is one c that goes with t_step.
+        t values are the multiples of t_step below N, and the c that go
+        with t = k*t_step are the c below M that are k*c_unit modulo c_step,
+        where c_unit is one c that goes with t_step.
         """
-        N, M = self.pair.N, self.pair.M
+        N = self.pair.N
         for r in self.r_values:
             for a, s, t_step, c_step in self.heads:
                 for b in self.b_values:
                     c_unit = _c_coset(self.pair, r, a, b, t_step)[0] if t_step < N else 0
-                    for k, t in enumerate(range(0, N, t_step)):
-                        yield (r, a, s, b, t), range(k * c_unit % c_step, M, c_step)
+                    yield r, a, s, b, t_step, c_unit, c_step
+
+    def groups(self) -> Iterator[tuple[tuple[int, int, int, int, int], range]]:
+        """Prefixes (r, a, s, b, t) with the range of their valid c, in
+        lexicographic order: each block's t values in turn."""
+        N, M = self.pair.N, self.pair.M
+        for r, a, s, b, t_step, c_unit, c_step in self.blocks():
+            for k, t in enumerate(range(0, N, t_step)):
+                yield (r, a, s, b, t), range(k * c_unit % c_step, M, c_step)
+
+    def histograms(self) -> dict[str, dict[int, int]]:
+        """Per field name of TupleB, how many tuples take each value, in
+        increasing order of the value; values no tuple takes are left out.
+
+        A block has K*M/c_step tuples, K = N/t_step, for each r, a, s and b
+        it holds, and M/c_step for each of its t.  Its c are read off the
+        projection of its subgroup of pairs (t, c) onto c, a homomorphism:
+        the image is generated by c_unit and c_step, so it is the multiples
+        of g = gcd(c_unit, c_step) below M, and each is hit by
+        K*(M/c_step)/(M/g) = K/p tuples, p = c_step/g.  K/p is a whole
+        number: t = K*t_step = N is t = 0, whose c are the multiples of
+        c_step, so c_step divides K*c_unit, and p divides K.
+        """
+        if not self.count:
+            return {name: {} for name in TupleB._fields}
+        N, M = self.pair.N, self.pair.M
+        rb = len(self.r_values) * len(self.b_values)
+        a_hist: dict[int, int] = {}
+        s_hist: dict[int, int] = {}
+        per_t: dict[int, int] = {}  # t_step -> tuples for each multiple of it
+        for a, s, t_step, c_step in self.heads:
+            per_t[t_step] = per_t.get(t_step, 0) + rb * (M // c_step)
+            in_heads = rb * (N // t_step) * (M // c_step)
+            a_hist[a] = a_hist.get(a, 0) + in_heads
+            s_hist[s] = s_hist.get(s, 0) + in_heads
+        per_c: dict[int, int] = {}  # g -> tuples for each multiple of it
+        for *_, t_step, c_unit, c_step in self.blocks():
+            g = math.gcd(c_unit, c_step)
+            per_c[g] = per_c.get(g, 0) + N // t_step * g // c_step
+        per_r = self.count // len(self.r_values)
+        per_b = self.count // len(self.b_values)
+        return {
+            "r": dict.fromkeys(self.r_values, per_r),
+            "a": dict(sorted(a_hist.items())),
+            "s": dict(sorted(s_hist.items())),
+            "b": dict.fromkeys(self.b_values, per_b),
+            "t": _on_multiples(per_t, N),
+            "c": _on_multiples(per_c, M),
+        }
+
+
+def _on_multiples(weights: dict[int, int], modulus: int) -> dict[int, int]:
+    """The histogram that gives each multiple of step below modulus
+    weights[step], summed over the steps, in increasing order."""
+    hist: dict[int, int] = {}
+    for step, weight in weights.items():
+        for v in range(0, modulus, step):
+            hist[v] = hist.get(v, 0) + weight
+    return dict(sorted(hist.items()))
 
 
 def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> SolutionSet:

@@ -30,8 +30,11 @@ collection, and the table file up to order 1024 with a copy of the
 row-by-row writer it replaced.
 
 The closed-form solver is compared with a brute-force filter at random
-ranks and core specs, and the streamed listings with a copy of the
-whole-document formatter that the CLI used before.  Random sequences of
+ranks and core specs, its closed-form histograms with counts over its
+groups at every core spec of every rank pair in [4, 7], and the streamed
+listings with a copy of the whole-document formatter that the CLI used
+before, at random ranks and at the order-2^16 rank pairs of the
+benchmark.  Random sequences of
 command lines, run one after another in this process through main, where
 each subcommand's parser is kept, are compared one by one with the same
 command line under a freshly built parser.
@@ -788,6 +791,36 @@ def test_solver_groups_match_brute_force(case):
     assert solution.count == len(flat)
 
 
+def counted_histograms(solution):
+    """Per field of TupleB, how many tuples of solution.groups() take each
+    value, in increasing order of the value."""
+    histograms = {name: {} for name in TupleB._fields}
+    for prefix, cs in solution.groups():
+        for name, v in zip(TupleB._fields, prefix):
+            histograms[name][v] = histograms[name].get(v, 0) + len(cs)
+        for c in cs:
+            histograms["c"][c] = histograms["c"].get(c, 0) + 1
+    return {name: dict(sorted(h.items())) for name, h in histograms.items()}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_closed_form_histograms_match_the_groups(n, m):
+    pair = derive_pair(n, m)
+    c_units = set()
+    for cores in all_core_specs(pair):
+        solution = solve_b(pair, cores, allow_large=True)
+        histograms = solution.histograms()
+        assert histograms == counted_histograms(solution), cores
+        assert [list(h) for h in histograms.values()] == [sorted(h) for h in histograms.values()]
+        assert solution.count == sum(histograms["c"].values())
+        for *_, t_step, c_unit, c_step in solution.blocks():
+            # the c starts of a block repeat with a period that divides its t count
+            assert pair.N // t_step * c_unit % c_step == 0
+            c_units.add(c_unit)
+    assert c_units - {0}, "no block with c_unit != 0 at this rank pair"
+
+
 def reference_listing(args, tuples, fields):
     """The listing as the whole-document formatter wrote it: csv.writer,
     json.dumps(indent=2), and lines joined once."""
@@ -849,6 +882,20 @@ def listing_stdout(pair, cores, fmt):
 def test_listing_matches_reference_formatter(case, four_field, fmt):
     pair, cores = case
     got, want = listing_stdout(pair, None if four_field else cores, fmt)
+    assert got == want
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "n,m,cores",
+    [(9, 7, None), (8, 8, None), (7, 9, None), (8, 8, CoreSpec(2, 2))],
+    ids=["a-9-7", "a-8-8", "a-7-9", "b-8-8-cores-2-2"],
+)
+def test_listing_at_benchmark_ranks_matches_reference_formatter(n, m, cores, fmt):
+    # enumerate-a at the rank pairs of order 2^16 that the classify workload
+    # lists, with many t values and short c ranges at (9, 7); cores (2, 2)
+    # give the only blocks whose c range moves with t (c_unit != 0)
+    got, want = listing_stdout(derive_pair(n, m), cores, fmt)
     assert got == want
 
 
