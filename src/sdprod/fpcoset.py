@@ -22,16 +22,19 @@ per presentation to the table columns they walk: runs of a generator
 with a power relator g^k are reduced modulo k, and the relators are
 taken shortest first (see _compile_relators).  A doubling lookahead
 bounds the waste: when the number of cosets defined reaches a mark
-(LOOKAHEAD_FIRST at first), every relator is scanned at every live
-coset without defining, which only fills deductions and merges
-coincidences, and the mark is set to twice the number defined.  Runs
-below the first mark make the exact sequence of definitions of plain
-HLT on the rewritten relators.  The procedure is deterministic, and the
-finished table is renumbered in breadth-first order from the identity
-coset, so it does not depend on the strategy; it is then audited
-against the relators as given: every relator must close at every
-coset, every subgroup word must fix coset 0, and every column must be
-a permutation.
+(LOOKAHEAD_FIRST at first), every relator is scanned without defining,
+which only fills deductions and merges coincidences, at each live coset
+HLT has not processed yet, and the mark is set to twice the number
+defined.  A scan at a processed coset could change nothing: HLT left
+every relator closed there, definitions only add edges, and coincidence
+processing maps closed paths to closed paths.  Runs below the first
+mark make the exact sequence of definitions of plain HLT on the
+rewritten relators.  The procedure is deterministic, and the finished
+table is renumbered in breadth-first order from the identity coset, so
+it does not depend on the strategy; it is then audited against the
+relators as given: every column must be a permutation, every relator
+must close at every coset (a pure power g^k by the cycle lengths of g),
+and every subgroup word must fix coset 0.
 """
 
 from __future__ import annotations
@@ -295,12 +298,16 @@ class _Enumeration:
         return new
 
     def _merge(self, a: int, b: int, queue: list[int]) -> None:
-        a, b = self.rep(a), self.rep(b)
+        parent = self.parent
+        if parent[a] != a:
+            a = self.rep(a)
+        if parent[b] != b:
+            b = self.rep(b)
         if a == b:
             return
         if a > b:
             a, b = b, a
-        self.parent[b] = a
+        parent[b] = a
         self.live -= 1
         queue.append(b)
 
@@ -326,10 +333,10 @@ class _Enumeration:
                     mu_row[col] = nu
                     nu_row[inv] = mu
 
-    def scan_and_fill(self, coset: int, cols: list[int], fill: bool = True) -> None:
+    def scan_and_fill(self, coset: int, cols: list[int]) -> None:
         """Scan a compiled relator at coset from both ends.  A closed scan
         may give a coincidence and a one-letter gap a deduction; a longer
-        gap gets the next forward coset defined if fill, else ends the scan."""
+        gap gets the next forward coset defined."""
         rows = self.rows
         f, i = coset, 0
         b, j = coset, len(cols)
@@ -358,8 +365,6 @@ class _Enumeration:
                 rows[f][col] = b
                 rows[b][col ^ 1] = f
                 return
-            if not fill:
-                return
             f = self.define(f, col)
             i += 1
 
@@ -372,7 +377,7 @@ class _Enumeration:
         coset = 0
         while coset < len(rows):
             if len(rows) >= mark:
-                self.lookahead()
+                self.lookahead(coset)
                 mark = 2 * len(rows)
             if parent[coset] == coset:  # same as rep(coset) == coset, as parent[i] <= i
                 for cols in relators:
@@ -386,15 +391,53 @@ class _Enumeration:
                             self.define(coset, col)
             coset += 1
 
-    def lookahead(self) -> None:
-        """Scan every relator at every live coset without defining."""
-        parent, relators = self.parent, self.relators
-        scan_and_fill = self.scan_and_fill
-        for coset in range(len(self.rows)):
-            for cols in relators:
+    def lookahead(self, start: int) -> None:
+        """Scan every relator from both ends without defining, at each live
+        coset from start, the first one HLT has not processed: this only
+        fills deductions and merges coincidences.
+
+        The cosets below start are skipped because no scan there can
+        change anything.  HLT left every relator closed at each of them:
+        its scans there were filled, and its missing images defined.
+        Definitions only add edges, and coincidence processing maps each
+        closed path to a closed path through the representatives, so
+        every relator still closes at each live coset below start, and a
+        scan there returns to where it began.  For the same reason a
+        relator of length at least 2 is skipped at a coset whose row
+        defines neither its first column nor the inverse of its last:
+        neither end of that scan can move."""
+        rows, parent, coincidence = self.rows, self.parent, self.coincidence
+        ends = [(cols, cols[0], cols[-1] ^ 1, len(cols)) for cols in self.relators]
+        for coset in range(start, len(rows)):
+            row = rows[coset]
+            for cols, first, last, n in ends:
                 if parent[coset] != coset:
                     break
-                scan_and_fill(coset, cols, False)
+                if row[first] is None and row[last] is None and n > 1:
+                    continue
+                f, i = coset, 0
+                while i < n:
+                    nxt = rows[f][cols[i]]
+                    if nxt is None:
+                        break
+                    f = nxt
+                    i += 1
+                if i == n:
+                    if f != coset:
+                        coincidence(f, coset)
+                    continue
+                b, j = coset, n
+                while j > i:
+                    nxt = rows[b][cols[j - 1] ^ 1]
+                    if nxt is None:
+                        break
+                    b = nxt
+                    j -= 1
+                if j == i:
+                    coincidence(f, b)
+                elif j == i + 1:
+                    rows[f][cols[i]] = b
+                    rows[b][cols[i] ^ 1] = f
 
     def compact(self) -> list[list[int]]:
         """Renumber the live cosets breadth first from the identity coset."""
@@ -448,8 +491,12 @@ def coset_enumerate(
 
 
 def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> None:
-    """Re-scan every relator at every coset and every subgroup word at
-    coset 0, and check column bijectivity."""
+    """Check every subgroup word at coset 0 and column bijectivity, then
+    re-scan every relator at every coset.
+
+    A pure-power relator g^k is checked in one pass over g's column: as
+    that column is a permutation, g^k closes at every coset exactly when
+    every cycle of g has a length dividing k."""
     for word in subgroup:
         if table.walk(word) != 0:
             raise RuntimeError("internal: subgroup word does not fix coset 0")
@@ -460,6 +507,20 @@ def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> 
             raise RuntimeError(f"internal: column {col} is not a permutation")
     for rel in fp.relators:
         cols = [_col(g) for g in rel]
+        if cols.count(cols[0]) == len(cols):
+            k, col = len(cols), cols[0]
+            seen = [False] * table.count
+            for start in size:
+                if seen[start]:
+                    continue
+                length, cur = 0, start
+                while not seen[cur]:
+                    seen[cur] = True
+                    cur = rows[cur][col]
+                    length += 1
+                if k % length:
+                    raise RuntimeError("internal: relator does not close on the final table")
+            continue
         for start in size:
             cur = start
             for col in cols:

