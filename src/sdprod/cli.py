@@ -5,8 +5,13 @@ cores, a tuple failing its checks, disagreeing pipelines); 2 a resource
 cap was hit; 3 usage errors (unknown flags, malformed tuples, unparsable
 relator files).
 
-json is imported by the functions that write it, on first use: a text
-command never loads it, and importing this module stays cheap.
+JSON documents are written from their fixed layouts, byte for byte as
+json.dumps(doc, indent=2) would write them, because with indent set
+json.dumps runs CPython's pure-Python encoder.  json is imported only to
+write a string value (_json_scalar): a build --output path or tc's phrase
+for an [x,z] that is no x^i z^j.  Verdicts, listings and the other
+documents hold none, so they never load it, and importing this module
+stays cheap.
 """
 
 from __future__ import annotations
@@ -116,6 +121,46 @@ def _emit(args, text: str) -> None:
         out.write(text)
 
 
+# The JSON writers below give the bytes of json.dumps(doc, indent=2): a
+# member or item on its own line, two spaces deeper per level, and {} or []
+# for an empty container.  Keys are plain ASCII names written as they are.
+
+
+def _json_scalar(value) -> str:
+    """None, a bool, an int or a str as json.dumps writes it."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        import json  # the only value that json itself writes
+
+        return json.dumps(value)
+    return str(value)
+
+
+def _json_container(open_close: str, lines: Sequence[str], indent: str) -> str:
+    """A list or object at this indent, from its already written lines."""
+    if not lines:
+        return open_close
+    return f"{open_close[0]}\n" + ",\n".join(lines) + f"\n{indent}{open_close[1]}"
+
+
+def _json_flat(doc: dict) -> str:
+    """A document whose values are scalars, lists of scalars, or dicts of
+    ints (tc's generator orders)."""
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, list):
+            text = _json_container("[]", [f"    {_json_scalar(v)}" for v in value], "  ")
+        elif isinstance(value, dict):
+            text = _json_container("{}", [f'    "{k}": {v}' for k, v in value.items()], "  ")
+        else:
+            text = _json_scalar(value)
+        lines.append(f'  "{key}": {text}')
+    return _json_container("{}", lines, "") + "\n"
+
+
 # Per format: the separator between fields, the text before and after a
 # row, and the separator between rows.  The JSON layout is that of
 # json.dumps(indent=2) for a row inside the document's "tuples" list.
@@ -154,10 +199,9 @@ def cmd_enumerate(args) -> int:
         if args.format == "csv":
             out.write(",".join(fields) + "\r\n")
         elif args.format == "json":
-            import json  # also for the tail below
-
             head = {"n": args.n, "m": args.m, "count": solution.count, "fields": list(fields)}
-            out.write(json.dumps(head, indent=2)[:-2] + ',\n  "tuples": [')
+            # the document stays open: its "\n}\n" is cut, the tail closes it
+            out.write(_json_flat(head)[:-3] + ',\n  "tuples": [')
         for block in solution.blocks():
             t_step, c_unit, c_step = block[4:]
             lead = before_row + row_start + "".join(str(block[i]) + field_sep for i in kept)
@@ -173,16 +217,18 @@ def cmd_enumerate(args) -> int:
         histograms = solution.histograms()
         all_even = all(v % 2 == 0 for name in fields for v in histograms[name])
         if args.format == "json":
-            tail = {
-                "histograms": {
-                    name: {str(v): k for v, k in histograms[name].items()} for name in fields
-                },
-                "all_fields_even": all_even,
-            }
+            counts = []
+            for name in fields:
+                lines = [f'      "{v}": {k}' for v, k in histograms[name].items()]
+                counts.append(f'    "{name}": ' + _json_container("{}", lines, "    "))
+            tail = [
+                f'  "histograms": {_json_container("{}", counts, "  ")}',
+                f'  "all_fields_even": {_json_scalar(all_even)}',
+            ]
             if args.command == "enumerate-b":
-                tail["n1"], tail["m1"] = args.n1, args.m1
+                tail += [f'  "n1": {args.n1}', f'  "m1": {args.m1}']
             closing = "\n  ]" if solution.count else "]"
-            out.write(closing + "," + json.dumps(tail, indent=2)[1:] + "\n")
+            out.write(closing + ",\n" + ",\n".join(tail) + "\n}\n")
         elif args.format == "text":
             lines = [f"count: {solution.count}"]
             for name in fields:
@@ -196,16 +242,15 @@ def cmd_enumerate(args) -> int:
 def _verdict_text(verdict: Verdict, conditions: Sequence[str], fmt: str) -> str:
     failed = {f.condition: f.residual for f in verdict.failures}
     if fmt == "json":
-        import json
-
-        doc = {
-            "conditions": {
-                tag: {"passed": tag not in failed, "residual": failed.get(tag, 0)}
-                for tag in conditions
-            },
-            "valid": verdict.valid,
-        }
-        return json.dumps(doc, indent=2) + "\n"
+        # {"conditions": {tag: {"passed", "residual"}}, "valid"}, one line
+        # group per condition
+        groups = ",\n".join(
+            f'    "{tag}": {{\n      "passed": {"false" if tag in failed else "true"},\n'
+            f'      "residual": {failed.get(tag, 0)}\n    }}'
+            for tag in conditions
+        )
+        valid = "true" if verdict.valid else "false"
+        return f'{{\n  "conditions": {{\n{groups}\n  }},\n  "valid": {valid}\n}}\n'
     lines = []
     for tag in conditions:
         if tag in failed:
@@ -321,9 +366,7 @@ def cmd_build(args) -> int:
                 _write_table(fh, g, t)
             doc["table_written_to"] = args.output
     if args.format == "json":
-        import json
-
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_flat(doc))
     else:
         lines = [
             f"tuple: {','.join(str(v) for v in t)} (valid)",
@@ -402,9 +445,7 @@ def cmd_tc(args) -> int:
     table = coset_enumerate(fp, max_cosets=args.max_cosets)
     rep = structure_report(table, fp)
     if args.format == "json":
-        import json
-
-        _emit(args, json.dumps(_report_doc(rep), indent=2) + "\n")
+        _emit(args, _json_flat(_report_doc(rep)))
     else:
         _emit(args, _report_text(rep))
     return 0

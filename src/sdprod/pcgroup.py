@@ -105,7 +105,8 @@ class GroupTable(NamedTuple):
     added on, because x^z = x.  The table keeps only the three tail maps
     that give those prefixes (see `prefixes`), each the action of w or y on
     the tail as the presentation writes it, NM entries each, so it costs
-    3|G|/4 entries; `mul` looks up one product and `row` yields one row.
+    3|G|/4 entries; `mul` looks up one product, `row` yields one row and
+    `generator_columns` the four columns of Light's test.
     """
 
     pair: SdPair
@@ -143,6 +144,22 @@ class GroupTable(NamedTuple):
         head, tail = divmod(b, M * N)
         phead, ptail = divmod(self.prefixes(a)[head], M * N)
         return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
+
+    def generator_columns(self) -> list[list[int]]:
+        """The columns b -> b*c of c = w, y, z, x, read off the tail maps.
+
+        b*w and b*y are prefixes 2 and 1 of b.  z and x have head 0, so
+        b*z and b*x are b, its own prefix 0, with the tail's z or x
+        exponent moved on by one: a shift inside b's head block, or inside
+        its x-coset."""
+        N, block = self.pair.N, self.pair.N * self.pair.M
+        prefixes = list(map(self.prefixes, range(self.order)))
+        return [
+            [p[2] for p in prefixes],
+            [p[1] for p in prefixes],
+            [b - b % block + (b + N) % block for b in range(self.order)],
+            [b - b % N + (b + 1) % N for b in range(self.order)],
+        ]
 
     def row(self, a: int) -> list[int]:
         """Row a of the table: a * v for v = 0, 1, ..., order - 1.
@@ -452,9 +469,7 @@ def verify_associativity_generators(g: GroupTable) -> bool:
     0 is u itself by construction, so z and x move through a whole head
     block, and y and w take each block to two others.
     """
-    columns = [
-        [g.mul(b, c) for b in range(g.order)] for c in (g.gen_w, g.gen_y, g.gen_z, g.gen_x)
-    ]
+    columns = g.generator_columns()
     products = {g.gen_w, g.gen_y, g.gen_z, g.gen_x}
     queue = list(products)
     for cur in queue:  # queue grows while iterating

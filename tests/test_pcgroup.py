@@ -239,8 +239,11 @@ class PrefixTable:
 
     GroupTable derives its prefixes from three tail maps, so a change to
     one map moves a whole column.  This form lets a test set one product
-    of one row and hand the result to what reads only `order`, `mul`,
-    `row` and the generators: Light's test and the cubic scan.
+    of one row and hand the result to what reads only `order`, `row`,
+    `generator_columns` and the generators: Light's test and the cubic
+    scan.  Its columns come from `mul`, so they stay the columns of a
+    table whose prefix 0 is no longer the element itself, which
+    GroupTable's columns assume.
     """
 
     pair: SdPair
@@ -261,6 +264,10 @@ class PrefixTable:
         head, tail = divmod(b, M * N)
         phead, ptail = divmod(self.prefixes[a][head], M * N)
         return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
+
+    def generator_columns(self):
+        gens = (self.gen_w, self.gen_y, self.gen_z, self.gen_x)
+        return [[self.mul(b, c) for b in range(self.order)] for c in gens]
 
     def row(self, a):
         N, M = self.pair.N, self.pair.M

@@ -27,8 +27,9 @@ the core spec whose solution set the tuple came from, and exchanging the
 roles of H and K, an involution on valid tuples, keeps every verdict.
 The associativity check from the four generators is compared with the
 cubic scan on those tables and on per-element copies of them with random
-prefixes swapped.  On valid tuples at random ranks, drawn from the
-closed-form solution sets, every prefix of the table is compared with
+prefixes swapped, and its four columns, read off the maps, with the
+products.  On valid tuples at random ranks, drawn from the closed-form
+solution sets, every prefix of the table is compared with
 collection, and the table file up to order 1024 with a copy of the
 row-by-row writer it replaced.
 
@@ -689,6 +690,14 @@ def swap_prefix(g, k, u_pick, v_pick):
     bad = replace(g, prefixes=prefixes)
     assert full_scan_accepts(bad)
     return bad
+
+
+@GROUP_SETTINGS
+@given(valid_tables(PAIRS_UP_TO_5))
+def test_generator_columns_are_the_products(g):
+    # Light's test reads w and y off the prefixes and z and x off the index
+    gens = (g.gen_w, g.gen_y, g.gen_z, g.gen_x)
+    assert g.generator_columns() == [[g.mul(b, c) for b in range(g.order)] for c in gens]
 
 
 @GROUP_SETTINGS

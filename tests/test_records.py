@@ -1,5 +1,6 @@
-"""The package's records: value semantics, immutability, and an import of
-the CLI that loads neither dataclasses nor json."""
+"""The package's records: value semantics, immutability, an import of the
+CLI that loads neither dataclasses nor json, and JSON commands that do not
+load json either."""
 
 import subprocess
 import sys
@@ -27,6 +28,26 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_json():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     assert done.stdout == "\n"
+
+
+def test_json_commands_write_ascii_json_without_loading_json():
+    # cli writes JSON from fixed layouts; json only writes a string value,
+    # which none of these documents holds
+    argvs = [
+        ["check-b", "--n", "4", "--m", "4", "--n1", "2", "--m1", "2", "--tuple", "4,0,0,4,0,0"],
+        ["build", "--n", "4", "--m", "4", "--tuple", "4,0,0,4,0,0"],
+        ["tc", "--preset", "example-6-5"],
+    ]
+    code = (
+        f"import contextlib, io, sys; sys.path.insert(0, {str(SRC)!r}); from sdprod.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(argv + ['--format', 'json']) for argv in {argvs!r}]\n"
+        "print(codes, 'json' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[0, 0, 0] False\n"
 
 
 def test_records_of_equal_values_compare_and_hash_equal():
