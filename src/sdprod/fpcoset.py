@@ -17,7 +17,10 @@ then cosets are processed in definition order; every relator is
 scanned and filled at every live coset; coincidences are merged
 immediately, always keeping the smaller coset number; after each coset's
 relator scans, its remaining undefined generator images are defined in
-column order.  The relators scanned are a rewritten copy, compiled once
+column order.  HLT and the lookahead below share one scan
+(_Enumeration.scan), which walks a relator from both ends: at a gap of
+more than one letter HLT defines the next coset, and the lookahead
+stops.  The relators scanned are a rewritten copy, compiled once
 per presentation to the table columns they walk: runs of a generator
 with a power relator g^k are reduced modulo k, and the relators are
 taken shortest first (see _compile_relators).  A doubling lookahead
@@ -214,8 +217,13 @@ def parse_relator_lines(lines: Iterable[str]) -> FpPres:
 
 
 def parse_relator_file(path: str) -> FpPres:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_relator_lines(fh.read().splitlines())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise RelatorSyntaxError(f"not UTF-8 text at byte {exc.start}") from None
+    return parse_relator_lines(text.splitlines())
 
 
 def _col(letter: int) -> int:
@@ -260,6 +268,12 @@ def _compile_relators(relators: tuple[tuple[int, ...], ...]) -> list[list[int]]:
             compiled.append(cols)
     compiled.sort(key=len)
     return compiled
+
+
+def _ends(compiled: list[list[int]]) -> list[tuple[list[int], int, int, int]]:
+    """What _Enumeration.scan reads of each compiled relator: its columns,
+    the column its scan leaves a coset by at either end, and its length."""
+    return [(cols, cols[0], cols[-1] ^ 1, len(cols)) for cols in compiled]
 
 
 class _Enumeration:
@@ -333,46 +347,62 @@ class _Enumeration:
                     mu_row[col] = nu
                     nu_row[inv] = mu
 
-    def scan_and_fill(self, coset: int, cols: list[int]) -> None:
-        """Scan a compiled relator at coset from both ends.  A closed scan
-        may give a coincidence and a one-letter gap a deduction; a longer
-        gap gets the next forward coset defined."""
-        rows = self.rows
-        f, i = coset, 0
-        b, j = coset, len(cols)
-        while True:
-            while i < j:
-                nxt = rows[f][cols[i]]
-                if nxt is None:
+    def scan(self, cosets: Iterable[int], relators: list[tuple], defining: bool) -> None:
+        """Scan each relator of relators (see _ends) from both ends at each
+        coset of cosets, while that coset is live.  A closed scan may give
+        a coincidence and a one-letter gap a deduction.  At a longer gap a
+        defining scan (HLT) defines the next forward coset and goes on,
+        while any other scan (lookahead) stops: it only fills deductions
+        and merges coincidences.
+
+        A scan that does not define skips a relator of length at least 2
+        at a coset whose row defines neither its first column nor the
+        inverse of its last: neither end of that scan can move, so it
+        would stop at once, at a gap of the whole relator."""
+        rows, parent, coincidence, define = self.rows, self.parent, self.coincidence, self.define
+        for coset in cosets:
+            row = rows[coset]
+            for cols, first, last, n in relators:
+                if parent[coset] != coset:
                     break
-                f = nxt
-                i += 1
-            if i == j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j > i:
-                nxt = rows[b][cols[j - 1] ^ 1]
-                if nxt is None:
-                    break
-                b = nxt
-                j -= 1
-            if j == i:
-                self.coincidence(f, b)
-                return
-            col = cols[i]
-            if j == i + 1:
-                rows[f][col] = b
-                rows[b][col ^ 1] = f
-                return
-            f = self.define(f, col)
-            i += 1
+                if not defining and row[first] is None and row[last] is None and n > 1:
+                    continue
+                f, i = coset, 0
+                b, j = coset, n
+                while True:
+                    while i < j:
+                        nxt = rows[f][cols[i]]
+                        if nxt is None:
+                            break
+                        f = nxt
+                        i += 1
+                    if i == j:
+                        if f != b:
+                            coincidence(f, b)
+                        break
+                    while j > i:
+                        nxt = rows[b][cols[j - 1] ^ 1]
+                        if nxt is None:
+                            break
+                        b = nxt
+                        j -= 1
+                    if j == i:
+                        coincidence(f, b)
+                        break
+                    col = cols[i]
+                    if j == i + 1:
+                        rows[f][col] = b
+                        rows[b][col ^ 1] = f
+                        break
+                    if not defining:
+                        break
+                    f = define(f, col)
+                    i += 1
 
     def run(self, subgroup: Sequence[Sequence[int]] = ()) -> None:
-        rows, parent, relators = self.rows, self.parent, self.relators
-        scan_and_fill = self.scan_and_fill
-        for word in subgroup:
-            scan_and_fill(0, [_col(g) for g in word])  # coset 0 survives every merge
+        rows, parent, ends, scan = self.rows, self.parent, _ends(self.relators), self.scan
+        # coset 0 survives every merge
+        scan((0,), _ends([[_col(g) for g in word] for word in subgroup if word]), True)
         mark = LOOKAHEAD_FIRST
         coset = 0
         while coset < len(rows):
@@ -380,11 +410,8 @@ class _Enumeration:
                 self.lookahead(coset)
                 mark = 2 * len(rows)
             if parent[coset] == coset:  # same as rep(coset) == coset, as parent[i] <= i
-                for cols in relators:
-                    scan_and_fill(coset, cols)
-                    if parent[coset] != coset:
-                        break
-                else:
+                scan((coset,), ends, True)
+                if parent[coset] == coset:
                     row = rows[coset]
                     for col in range(self.ncols):
                         if row[col] is None:
@@ -392,9 +419,8 @@ class _Enumeration:
             coset += 1
 
     def lookahead(self, start: int) -> None:
-        """Scan every relator from both ends without defining, at each live
-        coset from start, the first one HLT has not processed: this only
-        fills deductions and merges coincidences.
+        """Scan every relator without defining at each live coset from
+        start, the first one HLT has not processed.
 
         The cosets below start are skipped because no scan there can
         change anything.  HLT left every relator closed at each of them:
@@ -402,42 +428,8 @@ class _Enumeration:
         Definitions only add edges, and coincidence processing maps each
         closed path to a closed path through the representatives, so
         every relator still closes at each live coset below start, and a
-        scan there returns to where it began.  For the same reason a
-        relator of length at least 2 is skipped at a coset whose row
-        defines neither its first column nor the inverse of its last:
-        neither end of that scan can move."""
-        rows, parent, coincidence = self.rows, self.parent, self.coincidence
-        ends = [(cols, cols[0], cols[-1] ^ 1, len(cols)) for cols in self.relators]
-        for coset in range(start, len(rows)):
-            row = rows[coset]
-            for cols, first, last, n in ends:
-                if parent[coset] != coset:
-                    break
-                if row[first] is None and row[last] is None and n > 1:
-                    continue
-                f, i = coset, 0
-                while i < n:
-                    nxt = rows[f][cols[i]]
-                    if nxt is None:
-                        break
-                    f = nxt
-                    i += 1
-                if i == n:
-                    if f != coset:
-                        coincidence(f, coset)
-                    continue
-                b, j = coset, n
-                while j > i:
-                    nxt = rows[b][cols[j - 1] ^ 1]
-                    if nxt is None:
-                        break
-                    b = nxt
-                    j -= 1
-                if j == i:
-                    coincidence(f, b)
-                elif j == i + 1:
-                    rows[f][cols[i]] = b
-                    rows[b][cols[i] ^ 1] = f
+        scan there returns to where it began."""
+        self.scan(range(start, len(self.rows)), _ends(self.relators), False)
 
     def compact(self) -> list[list[int]]:
         """Renumber the live cosets breadth first from the identity coset."""
@@ -473,9 +465,10 @@ def coset_enumerate(
     """Enumerate the cosets of the subgroup the words of subgroup generate
     (letters as in FpPres.relators; none for the trivial subgroup) by HLT
     over power-reduced relators taken shortest first, with a doubling
-    lookahead; see the module docstring for the strategy.  The count is
-    the subgroup's index, and coset 0 is the subgroup; the table is
-    audited against fp's own relators.  Raises CapacityError if the run
+    lookahead: one relator scan, which defines cosets in HLT and does
+    not in the lookahead; see the module docstring for the strategy.  The
+    count is the subgroup's index, and coset 0 is the subgroup; the table
+    is audited against fp's own relators.  Raises CapacityError if the run
     needs more than max_cosets coset definitions, counting every coset
     defined, including ones later merged away."""
     if max_cosets < 1:

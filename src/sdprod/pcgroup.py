@@ -11,7 +11,9 @@ x^z = x is hard-wired: z and x always commute here, so w and y act on
 the abelian tail z^i x^j by fixed linear maps.  Once the presentation is
 consistent, those maps are its relations: z and x go to the images
 written above, and every other tail follows linearly.  The group table
-keeps only those maps (see GroupTable).
+keeps only those maps (see GroupTable).  The images of z and x under w
+and y are spelled once, in _conjugations: check_consistency,
+PcData.core_orders and build_table all read the tail action from there.
 
 Consistency of such a presentation is decided by sixteen overlap
 identities, evaluated below by actually iterating the conjugation maps.
@@ -203,7 +205,11 @@ def _conjugations(pc: PcData):
     """The conjugations by w and by y of the tail, as functions that take
     the exponents (ze, xe) of z^ze x^xe to those of its image.
 
-    The exponents are bound once: the checks call these maps in loops."""
+    This is the one statement of the tail action: check_consistency
+    iterates and composes these maps, PcData.core_orders reads the
+    conjugates of x^d and z^e off them, and build_table tabulates them
+    from the images of z and x.  The exponents are bound once: the checks
+    call these maps in loops."""
     N, M, alpha, beta = pc.pair.N, pc.pair.M, pc.pair.alpha, pc.pair.beta
     b, s1, a1, r = pc.xw_zexp, pc.xw_xexp, pc.zy_zexp, pc.zy_xexp
 
@@ -239,7 +245,13 @@ def check_consistency(pc: PcData) -> ConsistencyReport:
     """
     N, M = pc.pair.N, pc.pair.M
     cw, cy = _conjugations(pc)
-    cz = lambda ze, xe: (ze, xe)  # noqa: E731  x^z = x, tails are fixed
+    fixed = lambda ze, xe: (ze, xe)  # noqa: E731  x^z = x, tails are fixed
+    # per generator position 1=w 2=y 3=z 4=x: its conjugation of a tail,
+    # its relative order, and, for z and x, its exponents as a tail
+    conj = {1: cw, 2: cy, 3: fixed, 4: fixed}
+    order = {1: 2, 2: 2, 3: M, 4: N}
+    unit = {3: (1, 0), 4: (0, 1)}
+    tail_pairs = ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
     c, t = pc.yw_zexp, pc.yw_xexp
     entries = []
 
@@ -253,57 +265,40 @@ def check_consistency(pc: PcData) -> ConsistencyReport:
         ze, xe = cw(ze, xe)
         ze, xe = (ze + c) % M, (xe + t) % N
     add("P", (1, 2), (ze, xe))
-    for index, fn, start, times in (
-        ((1, 3), cw, (1, 0), 2),
-        ((1, 4), cw, (0, 1), 2),
-        ((2, 3), cy, (1, 0), 2),
-        ((2, 4), cy, (0, 1), 2),
-        ((3, 4), cz, (0, 1), M),
-    ):
-        ze, xe = _iterate_conj(fn, *start, times)
-        add("P", index, (ze - start[0], xe - start[1]))
+    for i, j in tail_pairs:
+        ze, xe = _iterate_conj(conj[i], *unit[j], order[i])
+        add("P", (i, j), (ze - unit[j][0], xe - unit[j][1]))
 
     # W(1,2): the square of y^w = y z^c x^t; the y letters meet and the
     # tail picks up its own y-conjugate.
     ze, xe = cy(c, t)
     add("W", (1, 2), (ze + c, xe + t))
-    for index, image, power in (
-        ((1, 3), (pc.pair.beta, 0), M),  # z^w raised to the order of z
-        ((1, 4), (pc.xw_zexp, pc.xw_xexp), N),  # x^w raised to the order of x
-        ((2, 3), (pc.zy_zexp, pc.zy_xexp), M),
-        ((2, 4), (0, pc.pair.alpha), N),
-        ((3, 4), (0, 1), N),
-    ):
-        add("W", index, (power * image[0], power * image[1]))
+    for i, j in tail_pairs:
+        ze, xe = conj[i](*unit[j])
+        add("W", (i, j), (order[j] * ze, order[j] * xe))
 
     # C family: conjugate the element two ways.  The inner conjugator
-    # g_j^(g_i) acts on a tail through its w/y part: y^w acts as y,
-    # while z^w and z^y lie in the tail and act trivially.
-    for index, first, second, inner in (
-        ((1, 2, 3), cy, cw, cy),  # (z^y)^w vs (z^w)^(y^w)
-        ((1, 2, 4), cy, cw, cy),  # (x^y)^w vs (x^w)^(y^w)
-        ((1, 3, 4), cz, cw, cz),  # (x^z)^w vs (x^w)^(z^w)
-        ((2, 3, 4), cz, cy, cz),  # (x^z)^y vs (x^y)^(z^y)
-    ):
-        start = (1, 0) if index[2] == 3 else (0, 1)
-        lz, lx = second(*first(*start))
-        rz, rx = inner(*second(*start))
-        add("C", index, (lz - rz, lx - rx))
+    # g_j^(g_i) acts on a tail through its w/y part, as g_j does: y^w
+    # acts as y, while z^w and z^y lie in the tail and act trivially.
+    for i, j, k in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
+        lz, lx = conj[i](*conj[j](*unit[k]))
+        rz, rx = conj[j](*conj[i](*unit[k]))
+        add("C", (i, j, k), (lz - rz, lx - rx))
 
     report = ConsistencyReport(tuple(entries))
     assert len(report.entries) == 16
     return report
 
 
-def _tail_map(
-    pair: SdPair, z_image: Sequence[int], x_image: Sequence[int], shift: Sequence[int] = (0, 0)
-) -> list[int]:
-    """Image of every tail z^i x^j, at position i*N + j, as a tail index.
+def _tail_map(pair: SdPair, conj, shift: Sequence[int] = (0, 0)) -> list[int]:
+    """Image of every tail z^i x^j under the conjugation conj (one of
+    _conjugations), at position i*N + j, as a tail index.
 
-    The map sends z to z_image and x to x_image, extended linearly over
-    the abelian tail, and adds shift to every image: the (z, x) exponents
-    of each are given as a pair."""
+    The map sends z and x to their images under conj, extended linearly
+    over the abelian tail, and adds shift to every image: the (z, x)
+    exponents of each are given as a pair."""
     N, M = pair.N, pair.M
+    z_image, x_image = conj(1, 0), conj(0, 1)
     jz = [j * x_image[0] % M for j in range(N)]
     jx = [j * x_image[1] % N for j in range(N)]
     out: list[int] = []
@@ -320,15 +315,13 @@ def build_table(pc: PcData) -> GroupTable:
     the head's y and conjugates the tail z^i x^j by y; by w it flips the
     head's w and conjugates the tail by w, adding the (c, t) of
     y^w = y z^c x^t when the head holds y.  Both conjugations are linear
-    maps of the abelian tail, and the presentation gives the images of z
-    and x under each: z^y = z^(1+a) x^r and x^y = x^alpha make ty,
-    z^w = z^beta and x^w = z^b x^(1+s) make tw, and tw_past_y is tw
-    shifted by the z^c x^t of y^w.  The consistency check above is what
-    makes these relations a well-defined action on the tail.  The product
-    u*v is then the prefix of u that v's (w, y) head k selects
-    (GroupTable.prefixes), shifted by v's tail z^vz x^vx.  `audit_table`
-    checks that every row and every column of that table is a
-    permutation, in O(|G|):
+    maps of the abelian tail, given by _conjugations: the y map makes ty,
+    the w map makes tw, and tw_past_y is tw shifted by the z^c x^t of
+    y^w.  The consistency check above is what makes these relations a
+    well-defined action on the tail.  The product u*v is then the prefix
+    of u that v's (w, y) head k selects (GroupTable.prefixes), shifted by
+    v's tail z^vz x^vx.  `audit_table` checks that every row and every
+    column of that table is a permutation, in O(|G|):
 
     - Row u is the four blocks {prefix_k(u) z^i x^j}, one per (w, y)
       head, since prefix_k(u) has u's head xor k.  So row u is a
@@ -344,13 +337,13 @@ def build_table(pc: PcData) -> GroupTable:
     order = 4 * N * M
     if order > DEFAULT_MAX_ORDER:
         raise CapacityError(f"table too large: order {order} exceeds cap {DEFAULT_MAX_ORDER}")
-    w_images = ((pc.pair.beta, 0), (pc.xw_zexp, pc.xw_xexp))
+    cw, cy = _conjugations(pc)
     g = GroupTable(
         pair=pc.pair,
         order=order,
-        ty=_tail_map(pc.pair, (pc.zy_zexp, pc.zy_xexp), (0, pc.pair.alpha)),
-        tw=_tail_map(pc.pair, *w_images),
-        tw_past_y=_tail_map(pc.pair, *w_images, shift=(pc.yw_zexp, pc.yw_xexp)),
+        ty=_tail_map(pc.pair, cy),
+        tw=_tail_map(pc.pair, cw),
+        tw_past_y=_tail_map(pc.pair, cw, shift=(pc.yw_zexp, pc.yw_xexp)),
         gen_w=2 * M * N,
         gen_y=M * N,
         gen_z=N,

@@ -701,6 +701,15 @@ def test_tc_missing_relator_file(tmp_path, capsys):
     assert "i/o error" in err
 
 
+def test_tc_relator_file_that_is_not_utf8(tmp_path, capsys):
+    # a UTF-16 byte-order mark: one error line and the relator syntax exit
+    path = tmp_path / "utf16.rel"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, ["tc", "--relators", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "sdprod: relator file error: not UTF-8 text at byte 0\n"
+
+
 def test_tc_coset_limit(capsys):
     code, _, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "100"])
     assert code == 2

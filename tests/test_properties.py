@@ -567,9 +567,12 @@ def test_definitions_past_the_lookahead_mark(t, e, defined, passes, order):
 class FullSweepLookahead(_Enumeration):
     """The enumerator with the lookahead it had before it started at the
     HLT pointer: every relator scanned from both ends, without defining,
-    at every live coset from coset 0."""
+    at every live coset from coset 0.  passes counts its calls."""
+
+    passes = 0
 
     def lookahead(self, start):
+        self.passes += 1
         rows, parent = self.rows, self.parent
         for coset in range(len(rows)):
             for cols in self.relators:
@@ -629,6 +632,9 @@ def test_lookahead_from_the_hlt_pointer_matches_a_full_sweep(fp, mark):
             runs.append(state)
     got, want = runs
     defined = len(want.rows)
+    # a run that stopped calling self.lookahead would compare two plain
+    # HLT runs here and pass
+    assert want.passes > 0 or defined < mark
     assert len(got.rows) == defined
     # the raw rows, not parent: path compression is free to differ
     assert got.rows == want.rows
