@@ -14,6 +14,14 @@ documents hold none, so they never load it, and importing this module
 stays cheap.
 """
 
+# The docstring above is also `sdprod --help`'s description, so this note on
+# how argv is read stays out of it.  A well-formed command line (each flag
+# spelled out once, each value one its type and choices accept) is read
+# straight from its subcommand's flag table, which is read off that
+# subparser's own argparse actions.  Every other command line, help and
+# every error among them, goes to argparse, so argparse writes every help,
+# usage and error byte (see _parse_args).
+
 from __future__ import annotations
 
 import argparse
@@ -608,18 +616,115 @@ def _subparser(name: str) -> _Parser:
     what parsing with it does.  Parsing leaves the parser as it was and
     returns a new Namespace, and help reads the terminal width when it is
     formatted, so a kept parser answers as a new one would.  Callers pass
-    only names in SUBCOMMANDS, which bounds the cache.
+    only names in SUBCOMMANDS, which bounds the cache.  Its flag table
+    for the direct parse (_flags) is read off it, also once per process.
     """
     parser = _Parser(prog=f"sdprod {name}")
     SUBCOMMANDS[name][1](parser)
     return parser
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse argv as build_parser() does, using only the subparser that
-    argv[0] names when that gives the same result.
+# What the direct parse needs of a parser, read off its actions: each exact
+# option string's action, the namespace before any flag is read, and the
+# required actions.  A plain tuple: a NamedTuple class would cost import time.
+_FlagTable = tuple[dict[str, argparse.Action], dict[str, object], frozenset[argparse.Action]]
 
-    That subparser is built once per process (_subparser), so a process
+
+def _flag_table(parser: argparse.ArgumentParser) -> _FlagTable | None:
+    """parser's flags as the direct parse reads them, or None when parser
+    has anything the direct parse does not model: a positional, an
+    exclusive group, an action other than a flag storing one value or
+    store_true, or a str default with a type (argparse converts such a
+    default when the flag is absent)."""
+    if parser._mutually_exclusive_groups:
+        return None
+    actions: dict[str, argparse.Action] = {}
+    defaults: dict[str, object] = {}
+    required = []
+    for action in parser._actions:
+        kind = type(action)
+        if kind is argparse._HelpAction:
+            continue  # its option strings are not in the table, so -h declines
+        stores = (kind is argparse._StoreAction and action.nargs is None) or kind is argparse._StoreTrueAction
+        if (
+            not stores
+            or not action.option_strings
+            or (isinstance(action.default, str) and action.type is not None)
+        ):
+            return None
+        actions.update(dict.fromkeys(action.option_strings, action))
+        defaults.setdefault(action.dest, action.default)
+        if action.required:
+            required.append(action)
+    for dest, value in parser._defaults.items():
+        defaults.setdefault(dest, value)
+    return actions, defaults, frozenset(required)
+
+
+@functools.lru_cache(maxsize=None)
+def _flags(name: str) -> _FlagTable | None:
+    """The flag table of _subparser(name), read on first use."""
+    return _flag_table(_subparser(name))
+
+
+def _parse_direct(table: _FlagTable | None, rest: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace that parse_known_args(rest) gives with no extras, read
+    in one pass over rest, or None (decline) where argparse would do
+    anything more than store what the table spells out.
+
+    It declines at a token that is not an exact option string (an
+    abbreviation, --flag=value, -h, an unknown flag or a positional), a
+    repeated flag, a missing value or one that starts with "-" (argparse
+    may read it as an option or a negative number; "--" among them), a
+    value its type rejects (ValueError, TypeError or ArgumentTypeError)
+    or one outside its choices, and a missing required flag.  On every
+    other input argparse stores the same values in the same order.
+    """
+    if table is None:
+        return None
+    actions, defaults, required = table
+    values = dict(defaults)
+    seen: set[argparse.Action] = set()
+    tokens = iter(rest)
+    for token in tokens:
+        action = actions.get(token)
+        if action is None or action in seen:
+            return None
+        seen.add(action)
+        if action.nargs == 0:
+            values[action.dest] = action.const
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if not required <= seen:
+        return None
+    return argparse.Namespace(**values)
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """Parse argv as build_parser() does, with no more than the subparser
+    that argv[0] names when that gives the same result.
+
+    A well-formed command line, each flag spelled out once and each value
+    one its type and choices accept, is read straight from the
+    subparser's flag table (_parse_direct), without argparse's parse
+    loop.  The table is read off the subparser's own actions, so no flag,
+    default or choice is declared twice, and the direct parse returns
+    what parse_known_args would.  Every other command line goes to
+    argparse, as it did before: the choice is made from argv alone, and
+    the direct parse writes nothing, so help, usage and error messages,
+    and their exit codes, are argparse's bytes.
+
+    The subparser is built once per process (_subparser), so a process
     that calls main() many times builds each subcommand's parser at most
     once, and the console script, which parses once, builds only the one
     it needs.  A subparser prints its own help, usage and errors, the same
@@ -631,10 +736,13 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     """
     argv = sys.argv[1:] if argv is None else list(argv)
     if argv and argv[0] in SUBCOMMANDS:
-        args, extra = _subparser(argv[0]).parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
+        args = _parse_direct(_flags(argv[0]), argv[1:])
+        if args is None:
+            args, extra = _subparser(argv[0]).parse_known_args(argv[1:])
+            if extra:
+                return build_parser().parse_args(argv)
+        args.command = argv[0]
+        return args
     return build_parser().parse_args(argv)
 
 

@@ -42,6 +42,7 @@ and every subgroup word must fix coset 0.
 
 from __future__ import annotations
 
+import codecs
 import functools
 import itertools
 import re
@@ -220,9 +221,11 @@ def parse_relator_file(path: str) -> FpPres:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")  # a leading byte-order mark is dropped
     except UnicodeDecodeError as exc:
-        raise RelatorSyntaxError(f"not UTF-8 text at byte {exc.start}") from None
+        # utf-8-sig counts from after the mark; the offset is the file's
+        offset = exc.start + (len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0)
+        raise RelatorSyntaxError(f"not UTF-8 text at byte {offset}") from None
     return parse_relator_lines(text.splitlines())
 
 

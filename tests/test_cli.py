@@ -321,6 +321,99 @@ def test_unknown_commands_do_not_grow_the_parser_cache(capsys):
         assert info.value.code == 3
     capsys.readouterr()
     assert cli._subparser.cache_info().currsize <= len(cli.SUBCOMMANDS)
+    assert cli._flags.cache_info().currsize <= len(cli.SUBCOMMANDS)
+
+
+# The direct parse reads a well-formed command line off the subparser's
+# flag table; argparse answers everything else.
+
+# One command line per shape that the benchmark's workloads run.
+WORKLOAD_ARGV = [
+    ["check-a", "--n", "13", "--m", "17", "--tuple", "3,5,7,9", "--format", "text"],
+    ["check-b", "--n", "13", "--m", "17", "--n1", "2", "--m1", "1", "--tuple", "3,5,7,9,11,13",
+     "--format", "json"],
+    ["enumerate-a", "--n", "9", "--m", "7", "--format", "csv"],
+    ["enumerate-b", "--n", "10", "--m", "10", "--n1", "2", "--m1", "2", "--allow-large", "--format", "csv"],
+    ["build", "--n", "4", "--m", "4", "--tuple", "4,0,0,4,0,0", "--format", "json", "--output", "t.table"],
+    ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--format", "text", "--verify-associativity"],
+    ["tc", "--preset", "example-6-5", "--format", "json"],
+    ["tc", "--relators", "f.rel", "--format", "text"],
+    ["crosscheck", "--n", "4", "--m", "5", "--tuple", "0,2,0,0"],
+]
+
+
+def direct(argv):
+    return cli._parse_direct(cli._flags(argv[0]), argv[1:])
+
+
+def test_main_parses_well_formed_lines_without_argparse(capsys, monkeypatch):
+    def no_argparse(self, *args, **kwargs):
+        raise AssertionError("argparse parsed a well-formed command line")
+
+    monkeypatch.setattr(cli._Parser, "parse_known_args", no_argparse)
+    for argv in [*VALID_ARGV.values(), VALID_ARGV["check-b"] + ["--format", "json"]]:
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+
+
+@pytest.mark.parametrize("argv", [*VALID_ARGV.values(), *WORKLOAD_ARGV], ids=" ".join)
+def test_direct_parse_gives_the_subparsers_namespace(argv):
+    args = direct(argv)
+    want, extra = cli._subparser(argv[0]).parse_known_args(argv[1:])
+    assert extra == []
+    # the same attributes with the same values, in the same order
+    assert list(vars(args).items()) == list(vars(want).items())
+
+
+CHECK_A = VALID_ARGV["check-a"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        CHECK_A + ["--form", "json"],  # an abbreviation
+        ["check-a", "--n=4", "--m", "4", "--tuple", "0,2,0,0"],
+        CHECK_A + ["-h"],
+        CHECK_A + ["--help"],
+        CHECK_A + ["--bogus"],
+        CHECK_A + ["extra"],
+        CHECK_A + ["--"],
+        CHECK_A + ["--n", "5"],  # a repeated flag
+        ["check-a", "--n", "-4", "--m", "4", "--tuple", "0,2,0,0"],
+        ["check-a", "--n", "4", "--m", "4", "--tuple", "-1,0,0,0"],
+        CHECK_A + ["--format"],  # a missing value
+        CHECK_A + ["--output", "--format"],
+        ["check-a", "--n", "x", "--m", "4", "--tuple", "0,2,0,0"],  # int("x") raises
+        CHECK_A + ["--format", "xml"],  # not a choice
+        ["check-a", "--n", "4", "--m", "4"],  # --tuple is required
+        VALID_ARGV["tc"] + ["--max-cosets", "0"],  # ArgumentTypeError
+        VALID_ARGV["crosscheck"] + ["--format", "json"],
+        VALID_ARGV["build"] + ["--verify-associativity", "--verify-associativity"],
+    ],
+    ids=" ".join,
+)
+def test_direct_parse_declines_what_argparse_answers(argv):
+    assert direct(argv) is None
+
+
+@pytest.mark.parametrize(
+    "add",
+    [
+        lambda p: p.add_argument("--level", type=int, default="3"),  # argparse converts "3"
+        lambda p: p.add_argument("--level", nargs="?"),
+        lambda p: p.add_argument("--level", action="append"),
+        lambda p: p.add_argument("--level", action="count"),
+        lambda p: p.add_argument("level"),
+        lambda p: p.add_mutually_exclusive_group().add_argument("--level"),
+    ],
+    ids=["str-default-with-type", "nargs-optional", "append", "count", "positional", "exclusive-group"],
+)
+def test_direct_parse_declines_a_parser_with_an_unmodeled_action(add):
+    parser = cli._Parser(prog="scratch")
+    parser.add_argument("--n", type=int)
+    add(parser)
+    assert cli._flag_table(parser) is None
+    assert cli._parse_direct(cli._flag_table(parser), ["--n", "4"]) is None
 
 
 def test_build_checks_consistency_once(capsys, monkeypatch):
@@ -708,6 +801,23 @@ def test_tc_relator_file_that_is_not_utf8(tmp_path, capsys):
     code, out, err = run(capsys, ["tc", "--relators", str(path)])
     assert (code, out) == (3, "")
     assert err == "sdprod: relator file error: not UTF-8 text at byte 0\n"
+
+
+def test_tc_relator_file_with_a_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "bom.rel"
+    path.write_bytes(b"\xef\xbb\xbf" + SD16_FILE.encode())
+    code, out, err = run(capsys, ["tc", "--relators", str(path)])
+    assert (code, err) == (0, "")
+    assert out.startswith("cosets: 16\n")
+
+
+def test_tc_relator_file_with_a_byte_order_mark_counts_from_the_first_byte(tmp_path, capsys):
+    # utf-8-sig counts from after the mark (4 here); the offset is the file's
+    path = tmp_path / "bom.rel"
+    path.write_bytes(b"\xef\xbb\xbfx^8\n\xff")
+    code, out, err = run(capsys, ["tc", "--relators", str(path)])
+    assert (code, out) == (3, "")
+    assert err == "sdprod: relator file error: not UTF-8 text at byte 7\n"
 
 
 def test_tc_coset_limit(capsys):

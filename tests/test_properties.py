@@ -41,7 +41,10 @@ before, at random ranks and at the order-2^16 rank pairs of the
 benchmark.  Random sequences of
 command lines, run one after another in this process through main, where
 each subcommand's parser is kept, are compared one by one with the same
-command line under a freshly built parser.
+command line under a freshly built parser.  Command lines drawn from
+each subcommand's flags, their prefixes and --flag=value forms, help,
+"--", and awkward values are either declined by the direct parse or read
+by it into the Namespace argparse gives.
 """
 
 import contextlib
@@ -95,7 +98,7 @@ from sdprod.pcgroup import (
     verify_associativity_exhaustive,
     verify_associativity_generators,
 )
-from test_cli import PARSER_CASES, VALID_ARGV
+from test_cli import PARSER_CASES, VALID_ARGV, WORKLOAD_ARGV
 from test_congruence import all_core_specs, brute_enumerate_b
 from test_pcgroup import PrefixTable, collect_multiply, full_scan_accepts, index_nf, nf_index
 
@@ -1076,3 +1079,65 @@ def fresh_answer(argv):
 def test_calls_in_one_process_answer_as_alone(session):
     answers = [answer(argv) for argv in session]
     assert answers == [fresh_answer(argv) for argv in session]
+
+
+# Values that int, _positive_int and the choices accept or reject, and
+# some that argparse reads as options or negative numbers; the strategy
+# below also puts a flag where a value belongs.
+ODD_VALUES = ["4", "5", "0", "-4", "-1,0,0,0", "", " 7", "+3", "1_0", "\u0664", "0,2,0,0",
+              "4,0,0,4,0,0", "text", "json", "csv", "xml", "example-6-5", "-", "--"]
+
+
+@st.composite
+def subcommand_lines(draw):
+    """A subcommand with some of its flags, in any order, each followed by
+    a value, mostly one of the flag's kind, else an odd value or a flag
+    (a store_true flag takes none), and up to three pieces of noise put
+    anywhere: a flag again, a flag without its value, a prefix of a
+    flag, a --flag=value form, help, "--", an unknown flag or a stray
+    positional."""
+    name = draw(st.sampled_from(sorted(cli.SUBCOMMANDS)))
+    parser = cli._subparser(name)
+    options = sorted(o for o in parser._option_string_actions if o not in ("-h", "--help"))
+    flag = st.sampled_from(options)
+    odd = st.one_of(st.sampled_from(ODD_VALUES), st.integers(-3, 24).map(str), flag)
+    pieces = []
+    for option in draw(st.permutations(options)):
+        action = parser._option_string_actions[option]
+        if not draw(st.integers(0, 4)):
+            continue
+        if action.nargs == 0:
+            pieces.append([option])
+        elif draw(st.integers(0, 3)):  # a value of the flag's own kind
+            good = st.sampled_from(action.choices or ["0,2,0,0", "F"])
+            pieces.append([option, draw(st.integers(1, 24).map(str) if action.type else good)])
+        else:
+            pieces.append([option, draw(odd)])
+    noise = st.one_of(
+        st.tuples(flag, odd).map(list),
+        flag.map(lambda o: [o]),
+        flag.flatmap(lambda o: st.integers(1, len(o) - 1).map(lambda k: [o[:k]])),
+        st.tuples(flag, odd).map(lambda p: [f"{p[0]}={p[1]}"]),
+        st.sampled_from(["-h", "--help", "--", "--bogus", "extra"]).map(lambda t: [t]),
+    )
+    for piece in draw(st.lists(noise, max_size=3)):
+        pieces.insert(draw(st.integers(0, len(pieces))), piece)
+    return [name] + [token for piece in pieces for token in piece]
+
+
+@PROPERTY_SETTINGS
+@given(subcommand_lines())
+def test_direct_parse_declines_or_reads_what_argparse_reads(argv):
+    args = cli._parse_direct(cli._flags(argv[0]), argv[1:])
+    if args is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
+        want, extra = cli._subparser(argv[0]).parse_known_args(argv[1:])
+    assert extra == []
+    assert list(vars(args).items()) == list(vars(want).items())
+
+
+for _argv in [*VALID_ARGV.values(), *WORKLOAD_ARGV]:
+    test_direct_parse_declines_or_reads_what_argparse_reads = example(_argv)(
+        test_direct_parse_declines_or_reads_what_argparse_reads
+    )
