@@ -37,6 +37,7 @@ from .pcgroup import (
     pc_from_tuple_b,
     subgroup_closure,
     verify_associativity_exhaustive,
+    verify_associativity_extension,
 )
 
 __version__ = "0.1.0"

@@ -12,15 +12,13 @@ write a string value (_json_scalar): a build --output path or tc's phrase
 for an [x,z] that is no x^i z^j.  Verdicts, listings and the other
 documents hold none, so they never load it, and importing this module
 stays cheap.
-"""
 
-# The docstring above is also `sdprod --help`'s description, so this note on
-# how argv is read stays out of it.  A well-formed command line (each flag
-# spelled out once, each value one its type and choices accept) is read
-# straight from its subcommand's flag table, which is read off that
-# subparser's own argparse actions.  Every other command line, help and
-# every error among them, goes to argparse, so argparse writes every help,
-# usage and error byte (see _parse_args).
+A well-formed command line (each flag spelled out once, each value one
+its type and choices accept) is read straight from its subcommand's flag
+table, which is read off that subparser's own argparse actions.  Every
+other command line, help and every error among them, goes to argparse,
+so argparse writes every help, usage and error byte (see _parse_args).
+"""
 
 from __future__ import annotations
 
@@ -58,7 +56,7 @@ from .pcgroup import (
     check_consistency,
     pc_from_tuple_a,
     pc_from_tuple_b,
-    verify_associativity_generators,
+    verify_associativity_extension,
 )
 
 # Not called here.  perfbench's tracer wraps each library function at its
@@ -338,6 +336,8 @@ def cmd_build(args) -> int:
         sys.stdout.write(_verdict_text(verdict, conditions, args.format))
         return 1
     order = 4 * pair.N * pair.M
+    # The certificate is linear in the order, so this cap guards nothing
+    # costly; it keeps the documented exit 2 until the cap is lifted.
     if args.verify_associativity and order > DEFAULT_ASSOC_CAP:  # refused before the table
         raise CapacityError(
             f"table too large for the associativity check: order {order} "
@@ -345,6 +345,7 @@ def cmd_build(args) -> int:
         )
     if args.output and order > TABLE_FILE_CAP:
         raise CapacityError(TABLE_FILE_CAP_MESSAGE.format(order=order, cap=TABLE_FILE_CAP))
+    # checked once: the report is printed and handed to build_table
     consistency = check_consistency(pc)
     consistency.require()
     # 4NM distinct normal forms w^a y^b z^c x^d: H = <x, y> has the 2N with
@@ -366,9 +367,9 @@ def cmd_build(args) -> int:
         "requested_cores": [requested_cores.n1, requested_cores.m1],
     }
     if args.verify_associativity or args.output:
-        g = build_table(pc)
+        g = build_table(pc, consistency)
         if args.verify_associativity:
-            doc["associative"] = verify_associativity_generators(g)
+            doc["associative"] = verify_associativity_extension(g)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as fh:
                 _write_table(fh, g, t)
@@ -600,7 +601,9 @@ SUBCOMMANDS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="sdprod", description=__doc__)
+    # the tool and its exit codes: the docstring's first two paragraphs,
+    # not its notes on the code
+    parser = _Parser(prog="sdprod", description="\n\n".join((__doc__ or "").split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (help_text, add_arguments) in SUBCOMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))

@@ -20,6 +20,15 @@ identities, evaluated below by actually iterating the conjugation maps.
 The module deliberately never consults the congruence module for this;
 the two are independent routes to the same classification and are played
 against each other in the tests.
+
+Associativity of a built table is certified from its three maps in
+O(|G|) (verify_associativity_extension): the table is an extension of
+the tail by the Klein four-group {1, w, y, wy}, and the factor-set
+condition of such an extension is a few dozen identities once each map
+is known to be affine.  The certificate reads the maps, not the
+presentation, so it checks build_table independently of
+check_consistency.  The cubic scan (verify_associativity_exhaustive)
+is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -107,8 +116,10 @@ class GroupTable(NamedTuple):
     added on, because x^z = x.  The table keeps only the three tail maps
     that give those prefixes (see `prefixes`), each the action of w or y on
     the tail as the presentation writes it, NM entries each, so it costs
-    3|G|/4 entries; `mul` looks up one product, `row` yields one row and
-    `generator_columns` the four columns of Light's test.
+    3|G|/4 entries; `mul` looks up one product and `row` yields one row.
+    In this form the table is an extension of the tail by the Klein
+    four-group of heads, and `verify_associativity_extension` checks
+    associativity on the three maps alone, in O(|G|).
     """
 
     pair: SdPair
@@ -128,8 +139,8 @@ class GroupTable(NamedTuple):
         w map if k holds w (the one past y when u's head holds y), and
         then through the y map if k holds y.  All four come from one call,
         which reads the maps once: a field read of this record costs more
-        than a local one, and the table file and Light's test take the
-        prefixes of every element."""
+        than a local one, and the table file takes the prefixes of every
+        element."""
         block, ty = self.order // 4, self.ty
         head, tail = divmod(u, block)
         w_tail = (self.tw_past_y if head & 1 else self.tw)[tail]
@@ -146,22 +157,6 @@ class GroupTable(NamedTuple):
         head, tail = divmod(b, M * N)
         phead, ptail = divmod(self.prefixes(a)[head], M * N)
         return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
-
-    def generator_columns(self) -> list[list[int]]:
-        """The columns b -> b*c of c = w, y, z, x, read off the tail maps.
-
-        b*w and b*y are prefixes 2 and 1 of b.  z and x have head 0, so
-        b*z and b*x are b, its own prefix 0, with the tail's z or x
-        exponent moved on by one: a shift inside b's head block, or inside
-        its x-coset."""
-        N, block = self.pair.N, self.pair.N * self.pair.M
-        prefixes = list(map(self.prefixes, range(self.order)))
-        return [
-            [p[2] for p in prefixes],
-            [p[1] for p in prefixes],
-            [b - b % block + (b + N) % block for b in range(self.order)],
-            [b - b % N + (b + 1) % N for b in range(self.order)],
-        ]
 
     def row(self, a: int) -> list[int]:
         """Row a of the table: a * v for v = 0, 1, ..., order - 1.
@@ -308,20 +303,21 @@ def _tail_map(pair: SdPair, conj, shift: Sequence[int] = (0, 0)) -> list[int]:
     return out
 
 
-def build_table(pc: PcData) -> GroupTable:
+def build_table(pc: PcData, consistency: ConsistencyReport | None = None) -> GroupTable:
     """Build the implicit multiplication table: three tail maps of NM entries.
 
-    Requires a consistent presentation.  Right multiplication by y flips
-    the head's y and conjugates the tail z^i x^j by y; by w it flips the
-    head's w and conjugates the tail by w, adding the (c, t) of
-    y^w = y z^c x^t when the head holds y.  Both conjugations are linear
-    maps of the abelian tail, given by _conjugations: the y map makes ty,
-    the w map makes tw, and tw_past_y is tw shifted by the z^c x^t of
-    y^w.  The consistency check above is what makes these relations a
-    well-defined action on the tail.  The product u*v is then the prefix
-    of u that v's (w, y) head k selects (GroupTable.prefixes), shifted by
-    v's tail z^vz x^vx.  `audit_table` checks that every row and every
-    column of that table is a permutation, in O(|G|):
+    Requires a consistent presentation: `consistency` is the report of
+    check_consistency(pc), computed here when the caller has none.  Right
+    multiplication by y flips the head's y and conjugates the tail z^i x^j
+    by y; by w it flips the head's w and conjugates the tail by w, adding
+    the (c, t) of y^w = y z^c x^t when the head holds y.  Both conjugations
+    are linear maps of the abelian tail, given by _conjugations: the y map
+    makes ty, the w map makes tw, and tw_past_y is tw shifted by the z^c x^t
+    of y^w.  The consistency check above is what makes these relations a
+    well-defined action on the tail.  The product u*v is then the prefix of
+    u that v's (w, y) head k selects (GroupTable.prefixes), shifted by v's
+    tail z^vz x^vx.  `audit_table` checks that every row and every column of
+    that table is a permutation, in O(|G|):
 
     - Row u is the four blocks {prefix_k(u) z^i x^j}, one per (w, y)
       head, since prefix_k(u) has u's head xor k.  So row u is a
@@ -332,7 +328,9 @@ def build_table(pc: PcData) -> GroupTable:
       prefix in G.  The audit thus accepts exactly the tables that the
       full row and column scans accept.
     """
-    check_consistency(pc).require()
+    if consistency is None:
+        consistency = check_consistency(pc)
+    consistency.require()
     N, M = pc.pair.N, pc.pair.M
     order = 4 * N * M
     if order > DEFAULT_MAX_ORDER:
@@ -443,39 +441,85 @@ def verify_associativity_exhaustive(g: GroupTable, max_order: int = DEFAULT_ASSO
     return True
 
 
-def verify_associativity_generators(g: GroupTable) -> bool:
-    """Light's associativity test (Clifford and Preston, *The Algebraic
-    Theory of Semigroups* I, 1961, section 1.2): 4 * order**2 lookups in
-    O(order) memory.
+def _affine_part(g: GroupTable, tails: list[int]):
+    """(c, L(z), L(x)) when the tail map `tails` is tau -> c + L tau, with
+    L a well-defined linear map of the tail Z_M x Z_N; else None.  Tails
+    are (z exponent, x exponent) pairs.
 
-    Call c good when (ab)c = a(bc) for all a, b.  The good elements are
-    closed under products: for good c and d,
-    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).
-    So the table is associative once w, y, z and x are good and every
-    element is a product of them, that is, once the closure of
-    {w, y, z, x} under right multiplication by the four is all of G.
-    With R_a the row of a and rho_c the column of c (b -> bc), c is good
-    when rho_c after R_a equals R_a after rho_c, for every a.
+    c, L(z) and L(x) are read off the images of 1, z and x.  L is well
+    defined when M L(z) = 0 and N L(x) = 0: otherwise z^M = 1 and x^N = 1
+    would have images other than 1.  Then each z-row i of the map must
+    be c + i L(z) plus the run j L(x), entry by entry."""
+    N, M = g.pair.N, g.pair.M
+    c = divmod(tails[0], N)
+    lz = ((tails[N] // N - c[0]) % M, (tails[N] - c[1]) % N)
+    lx = ((tails[1] // N - c[0]) % M, (tails[1] - c[1]) % N)
+    if M * lz[1] % N or N * lx[0] % M:
+        return None
+    run = [(j * lx[0], j * lx[1]) for j in range(N)]
+    for i in range(M):
+        rz, rx = c[0] + i * lz[0], c[1] + i * lz[1]
+        if tails[i * N : i * N + N] != [(rz + a) % M * N + (rx + b) % N for a, b in run]:
+            return None
+    return c, lz, lx
 
-    False also answers a table that the four do not generate, where the
-    test decides nothing.  build_table's tables are all generated: prefix
-    0 is u itself by construction, so z and x move through a whole head
-    block, and y and w take each block to two others.
+
+def verify_associativity_extension(g: GroupTable) -> bool:
+    """Associativity of g as an extension of the abelian tail T = <z, x>
+    by the Klein four-group {1, w, y, wy} of heads, read off the three
+    tail maps: 3 * order / 4 lookups and O(1) identities.
+
+    Write u = (h, tau) with head h and tail tau.  By GroupTable.prefixes,
+    u * v for v = (k, sigma) is (h xor k, phi_hk(tau) + sigma), where
+    phi_h0 is the identity, phi_h1 is ty, phi_h2 is tw, or tw_past_y when
+    h holds y, and phi_h3 is ty after phi_h2.  Then (uv)v' = u(vv') for
+    v' = (l, rho) reads
+
+        phi_(h xor k)l(phi_hk(tau) + sigma) = phi_h(k xor l)(tau) + phi_kl(sigma).
+
+    h = k = 0 makes each L_l = phi_0l additive, so linear on T.  k = 0
+    then gives phi_hl(sigma) = c_hl + L_l sigma with c_hl = phi_hl(0).
+    With every phi affine, the two sides are affine in tau and sigma, and
+    they are equal exactly when their coefficients are:
+
+    (a) ty, tw and tw_past_y are affine, with well-defined linear parts,
+        and tw and tw_past_y have the same one (so phi_hk has linear part
+        L_k for every h; L_3 = L_1 L_2);
+    (b) L_l L_k = L_(k xor l) for all k, l: 16 identities on the images
+        of z and x;
+    (c) c_(h xor k)l + L_l c_hk = c_h(k xor l) + c_kl for all 64 triples.
+
+    This is the factor-set condition of a group extension (Brown,
+    *Cohomology of Groups*, GTM 87, section IV.3).  (c) with k = 0 puts
+    c_0l = 0, so the element 0 is an identity.  The certificate reads the
+    built maps, never the presentation's exponents, so it checks
+    build_table against check_consistency.
     """
-    columns = g.generator_columns()
-    products = {g.gen_w, g.gen_y, g.gen_z, g.gen_x}
-    queue = list(products)
-    for cur in queue:  # queue grows while iterating
-        for col in columns:
-            nxt = col[cur]
-            if nxt not in products:
-                products.add(nxt)
-                queue.append(nxt)
-    if len(products) != g.order:
+    N, M = g.pair.N, g.pair.M
+    parts = [_affine_part(g, tails) for tails in (g.ty, g.tw, g.tw_past_y)]
+    if None in parts or parts[1][1:] != parts[2][1:]:
         return False
-    for a in range(g.order):
-        row = g.row(a)
-        for col in columns:
-            if [col[v] for v in row] != [row[v] for v in col]:
-                return False
-    return True
+    (cy, *ly), (cw, *lw), (cwy, _, _) = parts
+
+    def apply(lin, v):
+        (zz, zx), (xz, xx) = lin
+        return (v[0] * zz + v[1] * xz) % M, (v[0] * zx + v[1] * xx) % N
+
+    def add(u, v):
+        return (u[0] + v[0]) % M, (u[1] + v[1]) % N
+
+    lin = [((1, 0), (0, 1)), ly, lw, (apply(ly, lw[0]), apply(ly, lw[1]))]
+    const = [
+        [(0, 0), cy, c2, add(cy, apply(ly, c2))] for c2 in (cw, cwy, cw, cwy)
+    ]
+    return all(
+        apply(lin[l], lin[k][i]) == lin[k ^ l][i]
+        for k in range(4)
+        for l in range(4)
+        for i in (0, 1)
+    ) and all(
+        add(const[h ^ k][l], apply(lin[l], const[h][k])) == add(const[h][k ^ l], const[k][l])
+        for h in range(4)
+        for k in range(4)
+        for l in range(4)
+    )

@@ -1,0 +1,68 @@
+"""Associativity oracles for the tests: Light's test, beside the package's
+cubic scan (`pcgroup.verify_associativity_exhaustive`).
+
+The package checks associativity with the group-extension certificate
+(`pcgroup.verify_associativity_extension`), in O(|G|).  Light's test
+costs 4 * order**2 lookups; it stays here, as an independent second
+answer that reads the table through its rows and columns only.
+"""
+
+
+def generator_columns(g):
+    """The columns b -> b*c of c = w, y, z, x of a GroupTable, read off
+    its tail maps.
+
+    b*w and b*y are prefixes 2 and 1 of b.  z and x have head 0, so
+    b*z and b*x are b, its own prefix 0, with the tail's z or x
+    exponent moved on by one: a shift inside b's head block, or inside
+    its x-coset."""
+    N, block = g.pair.N, g.pair.N * g.pair.M
+    prefixes = list(map(g.prefixes, range(g.order)))
+    return [
+        [p[2] for p in prefixes],
+        [p[1] for p in prefixes],
+        [b - b % block + (b + N) % block for b in range(g.order)],
+        [b - b % N + (b + 1) % N for b in range(g.order)],
+    ]
+
+
+def verify_associativity_generators(g) -> bool:
+    """Light's associativity test (Clifford and Preston, *The Algebraic
+    Theory of Semigroups* I, 1961, section 1.2): 4 * order**2 lookups in
+    O(order) memory.
+
+    Call c good when (ab)c = a(bc) for all a, b.  The good elements are
+    closed under products: for good c and d,
+    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).
+    So the table is associative once w, y, z and x are good and every
+    element is a product of them, that is, once the closure of
+    {w, y, z, x} under right multiplication by the four is all of G.
+    With R_a the row of a and rho_c the column of c (b -> bc), c is good
+    when rho_c after R_a equals R_a after rho_c, for every a.
+
+    False also answers a table that the four do not generate, where the
+    test decides nothing.  build_table's tables are all generated: prefix
+    0 is u itself by construction, so z and x move through a whole head
+    block, and y and w take each block to two others.
+
+    A table that is no GroupTable (the tests' PrefixTable) brings its own
+    `generator_columns`, since its prefix 0 need not be the element.
+    """
+    own = getattr(g, "generator_columns", None)
+    columns = own() if own else generator_columns(g)
+    products = {g.gen_w, g.gen_y, g.gen_z, g.gen_x}
+    queue = list(products)
+    for cur in queue:  # queue grows while iterating
+        for col in columns:
+            nxt = col[cur]
+            if nxt not in products:
+                products.add(nxt)
+                queue.append(nxt)
+    if len(products) != g.order:
+        return False
+    for a in range(g.order):
+        row = g.row(a)
+        for col in columns:
+            if [col[v] for v in row] != [row[v] for v in col]:
+                return False
+    return True

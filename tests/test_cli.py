@@ -231,6 +231,15 @@ def exit_of(capsys, parse, argv):
     return info.value.code, cap.out, cap.err
 
 
+def test_help_describes_the_tool_not_the_code(capsys):
+    # --help gives the docstring's first two paragraphs: what the tool is
+    # and its exit codes, not the notes on how JSON or argv are handled
+    code, out, _ = exit_of(capsys, main, ["--help"])
+    assert code == 0
+    assert "Command line front end." in out and "Exit codes:" in out
+    assert "json.dumps" not in out and "argparse" not in out
+
+
 def test_parser_covers_every_subcommand():
     assert set(VALID_ARGV) == set(cli.SUBCOMMANDS)
 
@@ -416,7 +425,13 @@ def test_direct_parse_declines_a_parser_with_an_unmodeled_action(add):
     assert cli._parse_direct(cli._flag_table(parser), ["--n", "4"]) is None
 
 
-def test_build_checks_consistency_once(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--output", "TABLE"], ["--verify-associativity"]],
+    ids=["report", "output", "assoc"],
+)
+def test_build_checks_consistency_once(capsys, monkeypatch, tmp_path, extra):
+    # a build that makes a table hands its report to build_table
     calls = []
     checked = pcgroup.check_consistency
 
@@ -426,7 +441,9 @@ def test_build_checks_consistency_once(capsys, monkeypatch):
 
     monkeypatch.setattr(pcgroup, "check_consistency", counted)
     monkeypatch.setattr(cli, "check_consistency", counted)
-    code, out, _ = run(capsys, ["build", "--n", "4", "--m", "4", "--tuple", "4,0,0,4,0,0"])
+    extra = [str(tmp_path / "t.txt") if a == "TABLE" else a for a in extra]
+    argv = ["build", "--n", "4", "--m", "4", "--tuple", "4,0,0,4,0,0"] + extra
+    code, out, _ = run(capsys, argv)
     assert code == 0
     assert "consistency: 16/16 identities hold" in out
     assert len(calls) == 1

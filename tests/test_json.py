@@ -33,8 +33,8 @@ from sdprod.pcgroup import (
     check_consistency,
     pc_from_tuple_a,
     pc_from_tuple_b,
-    verify_associativity_generators,
 )
+from oracles import verify_associativity_generators
 from test_cli import SD16_FILE
 from test_properties import (
     ALL_RANKS,
@@ -171,7 +171,7 @@ def test_build_json_with_a_table_matches_json_dumps(case, check_associativity, n
 
 
 def test_build_json_of_a_failed_associativity_check(monkeypatch):
-    monkeypatch.setattr(cli, "verify_associativity_generators", lambda g: False)
+    monkeypatch.setattr(cli, "verify_associativity_extension", lambda g: False)
     argv = ["build", "--n", "4", "--m", "4", "--tuple", "4,0,0,4,0,0", "--verify-associativity"]
     want = build_doc(derive_pair(4, 4), (4, 0, 0, 4, 0, 0), check_associativity=True)
     want["associative"] = False

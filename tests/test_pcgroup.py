@@ -30,8 +30,9 @@ from sdprod.pcgroup import (
     pc_from_tuple_b,
     subgroup_closure,
     verify_associativity_exhaustive,
-    verify_associativity_generators,
+    verify_associativity_extension,
 )
+from oracles import verify_associativity_generators
 
 PAIR44 = derive_pair(4, 4)
 WITNESS = TupleA(0, 2, 0, 0)
@@ -556,6 +557,7 @@ def test_associativity_exhaustive_and_fault_injection():
     g = witness_table()
     assert verify_associativity_exhaustive(g)
     assert verify_associativity_generators(g)
+    assert verify_associativity_extension(g)
     # swap u*y between elements 3 and 5: both products have head y, so every
     # row and column is still a permutation, but the operation is no group
     p = PrefixTable.of(g)
@@ -616,4 +618,66 @@ def test_associativity_cap():
     g = witness_table()
     with pytest.raises(CapacityError):
         verify_associativity_exhaustive(g, max_order=100)
+
+
+def affine_tail_map(pair, image):
+    """The tail map z^i x^j -> z^e x^f, (e, f) = image(i, j) reduced, for
+    i in range(M) and j in range(N), as a list of tail indices."""
+    N, M = pair.N, pair.M
+    return [e % M * N + f % N for e, f in (image(i, j) for i in range(M) for j in range(N))]
+
+
+def tables_failing_one_condition():
+    """Tables whose tail maps are permutations, so that they pass the
+    audit, and that fail exactly one condition of the extension
+    certificate, with the condition's name.
+
+    - (a): the witness with tw_past_y the identity, an affine map whose
+      linear part is not tw's.
+    - (b): ty the linear map z -> z x, x -> x, with tw and tw_past_y the
+      identity.  Then L_y L_y sends z to z x^2, not z.
+    - (c): the witness with tw_past_y shifted by x, so that y^w = y x,
+      whose square is no longer 1; every map is still affine, with the
+      same linear parts.
+    - well-defined: ty is i, j -> (i, i - j) at (5,4), where N = 16 and
+      M = 8, with tw and tw_past_y the identity.  Entry by entry this is
+      the linear map z -> z x, x -> x^-1, an involution, but z^8 = 1 would
+      go to x^8.  (4,5) has its mirror, x -> z^-1 x with z -> z^-1.
+    """
+    g = witness_table()
+    N = PAIR44.N
+    identity = list(range(g.order // 4))
+    yield "a", g._replace(tw_past_y=identity)
+    yield "b", g._replace(
+        ty=affine_tail_map(PAIR44, lambda i, j: (i, i + j)), tw=identity, tw_past_y=identity
+    )
+    yield "c", g._replace(tw_past_y=[t - t % N + (t + 1) % N for t in g.tw])
+    for nm, image in (((5, 4), lambda i, j: (i, i - j)), ((4, 5), lambda i, j: (-i - j, j))):
+        pair = derive_pair(*nm)
+        g = build_table(pc_from_tuple_a(pair, TupleA(0, 0, 0, 0)))
+        identity = list(range(g.order // 4))
+        yield "well-defined", g._replace(
+            ty=affine_tail_map(pair, image), tw=identity, tw_past_y=identity
+        )
+
+
+@pytest.mark.parametrize(
+    "condition, bad",
+    list(tables_failing_one_condition()),
+    ids=["a", "b", "c", "well-defined-5-4", "well-defined-4-5"],
+)
+def test_extension_certificate_rejects_each_failed_condition(condition, bad):
+    """Each table fails one condition only, and both oracles reject it:
+    drop that condition from the certificate and this test fails."""
+    audit_table(bad)
+    parts = [pcgroup._affine_part(bad, tails) for tails in (bad.ty, bad.tw, bad.tw_past_y)]
+    if condition == "well-defined":
+        assert parts[0] is None and parts[1:] == [((0, 0), (1, 0), (0, 1))] * 2
+    else:
+        # three affine maps; tw and tw_past_y share a linear part unless (a) fails
+        assert None not in parts
+        assert (parts[1][1:] == parts[2][1:]) is (condition != "a")
+    assert not verify_associativity_extension(bad)
+    assert not verify_associativity_exhaustive(bad)
+    assert not verify_associativity_generators(bad)
 

@@ -88,6 +88,7 @@ from sdprod.fpcoset import (
     structure_report,
 )
 from sdprod.pcgroup import (
+    audit_table,
     build_table,
     check_consistency,
     core_of,
@@ -96,8 +97,9 @@ from sdprod.pcgroup import (
     pc_from_tuple_b,
     subgroup_closure,
     verify_associativity_exhaustive,
-    verify_associativity_generators,
+    verify_associativity_extension,
 )
+from oracles import generator_columns, verify_associativity_generators
 from test_cli import PARSER_CASES, VALID_ARGV, WORKLOAD_ARGV
 from test_congruence import all_core_specs, brute_enumerate_b
 from test_pcgroup import PrefixTable, collect_multiply, full_scan_accepts, index_nf, nf_index
@@ -706,7 +708,7 @@ def swap_prefix(g, k, u_pick, v_pick):
 def test_generator_columns_are_the_products(g):
     # Light's test reads w and y off the prefixes and z and x off the index
     gens = (g.gen_w, g.gen_y, g.gen_z, g.gen_x)
-    assert g.generator_columns() == [[g.mul(b, c) for b in range(g.order)] for c in gens]
+    assert generator_columns(g) == [[g.mul(b, c) for b in range(g.order)] for c in gens]
 
 
 @GROUP_SETTINGS
@@ -721,7 +723,37 @@ def test_generator_associativity_matches_exhaustive_on_swaps(g, k, u_pick, v_pic
 @settings(max_examples=8, deadline=None)
 @given(valid_tables(st.just(derive_pair(4, 4))))
 def test_generator_associativity_matches_exhaustive_on_valid_tables(g):
-    assert verify_associativity_generators(g) == verify_associativity_exhaustive(g)
+    want = verify_associativity_exhaustive(g)
+    assert verify_associativity_generators(g) == verify_associativity_extension(g) == want
+
+
+# Light's test takes about 0.3 s at order 1024.
+@settings(max_examples=20, deadline=None)
+@given(valid_tables(PAIRS_UP_TO_5))
+def test_extension_certificate_accepts_valid_tables_as_light_does(g):
+    assert verify_associativity_extension(g) is verify_associativity_generators(g) is True
+
+
+@GROUP_SETTINGS
+@given(
+    valid_tables(PAIRS_UP_TO_5),
+    st.sampled_from(["ty", "tw", "tw_past_y"]),
+    st.integers(0, 1 << 16),
+    st.integers(0, 1 << 16),
+)
+def test_extension_certificate_matches_the_oracles_on_swapped_tail_maps(g, name, i_pick, j_pick):
+    """Two entries of one tail map swapped: the map is still a
+    permutation, so the table passes the audit, and all three tests must
+    give one answer.  A non-associative table fails the cubic scan
+    within a few rows, so it runs at order 1024 too."""
+    tails = list(getattr(g, name))
+    i = i_pick % len(tails)
+    j = (i + 1 + j_pick % (len(tails) - 1)) % len(tails)
+    tails[i], tails[j] = tails[j], tails[i]
+    bad = g._replace(**{name: tails})
+    audit_table(bad)
+    want = verify_associativity_exhaustive(bad, max_order=bad.order)
+    assert verify_associativity_extension(bad) == verify_associativity_generators(bad) == want
 
 
 @st.composite
