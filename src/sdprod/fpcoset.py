@@ -38,6 +38,15 @@ it does not depend on the strategy; it is then audited against the
 relators as given: every column must be a permutation, every relator
 must close at every coset (a pure power g^k by the cycle lengths of g),
 and every subgroup word must fix coset 0.
+
+The kernel is written to spend few interpreted operations on each
+definition and coincidence.  Merged cosets form a union-find over coset
+numbers whose representatives coincidence finds inline, with path
+halving; a defining scan appends the new coset's row itself; the scan's
+view of the relators (_ends) is built once per run; compact flattens
+the union-find in one pass and renumbers through a list indexed by coset
+number; and the audit reads each column once into a list and walks each
+relator from every coset at once, one letter at a time.
 """
 
 from __future__ import annotations
@@ -273,10 +282,20 @@ def _compile_relators(relators: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return compiled
 
 
-def _ends(compiled: list[list[int]]) -> list[tuple[list[int], int, int, int]]:
-    """What _Enumeration.scan reads of each compiled relator: its columns,
-    the column its scan leaves a coset by at either end, and its length."""
-    return [(cols, cols[0], cols[-1] ^ 1, len(cols)) for cols in compiled]
+def _coset_limit(max_cosets: int) -> CapacityError:
+    return CapacityError(f"coset limit exceeded: more than {max_cosets} cosets defined")
+
+
+def _ends(compiled: list[list[int]]) -> list[tuple[list[int], list[int], int, int, int]]:
+    """What _Enumeration.scan reads of each compiled relator: its columns;
+    back, where back[j] is the column a backward scan leaves the coset at
+    position j by (the inverse of column j - 1); the column its scan leaves
+    a coset by at either end; and its length."""
+    out = []
+    for cols in compiled:
+        back = [-1] + [col ^ 1 for col in cols]
+        out.append((cols, back, cols[0], back[-1], len(cols)))
+    return out
 
 
 class _Enumeration:
@@ -286,86 +305,94 @@ class _Enumeration:
         self.ncols = 2 * fp.ngens
         self.max_cosets = max_cosets
         self.relators = _compile_relators(fp.relators)
+        self.ends = _ends(self.relators)
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find over coset numbers, parent[i] <= i
-        self.live = 1  # cosets i with parent[i] == i
 
     def rep(self, k: int) -> int:
         parent = self.parent
-        root = k
-        while parent[root] != root:
-            root = parent[root]
-        while parent[k] != root:
-            parent[k], k = root, parent[k]
-        return root
+        while parent[k] != k:  # path halving
+            parent[k] = k = parent[parent[k]]
+        return k
 
     def define(self, coset: int, col: int) -> int:
+        """Define the image of coset under col as a new coset."""
         rows = self.rows
         new = len(rows)
         if new >= self.max_cosets:
-            raise CapacityError(
-                f"coset limit exceeded: more than {self.max_cosets} cosets defined"
-            )
+            raise _coset_limit(self.max_cosets)
         row = [None] * self.ncols
         row[col ^ 1] = coset
         rows.append(row)
         self.parent.append(new)
-        self.live += 1
         rows[coset][col] = new
         return new
 
-    def _merge(self, a: int, b: int, queue: list[int]) -> None:
-        parent = self.parent
-        if parent[a] != a:
-            a = self.rep(a)
-        if parent[b] != b:
-            b = self.rep(b)
+    def coincidence(self, a: int, b: int) -> None:
+        """Identify two cosets and propagate, smaller number survives.
+
+        The representatives are found inline, with path halving: each step
+        up a chain points the coset it leaves at its grandparent."""
+        rows, parent = self.rows, self.parent
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
         if a == b:
             return
         if a > b:
             a, b = b, a
         parent[b] = a
-        self.live -= 1
-        queue.append(b)
-
-    def coincidence(self, a: int, b: int) -> None:
-        """Identify two cosets and propagate, smaller number survives."""
-        rows, parent, rep, merge = self.rows, self.parent, self.rep, self._merge
-        queue: list[int] = []
-        merge(a, b, queue)
+        queue = [b]
         for dead in queue:  # the queue grows while it is walked
+            mu = dead  # dead's representative, each find starting from the last
             for col, target in enumerate(rows[dead]):
                 if target is None:
                     continue
                 inv = col ^ 1
                 rows[target][inv] = None
-                mu = rep(dead)
-                nu = target if parent[target] == target else rep(target)
+                while parent[mu] != mu:
+                    parent[mu] = mu = parent[parent[mu]]
+                nu = target
+                while parent[nu] != nu:
+                    parent[nu] = nu = parent[parent[nu]]
                 mu_row, nu_row = rows[mu], rows[nu]
-                if mu_row[col] is not None:
-                    merge(nu, mu_row[col], queue)
-                elif nu_row[inv] is not None:
-                    merge(mu, nu_row[inv], queue)
-                else:
-                    mu_row[col] = nu
-                    nu_row[inv] = mu
+                # merge nu with mu's col image, or else mu with nu's inv image
+                keep, other = nu, mu_row[col]
+                if other is None:
+                    keep, other = mu, nu_row[inv]
+                    if other is None:
+                        mu_row[col] = nu
+                        nu_row[inv] = mu
+                        continue
+                while parent[other] != other:
+                    parent[other] = other = parent[parent[other]]
+                if keep == other:
+                    continue
+                if keep > other:
+                    keep, other = other, keep
+                parent[other] = keep
+                queue.append(other)
 
     def scan(self, cosets: Iterable[int], relators: list[tuple], defining: bool) -> None:
         """Scan each relator of relators (see _ends) from both ends at each
         coset of cosets, while that coset is live.  A closed scan may give
         a coincidence and a one-letter gap a deduction.  At a longer gap a
-        defining scan (HLT) defines the next forward coset and goes on,
-        while any other scan (lookahead) stops: it only fills deductions
-        and merges coincidences.
+        defining scan (HLT) defines the next forward coset, in place as
+        define does, and goes on, while any other scan (lookahead) stops:
+        it only fills deductions and merges coincidences.
 
         A scan that does not define skips a relator of length at least 2
         at a coset whose row defines neither its first column nor the
         inverse of its last: neither end of that scan can move, so it
         would stop at once, at a gap of the whole relator."""
-        rows, parent, coincidence, define = self.rows, self.parent, self.coincidence, self.define
+        rows, parent, coincidence = self.rows, self.parent, self.coincidence
+        ncols, max_cosets = self.ncols, self.max_cosets
         for coset in cosets:
+            if parent[coset] != coset:
+                continue
             row = rows[coset]
-            for cols, first, last, n in relators:
+            for cols, back, first, last, n in relators:
                 if parent[coset] != coset:
                     break
                 if not defining and row[first] is None and row[last] is None and n > 1:
@@ -384,7 +411,7 @@ class _Enumeration:
                             coincidence(f, b)
                         break
                     while j > i:
-                        nxt = rows[b][cols[j - 1] ^ 1]
+                        nxt = rows[b][back[j]]
                         if nxt is None:
                             break
                         b = nxt
@@ -399,11 +426,18 @@ class _Enumeration:
                         break
                     if not defining:
                         break
-                    f = define(f, col)
+                    new = len(rows)
+                    if new >= max_cosets:
+                        raise _coset_limit(max_cosets)
+                    new_row = [None] * ncols
+                    new_row[col ^ 1] = f
+                    rows.append(new_row)
+                    parent.append(new)
+                    rows[f][col] = f = new
                     i += 1
 
     def run(self, subgroup: Sequence[Sequence[int]] = ()) -> None:
-        rows, parent, ends, scan = self.rows, self.parent, _ends(self.relators), self.scan
+        rows, parent, ends, scan = self.rows, self.parent, self.ends, self.scan
         # coset 0 survives every merge
         scan((0,), _ends([[_col(g) for g in word] for word in subgroup if word]), True)
         mark = LOOKAHEAD_FIRST
@@ -432,30 +466,31 @@ class _Enumeration:
         closed path to a closed path through the representatives, so
         every relator still closes at each live coset below start, and a
         scan there returns to where it began."""
-        self.scan(range(start, len(self.rows)), _ends(self.relators), False)
+        self.scan(range(start, len(self.rows)), self.ends, False)
 
     def compact(self) -> list[list[int]]:
         """Renumber the live cosets breadth first from the identity coset."""
-        rep = self.rep
-        order: list[int] = [rep(0)]
-        new_index = {order[0]: 0}  # coset number, live or merged -> new number
+        parent, rows = self.parent, self.rows
+        for k, p in enumerate(parent):  # parent[p] is a root already, as p <= k
+            parent[k] = parent[p]
+        new_index = [-1] * len(rows)  # live coset number -> new number
+        new_index[0] = 0
+        order = [0]
         table = []
-        for cur in order:
+        for cur in order:  # the order grows while it is walked
+            row = rows[cur]
+            if None in row:
+                raise RuntimeError("internal: incomplete row survived the enumeration")
             new_row = []
-            for target in self.rows[cur]:
-                if target is None:
-                    raise RuntimeError("internal: incomplete row survived the enumeration")
-                k = new_index.get(target)
-                if k is None:
-                    root = rep(target)
-                    k = new_index.get(root)
-                    if k is None:
-                        k = new_index[root] = len(order)
-                        order.append(root)
-                    new_index[target] = k
+            for target in row:
+                root = parent[target]
+                k = new_index[root]
+                if k < 0:
+                    k = new_index[root] = len(order)
+                    order.append(root)
                 new_row.append(k)
             table.append(new_row)
-        if len(order) != self.live:
+        if len(order) != len(set(parent)):  # set(parent) holds the live cosets now
             raise RuntimeError("internal: coset graph is not connected")
         return table
 
@@ -490,21 +525,25 @@ def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> 
     """Check every subgroup word at coset 0 and column bijectivity, then
     re-scan every relator at every coset.
 
-    A pure-power relator g^k is checked in one pass over g's column: as
-    that column is a permutation, g^k closes at every coset exactly when
-    every cycle of g has a length dividing k."""
+    Each column is read once into a list.  A relator that is not a pure
+    power is walked from every coset at once, one letter at a time, each
+    step a lookup of the whole coset list in one column.  A pure-power
+    relator g^k is checked in one pass over g's column: as that column is
+    a permutation, g^k closes at every coset exactly when every cycle of g
+    has a length dividing k."""
     for word in subgroup:
         if table.walk(word) != 0:
             raise RuntimeError("internal: subgroup word does not fix coset 0")
-    rows = table.rows
-    size = range(table.count)
-    for col in range(2 * fp.ngens):
-        if {row[col] for row in rows} != set(size):
+    size = list(range(table.count))
+    cosets = set(size)
+    columns = [[row[col] for row in table.rows] for col in range(2 * fp.ngens)]
+    for col, column in enumerate(columns):
+        if set(column) != cosets:
             raise RuntimeError(f"internal: column {col} is not a permutation")
     for rel in fp.relators:
         cols = [_col(g) for g in rel]
         if cols.count(cols[0]) == len(cols):
-            k, col = len(cols), cols[0]
+            k, column = len(cols), columns[cols[0]]
             seen = [False] * table.count
             for start in size:
                 if seen[start]:
@@ -512,17 +551,17 @@ def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> 
                 length, cur = 0, start
                 while not seen[cur]:
                     seen[cur] = True
-                    cur = rows[cur][col]
+                    cur = column[cur]
                     length += 1
                 if k % length:
                     raise RuntimeError("internal: relator does not close on the final table")
             continue
-        for start in size:
-            cur = start
-            for col in cols:
-                cur = rows[cur][col]
-            if cur != start:
-                raise RuntimeError("internal: relator does not close on the final table")
+        ends = size
+        for col in cols:
+            column = columns[col]
+            ends = [column[cur] for cur in ends]
+        if ends != size:
+            raise RuntimeError("internal: relator does not close on the final table")
 
 
 # ---------------------------------------------------------------------------

@@ -855,6 +855,29 @@ def test_tc_coset_limit_at_the_definition_count(capsys):
     assert err == "sdprod: limit: coset limit exceeded: more than 1094 cosets defined\n"
 
 
+# (5, 5), tuple 8,0,8,0,8,0 with [x,z] = x^2 z^14: a collapsing twisted
+# presentation whose run passes the first lookahead mark
+TWISTED_5_5_FILE = (
+    "x^16\ny^2\nz^16\nw^2\nY x y X^7\nW z w Z^7\n"
+    "X Z x z Z^14 X^2\nZ Y z y X^8\nX W x w X^8\nY W y w X^8\n"
+)
+
+
+def test_tc_coset_limit_past_the_lookahead_mark(tmp_path, capsys):
+    rel = tmp_path / "twisted.rel"
+    rel.write_text(TWISTED_5_5_FILE)
+    pair = derive_pair(5, 5)
+    assert fpcoset.parse_relator_file(str(rel)) == fpcoset.fp_from_extended(
+        pair, TupleB(8, 0, 8, 0, 8, 0), 2, 14
+    )
+    code, out, err = run(capsys, ["tc", "--relators", str(rel), "--max-cosets", "10948"])
+    assert (code, err) == (0, "")
+    assert out.startswith("cosets: 256\n")
+    code, out, err = run(capsys, ["tc", "--relators", str(rel), "--max-cosets", "10947"])
+    assert (code, out) == (2, "")
+    assert err == "sdprod: limit: coset limit exceeded: more than 10947 cosets defined\n"
+
+
 def test_readme_definition_counts_match_a_run():
     readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
     preset = re.search(r"`example-6-5` defines ([\d,]+) cosets on its way to 256, "

@@ -225,6 +225,32 @@ def test_audit_checks_a_power_relator_on_every_cycle(lines):
         _audit(fp, table, ())
 
 
+def test_audit_catches_a_column_with_a_repeated_image():
+    # columns y 0, Y 1, x 2, X 3.  x sends cosets 2 and 3 to coset 0 and
+    # none to coset 3; x^3 still closes at coset 0, and X is a permutation
+    fp = parse_relator_lines(["x^3", "y"])
+    x, inv = [1, 2, 0, 0], [2, 0, 1, 3]
+    table = CosetTable(rows=[[k, k, x[k], inv[k]] for k in range(4)], count=4)
+    assert table.walk((2, 2, 2)) == 0
+    with pytest.raises(RuntimeError, match=r"^internal: column 2 is not a permutation$"):
+        _audit(fp, table, ())
+
+
+def test_audit_walks_a_relator_to_the_last_coset():
+    # columns y 0, Y 1, x 2, X 3.  With x the identity and y = Y swapping
+    # the last two cosets, x y closes at every coset but those two.  A
+    # permutation moves no coset or at least two, so on columns that pass
+    # the permutation check no relator fails at exactly one coset
+    fp = parse_relator_lines(["x y"])
+    n = 6
+    y = list(range(n - 2)) + [n - 1, n - 2]
+    table = CosetTable(rows=[[y[k], y[k], k, k] for k in range(n)], count=n)
+    assert table.walk((2, 1)) == 0
+    with pytest.raises(RuntimeError, match=r"^internal: relator does not close on the final table$"):
+        _audit(fp, table, ())
+    _audit(fp, CosetTable(rows=[[k, k, k, k] for k in range(n)], count=n), ())
+
+
 def as_letters(compiled):
     """A presentation whose relators spell the compiled columns."""
     relators = tuple(
@@ -247,6 +273,15 @@ def test_definitions_below_the_lookahead_mark():
         assert len(state.rows) == defined < LOOKAHEAD_FIRST
         assert state.rows == ref.rows
         assert list(map(state.rep, range(defined))) == list(map(ref.rep, range(defined)))
+
+
+def test_coset_limit_past_the_lookahead_mark():
+    # the costliest twisted relator file of the benchmark's verify workload
+    # defines 10,948 cosets, past the first mark, on its way to 256
+    fp = fp_from_extended(derive_pair(5, 5), TupleB(8, 0, 8, 0, 8, 0), 2, 14)
+    assert coset_enumerate(fp, 10_948).count == 256
+    with pytest.raises(CapacityError, match=r"^coset limit exceeded: more than 10947 cosets defined$"):
+        coset_enumerate(fp, 10_947)
 
 
 SD32_LINES = ["x^16", "y^2", "Y x y X^7"]

@@ -546,16 +546,28 @@ def test_table_past_the_lookahead_mark_matches_reference_hlt():
 
 
 @pytest.mark.parametrize(
-    "t, e, defined, passes, order",
+    "ranks, t, e, defined, passes, order",
     [
-        ((8, 0, 8, 0, 8, 0), (2, 14), 10_948, 1, 256),
-        ((12, 8, 14, 0, 2, 0), (8, 10), 16_441, 2, 512),
+        ((5, 5), (8, 0, 8, 0, 8, 0), (2, 14), 10_948, 1, 256),
+        ((5, 5), (12, 8, 14, 0, 2, 0), (8, 10), 16_441, 2, 512),
+        ((5, 5), (0, 6, 6, 8, 0, 2), (2, 12), 8_221, 1, 512),
+        ((5, 5), (8, 6, 14, 0, 12, 12), (4, 12), 8_197, 1, 512),
+        ((5, 5), (8, 14, 6, 8, 10, 0), (4, 4), 8_213, 1, 512),
+        ((4, 5), (2, 8, 2, 0, 0, 0), (4, 14), 8_193, 1, 128),
+        ((4, 5), (4, 6, 6, 8, 2, 4), (6, 10), 8_216, 1, 256),
+        ((4, 5), (4, 14, 4, 4, 0, 0), (6, 8), 8_197, 1, 256),
+        ((5, 4), (4, 4, 14, 0, 8, 0), (14, 2), 8_202, 1, 256),
+        ((5, 5), (0, 14, 8, 8, 8, 14), (14, 2), 7_149, 0, 256),
+        ((5, 5), (8, 14, 14, 8, 9, 5), (6, 8), 8_195, 1, 128),
+        ((5, 5), (12, 8, 6, 0, 8, 8), (10, 14), 8_218, 1, 256),
+        ((5, 5), (12, 8, 14, 0, 2, 0), (12, 12), 8_221, 1, 256),
     ],
 )
-def test_definitions_past_the_lookahead_mark(t, e, defined, passes, order):
-    # the two costliest twisted relator files of the benchmark's verify
-    # workload, at (5, 5): a change of strategy that costs definitions, or
-    # a lookahead pass that changes what HLT does next, fails here
+def test_definitions_past_the_lookahead_mark(ranks, t, e, defined, passes, order):
+    # the thirteen collapsing twisted relator files of the benchmark's
+    # verify workload, in its order: a change of strategy that costs
+    # definitions, or a lookahead pass that changes what HLT does next,
+    # fails here
     starts = []
 
     class Counted(_Enumeration):
@@ -563,7 +575,7 @@ def test_definitions_past_the_lookahead_mark(t, e, defined, passes, order):
             starts.append(start)
             super().lookahead(start)
 
-    state = Counted(fp_from_extended(derive_pair(5, 5), TupleB(*t), *e), 10**6)
+    state = Counted(fp_from_extended(derive_pair(*ranks), TupleB(*t), *e), 10**6)
     state.run()
     assert (len(state.rows), len(starts)) == (defined, passes)
     assert len(state.compact()) == order
