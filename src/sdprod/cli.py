@@ -13,18 +13,18 @@ for an [x,z] that is no x^i z^j.  Verdicts, listings and the other
 documents hold none, so they never load it, and importing this module
 stays cheap.
 
-A well-formed command line (each flag spelled out once, each value one
-its type and choices accept) is read straight from its subcommand's flag
-table, which is read off that subparser's own argparse actions.  Every
-other command line, help and every error among them, goes to argparse,
-so argparse writes every help, usage and error byte (see _parse_args).
+Each subcommand's flags are declared once, in SUBCOMMANDS.  build_parser
+adds them to argparse, and a well-formed command line (each flag spelled
+out once, each value one its type and choices accept) is read straight
+from the same declaration, with no parser built.  Every other command
+line, help and every error among them, goes to build_parser's parser, so
+argparse writes every help, usage and error byte (see _parse_args).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import math
 import sys
 from typing import Sequence
@@ -518,85 +518,86 @@ def cmd_crosscheck(args) -> int:
     return 0 if agree else 1
 
 
-def _add_pair_flags(p) -> None:
-    p.add_argument("--n", type=int, required=True, help="rank of the first factor (>= 4)")
-    p.add_argument("--m", type=int, required=True, help="rank of the second factor (>= 4)")
+_PAIR = (
+    ("--n", {"type": int, "required": True, "help": "rank of the first factor (>= 4)"}),
+    ("--m", {"type": int, "required": True, "help": "rank of the second factor (>= 4)"}),
+)
+_FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
+_OUTPUT = ("--output", {"help": "write the primary output to this file"})
+_LISTING = (
+    ("--format", {"choices": ("text", "json", "csv"), "default": "text"}),
+    _OUTPUT,
+    ("--allow-large", {"action": "store_true", "help": "permit listings beyond the gate"}),
+)
+_MAX_COSETS = ("--max-cosets", {"type": _positive_int, "default": DEFAULT_MAX_COSETS})
+_EITHER_TUPLE = ("--tuple", {"required": True, "help": "a,s,t,c or r,a,s,b,t,c"})
 
-
-def _add_common(p, formats=("text", "json")) -> None:
-    p.add_argument("--format", choices=formats, default="text")
-    p.add_argument("--output", help="write the primary output to this file")
-
-
-def _add_listing_flags(p) -> None:
-    _add_common(p, ("text", "json", "csv"))
-    p.add_argument("--allow-large", action="store_true", help="permit listings beyond the gate")
-    p.set_defaults(func=cmd_enumerate)
-
-
-def _enumerate_a_args(p) -> None:
-    _add_pair_flags(p)
-    _add_listing_flags(p)
-
-
-def _enumerate_b_args(p) -> None:
-    _add_pair_flags(p)
-    p.add_argument("--n1", type=int, required=True, help="x-side core index (power of two)")
-    p.add_argument("--m1", type=int, required=True, help="z-side core index (power of two)")
-    _add_listing_flags(p)
-
-
-def _check_a_args(p) -> None:
-    _add_pair_flags(p)
-    p.add_argument("--tuple", required=True, help="a,s,t,c")
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
-
-
-def _check_b_args(p) -> None:
-    _add_pair_flags(p)
-    p.add_argument("--n1", type=int, required=True)
-    p.add_argument("--m1", type=int, required=True)
-    p.add_argument("--tuple", required=True, help="r,a,s,b,t,c")
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
-
-
-def _build_args(p) -> None:
-    _add_pair_flags(p)
-    p.add_argument("--tuple", required=True, help="a,s,t,c or r,a,s,b,t,c")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", help="write the table to this file")
-    p.add_argument("--verify-associativity", action="store_true")
-    p.set_defaults(func=cmd_build)
-
-
-def _tc_args(p) -> None:
-    p.add_argument("--preset", help=f"compiled-in presentation ({', '.join(PRESET_NAMES)})")
-    p.add_argument("--relators", help="path to a relator file")
-    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
-    _add_common(p)
-    p.set_defaults(func=cmd_tc)
-
-
-def _crosscheck_args(p) -> None:
-    _add_pair_flags(p)
-    p.add_argument("--tuple", required=True, help="a,s,t,c or r,a,s,b,t,c")
-    p.add_argument("--max-cosets", type=_positive_int, default=DEFAULT_MAX_COSETS)
-    p.add_argument("--format", choices=("text",), default="text")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_crosscheck)
-
-
-# Subcommand -> (help line, function that adds its arguments).
+# Subcommand -> (help line, command function, flags in argparse order).
+# Each flag is (option, add_argument keywords): a "--" option that stores
+# one value, or is store_true, with no str default next to a type.  The
+# direct parse reads these declarations as they are (see _FLAG_TABLES).
 SUBCOMMANDS = {
-    "enumerate-a": ("list valid four-field tuples", _enumerate_a_args),
-    "enumerate-b": ("list valid six-field tuples for given cores", _enumerate_b_args),
-    "check-a": ("check one four-field tuple", _check_a_args),
-    "check-b": ("check one six-field tuple", _check_b_args),
-    "build": ("build the multiplication table and report structure", _build_args),
-    "tc": ("enumerate cosets of a presentation and report structure", _tc_args),
-    "crosscheck": ("compare collection and enumeration group orders", _crosscheck_args),
+    "enumerate-a": ("list valid four-field tuples", cmd_enumerate, (*_PAIR, *_LISTING)),
+    "enumerate-b": (
+        "list valid six-field tuples for given cores",
+        cmd_enumerate,
+        (
+            *_PAIR,
+            ("--n1", {"type": int, "required": True, "help": "x-side core index (power of two)"}),
+            ("--m1", {"type": int, "required": True, "help": "z-side core index (power of two)"}),
+            *_LISTING,
+        ),
+    ),
+    "check-a": (
+        "check one four-field tuple",
+        cmd_check,
+        (*_PAIR, ("--tuple", {"required": True, "help": "a,s,t,c"}), _FORMAT, _OUTPUT),
+    ),
+    "check-b": (
+        "check one six-field tuple",
+        cmd_check,
+        (
+            *_PAIR,
+            ("--n1", {"type": int, "required": True}),
+            ("--m1", {"type": int, "required": True}),
+            ("--tuple", {"required": True, "help": "r,a,s,b,t,c"}),
+            _FORMAT,
+            _OUTPUT,
+        ),
+    ),
+    "build": (
+        "build the multiplication table and report structure",
+        cmd_build,
+        (
+            *_PAIR,
+            _EITHER_TUPLE,
+            _FORMAT,
+            ("--output", {"help": "write the table to this file"}),
+            ("--verify-associativity", {"action": "store_true"}),
+        ),
+    ),
+    "tc": (
+        "enumerate cosets of a presentation and report structure",
+        cmd_tc,
+        (
+            ("--preset", {"help": f"compiled-in presentation ({', '.join(PRESET_NAMES)})"}),
+            ("--relators", {"help": "path to a relator file"}),
+            _MAX_COSETS,
+            _FORMAT,
+            _OUTPUT,
+        ),
+    ),
+    "crosscheck": (
+        "compare collection and enumeration group orders",
+        cmd_crosscheck,
+        (
+            *_PAIR,
+            _EITHER_TUPLE,
+            _MAX_COSETS,
+            ("--format", {"choices": ("text",), "default": "text"}),
+            ("--output", {}),
+        ),
+    ),
 }
 
 
@@ -605,148 +606,99 @@ def build_parser() -> _Parser:
     # not its notes on the code
     parser = _Parser(prog="sdprod", description="\n\n".join((__doc__ or "").split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, add_arguments) in SUBCOMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for option, keywords in flags:
+            p.add_argument(option, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
-@functools.lru_cache(maxsize=None)
-def _subparser(name: str) -> _Parser:
-    """The parser of one subcommand, as build_parser() would add it.
+def _flag_table(name: str):
+    """What the direct parse needs of SUBCOMMANDS[name], by argparse's rules.
 
-    Built on first use and kept for the process: main() may be called
-    many times in one process, and building a parser costs several times
-    what parsing with it does.  Parsing leaves the parser as it was and
-    returns a new Namespace, and help reads the terminal width when it is
-    formatted, so a kept parser answers as a new one would.  Callers pass
-    only names in SUBCOMMANDS, which bounds the cache.  Its flag table
-    for the direct parse (_flags) is read off it, also once per process.
+    Per option: its dest ("--allow-large" -> allow_large), whether it is
+    store_true, its type and its choices.  Then the namespace before any
+    flag is read, in the order build_parser().parse_args fills it: command,
+    each dest's default (False for store_true), func.  Then the required
+    options.
     """
-    parser = _Parser(prog=f"sdprod {name}")
-    SUBCOMMANDS[name][1](parser)
-    return parser
+    _, func, flags = SUBCOMMANDS[name]
+    options = {}
+    defaults: dict[str, object] = {"command": name}
+    for option, keywords in flags:
+        dest = option[2:].replace("-", "_")
+        store_true = keywords.get("action") == "store_true"
+        options[option] = (dest, store_true, keywords.get("type"), keywords.get("choices"))
+        defaults[dest] = keywords.get("default", False if store_true else None)
+    defaults["func"] = func
+    required = frozenset(option for option, keywords in flags if keywords.get("required"))
+    return options, defaults, required
 
 
-# What the direct parse needs of a parser, read off its actions: each exact
-# option string's action, the namespace before any flag is read, and the
-# required actions.  A plain tuple: a NamedTuple class would cost import time.
-_FlagTable = tuple[dict[str, argparse.Action], dict[str, object], frozenset[argparse.Action]]
+_FLAG_TABLES = {name: _flag_table(name) for name in SUBCOMMANDS}
 
 
-def _flag_table(parser: argparse.ArgumentParser) -> _FlagTable | None:
-    """parser's flags as the direct parse reads them, or None when parser
-    has anything the direct parse does not model: a positional, an
-    exclusive group, an action other than a flag storing one value or
-    store_true, or a str default with a type (argparse converts such a
-    default when the flag is absent)."""
-    if parser._mutually_exclusive_groups:
-        return None
-    actions: dict[str, argparse.Action] = {}
-    defaults: dict[str, object] = {}
-    required = []
-    for action in parser._actions:
-        kind = type(action)
-        if kind is argparse._HelpAction:
-            continue  # its option strings are not in the table, so -h declines
-        stores = (kind is argparse._StoreAction and action.nargs is None) or kind is argparse._StoreTrueAction
-        if (
-            not stores
-            or not action.option_strings
-            or (isinstance(action.default, str) and action.type is not None)
-        ):
-            return None
-        actions.update(dict.fromkeys(action.option_strings, action))
-        defaults.setdefault(action.dest, action.default)
-        if action.required:
-            required.append(action)
-    for dest, value in parser._defaults.items():
-        defaults.setdefault(dest, value)
-    return actions, defaults, frozenset(required)
+def _parse_direct(argv: Sequence[str]) -> argparse.Namespace | None:
+    """The Namespace that build_parser().parse_args(argv) gives, read in one
+    pass off the named subcommand's flag table, or None (decline) where
+    argparse would do anything more than store what the table spells out.
 
-
-@functools.lru_cache(maxsize=None)
-def _flags(name: str) -> _FlagTable | None:
-    """The flag table of _subparser(name), read on first use."""
-    return _flag_table(_subparser(name))
-
-
-def _parse_direct(table: _FlagTable | None, rest: Sequence[str]) -> argparse.Namespace | None:
-    """The Namespace that parse_known_args(rest) gives with no extras, read
-    in one pass over rest, or None (decline) where argparse would do
-    anything more than store what the table spells out.
-
-    It declines at a token that is not an exact option string (an
-    abbreviation, --flag=value, -h, an unknown flag or a positional), a
-    repeated flag, a missing value or one that starts with "-" (argparse
-    may read it as an option or a negative number; "--" among them), a
-    value its type rejects (ValueError, TypeError or ArgumentTypeError)
-    or one outside its choices, and a missing required flag.  On every
-    other input argparse stores the same values in the same order.
+    It declines an unknown or missing command, and then a token that is
+    not an exact option string (an abbreviation, --flag=value, -h, an
+    unknown flag or a positional), a repeated flag, a missing value or
+    one that starts with "-" (argparse may read it as an option or a
+    negative number; "--" among them), a value its type rejects
+    (ValueError, TypeError or ArgumentTypeError) or one outside its
+    choices, and a missing required flag.  On every other input argparse
+    stores the same values in the same order.
     """
+    table = _FLAG_TABLES.get(argv[0]) if argv else None
     if table is None:
         return None
-    actions, defaults, required = table
+    options, defaults, required = table
     values = dict(defaults)
-    seen: set[argparse.Action] = set()
-    tokens = iter(rest)
+    seen: set[str] = set()
+    tokens = iter(argv[1:])
     for token in tokens:
-        action = actions.get(token)
-        if action is None or action in seen:
+        flag = options.get(token)
+        if flag is None or token in seen:
             return None
-        seen.add(action)
-        if action.nargs == 0:
-            values[action.dest] = action.const
+        seen.add(token)
+        dest, store_true, kind, choices = flag
+        if store_true:
+            values[dest] = True
             continue
         value = next(tokens, None)
         if value is None or value.startswith("-"):
             return None
-        if action.type is not None:
+        if kind is not None:
             try:
-                value = action.type(value)
+                value = kind(value)
             except (ValueError, TypeError, argparse.ArgumentTypeError):
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
+        values[dest] = value
     if not required <= seen:
         return None
     return argparse.Namespace(**values)
 
 
 def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """Parse argv as build_parser() does, with no more than the subparser
-    that argv[0] names when that gives the same result.
+    """Parse argv as build_parser() does.
 
     A well-formed command line, each flag spelled out once and each value
     one its type and choices accept, is read straight from the
-    subparser's flag table (_parse_direct), without argparse's parse
-    loop.  The table is read off the subparser's own actions, so no flag,
-    default or choice is declared twice, and the direct parse returns
-    what parse_known_args would.  Every other command line goes to
-    argparse, as it did before: the choice is made from argv alone, and
-    the direct parse writes nothing, so help, usage and error messages,
-    and their exit codes, are argparse's bytes.
-
-    The subparser is built once per process (_subparser), so a process
-    that calls main() many times builds each subcommand's parser at most
-    once, and the console script, which parses once, builds only the one
-    it needs.  A subparser prints its own help, usage and errors, the same
-    bytes in both parsers.  The full parser is built on each call that
-    needs it: for a missing or unknown command and for top-level help,
-    which the top level answers, and for arguments the subparser leaves
-    over, which the top level reports as unrecognized.  Each of these
-    ends in SystemExit, so the full parser is not kept.
+    subcommand's declaration in SUBCOMMANDS (_parse_direct), and no parser
+    is built.  Every other command line goes to build_parser().parse_args:
+    the choice is made from argv alone, and the direct parse writes
+    nothing, so help, usage and error messages, and their exit codes, are
+    argparse's bytes.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    if argv and argv[0] in SUBCOMMANDS:
-        args = _parse_direct(_flags(argv[0]), argv[1:])
-        if args is None:
-            args, extra = _subparser(argv[0]).parse_known_args(argv[1:])
-            if extra:
-                return build_parser().parse_args(argv)
-        args.command = argv[0]
-        return args
-    return build_parser().parse_args(argv)
+    args = _parse_direct(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface via main(argv)."""
 
+import argparse
 import ast
 import csv
 import io
@@ -262,8 +263,8 @@ def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
         assert err == ""
 
 
-# main() keeps each subcommand's parser for the process; these tests show
-# that one call in a process cannot change the answer of the next.
+# main() may be called many times in one process; these tests show that
+# one call cannot change the answer of the next.
 
 
 def test_options_do_not_leak_into_the_next_call(tmp_path, capsys):
@@ -307,8 +308,7 @@ def test_parser_errors_do_not_affect_the_next_call(capsys):
 
 
 def test_main_builds_no_parser_once_warm(capsys, monkeypatch):
-    for argv in VALID_ARGV.values():
-        assert run(capsys, argv)[0] == 0
+    # nor on the first call: a well-formed line is read off SUBCOMMANDS
     built = []
     init = cli._Parser.__init__
 
@@ -323,18 +323,17 @@ def test_main_builds_no_parser_once_warm(capsys, monkeypatch):
     assert built == []
 
 
-def test_unknown_commands_do_not_grow_the_parser_cache(capsys):
-    for i in range(1000):
+def test_unknown_commands_exit_3(capsys):
+    # a prefix of a subcommand's name names no subcommand either
+    for command in ("no-such-command", "check", "CHECK-A"):
         with pytest.raises(SystemExit) as info:
-            main([f"no-such-command-{i}", "--n", "4"])
+            main([command, "--n", "4"])
         assert info.value.code == 3
-    capsys.readouterr()
-    assert cli._subparser.cache_info().currsize <= len(cli.SUBCOMMANDS)
-    assert cli._flags.cache_info().currsize <= len(cli.SUBCOMMANDS)
+        assert "invalid choice" in capsys.readouterr().err
 
 
-# The direct parse reads a well-formed command line off the subparser's
-# flag table; argparse answers everything else.
+# The direct parse reads a well-formed command line off the subcommand's
+# declaration in SUBCOMMANDS; argparse answers everything else.
 
 # One command line per shape that the benchmark's workloads run.
 WORKLOAD_ARGV = [
@@ -351,8 +350,11 @@ WORKLOAD_ARGV = [
 ]
 
 
-def direct(argv):
-    return cli._parse_direct(cli._flags(argv[0]), argv[1:])
+def subparsers():
+    """build_parser()'s subparsers by name."""
+    parser = cli.build_parser()
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
 
 
 def test_main_parses_well_formed_lines_without_argparse(capsys, monkeypatch):
@@ -367,8 +369,8 @@ def test_main_parses_well_formed_lines_without_argparse(capsys, monkeypatch):
 
 @pytest.mark.parametrize("argv", [*VALID_ARGV.values(), *WORKLOAD_ARGV], ids=" ".join)
 def test_direct_parse_gives_the_subparsers_namespace(argv):
-    args = direct(argv)
-    want, extra = cli._subparser(argv[0]).parse_known_args(argv[1:])
+    args = cli._parse_direct(argv)
+    want, extra = cli.build_parser().parse_known_args(argv)
     assert extra == []
     # the same attributes with the same values, in the same order
     assert list(vars(args).items()) == list(vars(want).items())
@@ -380,6 +382,8 @@ CHECK_A = VALID_ARGV["check-a"]
 @pytest.mark.parametrize(
     "argv",
     [
+        [],
+        ["no-such-command"] + CHECK_A[1:],
         CHECK_A + ["--form", "json"],  # an abbreviation
         ["check-a", "--n=4", "--m", "4", "--tuple", "0,2,0,0"],
         CHECK_A + ["-h"],
@@ -402,27 +406,35 @@ CHECK_A = VALID_ARGV["check-a"]
     ids=" ".join,
 )
 def test_direct_parse_declines_what_argparse_answers(argv):
-    assert direct(argv) is None
+    assert cli._parse_direct(argv) is None
 
 
-@pytest.mark.parametrize(
-    "add",
-    [
-        lambda p: p.add_argument("--level", type=int, default="3"),  # argparse converts "3"
-        lambda p: p.add_argument("--level", nargs="?"),
-        lambda p: p.add_argument("--level", action="append"),
-        lambda p: p.add_argument("--level", action="count"),
-        lambda p: p.add_argument("level"),
-        lambda p: p.add_mutually_exclusive_group().add_argument("--level"),
-    ],
-    ids=["str-default-with-type", "nargs-optional", "append", "count", "positional", "exclusive-group"],
-)
-def test_direct_parse_declines_a_parser_with_an_unmodeled_action(add):
-    parser = cli._Parser(prog="scratch")
-    parser.add_argument("--n", type=int)
-    add(parser)
-    assert cli._flag_table(parser) is None
-    assert cli._parse_direct(cli._flag_table(parser), ["--n", "4"]) is None
+@pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+def test_flag_table_agrees_with_the_built_subparser(name):
+    # the direct parse restates argparse's rules for dest and default, and
+    # models only "--" flags that store one value or are store_true, with
+    # no str default next to a type (argparse would convert it)
+    _, func, flags = cli.SUBCOMMANDS[name]
+    for option, keywords in flags:
+        assert option.startswith("--") and len(option) > 2, option
+        assert set(keywords) <= {"type", "choices", "default", "required", "help", "action"}, option
+        assert keywords.get("action", "store_true") == "store_true", option
+        assert not (isinstance(keywords.get("default"), str) and "type" in keywords), option
+    options, defaults, required = cli._FLAG_TABLES[name]
+    parser = subparsers()[name]
+    assert not parser._mutually_exclusive_groups
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    assert [a.option_strings for a in actions] == [[option] for option in options]
+    for action in actions:
+        option = action.option_strings[0]
+        dest, store_true, kind, choices = options[option]
+        assert (dest, kind, choices) == (action.dest, action.type, action.choices)
+        assert store_true == isinstance(action, argparse._StoreTrueAction)
+        assert store_true or type(action) is argparse._StoreAction and action.nargs is None
+        assert (option in required) == action.required
+    want = {"command": name, **{a.dest: a.default for a in actions}, **parser._defaults}
+    assert list(defaults.items()) == list(want.items())
+    assert parser._defaults == {"func": func}
 
 
 @pytest.mark.parametrize(
@@ -1074,7 +1086,7 @@ def test_readme_synopses_name_only_flags_the_parsers_have():
                 named.setdefault(command, set()).update(re.findall(r"--[\w-]+", line))
     assert set(named) == set(cli.SUBCOMMANDS)
     for command, flags in named.items():
-        options = set(re.findall(r"--[\w-]+", cli._subparser(command).format_help()))
+        options = set(re.findall(r"--[\w-]+", subparsers()[command].format_help()))
         assert flags - options == set(), command
 
 

@@ -1141,20 +1141,20 @@ def subcommand_lines(draw):
     flag, a --flag=value form, help, "--", an unknown flag or a stray
     positional."""
     name = draw(st.sampled_from(sorted(cli.SUBCOMMANDS)))
-    parser = cli._subparser(name)
-    options = sorted(o for o in parser._option_string_actions if o not in ("-h", "--help"))
+    declared = dict(cli.SUBCOMMANDS[name][2])
+    options = sorted(declared)
     flag = st.sampled_from(options)
     odd = st.one_of(st.sampled_from(ODD_VALUES), st.integers(-3, 24).map(str), flag)
     pieces = []
     for option in draw(st.permutations(options)):
-        action = parser._option_string_actions[option]
+        keywords = declared[option]
         if not draw(st.integers(0, 4)):
             continue
-        if action.nargs == 0:
+        if keywords.get("action") == "store_true":
             pieces.append([option])
         elif draw(st.integers(0, 3)):  # a value of the flag's own kind
-            good = st.sampled_from(action.choices or ["0,2,0,0", "F"])
-            pieces.append([option, draw(st.integers(1, 24).map(str) if action.type else good)])
+            good = st.sampled_from(keywords.get("choices") or ["0,2,0,0", "F"])
+            pieces.append([option, draw(st.integers(1, 24).map(str) if "type" in keywords else good)])
         else:
             pieces.append([option, draw(odd)])
     noise = st.one_of(
@@ -1172,11 +1172,11 @@ def subcommand_lines(draw):
 @PROPERTY_SETTINGS
 @given(subcommand_lines())
 def test_direct_parse_declines_or_reads_what_argparse_reads(argv):
-    args = cli._parse_direct(cli._flags(argv[0]), argv[1:])
+    args = cli._parse_direct(argv)
     if args is None:
         return
     with contextlib.redirect_stderr(io.StringIO()), contextlib.redirect_stdout(io.StringIO()):
-        want, extra = cli._subparser(argv[0]).parse_known_args(argv[1:])
+        want, extra = cli.build_parser().parse_known_args(argv)
     assert extra == []
     assert list(vars(args).items()) == list(vars(want).items())
 
