@@ -72,7 +72,7 @@ from .pcgroup import (  # noqa: F401
 A_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
 B_CONDITIONS = tuple(f"D{i}" for i in range(1, 13)) + ("ORD-R", "ORD-B")
 PRESET_NAMES = ("example-6-5",)
-# the table file holds order**2 entries: about 84 MB at order 4096
+# the table file holds order**2 entries: about 79 MB at order 4096
 TABLE_FILE_CAP = 4096
 TABLE_FILE_CAP_MESSAGE = "table file too large: order {order} exceeds cap {cap}"
 CROSSCHECK_MAX_RANK = 12
@@ -285,11 +285,15 @@ def cmd_check(args) -> int:
 def _write_table(fh, g, t) -> None:
     """Write the table file one row at a time: it holds order**2 entries.
 
-    Row a lists a*v over v in index order: for each prefix p of a and each
-    z exponent of v, the x-coset of one element run from that element
-    onward and wrapping around (see GroupTable.row).  Each element's x-run
-    is spelled once, so row a is a join of 4M pre-joined runs: those of p,
-    p + N, ... taken along p's z-coset inside its head block, wrapping."""
+    Row a lists a*v over v in index order, in four quarters, one per
+    prefix p of a (see GroupTable.row).  Quarter p lists p*v over the NM
+    v of head 0: for each z exponent k of v, the x-run of p*z^k, its
+    x-coset run from it onward and wrapping around.  The quarters of the M
+    elements of one head and one x exponent are rotations of one sequence
+    of M x-runs, so each is one slice of a strip, that sequence spelled
+    twice.  The 4N strips hold 2N numerals per element, and each
+    element's strip and slice bounds are found once; a row is then four
+    slices and one write, and the file is streamed in O(N*order) text."""
     lines = [
         "# sdprod group table v1",
         f"n: {g.pair.n}",
@@ -298,19 +302,29 @@ def _write_table(fh, g, t) -> None:
         f"order: {g.order}",
     ]
     fh.write("\n".join(lines) + "\n")
-    N, block, prefixes = g.pair.N, g.pair.N * g.pair.M, g.prefixes
-    runs: list[str] = []
-    for base in range(0, g.order, N):
-        coset = [str(i) for i in range(base, base + N)]
-        runs += [" ".join(coset[j:] + coset[:j]) for j in range(N)]
+    N, block = g.pair.N, g.pair.N * g.pair.M
+    numerals = [str(i) for i in range(g.order)]
+    quarters: list = [None] * g.order  # element -> (strip, start, stop)
+    for head in range(0, g.order, block):
+        for x in range(N):
+            runs = [
+                " ".join(numerals[base + x : base + N] + numerals[base : base + x])
+                for base in range(head, head + block, N)
+            ]
+            sequence = " ".join(runs)
+            strip = f"{sequence} {sequence}"
+            start = 0
+            for p, run in zip(range(head + x, head + block, N), runs):
+                quarters[p] = (strip, start, start + len(sequence))
+                start += len(run) + 1
+    prefixes, write = g.prefixes, fh.write
     for a in range(g.order):
-        parts: list[str] = []
-        for p in prefixes(a):
-            head = p - p % block
-            parts += runs[p : head + block : N]
-            parts += runs[head + p % N : p : N]
-        fh.write(" ".join(parts))
-        fh.write("\n")  # apart, so that the row is not copied once more to end it
+        p0, p1, p2, p3 = prefixes(a)
+        s0, b0, e0 = quarters[p0]
+        s1, b1, e1 = quarters[p1]
+        s2, b2, e2 = quarters[p2]
+        s3, b3, e3 = quarters[p3]
+        write(f"{s0[b0:e0]} {s1[b1:e1]} {s2[b2:e2]} {s3[b3:e3]}\n")
 
 
 def cmd_build(args) -> int:

@@ -5,8 +5,10 @@ import ast
 import csv
 import io
 import json
+import random
 import re
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -246,21 +248,8 @@ def test_parser_covers_every_subcommand():
 
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
-def test_single_subparser_answers_like_full_parser(capsys, argv):
-    got = exit_of(capsys, main, argv)
-    assert got == exit_of(capsys, cli.build_parser().parse_args, argv)
-    assert got[0] == (0 if "--help" in argv else 3)
-
-
-def test_main_builds_only_the_named_subparser(capsys, monkeypatch):
-    def no_full_parser():
-        raise AssertionError("the full parser was built")
-
-    monkeypatch.setattr(cli, "build_parser", no_full_parser)
-    for argv in VALID_ARGV.values():
-        code, _, err = run(capsys, argv)
-        assert code == 0, argv
-        assert err == ""
+def test_help_and_usage_lines_exit_0_or_3(capsys, argv):
+    assert exit_of(capsys, main, argv)[0] == (0 if "--help" in argv else 3)
 
 
 # main() may be called many times in one process; these tests show that
@@ -319,7 +308,9 @@ def test_main_builds_no_parser_once_warm(capsys, monkeypatch):
     monkeypatch.setattr(cli._Parser, "__init__", counted)
     cycle = list(VALID_ARGV.values())
     for i in range(100):
-        assert run(capsys, cycle[i % len(cycle)])[0] == 0
+        argv = cycle[i % len(cycle)]
+        code, _, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
     assert built == []
 
 
@@ -642,6 +633,47 @@ def test_build_table_file_matches_reference(tmp_path, capsys, n, m, t):
     code, _, _ = run(capsys, argv + ["--output", str(target)])
     assert code == 0
     assert target.read_text() == reference_table_file(n, m, t)
+
+
+class RowSampler:
+    """A file that counts the characters written to it and keeps the lines it was asked for."""
+
+    def __init__(self, wanted=()):
+        self.size, self.line, self.wanted, self.kept = 0, 0, set(wanted), {}
+
+    def write(self, text):
+        self.size += len(text)
+        for i, piece in enumerate(text.split("\n")):
+            self.line += i > 0
+            if self.line in self.wanted:
+                self.kept[self.line] = self.kept.get(self.line, "") + piece
+
+
+def test_table_file_at_the_cap():
+    # Every row lists the numerals 0..4095 once, so the rows take
+    # 79,339,520 bytes at order 4096 whatever the tuple; the header is 67.
+    pair, t = derive_pair(6, 6), TupleB(16, 0, 0, 16, 0, 0)
+    g = build_table(pcgroup.pc_from_tuple_b(pair, t))
+    assert g.order == cli.TABLE_FILE_CAP
+    rows = sorted({0, g.order - 1, *random.Random(4096).sample(range(g.order), 8)})
+    header = 5
+    sampler = RowSampler(header + a for a in rows)
+    cli._write_table(sampler, g, t)
+    assert sampler.size == 79_339_587
+    for a in rows:
+        assert sampler.kept[header + a] == " ".join(map(str, g.row(a))), a
+
+    # The writer streams rows from O(N * order) text; a cache of the
+    # quarter rows (order**2 / 4 numerals) would take about 21 MB here.
+    counter = RowSampler()
+    tracemalloc.start()
+    try:
+        cli._write_table(counter, g, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counter.size == sampler.size
+    assert peak < 4_000_000, peak
 
 
 def test_build_table_file_cap(tmp_path, capsys, monkeypatch):
