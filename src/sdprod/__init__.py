@@ -23,7 +23,6 @@ from .fpcoset import (
     parse_relator_file,
     parse_relator_lines,
     structure_report,
-    verify_xz_commutator_location,
 )
 from .pcgroup import (
     ConsistencyReport,

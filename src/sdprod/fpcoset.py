@@ -16,10 +16,12 @@ filling: each subgroup word is first scanned and filled at coset 0;
 then cosets are processed in definition order; every relator is
 scanned and filled at every live coset; coincidences are merged
 immediately, always keeping the smaller coset number; after each coset's
-relator scans, its remaining undefined generator images are defined in
-column order.  HLT and the lookahead below share one scan
-(_Enumeration.scan), which walks a relator from both ends: at a gap of
-more than one letter HLT defines the next coset, and the lookahead
+relator scans, a row that still has a gap is filled by a defining scan
+of the words g g^-1, one per column in column order, which defines each
+missing image as a new coset.  HLT and the lookahead below share one
+scan (_Enumeration.scan), the only code that creates a coset, which
+walks a relator from both ends: at a gap of more than one letter a
+defining scan (HLT) creates the next coset, and the lookahead
 stops.  The relators scanned are a rewritten copy, compiled once
 per presentation to the table columns they walk: runs of a generator
 with a power relator g^k are reduced modulo k, and the relators are
@@ -58,7 +60,7 @@ import re
 from typing import Iterable, NamedTuple, Sequence
 
 from .arith import SdPair
-from .congruence import CoreSpec, TupleB
+from .congruence import TupleB
 from .errors import CapacityError, DomainError
 
 DEFAULT_MAX_COSETS = 10**6
@@ -183,7 +185,7 @@ def parse_relator_lines(lines: Iterable[str]) -> FpPres:
     fixed order w, y, z, x restricted to the letters that appear.  More
     than MAX_RELATOR_LETTERS letters raise CapacityError before expansion.
     """
-    tokenized: list[list[tuple[str, bool, int]]] = []
+    tokenized: list[tuple[int, list[tuple[str, bool, int]]]] = []
     seen: set[str] = set()
     total = 0
     for lineno, raw in enumerate(lines, start=1):
@@ -205,9 +207,7 @@ def parse_relator_lines(lines: Iterable[str]) -> FpPres:
             total += count
             word.append((letter.lower(), letter.isupper(), count))
             seen.add(letter.lower())
-        if not word:
-            raise RelatorSyntaxError(f"line {lineno}: empty relator")
-        tokenized.append(word)
+        tokenized.append((lineno, word))
     if not tokenized:
         raise RelatorSyntaxError("no relators found")
     if total > MAX_RELATOR_LETTERS:
@@ -215,13 +215,13 @@ def parse_relator_lines(lines: Iterable[str]) -> FpPres:
     names = tuple(g for g in GEN_NAMES if g in seen)
     number = {g: i + 1 for i, g in enumerate(names)}
     relators = []
-    for word in tokenized:
+    for lineno, word in tokenized:
         letters: list[int] = []
         for sym, inverse, count in word:
             letters.extend(_pow_word(-number[sym] if inverse else number[sym], count))
         reduced = free_reduce(letters)
         if not reduced:
-            raise RelatorSyntaxError(f"relator reduces to the empty word: {word}")
+            raise RelatorSyntaxError(f"line {lineno}: relator reduces to the empty word")
         relators.append(reduced)
     return FpPres(ngens=len(names), names=names, relators=tuple(relators))
 
@@ -282,10 +282,6 @@ def _compile_relators(relators: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return compiled
 
 
-def _coset_limit(max_cosets: int) -> CapacityError:
-    return CapacityError(f"coset limit exceeded: more than {max_cosets} cosets defined")
-
-
 def _ends(compiled: list[list[int]]) -> list[tuple[list[int], list[int], int, int, int]]:
     """What _Enumeration.scan reads of each compiled relator: its columns;
     back, where back[j] is the column a backward scan leaves the coset at
@@ -296,6 +292,15 @@ def _ends(compiled: list[list[int]]) -> list[tuple[list[int], list[int], int, in
         back = [-1] + [col ^ 1 for col in cols]
         out.append((cols, back, cols[0], back[-1], len(cols)))
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _fill_ends(ncols: int) -> list[tuple[list[int], list[int], int, int, int]]:
+    """The words g g^-1, one per column in column order, as _ends gives
+    them.  A defining scan of g g^-1 at a coset whose g-image is missing
+    defines that image as a new coset, with its g^-1 edge back, and then
+    closes; where the image is defined, it walks there and back."""
+    return _ends([[col, col ^ 1] for col in range(ncols)])
 
 
 class _Enumeration:
@@ -315,31 +320,16 @@ class _Enumeration:
             parent[k] = k = parent[parent[k]]
         return k
 
-    def define(self, coset: int, col: int) -> int:
-        """Define the image of coset under col as a new coset."""
-        rows = self.rows
-        new = len(rows)
-        if new >= self.max_cosets:
-            raise _coset_limit(self.max_cosets)
-        row = [None] * self.ncols
-        row[col ^ 1] = coset
-        rows.append(row)
-        self.parent.append(new)
-        rows[coset][col] = new
-        return new
-
     def coincidence(self, a: int, b: int) -> None:
         """Identify two cosets and propagate, smaller number survives.
 
-        The representatives are found inline, with path halving: each step
-        up a chain points the coset it leaves at its grandparent."""
+        a and b must be distinct live cosets (their own representatives).
+        scan reaches both through rows of live cosets, which point only at
+        live cosets once a coincidence has been processed, and calls this
+        only with two different cosets.  The representatives met while
+        propagating are found inline, with path halving: each step up a
+        chain points the coset it leaves at its grandparent."""
         rows, parent = self.rows, self.parent
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a == b:
-            return
         if a > b:
             a, b = b, a
         parent[b] = a
@@ -378,9 +368,10 @@ class _Enumeration:
         """Scan each relator of relators (see _ends) from both ends at each
         coset of cosets, while that coset is live.  A closed scan may give
         a coincidence and a one-letter gap a deduction.  At a longer gap a
-        defining scan (HLT) defines the next forward coset, in place as
-        define does, and goes on, while any other scan (lookahead) stops:
-        it only fills deductions and merges coincidences.
+        defining scan (HLT) defines the next forward coset and goes on,
+        while any other scan (lookahead) stops: it only fills deductions
+        and merges coincidences.  This is the only place a coset is
+        created, with the one --max-cosets check.
 
         A scan that does not define skips a relator of length at least 2
         at a coset whose row defines neither its first column nor the
@@ -428,7 +419,9 @@ class _Enumeration:
                         break
                     new = len(rows)
                     if new >= max_cosets:
-                        raise _coset_limit(max_cosets)
+                        raise CapacityError(
+                            f"coset limit exceeded: more than {max_cosets} cosets defined"
+                        )
                     new_row = [None] * ncols
                     new_row[col ^ 1] = f
                     rows.append(new_row)
@@ -438,6 +431,7 @@ class _Enumeration:
 
     def run(self, subgroup: Sequence[Sequence[int]] = ()) -> None:
         rows, parent, ends, scan = self.rows, self.parent, self.ends, self.scan
+        fill = _fill_ends(self.ncols)
         # coset 0 survives every merge
         scan((0,), _ends([[_col(g) for g in word] for word in subgroup if word]), True)
         mark = LOOKAHEAD_FIRST
@@ -448,11 +442,8 @@ class _Enumeration:
                 mark = 2 * len(rows)
             if parent[coset] == coset:  # same as rep(coset) == coset, as parent[i] <= i
                 scan((coset,), ends, True)
-                if parent[coset] == coset:
-                    row = rows[coset]
-                    for col in range(self.ncols):
-                        if row[col] is None:
-                            self.define(coset, col)
+                if parent[coset] == coset and None in rows[coset]:
+                    scan((coset,), fill, True)
             coset += 1
 
     def lookahead(self, start: int) -> None:
@@ -665,18 +656,3 @@ def structure_report(table: CosetTable, fp: FpPres) -> StructureReport:
         sd_h=bool(x and y) and _is_semidihedral(table, powers, x, y, len(h)),
         sd_k=bool(z and w) and _is_semidihedral(table, powers, z, w, len(k)),
     )
-
-
-def verify_xz_commutator_location(report: StructureReport, cores: CoreSpec) -> bool:
-    """True iff the reported [x,z] lies in the product of the requested cores.
-
-    With trivial intersection of the two factors, x^e1 z^e2 lies in the
-    product of the subgroups generated by x^n1 and z^m1 exactly when n1
-    divides e1 and m1 divides e2.
-    """
-    if cores.n1 < 1 or cores.m1 < 1:
-        raise DomainError(f"invalid core spec: {cores}")
-    if report.xz_commutator is None:
-        return False
-    e1, e2 = report.xz_commutator
-    return e1 % cores.n1 == 0 and e2 % cores.m1 == 0

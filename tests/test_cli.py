@@ -192,11 +192,13 @@ def test_argparse_errors_exit_three(capsys):
         main(["no-such-command"])
     assert info.value.code == 3
     capsys.readouterr()
-    for value in ("0", "-1"):
+    for value in ("0", "-1", "abc"):
         with pytest.raises(SystemExit) as info:
             main(["tc", "--preset", "example-6-5", "--max-cosets", value])
         assert info.value.code == 3
-        assert "--max-cosets" in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --max-cosets: expected a positive integer, got '{value}'\n"
+        )
     for argv in (
         ["enumerate-a", "--n", "4", "--m", "4", "--workers", "2"],
         ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--max-table", "100"],
@@ -838,6 +840,21 @@ def test_tc_bad_relator_file(tmp_path, capsys):
     code, _, err = run(capsys, ["tc", "--relators", str(rel)])
     assert code == 3
     assert "relator" in err
+    # a relator that reduces to the empty word is named by its line
+    rel.write_text("x^4\nx X\n")
+    code, out, err = run(capsys, ["tc", "--relators", str(rel)])
+    assert (code, out) == (3, "")
+    assert err == "sdprod: relator file error: line 2: relator reduces to the empty word\n"
+
+
+def test_tc_pair_of_the_wrong_order_is_not_semidihedral(tmp_path, capsys):
+    # y X^4 = 1 puts y inside <x>: x has order 8 and y order 2, but
+    # <x,y> = <x> has order 8, not 16, and the order test answers no
+    rel = tmp_path / "cyclic.rel"
+    rel.write_text("x^8\ny^2\ny X^4\n")
+    code, out, err = run(capsys, ["tc", "--relators", str(rel)])
+    assert (code, err) == (0, "")
+    assert out.startswith("cosets: 8\norder(x)=8  order(y)=2\n|<x,y>| = 8 (semidihedral: no)\n")
 
 
 def test_tc_relator_file_past_the_letter_cap(tmp_path, capsys):
@@ -1140,7 +1157,6 @@ def test_cli_binds_every_name_the_tracer_wraps():
 def test_every_public_definition_is_used_in_the_package():
     # a public function or class that no other package code names is
     # test-only code, which belongs in the tests
-    planned = {"verify_xz_commutator_location"}  # for the survey of the twisted regime
     trees = [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "sdprod").glob("*.py"))
@@ -1161,4 +1177,4 @@ def test_every_public_definition_is_used_in_the_package():
                 referenced.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    assert sorted(defined - referenced - planned) == []
+    assert sorted(defined - referenced) == []

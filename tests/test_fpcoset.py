@@ -6,11 +6,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from sdprod import fpcoset
 from sdprod.arith import MAX_RANK, derive_pair
 from sdprod.cli import crosscheck_order
-from sdprod.congruence import CoreSpec, TupleA, TupleB, enumerate_a
+from sdprod.congruence import TupleA, TupleB, enumerate_a
 from sdprod.errors import CapacityError, DomainError
 from sdprod.fpcoset import (
     LOOKAHEAD_FIRST,
@@ -28,9 +30,8 @@ from sdprod.fpcoset import (
     free_reduce,
     parse_relator_lines,
     structure_report,
-    verify_xz_commutator_location,
 )
-from test_properties import ReferenceHLT
+from test_properties import DistinctRoots, ReferenceHLT
 
 PAIR44 = derive_pair(4, 4)
 FLAGSHIP_TUPLE = TupleB(4, 0, 0, 4, 0, 0)
@@ -124,8 +125,8 @@ def test_parse_relator_errors():
         parse_relator_lines(["q^2"])
     with pytest.raises(RelatorSyntaxError):
         parse_relator_lines(["x^0"])
-    with pytest.raises(RelatorSyntaxError):
-        parse_relator_lines(["x X"])
+    with pytest.raises(RelatorSyntaxError, match=r"^line 2: relator reduces to the empty word$"):
+        parse_relator_lines(["x^4", "x X"])
     with pytest.raises(RelatorSyntaxError):
         parse_relator_lines([])
 
@@ -181,6 +182,8 @@ def test_enumerate_deterministic():
 def test_enumerate_coset_limit():
     with pytest.raises(CapacityError):
         coset_enumerate(flagship_pres(), 100)
+    with pytest.raises(DomainError, match=r"^max_cosets must be positive, got 0$"):
+        coset_enumerate(flagship_pres(), max_cosets=0)
 
 
 def test_enumerate_over_a_subgroup():
@@ -251,12 +254,13 @@ def test_audit_walks_a_relator_to_the_last_coset():
     _audit(fp, CosetTable(rows=[[k, k, k, k] for k in range(n)], count=n), ())
 
 
-def as_letters(compiled):
-    """A presentation whose relators spell the compiled columns."""
+def as_letters(compiled, ngens):
+    """A presentation on ngens generators whose relators spell the
+    compiled columns."""
     relators = tuple(
         tuple(-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in cols) for cols in compiled
     )
-    return SimpleNamespace(ngens=max(abs(g) for rel in relators for g in rel), relators=relators)
+    return SimpleNamespace(ngens=ngens, relators=relators)
 
 
 def test_definitions_below_the_lookahead_mark():
@@ -268,11 +272,85 @@ def test_definitions_below_the_lookahead_mark():
         fp = fp_from_extended(PAIR44, FLAGSHIP_TUPLE, *e)
         state = _Enumeration(fp, 10**6)
         state.run()
-        ref = ReferenceHLT(as_letters(_compile_relators(fp.relators)), 10**6)
+        ref = ReferenceHLT(as_letters(_compile_relators(fp.relators), fp.ngens), 10**6)
         ref.run()
         assert len(state.rows) == defined < LOOKAHEAD_FIRST
         assert state.rows == ref.rows
         assert list(map(state.rep, range(defined))) == list(map(ref.rep, range(defined)))
+
+
+# y has no power relator, so HLT's relator scans leave images of y or Y
+# undefined at some cosets, and the fill defines them
+FILL_LINES = ["x^6", "Y x y^2 X"]
+FILL_MAX_COSETS = 2000  # below LOOKAHEAD_FIRST: no lookahead pass runs
+
+
+class Fills(DistinctRoots):
+    """The enumerator, recording the cosets its fill defines: those a
+    defining scan of the words g g^-1 creates."""
+
+    def __init__(self, fp, max_cosets):
+        super().__init__(fp, max_cosets)
+        self.filled = []
+
+    def scan(self, cosets, relators, defining):
+        before = len(self.rows)
+        super().scan(cosets, relators, defining)
+        if relators is fpcoset._fill_ends(self.ncols):
+            self.filled += range(before, len(self.rows))
+
+
+def test_fill_definitions_and_their_coset_limit():
+    # of the 683 cosets defined on the way to 378, the fill defines 98,
+    # the first of them coset 9, so --max-cosets 9 stops the run in the fill
+    fp = parse_relator_lines(FILL_LINES)
+    assert fp.names == ("y", "x")
+    state = Fills(fp, 10**6)
+    state.run()
+    assert (len(state.rows), len(state.filled), state.filled[0]) == (683, 98, 9)
+    assert len(state.compact()) == 378
+    assert coset_enumerate(fp, 683).count == 378
+    for cap in (9, 682):
+        message = rf"^coset limit exceeded: more than {cap} cosets defined$"
+        with pytest.raises(CapacityError, match=message):
+            coset_enumerate(fp, cap)
+
+
+@st.composite
+def fill_relator_files(draw):
+    """Relator files on 2-4 generators, one of which has no power relator,
+    so that HLT's relator scans can leave a column of a row undefined."""
+    names = draw(st.sampled_from(["yx", "yzx", "wyzx"]))
+    bare = draw(st.sampled_from(names))
+    lines = [f"{g}^{draw(st.integers(2, 8))}" for g in names if g != bare]
+    letters = st.sampled_from(names + names.upper())
+    words = draw(st.lists(st.lists(letters, min_size=2, max_size=8), min_size=1, max_size=3))
+    return lines + [" ".join(word) for word in words]
+
+
+@settings(max_examples=200, deadline=None)
+@example(lines=FILL_LINES)
+@given(fill_relator_files())
+def test_fill_matches_plain_hlt_below_the_lookahead_mark(lines):
+    # the fill is one defining scan of g g^-1 per column; it must define
+    # what plain HLT's fill defines, and a capped run must stop where
+    # plain HLT stops, with the same rows
+    try:
+        fp = parse_relator_lines(lines)
+    except RelatorSyntaxError:  # a word that reduces to the empty word
+        reject()
+    state = Fills(fp, FILL_MAX_COSETS)
+    ref = ReferenceHLT(as_letters(_compile_relators(fp.relators), fp.ngens), FILL_MAX_COSETS)
+    capped = []
+    for enumeration in (state, ref):
+        try:
+            enumeration.run()
+        except CapacityError:
+            capped.append(enumeration)
+    assert capped in ([], [state, ref])
+    defined = len(state.rows)
+    assert state.rows == ref.rows
+    assert list(map(state.rep, range(defined))) == list(map(ref.rep, range(defined)))
 
 
 def test_coset_limit_past_the_lookahead_mark():
@@ -415,24 +493,10 @@ def test_regular_representation_is_faithful():
         assert len(seen) == table.count == report.order
 
 
-def test_commutator_location_checks():
-    fp = flagship_pres()
-    report = structure_report(coset_enumerate(fp, 10**6), fp)
-    assert verify_xz_commutator_location(report, CoreSpec(2, 2))
-    assert verify_xz_commutator_location(report, CoreSpec(1, 1))
-    assert not verify_xz_commutator_location(report, CoreSpec(4, 2))
-    faulted = report._replace(xz_commutator=(1, 1))
-    assert not verify_xz_commutator_location(faulted, CoreSpec(2, 2))
-    with pytest.raises(DomainError):
-        verify_xz_commutator_location(report, CoreSpec(0, 2))
-
-
 def test_commutator_location_trivial_commutator():
     fp = fp_from_extended(PAIR44, TupleB(0, 0, 0, 0, 0, 0), 0, 0)
     report = structure_report(coset_enumerate(fp, 10**6), fp)
     assert report.xz_commutator == (0, 0)
-    for n1 in (1, 2, 4, 8):
-        assert verify_xz_commutator_location(report, CoreSpec(n1, n1))
 
 
 def test_crosscheck_order_examples():

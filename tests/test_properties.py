@@ -545,6 +545,20 @@ def test_table_past_the_lookahead_mark_matches_reference_hlt():
     assert coset_enumerate(fp).rows == want
 
 
+class DistinctRoots(_Enumeration):
+    """The enumerator, checking at each call of coincidence that its two
+    arguments are distinct live cosets, as coincidence requires: it finds
+    no representatives itself.  merges counts the calls."""
+
+    merges = 0
+
+    def coincidence(self, a, b):
+        parent = self.parent
+        assert a != b and parent[a] == a and parent[b] == b, (a, b)
+        self.merges += 1
+        super().coincidence(a, b)
+
+
 @pytest.mark.parametrize(
     "ranks, t, e, defined, passes, order",
     [
@@ -567,10 +581,10 @@ def test_definitions_past_the_lookahead_mark(ranks, t, e, defined, passes, order
     # the thirteen collapsing twisted relator files of the benchmark's
     # verify workload, in its order: a change of strategy that costs
     # definitions, or a lookahead pass that changes what HLT does next,
-    # fails here
+    # fails here; and every coincidence merges two distinct live cosets
     starts = []
 
-    class Counted(_Enumeration):
+    class Counted(DistinctRoots):
         def lookahead(self, start):
             starts.append(start)
             super().lookahead(start)
@@ -579,6 +593,7 @@ def test_definitions_past_the_lookahead_mark(ranks, t, e, defined, passes, order
     state.run()
     assert (len(state.rows), len(starts)) == (defined, passes)
     assert len(state.compact()) == order
+    assert state.merges > 0
 
 
 class FullSweepLookahead(_Enumeration):
