@@ -694,6 +694,67 @@ def test_build_table_file_cap(tmp_path, capsys, monkeypatch):
     assert not target.exists()
 
 
+def test_table_file_reaches_the_os_in_buffer_sized_writes(tmp_path, capsys, monkeypatch):
+    # counts the writes that reach the raw file, with the buffer the sink
+    # asks for.  The text layer hands the buffer pieces of two or three
+    # rows (8-12 KB), so each write but the last fills more than half of
+    # it: 64 or 69 writes (by Python version) of at most 127 for a 64 KiB
+    # buffer, where the default (the block size, often 4 KiB) takes 512
+    writes = []
+
+    class CountingFileIO(io.FileIO):
+        def write(self, data):
+            writes.append(len(data))
+            return super().write(data)
+
+    def counting_open(file, mode="r", buffering=-1, encoding=None):
+        size = io.DEFAULT_BUFFER_SIZE if buffering == -1 else buffering
+        raw = io.BufferedWriter(CountingFileIO(file, mode), buffer_size=size)
+        return io.TextIOWrapper(raw, encoding=encoding)
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    target = tmp_path / "t1024.table"
+    argv = ["build", "--n", "5", "--m", "5", "--tuple", "8,0,0,8,0,0", "--output", str(target)]
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    size = target.stat().st_size
+    assert size == sum(writes) == 4_106_305
+    assert len(writes) <= -(-size // (cli.OUTPUT_BUFFER // 2)) + 1
+
+
+def test_output_files_are_opened_only_by_the_sink():
+    tree = ast.parse((ROOT / "src" / "sdprod" / "cli.py").read_text(encoding="utf-8"))
+    sink = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_sink")
+    opens = {
+        id(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open"
+    }
+    assert len(opens) == 1
+    assert opens <= {id(node) for node in ast.walk(sink)}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0"],
+        ["enumerate-a", "--n", "4", "--m", "4"],
+    ],
+    ids=["build", "enumerate-a"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_output_write_errors(tmp_path, capsys, argv, where):
+    (tmp_path / "dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    target = tmp_path / ("absent/t.out" if where == "missing-directory" else "dir")
+    code, out, err = run(capsys, argv + ["--output", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("sdprod: i/o error: ")
+    assert str(target) in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_build_order_65536(capsys):
     code, out, _ = run(
         capsys, ["build", "--n", "8", "--m", "8", "--tuple", "0,0,0,0", "--format", "json"]

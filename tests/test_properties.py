@@ -38,7 +38,8 @@ ranks and core specs, its closed-form histograms with counts over its
 groups at every core spec of every rank pair in [4, 7], and the streamed
 listings with a copy of the whole-document formatter that the CLI used
 before, at random ranks and at the order-2^16 rank pairs of the
-benchmark.  Random sequences of
+benchmark; at random ranks in [4, 6], each listing's --output file is
+compared byte for byte with the same command's stdout.  Random sequences of
 command lines, run one after another in this process through main, where
 each subcommand's parser is kept, are compared one by one with the same
 command line under a freshly built parser.  Command lines drawn from
@@ -51,9 +52,11 @@ import contextlib
 import csv
 import io
 import json
+import tempfile
 from dataclasses import replace
 from functools import lru_cache
 from itertools import groupby, islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -184,8 +187,8 @@ def valid_cored_tuples_b(draw, ranks=ALL_RANKS):
 
 
 @st.composite
-def core_specs(draw):
-    pair = derive_pair(draw(RANKS), draw(RANKS))
+def core_specs(draw, ranks=RANKS):
+    pair = derive_pair(draw(ranks), draw(ranks))
     n1 = 1 << draw(st.integers(0, pair.n - 1))
     m1 = 1 << draw(st.integers(0, pair.m - 1))
     return pair, CoreSpec(n1, m1)
@@ -1038,21 +1041,25 @@ def reference_listing(args, tuples, fields):
     return "\n".join(lines) + "\n"
 
 
-def listing_stdout(pair, cores, fmt):
-    """stdout of the CLI listing and of the reference formatter:
-    enumerate-a when cores is None, else enumerate-b."""
-    args = {"n": pair.n, "m": pair.m, "format": fmt}
+def listing_argv(pair, cores, fmt):
+    """enumerate-a when cores is None, else enumerate-b."""
     argv = ["--n", str(pair.n), "--m", str(pair.m), "--format", fmt]
     if cores is None:
-        argv = ["enumerate-a"] + argv
+        return ["enumerate-a"] + argv
+    return ["enumerate-b", "--n1", str(cores.n1), "--m1", str(cores.m1), "--allow-large"] + argv
+
+
+def listing_stdout(pair, cores, fmt):
+    """stdout of the CLI listing and of the reference formatter."""
+    args = {"n": pair.n, "m": pair.m, "format": fmt}
+    if cores is None:
         want = reference_listing(args, enumerate_a(pair), TupleA._fields)
     else:
         args["n1"], args["m1"] = cores
-        argv = ["enumerate-b", "--n1", str(cores.n1), "--m1", str(cores.m1), "--allow-large"] + argv
         want = reference_listing(args, enumerate_b(pair, cores, allow_large=True), TupleB._fields)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(argv) == 0
+        assert main(listing_argv(pair, cores, fmt)) == 0
     return out.getvalue(), want
 
 
@@ -1062,6 +1069,22 @@ def test_listing_matches_reference_formatter(case, four_field, fmt):
     pair, cores = case
     got, want = listing_stdout(pair, None if four_field else cores, fmt)
     assert got == want
+
+
+@GROUP_SETTINGS
+@given(core_specs(st.integers(4, 6)), st.booleans(), st.sampled_from(["text", "json", "csv"]))
+def test_listing_output_file_holds_the_stdout_bytes(case, four_field, fmt):
+    pair, cores = case
+    argv = listing_argv(pair, None if four_field else cores, fmt)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        target = Path(tmp) / "listing"
+        with contextlib.redirect_stdout(io.StringIO()) as quiet:
+            assert main(argv + ["--output", str(target)]) == 0
+        assert quiet.getvalue() == ""
+        assert target.read_bytes() == out.getvalue().encode("utf-8")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
