@@ -27,6 +27,7 @@ import argparse
 import contextlib
 import math
 import sys
+from itertools import accumulate, islice
 from typing import Sequence
 
 from .arith import SdPair, additive_order, derive_pair
@@ -79,10 +80,13 @@ CROSSCHECK_MAX_RANK = 12
 # [x,z] in a tc report when x and z are named but [x,z] is no x^i z^j
 XZ_NOT_A_PRODUCT = "not a product of an x power and a z power"
 # The buffer of an --output file.  Python's default is the file system's
-# block size (often 4 KiB), which lets each two-row piece of an order-1024
-# table file through as its own write: 512 for the file.  On perfbench's
-# construct workload, buffers of 64 KiB to 1 MiB saved about the same
-# time, and from 256 KiB up they raised peak RSS.
+# block size (often 4 KiB), which sends a file to the OS in pieces of about
+# that size.  On perfbench's construct workload, buffers of 64 KiB to 1 MiB
+# saved about the same time, and from 256 KiB up they raised peak RSS.
+# The table file's writer hands the buffer chunks of at least twice its
+# size, which go to the OS one write each: 32 for the 4.1 MB order-1024
+# file.  Chunks of one buffer's size (65-77 KB) put construct's peak RSS
+# 1.5 MB higher in every run measured; chunks of two did not.
 OUTPUT_BUFFER = 64 * 1024
 
 
@@ -124,8 +128,8 @@ def _sink(args):
 
     Every --output file is opened here, when the sink is entered, so a
     command that fails before then leaves no file.  Its bytes reach the OS
-    in writes of up to OUTPUT_BUFFER bytes: about 64 for the 4.1 MB
-    order-1024 table file."""
+    through a buffer of OUTPUT_BUFFER bytes; the table file's writer hands
+    it larger chunks, which go to the OS one write each."""
     if getattr(args, "output", None):
         with open(args.output, "w", encoding="utf-8", buffering=OUTPUT_BUFFER) as fh:
             yield fh
@@ -294,7 +298,7 @@ def cmd_check(args) -> int:
 
 
 def _write_table(fh, g, t) -> None:
-    """Write the table file one row at a time: it holds order**2 entries.
+    """Write the table file: it holds order**2 entries.
 
     Row a lists a*v over v in index order, in four quarters, one per
     prefix p of a (see GroupTable.row).  Quarter p lists p*v over the NM
@@ -302,11 +306,21 @@ def _write_table(fh, g, t) -> None:
     x-coset run from it onward and wrapping around.  The quarters of the M
     elements of one head and one x exponent are rotations of one sequence
     of M x-runs, so each is one slice of a strip, that sequence spelled
-    twice.  The 4N strips hold 2N numerals per element, and each
-    element's strip and slice bounds are found once; a row is then four
-    slices and one fh.write, and the file is streamed in O(N*order) text.
-    The rows reach the OS through fh's buffer: OUTPUT_BUFFER bytes when fh
-    comes from _sink."""
+    twice.  Each x-run is itself spelled once as "run run", so its
+    rotation by x is one slice too, and a strip is one join of M slices.
+    The 4N strips hold 2N numerals per element.
+
+    The prefixes are found one head at a time, not one row at a time:
+    the rows of head h take prefix 1 from the y map, prefix 2 from the w
+    map (the one past y when h holds y) and prefix 3 from both, so three
+    list comprehensions over the maps give the quarters of all order/4
+    rows of the head, and a row is four slices.  Every row lists each
+    numeral once, so all rows have one length, and they are joined in
+    chunks of a fixed number of rows, the header in the first.  Each
+    chunk holds at least 2 * OUTPUT_BUFFER characters and is one
+    fh.write: larger than _sink's buffer, it passes the buffer by and
+    reaches the OS as one write.  The file is streamed in O(N*order)
+    text."""
     lines = [
         "# sdprod group table v1",
         f"n: {g.pair.n}",
@@ -314,30 +328,44 @@ def _write_table(fh, g, t) -> None:
         f"tuple: {','.join(str(v) for v in t)}",
         f"order: {g.order}",
     ]
-    fh.write("\n".join(lines) + "\n")
     N, block = g.pair.N, g.pair.N * g.pair.M
     numerals = [str(i) for i in range(g.order)]
+    widths = [len(s) + 1 for s in numerals]  # a numeral and the space after it
     quarters: list = [None] * g.order  # element -> (strip, start, stop)
-    for head in range(0, g.order, block):
+    for first in range(0, g.order, block):  # the first element of each head
+        runs = []  # (an x-run spelled twice, its length, where each numeral starts)
+        for base in range(first, first + block, N):
+            run = " ".join(numerals[base : base + N])
+            at = list(accumulate(widths[base : base + N - 1], initial=0))
+            runs.append((f"{run} {run}", len(run), at))
+        starts = list(accumulate([n + 1 for _, n, _ in runs], initial=0))
+        length = starts.pop() - 1
         for x in range(N):
-            runs = [
-                " ".join(numerals[base + x : base + N] + numerals[base : base + x])
-                for base in range(head, head + block, N)
-            ]
-            sequence = " ".join(runs)
+            sequence = " ".join([twice[at[x] : at[x] + n] for twice, n, at in runs])
             strip = f"{sequence} {sequence}"
-            start = 0
-            for p, run in zip(range(head + x, head + block, N), runs):
-                quarters[p] = (strip, start, start + len(sequence))
-                start += len(run) + 1
-    prefixes, write = g.prefixes, fh.write
-    for a in range(g.order):
-        p0, p1, p2, p3 = prefixes(a)
-        s0, b0, e0 = quarters[p0]
-        s1, b1, e1 = quarters[p1]
-        s2, b2, e2 = quarters[p2]
-        s3, b3, e3 = quarters[p3]
-        write(f"{s0[b0:e0]} {s1[b1:e1]} {s2[b2:e2]} {s3[b3:e3]}\n")
+            quarters[first + x : first + block : N] = [(strip, s, s + length) for s in starts]
+
+    def prefix_quarters(head):
+        """The quarters of prefixes 0-3 of the rows of one head."""
+        ty, w_map = g.ty, (g.tw_past_y if head & 1 else g.tw)
+        y_at, w_at, wy_at = (head ^ 1) * block, (head ^ 2) * block, (head ^ 3) * block
+        return (
+            quarters[head * block : (head + 1) * block],
+            [quarters[y_at + i] for i in ty],
+            [quarters[w_at + i] for i in w_map],
+            [quarters[wy_at + ty[i]] for i in w_map],
+        )
+
+    rows = (
+        f"{s0[b0:e0]} {s1[b1:e1]} {s2[b2:e2]} {s3[b3:e3]}\n"
+        for head in range(4)
+        for (s0, b0, e0), (s1, b1, e1), (s2, b2, e2), (s3, b3, e3) in zip(*prefix_quarters(head))
+    )
+    per_chunk = -(-2 * OUTPUT_BUFFER // sum(widths))  # sum(widths): a row's length
+    chunk = "\n".join(lines) + "\n" + "".join(islice(rows, per_chunk))
+    while chunk:
+        fh.write(chunk)
+        chunk = "".join(islice(rows, per_chunk))
 
 
 def cmd_build(args) -> int:

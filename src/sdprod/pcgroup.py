@@ -138,9 +138,7 @@ class GroupTable(NamedTuple):
         Prefix k has u's head xor k.  Its tail is u's tail sent through the
         w map if k holds w (the one past y when u's head holds y), and
         then through the y map if k holds y.  All four come from one call,
-        which reads the maps once: a field read of this record costs more
-        than a local one, and the table file takes the prefixes of every
-        element."""
+        which reads the maps once: `row` needs every prefix of u."""
         block, ty = self.order // 4, self.ty
         head, tail = divmod(u, block)
         w_tail = (self.tw_past_y if head & 1 else self.tw)[tail]
@@ -152,11 +150,16 @@ class GroupTable(NamedTuple):
         )
 
     def mul(self, a: int, b: int) -> int:
-        """Index of a * b."""
+        """Index of a * b: the prefix of a that b's head selects, with b's
+        tail added on.  Only the maps that prefix needs are read."""
         N, M = self.pair.N, self.pair.M
         head, tail = divmod(b, M * N)
-        phead, ptail = divmod(self.prefixes(a)[head], M * N)
-        return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
+        ahead, ptail = divmod(a, M * N)
+        if head & 2:
+            ptail = (self.tw_past_y if ahead & 1 else self.tw)[ptail]
+        if head & 1:
+            ptail = self.ty[ptail]
+        return ((ahead ^ head) * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
 
     def row(self, a: int) -> list[int]:
         """Row a of the table: a * v for v = 0, 1, ..., order - 1.

@@ -3,6 +3,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import io
 import json
 import random
@@ -638,13 +639,16 @@ def test_build_table_file_matches_reference(tmp_path, capsys, n, m, t):
 
 
 class RowSampler:
-    """A file that counts the characters written to it and keeps the lines it was asked for."""
+    """A file that counts and hashes the characters written to it and keeps
+    the lines it was asked for."""
 
     def __init__(self, wanted=()):
         self.size, self.line, self.wanted, self.kept = 0, 0, set(wanted), {}
+        self.sha256 = hashlib.sha256()
 
     def write(self, text):
         self.size += len(text)
+        self.sha256.update(text.encode("utf-8"))
         for i, piece in enumerate(text.split("\n")):
             self.line += i > 0
             if self.line in self.wanted:
@@ -662,6 +666,9 @@ def test_table_file_at_the_cap():
     sampler = RowSampler(header + a for a in rows)
     cli._write_table(sampler, g, t)
     assert sampler.size == 79_339_587
+    # the whole file, hashed as it is written
+    digest = "bea4a524851cea7140126a3de986f2381345d5821d82e9cc80d2d34923d320be"
+    assert sampler.sha256.hexdigest() == digest
     for a in rows:
         assert sampler.kept[header + a] == " ".join(map(str, g.row(a))), a
 
@@ -696,30 +703,35 @@ def test_build_table_file_cap(tmp_path, capsys, monkeypatch):
 
 def test_table_file_reaches_the_os_in_buffer_sized_writes(tmp_path, capsys, monkeypatch):
     # counts the writes that reach the raw file, with the buffer the sink
-    # asks for.  The text layer hands the buffer pieces of two or three
-    # rows (8-12 KB), so each write but the last fills more than half of
-    # it: 64 or 69 writes (by Python version) of at most 127 for a 64 KiB
-    # buffer, where the default (the block size, often 4 KiB) takes 512
+    # asks for; the raw file keeps no bytes, so no 79 MB file is written.
+    # The writer joins rows in chunks of at least OUTPUT_BUFFER characters,
+    # the header in the first, and a chunk larger than the buffer goes to
+    # the raw file as one write: every write but the last is that large
     writes = []
 
-    class CountingFileIO(io.FileIO):
+    class DiscardingFileIO(io.RawIOBase):
+        def writable(self):
+            return True
+
         def write(self, data):
             writes.append(len(data))
-            return super().write(data)
+            return len(data)
 
     def counting_open(file, mode="r", buffering=-1, encoding=None):
+        assert mode == "w"
         size = io.DEFAULT_BUFFER_SIZE if buffering == -1 else buffering
-        raw = io.BufferedWriter(CountingFileIO(file, mode), buffer_size=size)
+        raw = io.BufferedWriter(DiscardingFileIO(), buffer_size=size)
         return io.TextIOWrapper(raw, encoding=encoding)
 
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
-    target = tmp_path / "t1024.table"
-    argv = ["build", "--n", "5", "--m", "5", "--tuple", "8,0,0,8,0,0", "--output", str(target)]
-    code, _, _ = run(capsys, argv)
-    assert code == 0
-    size = target.stat().st_size
-    assert size == sum(writes) == 4_106_305
-    assert len(writes) <= -(-size // (cli.OUTPUT_BUFFER // 2)) + 1
+    for n, m, t, size in [(5, 5, "8,0,0,8,0,0", 4_106_305), (6, 6, "16,0,0,16,0,0", 79_339_587)]:
+        writes.clear()
+        argv = ["build", "--n", str(n), "--m", str(m), "--tuple", t]
+        code, _, _ = run(capsys, argv + ["--output", str(tmp_path / "t.table")])
+        assert code == 0
+        assert sum(writes) == size
+        assert len(writes) <= -(-size // cli.OUTPUT_BUFFER) + 1, (n, m)
+        assert min(writes[:-1]) >= cli.OUTPUT_BUFFER, (n, m)
 
 
 def test_output_files_are_opened_only_by_the_sink():

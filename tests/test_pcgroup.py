@@ -264,6 +264,17 @@ def test_build_table_matches_direct_collection():
             assert row[j] == want
 
 
+def test_mul_matches_row_on_a_twisted_table():
+    # at (4,5) with t and c nonzero the w map past y differs from the w map
+    # and does not commute with the y map, so mul must apply the w map that
+    # a's head selects, and apply it before the y map
+    g = build_table(pc_from_tuple_b(derive_pair(4, 5), TupleB(4, 6, 0, 4, 4, 2)))
+    assert g.tw != g.tw_past_y
+    assert any(g.ty[g.tw_past_y[i]] != g.tw_past_y[g.ty[i]] for i in range(len(g.ty)))
+    for a in range(g.order):
+        assert [g.mul(a, b) for b in range(g.order)] == g.row(a), a
+
+
 class NormalForm(NamedTuple):
     """The element w^a1 y^a2 z^a3 x^a4 as its exponents (a1, a2, a3, a4)."""
 
