@@ -197,10 +197,11 @@ def cmd_enumerate(args) -> int:
 
     The count, the histograms and the parity come from the solution set in
     closed form, so the gate is checked before anything is written and
-    the loop over the groups only writes.  A block's (r, a, s, b) text is
-    rendered once, the t and c text once per listing, and each group is
-    one join and one write, so memory is bounded by one group's rows and
-    one block's c text.
+    the loop over the groups only writes.  CSV holds the rows alone, so
+    its listing computes neither histograms nor parity.  A block's
+    (r, a, s, b) text is rendered once, the t and c text once per listing,
+    and each group is one join and one write, so memory is bounded by one
+    group's rows and one block's c text.
     """
     pair = derive_pair(args.n, args.m)
     if args.command == "enumerate-a":
@@ -235,6 +236,8 @@ def cmd_enumerate(args) -> int:
                 skip = 0
         if solution.count:
             out.write(row_end)
+        if args.format == "csv":  # rows only: no histograms, no parity
+            return 0
         histograms = solution.histograms()
         all_even = all(v % 2 == 0 for name in fields for v in histograms[name])
         if args.format == "json":
@@ -250,7 +253,7 @@ def cmd_enumerate(args) -> int:
                 tail += [f'  "n1": {args.n1}', f'  "m1": {args.m1}']
             closing = "\n  ]" if solution.count else "]"
             out.write(closing + ",\n" + ",\n".join(tail) + "\n}\n")
-        elif args.format == "text":
+        else:
             lines = [f"count: {solution.count}"]
             for name in fields:
                 text = " ".join(f"{v}={k}" for v, k in histograms[name].items())

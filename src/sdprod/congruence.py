@@ -99,6 +99,7 @@ def validate_cores(pair: SdPair, cores: CoreSpec) -> None:
 
 
 _C_OF_D = {"D2": "C1", "D3": "C2", "D9": "C3", "D10": "C4", "D11": "C5", "D12": "C6"}
+_D_TAGS = tuple(f"D{i}" for i in range(1, 13))
 
 
 def check_a(pair: SdPair, t: TupleA) -> Verdict:
@@ -119,23 +120,31 @@ def check_b_congruences(pair: SdPair, t: TupleB) -> Verdict:
     here; see check_b.
     """
     r, a, s, b, tt, c = TupleB(*t).reduced(pair)
+    residuals = _residuals(pair, r, a, s, b, tt, c)
+    return Verdict(tuple(Failure(tag, res) for tag, res in zip(_D_TAGS, residuals) if res))
+
+
+def _residuals(pair: SdPair, r: int, a: int, s: int, b: int, t: int, c: int) -> tuple[int, ...]:
+    """The residuals of D1..D12, in that order, at reduced fields; zero
+    means the condition holds.  This is the one statement of the twelve
+    congruences: check_b_congruences reports them and solve_b decides its
+    heads and t steps with them."""
     N, M = pair.N, pair.M
     alpha, beta = pair.alpha, pair.beta
-    conditions = (
-        ("D1", r * (alpha + 1 + a) % N),
-        ("D2", ((1 + a) * (1 + a) - 1) % M),
-        ("D3", ((1 + s) * (1 + s) - 1) % N),
-        ("D4", b * (1 + s + beta) % M),
-        ("D5", r * (beta - 1 - s) % N),
-        ("D6", b * r % M),
-        ("D7", b * (alpha - 1 - a) % M),
-        ("D8", r * b % N),
-        ("D9", tt * (2 + s) % N),
-        ("D10", (c * (1 + beta) + tt * b) % M),
-        ("D11", (tt * (1 + alpha) + c * r) % N),
-        ("D12", c * (2 + a) % M),
+    return (
+        r * (alpha + 1 + a) % N,
+        ((1 + a) * (1 + a) - 1) % M,
+        ((1 + s) * (1 + s) - 1) % N,
+        b * (1 + s + beta) % M,
+        r * (beta - 1 - s) % N,
+        b * r % M,
+        b * (alpha - 1 - a) % M,
+        r * b % N,
+        t * (2 + s) % N,
+        (c * (1 + beta) + t * b) % M,
+        (t * (1 + alpha) + c * r) % N,
+        c * (2 + a) % M,
     )
-    return Verdict(tuple(Failure(tag, res) for tag, res in conditions if res))
 
 
 def check_b(pair: SdPair, cores: CoreSpec, t: TupleB) -> Verdict:
@@ -165,41 +174,51 @@ def _of_order(order: int, modulus: int) -> range:
     return range(step if order > 1 else 0, modulus, 2 * step)
 
 
-def _coset(u: int, v: int, modulus: int) -> tuple[int, int] | None:
-    """The integers x with u*x = v modulo a power of two, as (x0, step)
-    with 0 <= x0 < step, or None when there are none.
+def _steps(pair: SdPair, r: int, a: int, s: int, b: int) -> tuple[int, int]:
+    """(t_step, c_step) of a head (r, a, s, b) that passes D1..D8, with b
+    of an additive order that divides N.
 
-    With g = gcd(u, modulus) there are solutions iff g divides v, and then
-    x = (v/g) * (u/g)^-1 modulo modulus/g, a power of two.
+    With t fixed, D10, D11 and D12 are congruences u*c = v modulo a power
+    of two q: (1 + beta)*c = -t*b mod M, r*c = -t*(1 + alpha) mod N and
+    (2 + a)*c = 0 mod M.  One has a solution iff g = gcd(u, q) divides v,
+    and its c then lie in one coset of the multiples of its step q/g.  At
+    t = 0 that coset is the multiples, so c_step is the largest of the
+    three steps; D10's is 2, as 1 + beta = M/2.
+
+    The t that pass D9, t*(2 + s) = 0 mod N, are the multiples of
+    t0 = N/gcd(2 + s, N), at most N/2 as s is even.  At t0 each v is a
+    multiple of q/2: D11's as 1 + alpha = N/2, and D10's as t0*b = 0 mod
+    M/2.  (If s is 0 or N/2, t0 is N/2, so t0*b is a multiple of
+    (M/2)*(N/n1), n1 the order of b; else s + M/2 is twice an odd number,
+    and D4, b*(s + M/2) = 0 mod M, makes b a multiple of M/2.)  So a
+    congruence's c are the multiples of its step (v = 0 mod q), its odd
+    multiples of half its step (u*step/2 = (u/g)*q/2 = q/2 mod q, u/g
+    odd), or none (r = 0 and t0 odd).  In terms of the power of two 2^e
+    dividing c exactly, they ask e >= k or e = k - 1, 2^k the step, so the
+    c of all three, if any, are the multiples of c_step or its odd
+    multiples of c_step/2, and the least of them is _c_unit's.  So t0 has
+    a c iff (t0, _c_unit) passes D9..D12, and if not, 2*t0 does with
+    c = 0, since 2v = 0 mod q.
     """
-    g = math.gcd(u, modulus)
-    if v % g:
-        return None
-    step = modulus // g
-    return v // g * pow(u // g, -1, step) % step, step
+    N, M = pair.N, pair.M
+    c_step = max(2, N // math.gcd(r, N), M // math.gcd(2 + a, M))
+    t = N // math.gcd(2 + s, N)
+    c = _c_unit(pair, b, t, c_step)
+    # c = 0 passes D10 and D11 by _c_unit's own test
+    if c and any(_residuals(pair, r, a, s, b, t, c)):
+        t *= 2
+    return t, c_step
 
 
-def _meet(*cosets: tuple[int, int] | None) -> tuple[int, int] | None:
-    """Intersection of cosets x0 + step*Z whose steps are powers of two.
+def _c_unit(pair: SdPair, b: int, t: int, c_step: int) -> int:
+    """The least c that goes with t in a block of c step c_step, when one
+    does (see _steps): 0 if (t, 0) passes D10 and D11, t*b = 0 mod M and
+    t*(1 + alpha) = t*N/2 = 0 mod N, else c_step/2.  D12 holds at c = 0.
+    At t = N it is 0, as at t = 0, when b's additive order divides N.
 
-    Every step divides the largest, so the intersection is the coset of
-    the largest step if that coset lies in all the others, else empty.
-    """
-    if None in cosets:
-        return None
-    x0, step = max(cosets, key=lambda coset: coset[1])
-    if any((x0 - x) % s for x, s in cosets):
-        return None
-    return x0, step
-
-
-def _c_coset(pair: SdPair, r: int, a: int, b: int, t: int) -> tuple[int, int] | None:
-    """The c that satisfy D10, D11 and D12 once r, a, b and t are fixed."""
-    return _meet(
-        _coset(1 + pair.beta, -t * b, pair.M),
-        _coset(r, -t * (1 + pair.alpha), pair.N),
-        _coset(2 + a, 0, pair.M),
-    )
+    It depends on b only through whether t*b = 0 mod M, which odd factors
+    of b do not change, and not on r."""
+    return c_step // 2 if t % 2 or t * b % pair.M else 0
 
 
 class SolutionSet:
@@ -209,7 +228,8 @@ class SolutionSet:
     b_values, heads holds some (a, s, t_step, c_step), t is a multiple of
     t_step below N, and c lies in the coset that `blocks` gives for t.
     `count` is their number and `histograms` the number taking each value
-    of each field, both found without listing them.
+    of each field, both found without listing them.  The state is O(heads):
+    no block or tuple is stored.
     """
 
     def __init__(
@@ -223,6 +243,16 @@ class SolutionSet:
         per_rb = sum(pair.N // t_step * (pair.M // c_step) for _, _, t_step, c_step in heads)
         self.count = len(r_values) * len(b_values) * per_rb
 
+    def _units(self) -> list[tuple[int, int, int, int, int]]:
+        """(a, s, t_step, c_unit, c_step) per head.  The b of b_values
+        differ by odd factors, so a head's c_unit is the same in each of
+        its blocks (see _c_unit)."""
+        b = self.b_values[0] if self.b_values else 0
+        return [
+            (a, s, t_step, _c_unit(self.pair, b, t_step, c_step), c_step)
+            for a, s, t_step, c_step in self.heads
+        ]
+
     def blocks(self) -> Iterator[tuple[int, int, int, int, int, int, int]]:
         """(r, a, s, b, t_step, c_unit, c_step) per block, in lexicographic
         order of (r, a, s, b).
@@ -231,13 +261,14 @@ class SolutionSet:
         subgroup, since those congruences are homogeneous in t and c.  Its
         t values are the multiples of t_step below N, and the c that go
         with t = k*t_step are the c below M that are k*c_unit modulo c_step,
-        where c_unit is one c that goes with t_step.
+        where c_unit is the least c that goes with t_step: 0 or c_step/2.
+        A head has one c_unit for all its blocks, found once per call, so
+        each block costs one yield.
         """
-        N = self.pair.N
+        units = self._units()
         for r in self.r_values:
-            for a, s, t_step, c_step in self.heads:
+            for a, s, t_step, c_unit, c_step in units:
                 for b in self.b_values:
-                    c_unit = _c_coset(self.pair, r, a, b, t_step)[0] if t_step < N else 0
                     yield r, a, s, b, t_step, c_unit, c_step
 
     def groups(self) -> Iterator[tuple[tuple[int, int, int, int, int], range]]:
@@ -252,11 +283,13 @@ class SolutionSet:
         """Per field name of TupleB, how many tuples take each value, in
         increasing order of the value; values no tuple takes are left out.
 
-        A block has K*M/c_step tuples, K = N/t_step, for each r, a, s and b
-        it holds, and M/c_step for each of its t.  Its c are read off the
-        projection of its subgroup of pairs (t, c) onto c, a homomorphism:
-        the image is generated by c_unit and c_step, so it is the multiples
-        of g = gcd(c_unit, c_step) below M, and each is hit by
+        Every block of a head is alike but for r and b, so the work is per
+        head, not per block, plus one entry per value written.  A block has
+        K*M/c_step tuples, K = N/t_step, for each r, a, s and b it holds,
+        and M/c_step for each of its t.  Its c are read off the projection
+        of its subgroup of pairs (t, c) onto c, a homomorphism: the image
+        is generated by c_unit and c_step, so it is the multiples of
+        g = gcd(c_unit, c_step) below M, and each is hit by
         K*(M/c_step)/(M/g) = K/p tuples, p = c_step/g.  K/p is a whole
         number: t = K*t_step = N is t = 0, whose c are the multiples of
         c_step, so c_step divides K*c_unit, and p divides K.
@@ -268,20 +301,19 @@ class SolutionSet:
         a_hist: dict[int, int] = {}
         s_hist: dict[int, int] = {}
         per_t: dict[int, int] = {}  # t_step -> tuples for each multiple of it
-        for a, s, t_step, c_step in self.heads:
+        per_c: dict[int, int] = {}  # g -> tuples for each multiple of it
+        for a, s, t_step, c_unit, c_step in self._units():
             per_t[t_step] = per_t.get(t_step, 0) + rb * (M // c_step)
             in_heads = rb * (N // t_step) * (M // c_step)
             a_hist[a] = a_hist.get(a, 0) + in_heads
             s_hist[s] = s_hist.get(s, 0) + in_heads
-        per_c: dict[int, int] = {}  # g -> tuples for each multiple of it
-        for *_, t_step, c_unit, c_step in self.blocks():
             g = math.gcd(c_unit, c_step)
-            per_c[g] = per_c.get(g, 0) + N // t_step * g // c_step
+            per_c[g] = per_c.get(g, 0) + rb * (N // t_step) * g // c_step
         per_r = self.count // len(self.r_values)
         per_b = self.count // len(self.b_values)
         return {
             "r": dict.fromkeys(self.r_values, per_r),
-            "a": dict(sorted(a_hist.items())),
+            "a": dict(sorted(a_hist.items())),  # at most four keys each
             "s": dict(sorted(s_hist.items())),
             "b": dict.fromkeys(self.b_values, per_b),
             "t": _on_multiples(per_t, N),
@@ -291,12 +323,20 @@ class SolutionSet:
 
 def _on_multiples(weights: dict[int, int], modulus: int) -> dict[int, int]:
     """The histogram that gives each multiple of step below modulus
-    weights[step], summed over the steps, in increasing order."""
-    hist: dict[int, int] = {}
+    weights[step], summed over the steps, in increasing order.
+
+    The steps are powers of two, so each is a multiple of the least: the
+    keys are the multiples of the least step, built in order, and each
+    larger step adds its weight to every (step/least)-th count."""
+    if not weights:
+        return {}
+    least = min(weights)
+    counts = [weights[least]] * (modulus // least)
     for step, weight in weights.items():
-        for v in range(0, modulus, step):
-            hist[v] = hist.get(v, 0) + weight
-    return dict(sorted(hist.items()))
+        if step > least:
+            stride = step // least
+            counts[::stride] = [count + weight for count in counts[::stride]]
+    return dict(zip(range(0, modulus, least), counts))
 
 
 def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> SolutionSet:
@@ -310,33 +350,25 @@ def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> Solutio
     their parity and the power of two dividing them, and D10 and D12 ask
     nothing else of c.  So each (a, s) that D2 and D3 admit is decided,
     and its t and c steps found, once at the smallest r and b,
-    r_values[0] and b_values[0].
+    r_values[0] and b_values[0]: its D1..D8 residuals decide it (D9..D12
+    vanish at t = c = 0), and _steps finds its steps from three gcds and
+    at most one more evaluation of the residuals.  So the set-up is a few
+    integer operations for each of the at most 16 heads, whatever the
+    ranks, and nothing is searched.
 
     A solution set of more than LARGE_SCAN_GATE tuples is refused unless
     allow_large is set.
     """
     validate_cores(pair, cores)
-    N, M = pair.N, pair.M
-    r_values = _of_order(cores.m1, N)
-    b_values = _of_order(cores.n1, M)
+    r_values = _of_order(cores.m1, pair.N)
+    b_values = _of_order(cores.n1, pair.M)
     heads = []
     if r_values and b_values:
         r, b = r_values[0], b_values[0]
-        for a in sorted(admissible_s_values(M)):
-            for s in sorted(admissible_s_values(N)):
-                if not check_b_congruences(pair, TupleB(r, a, s, b, 0, 0)).valid:
-                    continue
-                # the t with a solution c form a subgroup: the smallest power
-                # of two among them generates it
-                t_step = next(
-                    (
-                        t
-                        for t in (1 << j for j in range(pair.n - 1))
-                        if t * (2 + s) % N == 0 and _c_coset(pair, r, a, b, t)
-                    ),
-                    N,
-                )
-                heads.append((a, s, t_step, _c_coset(pair, r, a, b, 0)[1]))
+        for a in sorted(admissible_s_values(pair.M)):
+            for s in sorted(admissible_s_values(pair.N)):
+                if not any(_residuals(pair, r, a, s, b, 0, 0)):
+                    heads.append((a, s, *_steps(pair, r, a, s, b)))
     solution = SolutionSet(pair, r_values, b_values, tuple(heads))
     if solution.count > LARGE_SCAN_GATE and not allow_large:
         raise CapacityError(

@@ -17,7 +17,7 @@ import pytest
 from sdprod import cli, fpcoset, pcgroup
 from sdprod.arith import derive_pair
 from sdprod.cli import main
-from sdprod.congruence import TupleA, TupleB
+from sdprod.congruence import SolutionSet, TupleA, TupleB
 from sdprod.pcgroup import build_table
 
 SD16_FILE = "x^8\ny^2\nY x y X^3\n"
@@ -765,6 +765,40 @@ def test_output_write_errors(tmp_path, capsys, argv, where):
     assert err.startswith("sdprod: i/o error: ")
     assert str(target) in err
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize(
+    "argv,size,digest",
+    [
+        (
+            ["enumerate-a", "--n", "5", "--m", "6"],
+            8153,
+            "bb18c576ad55ae8db8f65d039f9756c4862bb807b46e06561f0d1fd0c8248377",
+        ),
+        (
+            ["enumerate-b", "--n", "5", "--m", "6", "--n1", "2", "--m1", "2"],
+            13941,
+            "84813ba0340bcadcca2a8571e854bba96de1256ebf29d6ce6fce4377ff53bfc8",
+        ),
+    ],
+    ids=["enumerate-a", "enumerate-b"],
+)
+def test_csv_listing_computes_no_histograms(tmp_path, capsys, monkeypatch, argv, size, digest):
+    # a CSV listing holds the rows alone; size and sha256 are those of the
+    # listing written before CSV stopped computing histograms and parity
+    def no_histograms(self):
+        raise AssertionError("a CSV listing computed histograms")
+
+    monkeypatch.setattr(SolutionSet, "histograms", no_histograms)
+    argv = argv + ["--format", "csv"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    data = out.encode("utf-8")
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (size, digest)
+    target = tmp_path / "listing.csv"
+    code, out, _ = run(capsys, argv + ["--output", str(target)])
+    assert (code, out) == (0, "")
+    assert target.read_bytes() == data
 
 
 def test_build_order_65536(capsys):

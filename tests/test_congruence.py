@@ -5,6 +5,7 @@ brute-force pass over the full parameter grid (see brute_enumerate_b):
 the library enumerator must reproduce them exactly.
 """
 
+import math
 import time
 from itertools import product
 
@@ -95,6 +96,77 @@ def all_core_specs(pair):
         for m1 in divisors_m
         if pair.M % m1 == 0
     ]
+
+
+def coset(u, v, modulus):
+    """The integers x with u*x = v modulo a power of two, as (x0, step)
+    with 0 <= x0 < step, or None when there are none.
+
+    With g = gcd(u, modulus) there are solutions iff g divides v, and then
+    x = (v/g) * (u/g)^-1 modulo modulus/g, a power of two.
+    """
+    g = math.gcd(u, modulus)
+    if v % g:
+        return None
+    step = modulus // g
+    return v // g * pow(u // g, -1, step) % step, step
+
+
+def meet(*cosets):
+    """Intersection of cosets x0 + step*Z whose steps are powers of two:
+    the coset of the largest step if it lies in all the others, else
+    None."""
+    if None in cosets:
+        return None
+    x0, step = max(cosets, key=lambda coset: coset[1])
+    if any((x0 - x) % s for x, s in cosets):
+        return None
+    return x0, step
+
+
+def c_coset(pair, r, a, b, t):
+    """The c that satisfy D10, D11 and D12 once r, a, b and t are fixed."""
+    return meet(
+        coset(1 + pair.beta, -t * b, pair.M),
+        coset(r, -t * (1 + pair.alpha), pair.N),
+        coset(2 + a, 0, pair.M),
+    )
+
+
+def searched_heads(pair, cores):
+    """solve_b's heads found by search, as the solver found them before
+    its steps had a closed form.  At the smallest r and b, each (a, s)
+    that D2 and D3 admit is decided by check_b_congruences; t_step is the
+    first power of two t below N with t*(2 + s) = 0 mod N and a nonempty
+    c_coset, else N, and c_step is c_coset's step at t = 0."""
+    N, M = pair.N, pair.M
+    if cores.m1 > N or cores.n1 > M:
+        return ()
+    # the smallest r of additive order m1 modulo N, and b of order n1
+    r, b = N // cores.m1 % N, M // cores.n1 % M
+    heads = []
+    for a in sorted(admissible_s_values(M)):
+        for s in sorted(admissible_s_values(N)):
+            if not check_b_congruences(pair, TupleB(r, a, s, b, 0, 0)).valid:
+                continue
+            t_step = next(
+                (
+                    t
+                    for t in (1 << j for j in range(pair.n - 1))
+                    if t * (2 + s) % N == 0 and c_coset(pair, r, a, b, t)
+                ),
+                N,
+            )
+            heads.append((a, s, t_step, c_coset(pair, r, a, b, 0)[1]))
+    return tuple(heads)
+
+
+def searched_blocks(pair, keys):
+    """SolutionSet.blocks() entries for the given (r, head, b), each with
+    c_unit found by c_coset at its own r, b and t_step."""
+    for r, (a, s, t_step, c_step), b in keys:
+        c_unit = c_coset(pair, r, a, b, t_step)[0] if t_step < pair.N else 0
+        yield r, a, s, b, t_step, c_unit, c_step
 
 
 PAIR44 = derive_pair(4, 4)
@@ -264,3 +336,19 @@ def test_tuple_conversions():
     assert t4.to_tuple_b() == TupleB(0, 0, 2, 0, 0, 4)
     t6 = TupleB(12, 9, 10, 8, 17, 8)
     assert t6.reduced(PAIR44) == TupleB(4, 1, 2, 0, 1, 0)
+
+
+def test_four_field_count_at_every_rank_pair():
+    # measured at ranks 4..20, not a statement of the paper: 144 at (4, 4)
+    for n in range(4, 21):
+        for m in range(4, 21):
+            pair = derive_pair(n, m)
+            count = solve_b(pair, CoreSpec(1, 1), allow_large=True).count
+            assert count == (pair.N + 4) * (pair.M + 4), (n, m)
+
+
+def test_counts_per_core_spec_at_44():
+    # rows n1 = 1, 2, 4, 8 and columns m1 = 1, 2, 4, 8
+    counts = [[solve_b(PAIR44, CoreSpec(1 << i, 1 << j)).count for j in range(4)] for i in range(4)]
+    assert counts == [[144, 144, 64, 16], [144, 160, 64, 0], [64, 64, 0, 0], [16, 0, 0, 0]]
+    assert sum(map(sum, counts)) == 880

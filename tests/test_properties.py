@@ -34,8 +34,10 @@ collection, and the table file up to order 1024 with a copy of the
 row-by-row writer it replaced.
 
 The closed-form solver is compared with a brute-force filter at random
-ranks and core specs, its closed-form histograms with counts over its
-groups at every core spec of every rank pair in [4, 7], and the streamed
+ranks and core specs, its heads and blocks with the search it replaced
+(searched_heads in tests/test_congruence.py) at random ranks up to 20,
+its closed-form histograms with counts over its groups at every core
+spec of every rank pair in [4, 7], and the streamed
 listings with a copy of the whole-document formatter that the CLI used
 before, at random ranks and at the order-2^16 rank pairs of the
 benchmark; at random ranks in [4, 6], each listing's --output file is
@@ -55,7 +57,7 @@ import json
 import tempfile
 from dataclasses import replace
 from functools import lru_cache
-from itertools import groupby, islice
+from itertools import groupby, islice, product
 from pathlib import Path
 from unittest import mock
 
@@ -104,7 +106,7 @@ from sdprod.pcgroup import (
 )
 from oracles import generator_columns, verify_associativity_generators
 from test_cli import PARSER_CASES, VALID_ARGV, WORKLOAD_ARGV
-from test_congruence import all_core_specs, brute_enumerate_b
+from test_congruence import all_core_specs, brute_enumerate_b, searched_blocks, searched_heads
 from test_pcgroup import PrefixTable, collect_multiply, full_scan_accepts, index_nf, nf_index
 
 RANKS = st.integers(4, 7)
@@ -1001,6 +1003,38 @@ def test_closed_form_histograms_match_the_groups(n, m):
             assert pair.N // t_step * c_unit % c_step == 0
             c_units.add(c_unit)
     assert c_units - {0}, "no block with c_unit != 0 at this rank pair"
+
+
+@st.composite
+def core_specs_with_an_index_below_3(draw, ranks=ALL_RANKS):
+    """Core specs with n1 or m1 at most 2: at ranks 4..20, every nonempty
+    solution set has one, and most core_specs draws are empty."""
+    pair = derive_pair(draw(ranks), draw(ranks))
+    small = 1 << draw(st.integers(0, 1))
+    if draw(st.booleans()):
+        return pair, CoreSpec(small, 1 << draw(st.integers(0, pair.m - 1)))
+    return pair, CoreSpec(1 << draw(st.integers(0, pair.n - 1)), small)
+
+
+# The blocks compared per draw: all of them, or a window that starts at a
+# drawn block.  Up to 2^18 blocks at rank 20, at a few microseconds each
+# for the search.
+BLOCK_WINDOW = 2048
+
+
+@PROPERTY_SETTINGS
+@given(st.one_of(core_specs(ALL_RANKS), core_specs_with_an_index_below_3()), st.data())
+def test_solver_matches_the_search(case, data):
+    pair, cores = case
+    solution = solve_b(pair, cores, allow_large=True)
+    assert solution.heads == searched_heads(pair, cores)
+    blocks = len(solution.r_values) * len(solution.heads) * len(solution.b_values)
+    start = data.draw(st.integers(0, max(0, blocks - BLOCK_WINDOW)))
+    stop = start + BLOCK_WINDOW
+    keys = islice(product(solution.r_values, solution.heads, solution.b_values), start, stop)
+    assert list(islice(solution.blocks(), start, stop)) == list(searched_blocks(pair, keys))
+    if solution.count <= 1 << 16:
+        assert solution.histograms() == counted_histograms(solution)
 
 
 def reference_listing(args, tuples, fields):
