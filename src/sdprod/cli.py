@@ -32,6 +32,8 @@ from typing import Sequence
 
 from .arith import SdPair, additive_order, derive_pair
 from .congruence import (
+    A_CONDITIONS,
+    B_CONDITIONS,
     CoreSpec,
     TupleA,
     TupleB,
@@ -70,8 +72,6 @@ from .pcgroup import (  # noqa: F401
     verify_associativity_exhaustive,
 )
 
-A_CONDITIONS = ("C1", "C2", "C3", "C4", "C5", "C6")
-B_CONDITIONS = tuple(f"D{i}" for i in range(1, 13)) + ("ORD-R", "ORD-B")
 PRESET_NAMES = ("example-6-5",)
 # the table file holds order**2 entries: about 79 MB at order 4096
 TABLE_FILE_CAP = 4096
@@ -130,7 +130,7 @@ def _sink(args):
     command that fails before then leaves no file.  Its bytes reach the OS
     through a buffer of OUTPUT_BUFFER bytes; the table file's writer hands
     it larger chunks, which go to the OS one write each."""
-    if getattr(args, "output", None):
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8", buffering=OUTPUT_BUFFER) as fh:
             yield fh
     else:
@@ -401,7 +401,7 @@ def cmd_build(args) -> int:
             f"table too large for the associativity check: order {order} "
             f"exceeds cap {DEFAULT_ASSOC_CAP}"
         )
-    if args.output and order > TABLE_FILE_CAP:
+    if args.output is not None and order > TABLE_FILE_CAP:
         raise CapacityError(TABLE_FILE_CAP_MESSAGE.format(order=order, cap=TABLE_FILE_CAP))
     # checked once: the report is printed and handed to build_table
     consistency = check_consistency(pc)
@@ -424,11 +424,11 @@ def cmd_build(args) -> int:
         "core_z_order": core_z,
         "requested_cores": [requested_cores.n1, requested_cores.m1],
     }
-    if args.verify_associativity or args.output:
+    if args.verify_associativity or args.output is not None:
         g = build_table(pc, consistency)
         if args.verify_associativity:
             doc["associative"] = verify_associativity_extension(g)
-        if args.output:
+        if args.output is not None:
             with _sink(args) as fh:
                 _write_table(fh, g, t)
             doc["table_written_to"] = args.output
@@ -460,22 +460,21 @@ def _preset_presentation(name: str):
     return fp_from_extended(pair, TupleB(4, 0, 0, 4, 0, 0), 2, 2)
 
 
-def _xz_value(rep: StructureReport) -> list[int] | str | None:
-    """[x,z] as (e1, e2) of x^e1 z^e2, XZ_NOT_A_PRODUCT, or None when the
-    presentation does not name both x and z."""
-    if "x" not in rep.gen_orders or "z" not in rep.gen_orders:
-        return None
-    return XZ_NOT_A_PRODUCT if rep.xz_commutator is None else list(rep.xz_commutator)
-
-
 def _report_doc(rep: StructureReport) -> dict:
+    """The tc report.  xz_commutator is [x,z] as [e1, e2] of x^e1 z^e2,
+    XZ_NOT_A_PRODUCT, or None when the presentation does not name both x
+    and z."""
+    if "x" not in rep.gen_orders or "z" not in rep.gen_orders:
+        xz = None
+    else:
+        xz = XZ_NOT_A_PRODUCT if rep.xz_commutator is None else list(rep.xz_commutator)
     return {
         "order": rep.order,
         "generator_orders": rep.gen_orders,
         "h_order": rep.h_order,
         "k_order": rep.k_order,
         "intersection_order": rep.intersection_order,
-        "xz_commutator": _xz_value(rep),
+        "xz_commutator": xz,
         "core_x_order": rep.core_x_order,
         "core_z_order": rep.core_z_order,
         "h_semidihedral": rep.sd_h,
@@ -483,9 +482,10 @@ def _report_doc(rep: StructureReport) -> dict:
     }
 
 
-def _report_text(rep: StructureReport) -> str:
-    orders = "  ".join(f"order({g})={rep.gen_orders[g]}" for g in ("x", "y", "z", "w") if g in rep.gen_orders)
-    xz = _xz_value(rep)
+def _report_text(doc: dict) -> str:
+    gen_orders = doc["generator_orders"]
+    orders = "  ".join(f"order({g})={gen_orders[g]}" for g in ("x", "y", "z", "w") if g in gen_orders)
+    xz = doc["xz_commutator"]
     if xz is None:
         xz = "n/a"
     elif xz == [0, 0]:
@@ -493,28 +493,25 @@ def _report_text(rep: StructureReport) -> str:
     elif isinstance(xz, list):
         xz = f"x^{xz[0]} z^{xz[1]}"
     lines = [
-        f"cosets: {rep.order}",
+        f"cosets: {doc['order']}",
         orders or "generators: none named",
-        f"|<x,y>| = {rep.h_order} (semidihedral: {'yes' if rep.sd_h else 'no'})",
-        f"|<z,w>| = {rep.k_order} (semidihedral: {'yes' if rep.sd_k else 'no'})",
-        f"intersection: {rep.intersection_order}",
+        f"|<x,y>| = {doc['h_order']} (semidihedral: {'yes' if doc['h_semidihedral'] else 'no'})",
+        f"|<z,w>| = {doc['k_order']} (semidihedral: {'yes' if doc['k_semidihedral'] else 'no'})",
+        f"intersection: {doc['intersection_order']}",
         f"[x,z] = {xz}",
         # a core order is at least 1; None means the generator is not named
-        f"core of <x>: {rep.core_x_order or 'n/a'}  core of <z>: {rep.core_z_order or 'n/a'}",
+        f"core of <x>: {doc['core_x_order'] or 'n/a'}  core of <z>: {doc['core_z_order'] or 'n/a'}",
     ]
     return "\n".join(lines) + "\n"
 
 
 def cmd_tc(args) -> int:
-    if bool(args.preset) == bool(args.relators):
+    if (args.preset is None) == (args.relators is None):
         raise UsageError("exactly one of --preset and --relators is required")
-    fp = _preset_presentation(args.preset) if args.preset else parse_relator_file(args.relators)
+    fp = parse_relator_file(args.relators) if args.preset is None else _preset_presentation(args.preset)
     table = coset_enumerate(fp, max_cosets=args.max_cosets)
-    rep = structure_report(table, fp)
-    if args.format == "json":
-        _emit(args, _json_flat(_report_doc(rep)))
-    else:
-        _emit(args, _report_text(rep))
+    doc = _report_doc(structure_report(table, fp))
+    _emit(args, _json_flat(doc) if args.format == "json" else _report_text(doc))
     return 0
 
 

@@ -98,8 +98,13 @@ def validate_cores(pair: SdPair, cores: CoreSpec) -> None:
             raise DomainError(f"invalid core spec: {name}={value} does not divide {bound}")
 
 
-_C_OF_D = {"D2": "C1", "D3": "C2", "D9": "C3", "D10": "C4", "D11": "C5", "D12": "C6"}
-_D_TAGS = tuple(f"D{i}" for i in range(1, 13))
+# The condition names, in the order verdicts report them: C1..C6 of a
+# four-field tuple, and D1..D12, ORD-R and ORD-B of a six-field one.
+A_CONDITIONS = tuple(f"C{i}" for i in range(1, 7))
+B_CONDITIONS = tuple(f"D{i}" for i in range(1, 13)) + ("ORD-R", "ORD-B")
+_D_TAGS = B_CONDITIONS[:12]
+# C1..C6 are D2, D3 and D9..D12
+_C_OF_D = dict(zip(_D_TAGS[1:3] + _D_TAGS[8:], A_CONDITIONS))
 
 
 def check_a(pair: SdPair, t: TupleA) -> Verdict:
@@ -154,10 +159,11 @@ def check_b(pair: SdPair, cores: CoreSpec, t: TupleB) -> Verdict:
     ORD-B requires the additive order of b modulo M to equal n1.
     """
     validate_cores(pair, cores)
-    t = TupleB(*t).reduced(pair)
+    # check_b_congruences reduces t, and additive_order reduces r and b
     failures = list(check_b_congruences(pair, t).failures)
-    ord_r = additive_order(t.r, pair.N)
-    ord_b = additive_order(t.b, pair.M)
+    r, _, _, b, _, _ = t
+    ord_r = additive_order(r, pair.N)
+    ord_b = additive_order(b, pair.M)
     if ord_r != cores.m1:
         failures.append(Failure("ORD-R", ord_r))
     if ord_b != cores.n1:
@@ -174,9 +180,10 @@ def _of_order(order: int, modulus: int) -> range:
     return range(step if order > 1 else 0, modulus, 2 * step)
 
 
-def _steps(pair: SdPair, r: int, a: int, s: int, b: int) -> tuple[int, int]:
-    """(t_step, c_step) of a head (r, a, s, b) that passes D1..D8, with b
-    of an additive order that divides N.
+def _steps(pair: SdPair, r: int, a: int, s: int, b: int) -> tuple[int, int, int]:
+    """(t_step, c_unit, c_step) of a head (r, a, s, b) that passes D1..D8,
+    with b of an additive order that divides N: its pairs (t, c) that pass
+    D9..D12 are generated by (t_step, c_unit) and (0, c_step).
 
     With t fixed, D10, D11 and D12 are congruences u*c = v modulo a power
     of two q: (1 + beta)*c = -t*b mod M, r*c = -t*(1 + alpha) mod N and
@@ -196,40 +203,35 @@ def _steps(pair: SdPair, r: int, a: int, s: int, b: int) -> tuple[int, int]:
     odd), or none (r = 0 and t0 odd).  In terms of the power of two 2^e
     dividing c exactly, they ask e >= k or e = k - 1, 2^k the step, so the
     c of all three, if any, are the multiples of c_step or its odd
-    multiples of c_step/2, and the least of them is _c_unit's.  So t0 has
-    a c iff (t0, _c_unit) passes D9..D12, and if not, 2*t0 does with
-    c = 0, since 2v = 0 mod q.
+    multiples of c_step/2.  The least of them is 0 if (t0, 0) passes D10
+    and D11, that is t0*b = 0 mod M and t0*(1 + alpha) = t0*N/2 = 0 mod N,
+    else c_step/2; D12 holds at c = 0.  So t0 has a c iff (t0, that least
+    c) passes D9..D12, and if not, 2*t0 does with c = 0, since 2v = 0 mod q.
     """
     N, M = pair.N, pair.M
     c_step = max(2, N // math.gcd(r, N), M // math.gcd(2 + a, M))
     t = N // math.gcd(2 + s, N)
-    c = _c_unit(pair, b, t, c_step)
-    # c = 0 passes D10 and D11 by _c_unit's own test
-    if c and any(_residuals(pair, r, a, s, b, t, c)):
-        t *= 2
-    return t, c_step
-
-
-def _c_unit(pair: SdPair, b: int, t: int, c_step: int) -> int:
-    """The least c that goes with t in a block of c step c_step, when one
-    does (see _steps): 0 if (t, 0) passes D10 and D11, t*b = 0 mod M and
-    t*(1 + alpha) = t*N/2 = 0 mod N, else c_step/2.  D12 holds at c = 0.
-    At t = N it is 0, as at t = 0, when b's additive order divides N.
-
-    It depends on b only through whether t*b = 0 mod M, which odd factors
-    of b do not change, and not on r."""
-    return c_step // 2 if t % 2 or t * b % pair.M else 0
+    c_unit = c_step // 2 if t % 2 or t * b % M else 0
+    # c = 0 passes D10 and D11 by the test above
+    if c_unit and any(_residuals(pair, r, a, s, b, t, c_unit)):
+        return 2 * t, 0, c_step
+    return t, c_unit, c_step
 
 
 class SolutionSet:
     """The valid six-field tuples of one core spec, in closed form.
 
     A tuple (r, a, s, b, t, c) is valid iff r is in r_values, b is in
-    b_values, heads holds some (a, s, t_step, c_step), t is a multiple of
-    t_step below N, and c lies in the coset that `blocks` gives for t.
-    `count` is their number and `histograms` the number taking each value
-    of each field, both found without listing them.  The state is O(heads):
-    no block or tuple is stored.
+    b_values, and heads holds some (a, s, t_step, c_unit, c_step) whose
+    lattice holds (t, c).  For fixed (r, a, s, b) the pairs (t, c) passing
+    D9..D12 form a subgroup, since those congruences are homogeneous in t
+    and c, and a head's lattice is that subgroup, generated by
+    (t_step, c_unit) and (0, c_step): t = k*t_step below N, and c below M
+    with c = k*c_unit modulo c_step.  c_unit, the least c that goes with
+    t_step, is 0 or c_step/2.  `count` is the number of valid tuples and
+    `histograms` the number taking each value of each field, both found
+    without listing them.  The state is O(heads): no block or tuple is
+    stored.
     """
 
     def __init__(
@@ -237,37 +239,18 @@ class SolutionSet:
         pair: SdPair,
         r_values: range,
         b_values: range,
-        heads: tuple[tuple[int, int, int, int], ...],
+        heads: tuple[tuple[int, int, int, int, int], ...],
     ):
         self.pair, self.r_values, self.b_values, self.heads = pair, r_values, b_values, heads
-        per_rb = sum(pair.N // t_step * (pair.M // c_step) for _, _, t_step, c_step in heads)
+        per_rb = sum(pair.N // t_step * (pair.M // c_step) for _, _, t_step, _, c_step in heads)
         self.count = len(r_values) * len(b_values) * per_rb
-
-    def _units(self) -> list[tuple[int, int, int, int, int]]:
-        """(a, s, t_step, c_unit, c_step) per head.  The b of b_values
-        differ by odd factors, so a head's c_unit is the same in each of
-        its blocks (see _c_unit)."""
-        b = self.b_values[0] if self.b_values else 0
-        return [
-            (a, s, t_step, _c_unit(self.pair, b, t_step, c_step), c_step)
-            for a, s, t_step, c_step in self.heads
-        ]
 
     def blocks(self) -> Iterator[tuple[int, int, int, int, int, int, int]]:
         """(r, a, s, b, t_step, c_unit, c_step) per block, in lexicographic
-        order of (r, a, s, b).
-
-        For fixed (r, a, s, b) the pairs (t, c) passing D9..D12 form a
-        subgroup, since those congruences are homogeneous in t and c.  Its
-        t values are the multiples of t_step below N, and the c that go
-        with t = k*t_step are the c below M that are k*c_unit modulo c_step,
-        where c_unit is the least c that goes with t_step: 0 or c_step/2.
-        A head has one c_unit for all its blocks, found once per call, so
-        each block costs one yield.
-        """
-        units = self._units()
+        order of (r, a, s, b).  A block's lattice is its head's, so each
+        block costs one yield."""
         for r in self.r_values:
-            for a, s, t_step, c_unit, c_step in units:
+            for a, s, t_step, c_unit, c_step in self.heads:
                 for b in self.b_values:
                     yield r, a, s, b, t_step, c_unit, c_step
 
@@ -302,7 +285,7 @@ class SolutionSet:
         s_hist: dict[int, int] = {}
         per_t: dict[int, int] = {}  # t_step -> tuples for each multiple of it
         per_c: dict[int, int] = {}  # g -> tuples for each multiple of it
-        for a, s, t_step, c_unit, c_step in self._units():
+        for a, s, t_step, c_unit, c_step in self.heads:
             per_t[t_step] = per_t.get(t_step, 0) + rb * (M // c_step)
             in_heads = rb * (N // t_step) * (M // c_step)
             a_hist[a] = a_hist.get(a, 0) + in_heads
@@ -344,15 +327,17 @@ def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> Solutio
 
     ORD-R and ORD-B fix r and b up to an odd factor, a unit.  D1 and D4..D8
     ask that a product of constants with r and/or b vanish, which a unit
-    does not change.  Which t admit a c, and the step of those c, depend
-    on r and b only through their powers of two as well: a unit in r or b
-    multiplies the solutions of D10 and D11 by an odd number, which keeps
-    their parity and the power of two dividing them, and D10 and D12 ask
-    nothing else of c.  So each (a, s) that D2 and D3 admit is decided,
-    and its t and c steps found, once at the smallest r and b,
-    r_values[0] and b_values[0]: its D1..D8 residuals decide it (D9..D12
-    vanish at t = c = 0), and _steps finds its steps from three gcds and
-    at most one more evaluation of the residuals.  So the set-up is a few
+    does not change.  Which t admit a c, the step of those c, and the
+    least c that goes with t_step depend on r and b only through their
+    powers of two as well: a unit in r or b multiplies the solutions of
+    D10 and D11 by an odd number, which keeps their parity and the power
+    of two dividing them, and D10 and D12 ask nothing else of c.  So each
+    (a, s) that D2 and D3 admit is decided, and its head
+    (a, s, t_step, c_unit, c_step) found, once at the smallest r and b,
+    r_values[0] and b_values[0], and it holds for every block of every r
+    and b: its D1..D8 residuals decide it (D9..D12 vanish at t = c = 0),
+    and _steps finds its steps and its least c from three gcds and at
+    most one more evaluation of the residuals.  So the set-up is a few
     integer operations for each of the at most 16 heads, whatever the
     ranks, and nothing is searched.
 

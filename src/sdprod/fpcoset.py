@@ -314,12 +314,6 @@ class _Enumeration:
         self.rows: list[list[int | None]] = [[None] * self.ncols]
         self.parent = [0]  # union-find over coset numbers, parent[i] <= i
 
-    def rep(self, k: int) -> int:
-        parent = self.parent
-        while parent[k] != k:  # path halving
-            parent[k] = k = parent[parent[k]]
-        return k
-
     def coincidence(self, a: int, b: int) -> None:
         """Identify two cosets and propagate, smaller number survives.
 
@@ -440,7 +434,7 @@ class _Enumeration:
             if len(rows) >= mark:
                 self.lookahead(coset)
                 mark = 2 * len(rows)
-            if parent[coset] == coset:  # same as rep(coset) == coset, as parent[i] <= i
+            if parent[coset] == coset:  # coset is live: its own root
                 scan((coset,), ends, True)
                 if parent[coset] == coset and None in rows[coset]:
                     scan((coset,), fill, True)

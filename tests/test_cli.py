@@ -4,6 +4,7 @@ import argparse
 import ast
 import csv
 import hashlib
+import importlib
 import io
 import json
 import random
@@ -768,6 +769,30 @@ def test_output_write_errors(tmp_path, capsys, argv, where):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--output", ""],
+        ["check-a", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--output", ""],
+        ["tc", "--relators", ""],
+    ],
+    ids=["build-output", "check-a-output", "tc-relators"],
+)
+def test_an_empty_path_is_a_given_path(tmp_path, monkeypatch, capsys, argv):
+    # "" names no file: an i/o error (exit 1), not "no path given"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("sdprod: i/o error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tc_empty_preset_is_an_unknown_preset(capsys):
+    code, out, err = run(capsys, ["tc", "--preset", ""])
+    assert (code, out) == (3, "")
+    assert err == "sdprod: error: unknown preset '' (available: example-6-5)\n"
+
+
+@pytest.mark.parametrize(
     "argv,size,digest",
     [
         (
@@ -1262,26 +1287,42 @@ def test_cli_binds_every_name_the_tracer_wraps():
 
 
 def test_every_public_definition_is_used_in_the_package():
-    # a public function or class that no other package code names is
-    # test-only code, which belongs in the tests
-    trees = [
-        ast.parse(path.read_text(encoding="utf-8"))
+    # a public function or class, a private module-level function or a
+    # method that no other package code names is test-only code, which
+    # belongs in the tests.  A method counts as named by an attribute; one
+    # that overrides a base class's method is called through the base.
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted((ROOT / "src" / "sdprod").glob("*.py"))
         if path.name != "__init__.py"
-    ]
+    }
     defined = {
         node.name
-        for tree in trees
+        for tree in trees.values()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        if isinstance(node, ast.FunctionDef)
+        or isinstance(node, ast.ClassDef) and not node.name.startswith("_")
     }
-    referenced = set()
-    for tree in trees:
+    methods = set()
+    for stem, tree in trees.items():
+        module = importlib.import_module(f"sdprod.{stem}")
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                bases = getattr(module, node.name).__mro__[1:]
+                methods.update(
+                    f"{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not any(hasattr(base, item.name) for base in bases)
+                )
+    referenced, attributes = set(), set()
+    for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 referenced.update(alias.name for alias in node.names)
-    assert sorted(defined - referenced) == []
+    assert sorted(defined - referenced - attributes) == []
+    assert sorted(m for m in methods if m.split(".")[1] not in attributes) == []

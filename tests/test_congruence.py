@@ -138,7 +138,8 @@ def searched_heads(pair, cores):
     its steps had a closed form.  At the smallest r and b, each (a, s)
     that D2 and D3 admit is decided by check_b_congruences; t_step is the
     first power of two t below N with t*(2 + s) = 0 mod N and a nonempty
-    c_coset, else N, and c_step is c_coset's step at t = 0."""
+    c_coset, else N, c_unit is the least c of c_coset at t_step (0 at N),
+    and c_step is c_coset's step at t = 0."""
     N, M = pair.N, pair.M
     if cores.m1 > N or cores.n1 > M:
         return ()
@@ -157,14 +158,16 @@ def searched_heads(pair, cores):
                 ),
                 N,
             )
-            heads.append((a, s, t_step, c_coset(pair, r, a, b, 0)[1]))
+            c_unit = c_coset(pair, r, a, b, t_step)[0] if t_step < N else 0
+            heads.append((a, s, t_step, c_unit, c_coset(pair, r, a, b, 0)[1]))
     return tuple(heads)
 
 
 def searched_blocks(pair, keys):
     """SolutionSet.blocks() entries for the given (r, head, b), each with
-    c_unit found by c_coset at its own r, b and t_step."""
-    for r, (a, s, t_step, c_step), b in keys:
+    c_unit found by c_coset at its own r, b and t_step, not read off the
+    head."""
+    for r, (a, s, t_step, _, c_step), b in keys:
         c_unit = c_coset(pair, r, a, b, t_step)[0] if t_step < pair.N else 0
         yield r, a, s, b, t_step, c_unit, c_step
 
