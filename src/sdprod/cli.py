@@ -239,7 +239,7 @@ def cmd_enumerate(args) -> int:
         if args.format == "csv":  # rows only: no histograms, no parity
             return 0
         histograms = solution.histograms()
-        all_even = all(v % 2 == 0 for name in fields for v in histograms[name])
+        all_even = solution.all_even(fields)
         if args.format == "json":
             counts = []
             for name in fields:

@@ -21,11 +21,18 @@ of the words g g^-1, one per column in column order, which defines each
 missing image as a new coset.  HLT and the lookahead below share one
 scan (_Enumeration.scan), the only code that creates a coset, which
 walks a relator from both ends: at a gap of more than one letter a
-defining scan (HLT) creates the next coset, and the lookahead
-stops.  The relators scanned are a rewritten copy, compiled once
-per presentation to the table columns they walk: runs of a generator
-with a power relator g^k are reduced modulo k, and the relators are
-taken shortest first (see _compile_relators).  A doubling lookahead
+defining scan (HLT) defines the gap's missing cosets, and the lookahead
+stops.  The run works in internal columns, laid out once per
+presentation with the relators it scans (see _compile_relators): a
+generator named by a relator g g or g^-1 g^-1, an involution, has one
+column that is its own inverse, and every other generator one column
+for itself and one for its inverse.  The relators scanned are a
+rewritten copy in those columns: runs of a generator with a power
+relator g^k are reduced modulo k, every relator is freely reduced in
+the columns, and the relators are taken shortest first.  As the
+relators are freely reduced, a defining scan, once it has defined the
+first coset of a gap, defines the rest straight through and deduces
+the last letter (see _Enumeration.scan).  A doubling lookahead
 bounds the waste: when the number of cosets defined reaches a mark
 (LOOKAHEAD_FIRST at first), every relator is scanned without defining,
 which only fills deductions and merges coincidences, at each live coset
@@ -34,21 +41,24 @@ defined.  A scan at a processed coset could change nothing: HLT left
 every relator closed there, definitions only add edges, and coincidence
 processing maps closed paths to closed paths.  Runs below the first
 mark make the exact sequence of definitions of plain HLT on the
-rewritten relators.  The procedure is deterministic, and the finished
-table is renumbered in breadth-first order from the identity coset, so
-it does not depend on the strategy; it is then audited against the
-relators as given: every column must be a permutation, every relator
-must close at every coset (a pure power g^k by the cycle lengths of g),
-and every subgroup word must fix coset 0.
+rewritten relators in the internal columns.  The procedure is
+deterministic, and the finished table is renumbered in breadth-first
+order from the identity coset and written in the public layout, two
+columns per generator, so it does not depend on the strategy; it is
+then audited against the relators as given: every column must be a
+permutation, every generator's inverse column must invert its column,
+every relator must close at every coset (a pure power g^k by the cycle
+lengths of g), and every subgroup word must fix coset 0.
 
 The kernel is written to spend few interpreted operations on each
 definition and coincidence.  Merged cosets form a union-find over coset
 numbers whose representatives coincidence finds inline, with path
 halving; a defining scan appends the new coset's row itself; the scan's
-view of the relators (_ends) is built once per run; compact flattens
-the union-find in one pass and renumbers through a list indexed by coset
-number; and the audit reads each column once into a list and walks each
-relator from every coset at once, one letter at a time.
+view of the relators (_ends) is built once per presentation; compact
+flattens the union-find in one pass and renumbers through a list
+indexed by coset number; and the audit reads each column once into a
+list and walks each relator from every coset at once, one letter at a
+time.
 """
 
 from __future__ import annotations
@@ -66,8 +76,8 @@ from .errors import CapacityError, DomainError
 DEFAULT_MAX_COSETS = 10**6
 # cosets defined when the first lookahead pass runs; each pass sets the
 # next mark to twice the number defined.  Runs that stay below it, such as
-# example-6-5 (1,095 definitions), define exactly what plain HLT does on
-# the rewritten, shortest-first relators.
+# example-6-5 (1,058 definitions), define exactly what plain HLT does on
+# the rewritten, shortest-first relators in the internal columns.
 LOOKAHEAD_FIRST = 8192
 # letters a relator file may spell, ^k repetitions summed.  The relators
 # of fp_from_extended spell at most 6(N + M) + 26, under this to (20, 20).
@@ -239,26 +249,71 @@ def parse_relator_file(path: str) -> FpPres:
 
 
 def _col(letter: int) -> int:
-    # columns come in generator/inverse pairs, so col ^ 1 is the inverse
+    # public columns come in generator/inverse pairs
     return 2 * (abs(letter) - 1) + (letter < 0)
 
 
+def _append_run(cols: list[int], col: int, n: int, inverse: list[int]) -> None:
+    """Append n letters col to the freely reduced cols, keeping it freely
+    reduced: each cancels a trailing inverse, and an involution's run
+    leaves n mod 2 letters."""
+    inv = inverse[col]
+    while n and cols and cols[-1] == inv:
+        cols.pop()
+        n -= 1
+    if inv == col:
+        n %= 2
+    cols += [col] * n
+
+
+_Ends = list[tuple[list[int], list[int], int, int, int]]
+
+
 @functools.lru_cache(maxsize=1)
-def _compile_relators(relators: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """The relators as the columns HLT scans: power-reduced, shortest first.
+def _compile_relators(
+    ngens: int, relators: tuple[tuple[int, ...], ...]
+) -> tuple[list[int], list[int], list[list[int]], _Ends, _Ends]:
+    """What every run on one presentation scans: (columns, inverse,
+    compiled, ends, fill).
+
+    A generator named by a relator g g or G G, an involution, has one
+    internal column, its own inverse; every other generator has a column
+    for itself and one for its inverse.  columns maps each public column
+    (see _col) to its internal column, and inverse each internal column to
+    its inverse's.  compiled holds the relators as the internal columns
+    HLT scans: power-reduced, freely reduced, shortest first; ends holds
+    them as _ends gives them, and fill the words g g^-1, one per internal
+    column in column order, likewise.  A defining scan of g g^-1 at a
+    coset whose g-image is missing defines that image as a new coset,
+    with its g^-1 edge back, and then closes; where the image is defined,
+    it walks there and back.
 
     For each generator g with a pure-power relator g^k or g^-k (the least
     such k, the first relator spelling it), a run a^n of a = g or g^-1 in
     the other relators becomes a^e with e = n mod k taken in (-k/2, k/2],
-    so only runs longer than k/2 change, and a relator that becomes empty
-    is dropped.  These are Tietze transformations, so the group is
+    so only runs longer than k/2 change.  Each relator is then spelt in
+    internal columns and freely reduced there, where an involution is its
+    own inverse: so g g and G G vanish, and so does a run reduced to
+    nothing between a letter and its inverse.  A relator that becomes
+    empty is dropped.  These are Tietze transformations, so the group is
     unchanged, and no relator grows.  The result is sorted by length,
     stably: short relators close and deduce first.
 
-    The last presentation's columns are kept: crosscheck enumerates one
-    presentation two or three times, and each run scans the same columns
+    The last presentation's lists are kept: crosscheck enumerates one
+    presentation two or three times, and each run scans the same lists
     without changing them, so callers must not change them either.
     """
+    involutions = {abs(rel[0]) for rel in relators if len(rel) == 2 and rel[0] == rel[1]}
+    columns: list[int] = []
+    inverse: list[int] = []
+    for g in range(1, ngens + 1):
+        col = len(inverse)
+        if g in involutions:
+            columns += [col, col]
+            inverse.append(col)
+        else:
+            columns += [col, col + 1]
+            inverse += [col + 1, col]
     period: dict[int, tuple[int, int]] = {}  # g -> (k, index of the relator g^k)
     for i, rel in enumerate(relators):
         g = abs(rel[0])
@@ -275,43 +330,35 @@ def _compile_relators(relators: tuple[tuple[int, ...], ...]) -> list[list[int]]:
                 n %= k
                 if 2 * n > k:
                     letter, n = -letter, k - n
-            cols += [_col(letter)] * n
+            _append_run(cols, columns[_col(letter)], n, inverse)
         if cols:
             compiled.append(cols)
     compiled.sort(key=len)
-    return compiled
+    fill = [[col, inverse[col]] for col in range(len(inverse))]
+    return columns, inverse, compiled, _ends(compiled, inverse), _ends(fill, inverse)
 
 
-def _ends(compiled: list[list[int]]) -> list[tuple[list[int], list[int], int, int, int]]:
-    """What _Enumeration.scan reads of each compiled relator: its columns;
-    back, where back[j] is the column a backward scan leaves the coset at
-    position j by (the inverse of column j - 1); the column its scan leaves
-    a coset by at either end; and its length."""
+def _ends(compiled: list[list[int]], inverse: list[int]) -> _Ends:
+    """What _Enumeration.scan reads of each word of internal columns: its
+    columns; back, where back[j] is the column a backward scan leaves the
+    coset at position j by (the inverse of column j - 1); the column its
+    scan leaves a coset by at either end; and its length."""
     out = []
     for cols in compiled:
-        back = [-1] + [col ^ 1 for col in cols]
+        back = [-1] + [inverse[col] for col in cols]
         out.append((cols, back, cols[0], back[-1], len(cols)))
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _fill_ends(ncols: int) -> list[tuple[list[int], list[int], int, int, int]]:
-    """The words g g^-1, one per column in column order, as _ends gives
-    them.  A defining scan of g g^-1 at a coset whose g-image is missing
-    defines that image as a new coset, with its g^-1 edge back, and then
-    closes; where the image is defined, it walks there and back."""
-    return _ends([[col, col ^ 1] for col in range(ncols)])
-
-
 class _Enumeration:
-    """Working state of one Todd-Coxeter run."""
+    """Working state of one Todd-Coxeter run, in internal columns."""
 
     def __init__(self, fp: FpPres, max_cosets: int):
-        self.ncols = 2 * fp.ngens
         self.max_cosets = max_cosets
-        self.relators = _compile_relators(fp.relators)
-        self.ends = _ends(self.relators)
-        self.rows: list[list[int | None]] = [[None] * self.ncols]
+        self.columns, self.inverse, self.relators, self.ends, self.fill = _compile_relators(
+            fp.ngens, fp.relators
+        )
+        self.rows: list[list[int | None]] = [[None] * len(self.inverse)]
         self.parent = [0]  # union-find over coset numbers, parent[i] <= i
 
     def coincidence(self, a: int, b: int) -> None:
@@ -323,7 +370,7 @@ class _Enumeration:
         only with two different cosets.  The representatives met while
         propagating are found inline, with path halving: each step up a
         chain points the coset it leaves at its grandparent."""
-        rows, parent = self.rows, self.parent
+        rows, parent, inverse = self.rows, self.parent, self.inverse
         if a > b:
             a, b = b, a
         parent[b] = a
@@ -333,7 +380,7 @@ class _Enumeration:
             for col, target in enumerate(rows[dead]):
                 if target is None:
                     continue
-                inv = col ^ 1
+                inv = inverse[col]
                 rows[target][inv] = None
                 while parent[mu] != mu:
                     parent[mu] = mu = parent[parent[mu]]
@@ -362,17 +409,27 @@ class _Enumeration:
         """Scan each relator of relators (see _ends) from both ends at each
         coset of cosets, while that coset is live.  A closed scan may give
         a coincidence and a one-letter gap a deduction.  At a longer gap a
-        defining scan (HLT) defines the next forward coset and goes on,
-        while any other scan (lookahead) stops: it only fills deductions
-        and merges coincidences.  This is the only place a coset is
-        created, with the one --max-cosets check.
+        defining scan (HLT) defines cosets, while any other scan
+        (lookahead) stops: it only fills deductions and merges
+        coincidences.  This is the only place a coset is created, with
+        the one --max-cosets check.
+
+        A defining scan defines the gap's first image, f·col, as a new
+        coset whose row holds only its edge back to f.  As the relator is
+        freely reduced, the forward walk cannot go on from the new coset,
+        and the backward walk cannot move unless b is f and the gap's last
+        letter is col's inverse.  Outside that case neither walk can move
+        until one letter is left, so the gap is defined straight through
+        up to its last letter, which is deduced; in that case both walks
+        are tried again after the one definition.
 
         A scan that does not define skips a relator of length at least 2
         at a coset whose row defines neither its first column nor the
         inverse of its last: neither end of that scan can move, so it
         would stop at once, at a gap of the whole relator."""
         rows, parent, coincidence = self.rows, self.parent, self.coincidence
-        ncols, max_cosets = self.ncols, self.max_cosets
+        inverse, max_cosets = self.inverse, self.max_cosets
+        width = len(inverse)
         for coset in cosets:
             if parent[coset] != coset:
                 continue
@@ -404,30 +461,43 @@ class _Enumeration:
                     if j == i:
                         coincidence(f, b)
                         break
-                    col = cols[i]
-                    if j == i + 1:
-                        rows[f][col] = b
-                        rows[b][col ^ 1] = f
-                        break
-                    if not defining:
-                        break
-                    new = len(rows)
-                    if new >= max_cosets:
-                        raise CapacityError(
-                            f"coset limit exceeded: more than {max_cosets} cosets defined"
-                        )
-                    new_row = [None] * ncols
-                    new_row[col ^ 1] = f
-                    rows.append(new_row)
-                    parent.append(new)
-                    rows[f][col] = f = new
-                    i += 1
+                    if j > i + 1:
+                        if not defining:
+                            break
+                        # all but the gap's last letter, or only its first
+                        stop = i + 1 if b == f and back[j] == cols[i] else j - 1
+                        while i < stop:
+                            new = len(rows)
+                            if new >= max_cosets:
+                                raise CapacityError(
+                                    f"coset limit exceeded: more than {max_cosets} cosets defined"
+                                )
+                            col = cols[i]
+                            new_row = [None] * width
+                            new_row[inverse[col]] = f
+                            rows.append(new_row)
+                            parent.append(new)
+                            rows[f][col] = f = new
+                            i += 1
+                        if i < j - 1:  # b may move now: walk again
+                            continue
+                    # a gap of one letter: a deduction
+                    rows[f][cols[i]] = b
+                    rows[b][back[j]] = f
+                    break
 
     def run(self, subgroup: Sequence[Sequence[int]] = ()) -> None:
-        rows, parent, ends, scan = self.rows, self.parent, self.ends, self.scan
-        fill = _fill_ends(self.ncols)
+        rows, parent, scan = self.rows, self.parent, self.scan
+        ends, fill, inverse = self.ends, self.fill, self.inverse
+        words = []
+        for word in subgroup:
+            cols: list[int] = []
+            for g in word:
+                _append_run(cols, self.columns[_col(g)], 1, inverse)
+            if cols:
+                words.append(cols)
         # coset 0 survives every merge
-        scan((0,), _ends([[_col(g) for g in word] for word in subgroup if word]), True)
+        scan((0,), _ends(words, inverse), True)
         mark = LOOKAHEAD_FIRST
         coset = 0
         while coset < len(rows):
@@ -454,8 +524,10 @@ class _Enumeration:
         self.scan(range(start, len(self.rows)), self.ends, False)
 
     def compact(self) -> list[list[int]]:
-        """Renumber the live cosets breadth first from the identity coset."""
-        parent, rows = self.parent, self.rows
+        """Renumber the live cosets breadth first from the identity coset,
+        each row in the public layout: an involution's column is both of
+        its public columns."""
+        parent, rows, columns = self.parent, self.rows, self.columns
         for k, p in enumerate(parent):  # parent[p] is a root already, as p <= k
             parent[k] = parent[p]
         new_index = [-1] * len(rows)  # live coset number -> new number
@@ -474,7 +546,7 @@ class _Enumeration:
                     k = new_index[root] = len(order)
                     order.append(root)
                 new_row.append(k)
-            table.append(new_row)
+            table.append([new_row[col] for col in columns])
         if len(order) != len(set(parent)):  # set(parent) holds the live cosets now
             raise RuntimeError("internal: coset graph is not connected")
         return table
@@ -487,7 +559,8 @@ def coset_enumerate(
 ) -> CosetTable:
     """Enumerate the cosets of the subgroup the words of subgroup generate
     (letters as in FpPres.relators; none for the trivial subgroup) by HLT
-    over power-reduced relators taken shortest first, with a doubling
+    over power-reduced, freely reduced relators taken shortest first, in
+    one column per involution and two per other generator, with a doubling
     lookahead: one relator scan, which defines cosets in HLT and does
     not in the lookahead; see the module docstring for the strategy.  The
     count is the subgroup's index, and coset 0 is the subgroup; the table
@@ -507,15 +580,18 @@ def coset_enumerate(
 
 
 def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> None:
-    """Check every subgroup word at coset 0 and column bijectivity, then
-    re-scan every relator at every coset.
+    """Check every subgroup word at coset 0, column bijectivity and that
+    each generator's inverse column inverts its column, then re-scan every
+    relator at every coset.
 
-    Each column is read once into a list.  A relator that is not a pure
-    power is walked from every coset at once, one letter at a time, each
-    step a lookup of the whole coset list in one column.  A pure-power
-    relator g^k is checked in one pass over g's column: as that column is
-    a permutation, g^k closes at every coset exactly when every cycle of g
-    has a length dividing k."""
+    The inverse check is what vouches for compact writing an involution's
+    one internal column into both of its public columns, and for every
+    walk that reads a g^-1 column.  Each column is read once into a list.
+    A relator that is not a pure power is walked from every coset at
+    once, one letter at a time, each step a lookup of the whole coset
+    list in one column.  A pure-power relator g^k is checked in one pass
+    over g's column: as that column is a permutation, g^k closes at every
+    coset exactly when every cycle of g has a length dividing k."""
     for word in subgroup:
         if table.walk(word) != 0:
             raise RuntimeError("internal: subgroup word does not fix coset 0")
@@ -525,6 +601,10 @@ def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> 
     for col, column in enumerate(columns):
         if set(column) != cosets:
             raise RuntimeError(f"internal: column {col} is not a permutation")
+    for col in range(0, len(columns), 2):
+        inverse = columns[col + 1]
+        if [inverse[cur] for cur in columns[col]] != size:
+            raise RuntimeError(f"internal: column {col + 1} does not invert column {col}")
     for rel in fp.relators:
         cols = [_col(g) for g in rel]
         if cols.count(cols[0]) == len(cols):

@@ -1037,15 +1037,15 @@ def test_tc_coset_limit(capsys):
 
 
 def test_tc_coset_limit_at_the_definition_count(capsys):
-    # the example-6-5 run defines 1,095 cosets, merged ones included
-    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1095"])
+    # the example-6-5 run defines 1,058 cosets, merged ones included
+    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1058"])
     assert code == 0
     assert "cosets: 256" in out
     assert err == ""
-    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1094"])
+    code, out, err = run(capsys, ["tc", "--preset", "example-6-5", "--max-cosets", "1057"])
     assert code == 2
     assert out == ""
-    assert err == "sdprod: limit: coset limit exceeded: more than 1094 cosets defined\n"
+    assert err == "sdprod: limit: coset limit exceeded: more than 1057 cosets defined\n"
 
 
 # (5, 5), tuple 8,0,8,0,8,0 with [x,z] = x^2 z^14: a collapsing twisted
@@ -1063,12 +1063,12 @@ def test_tc_coset_limit_past_the_lookahead_mark(tmp_path, capsys):
     assert fpcoset.parse_relator_file(str(rel)) == fpcoset.fp_from_extended(
         pair, TupleB(8, 0, 8, 0, 8, 0), 2, 14
     )
-    code, out, err = run(capsys, ["tc", "--relators", str(rel), "--max-cosets", "10948"])
+    code, out, err = run(capsys, ["tc", "--relators", str(rel), "--max-cosets", "10078"])
     assert (code, err) == (0, "")
     assert out.startswith("cosets: 256\n")
-    code, out, err = run(capsys, ["tc", "--relators", str(rel), "--max-cosets", "10947"])
+    code, out, err = run(capsys, ["tc", "--relators", str(rel), "--max-cosets", "10077"])
     assert (code, out) == (2, "")
-    assert err == "sdprod: limit: coset limit exceeded: more than 10947 cosets defined\n"
+    assert err == "sdprod: limit: coset limit exceeded: more than 10077 cosets defined\n"
 
 
 def test_readme_definition_counts_match_a_run():

@@ -355,3 +355,25 @@ def test_counts_per_core_spec_at_44():
     counts = [[solve_b(PAIR44, CoreSpec(1 << i, 1 << j)).count for j in range(4)] for i in range(4)]
     assert counts == [[144, 144, 64, 16], [144, 160, 64, 0], [64, 64, 0, 0], [16, 0, 0, 0]]
     assert sum(map(sum, counts)) == 880
+
+
+def test_all_even_matches_the_histogram_walk():
+    # the listings' parity, read off the heads, against every value of
+    # every histogram over the listed fields, at every core spec of ranks
+    # 4..10, empty listings included: both listings' fields, and each
+    # field alone, since an odd field of a listing seldom comes alone
+    kinds = set()
+    field_lists = [TupleA._fields, TupleB._fields] + [(name,) for name in TupleB._fields]
+    for n, m in product(range(4, 11), repeat=2):
+        pair = derive_pair(n, m)
+        for cores in all_core_specs(pair):
+            solution = solve_b(pair, cores, allow_large=True)
+            histograms = solution.histograms()
+            for fields in field_lists:
+                want = all(v % 2 == 0 for name in fields for v in histograms[name])
+                assert solution.all_even(fields) == want, (n, m, cores, fields)
+                kinds.add((fields, bool(solution.count), want))
+    assert {(False, True), (True, True), (True, False)} == {k[1:] for k in kinds}
+    # r, b, t and c are each odd somewhere (t and c together); a and s,
+    # residues u - 1 of units u with u^2 = 1 modulo M or N, never are
+    assert {fields for fields, _, even in kinds if not even} == set(field_lists) - {("a",), ("s",)}

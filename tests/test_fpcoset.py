@@ -1,9 +1,9 @@
 """Unit tests for coset enumeration and the structure report read off the table."""
 
 import ast
+import itertools
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -22,7 +22,6 @@ from sdprod.fpcoset import (
     RelatorSyntaxError,
     StructureReport,
     _audit,
-    _col,
     _compile_relators,
     _Enumeration,
     coset_enumerate,
@@ -31,7 +30,7 @@ from sdprod.fpcoset import (
     parse_relator_lines,
     structure_report,
 )
-from test_properties import DistinctRoots, ReferenceHLT, roots
+from test_properties import DistinctRoots, ReferenceHLT, reference_run, roots
 
 PAIR44 = derive_pair(4, 4)
 FLAGSHIP_TUPLE = TupleB(4, 0, 0, 4, 0, 0)
@@ -254,25 +253,42 @@ def test_audit_walks_a_relator_to_the_last_coset():
     _audit(fp, CosetTable(rows=[[k, k, k, k] for k in range(n)], count=n), ())
 
 
-def as_letters(compiled, ngens):
-    """A presentation on ngens generators whose relators spell the
-    compiled columns."""
-    relators = tuple(
-        tuple(-(c // 2 + 1) if c & 1 else c // 2 + 1 for c in cols) for cols in compiled
-    )
-    return SimpleNamespace(ngens=ngens, relators=relators)
+def test_audit_catches_an_inverse_column_that_does_not_invert():
+    # columns x 0, X 1.  x is a 3-cycle, so x^3 closes at every coset, and
+    # both columns are permutations, but X is the identity; with X = x^-1
+    # the table passes
+    fp = parse_relator_lines(["x^3"])
+    table = CosetTable(rows=[[1, 0], [2, 1], [0, 2]], count=3)
+    assert table.walk((1, 1, 1)) == 0
+    with pytest.raises(RuntimeError, match=r"^internal: column 1 does not invert column 0$"):
+        _audit(fp, table, ())
+    _audit(fp, CosetTable(rows=[[1, 2], [2, 0], [0, 1]], count=3), ())
+
+
+def test_an_involution_has_one_internal_column():
+    # y^2 names y an involution: the run keeps one column for it, its own
+    # inverse, and the table writes that column as both y and Y
+    fp = parse_relator_lines(SD16_LINES)
+    state = _Enumeration(fp, 10**6)
+    assert (state.columns, state.inverse) == ([0, 0, 1, 2], [0, 2, 1])
+    state.run()
+    assert all(len(row) == 3 for row in state.rows)
+    table = coset_enumerate(fp)
+    assert all(row[0] == row[1] for row in table.rows)
+    assert table.rows == reference_run(fp, 10**6)[0]
 
 
 def test_definitions_below_the_lookahead_mark():
     # below the first lookahead mark the enumerator makes the exact
-    # sequence of definitions of plain HLT on the rewritten relators, so
-    # --max-cosets bites where plain HLT would stop.  The flagship's [x,z]
-    # is x^2 z^2; at x^6 z^6 its runs Z^5 and X^6 shrink.
-    for e, defined in (((2, 2), 1095), ((6, 6), 1475)):
+    # sequence of definitions of plain HLT on the compiled relators, in
+    # the enumerator's columns, so --max-cosets bites where plain HLT would
+    # stop.  The flagship's [x,z] is x^2 z^2; at x^6 z^6 its runs Z^5 and
+    # X^6 shrink.
+    for e, defined in (((2, 2), 1058), ((6, 6), 1454)):
         fp = fp_from_extended(PAIR44, FLAGSHIP_TUPLE, *e)
         state = _Enumeration(fp, 10**6)
         state.run()
-        ref = ReferenceHLT(as_letters(_compile_relators(fp.relators), fp.ngens), 10**6)
+        ref = ReferenceHLT(state.relators, state.inverse, 10**6)
         ref.run()
         assert len(state.rows) == defined < LOOKAHEAD_FIRST
         assert state.rows == ref.rows
@@ -287,7 +303,7 @@ FILL_MAX_COSETS = 2000  # below LOOKAHEAD_FIRST: no lookahead pass runs
 
 class Fills(DistinctRoots):
     """The enumerator, recording the cosets its fill defines: those a
-    defining scan of the words g g^-1 creates."""
+    defining scan of the words g g^-1, one per internal column, creates."""
 
     def __init__(self, fp, max_cosets):
         super().__init__(fp, max_cosets)
@@ -296,7 +312,7 @@ class Fills(DistinctRoots):
     def scan(self, cosets, relators, defining):
         before = len(self.rows)
         super().scan(cosets, relators, defining)
-        if relators is fpcoset._fill_ends(self.ncols):
+        if relators is self.fill:
             self.filled += range(before, len(self.rows))
 
 
@@ -332,15 +348,15 @@ def fill_relator_files(draw):
 @example(lines=FILL_LINES)
 @given(fill_relator_files())
 def test_fill_matches_plain_hlt_below_the_lookahead_mark(lines):
-    # the fill is one defining scan of g g^-1 per column; it must define
-    # what plain HLT's fill defines, and a capped run must stop where
-    # plain HLT stops, with the same rows
+    # the fill is one defining scan of g g^-1 per internal column; it must
+    # define what plain HLT's fill defines, and a capped run must stop
+    # where plain HLT stops, with the same rows
     try:
         fp = parse_relator_lines(lines)
     except RelatorSyntaxError:  # a word that reduces to the empty word
         reject()
     state = Fills(fp, FILL_MAX_COSETS)
-    ref = ReferenceHLT(as_letters(_compile_relators(fp.relators), fp.ngens), FILL_MAX_COSETS)
+    ref = ReferenceHLT(state.relators, state.inverse, FILL_MAX_COSETS)
     capped = []
     for enumeration in (state, ref):
         try:
@@ -353,35 +369,86 @@ def test_fill_matches_plain_hlt_below_the_lookahead_mark(lines):
     assert roots(state.parent, defined) == roots(ref.parent, defined)
 
 
+VANISHING_MAX_COSETS = 2000
+
+
+@st.composite
+def vanishing_run_files(draw):
+    """Relator files with a power relator g^k for each generator and one or
+    two relators in which a run h^(jk) that the power reduction removes
+    sits between a letter and its inverse, as X z^6 x z does beside z^3.
+    The compiled relator is freely reduced only once that run is gone;
+    some pairs of generators commute, so that most groups are finite."""
+    names = draw(st.sampled_from(["yx", "zx", "yzx", "wyzx"]))
+    period = {g: draw(st.integers(2, 6)) for g in names}
+    lines = [f"{g}^{k}" for g, k in period.items()]
+    for g, h in itertools.combinations(names, 2):
+        if draw(st.booleans()):
+            lines.append(f"{g.upper()} {h.upper()} {g} {h}")
+    letters = st.sampled_from(names + names.upper())
+    for _ in range(draw(st.integers(1, 2))):
+        h = draw(st.sampled_from(names))
+        g = draw(st.sampled_from([v for v in names + names.upper() if v.lower() != h]))
+        run = draw(st.sampled_from([h, h.upper()])) + f"^{period[h] * draw(st.integers(1, 2))}"
+        ends = draw(st.lists(letters, max_size=3)), draw(st.lists(letters, max_size=3))
+        lines.append(" ".join([*ends[0], g, run, g.swapcase(), *ends[1]]))
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@example(lines=["z^3", "x^5", "X z^6 x z"])
+@example(lines=["x^4", "y^2", "Y x^4 y X y x"])
+@given(vanishing_run_files())
+def test_runs_that_vanish_between_a_letter_and_its_inverse(lines):
+    # the defining scan defines a gap straight through only because the
+    # compiled relators are freely reduced: a relator compiled to
+    # ... g h^(jk) g^-1 ... without the last reduction would let both walks
+    # move after a definition that the scan steps over
+    fp = parse_relator_lines(lines)
+    try:
+        want, _ = reference_run(fp, VANISHING_MAX_COSETS)
+        got = coset_enumerate(fp, VANISHING_MAX_COSETS)
+    except CapacityError:
+        reject()
+    assert got.rows == want
+
+
 def test_coset_limit_past_the_lookahead_mark():
     # the costliest twisted relator file of the benchmark's verify workload
-    # defines 10,948 cosets, past the first mark, on its way to 256
+    # defines 10,078 cosets, past the first mark, on its way to 256
     fp = fp_from_extended(derive_pair(5, 5), TupleB(8, 0, 8, 0, 8, 0), 2, 14)
-    assert coset_enumerate(fp, 10_948).count == 256
-    with pytest.raises(CapacityError, match=r"^coset limit exceeded: more than 10947 cosets defined$"):
-        coset_enumerate(fp, 10_947)
+    assert coset_enumerate(fp, 10_078).count == 256
+    with pytest.raises(CapacityError, match=r"^coset limit exceeded: more than 10077 cosets defined$"):
+        coset_enumerate(fp, 10_077)
 
 
 SD32_LINES = ["x^16", "y^2", "Y x y X^7"]
 
 
+# y^2 makes y an involution: columns y 0 (its own inverse), x 1, X 2
+INVOLUTION_Y = [0, 2, 1]
+
+
 @pytest.mark.parametrize(
-    "lines, compiled, same_group",  # columns: y 0, Y 1, x 2, X 3
+    "lines, inverse, compiled, same_group",
     [
-        # an inverted power relator: x^9 becomes X^7
-        (["X^16", "y^2", "Y x y x^9"], [[0, 0], [1, 2, 0] + [3] * 7, [3] * 16], SD32_LINES),
+        # an inverted power relator: x^9 becomes X^7, and y^2 vanishes
+        (["X^16", "y^2", "Y x y x^9"], INVOLUTION_Y, [[0, 1, 0] + [2] * 7, [2] * 16], SD32_LINES),
         # x^16 and x^8: runs reduce modulo 8, and x^16 vanishes
-        (["x^16", "y^2", "x^8", "Y x y x^5"], [[0, 0], [1, 2, 0, 3, 3, 3], [2] * 8], SD16_LINES),
+        (["x^16", "y^2", "x^8", "Y x y x^5"], INVOLUTION_Y, [[0, 1, 0, 2, 2, 2], [1] * 8], SD16_LINES),
         # x^32 beside x^16 vanishes; the audit still checks it
-        (SD32_LINES + ["x^32"], [[0, 0], [1, 2, 0] + [3] * 7, [2] * 16], SD32_LINES),
-        # no power relator: only reordered
-        (["x y x", "x Y"], [[2, 1], [2, 0, 2]], ["x^3", "x Y"]),
+        (SD32_LINES + ["x^32"], INVOLUTION_Y, [[0, 1, 0] + [2] * 7, [1] * 16], SD32_LINES),
+        # x^4 vanishes between Y and y, which then cancel: y is its own inverse
+        (["x^4", "y^2", "Y x^4 y X y x"], INVOLUTION_Y, [[2, 0, 1], [1] * 4], ["x^4", "y"]),
+        # no power relator and no involution, columns y 0, Y 1, x 2, X 3:
+        # only reordered
+        (["x y x", "x Y"], [1, 0, 3, 2], [[2, 1], [2, 0, 2]], ["x^3", "x Y"]),
     ],
-    ids=["inverted-power", "two-powers", "x^32-beside-x^16", "no-power"],
+    ids=["inverted-power", "two-powers", "x^32-beside-x^16", "vanishing-run", "no-power"],
 )
-def test_compile_relators(lines, compiled, same_group):
+def test_compile_relators(lines, inverse, compiled, same_group):
     fp = parse_relator_lines(lines)
-    assert _compile_relators(fp.relators) == compiled
+    assert _compile_relators(fp.ngens, fp.relators)[1:3] == (inverse, compiled)
     assert coset_enumerate(fp).rows == coset_enumerate(parse_relator_lines(same_group)).rows
 
 
@@ -392,10 +459,11 @@ def test_compiled_relators_are_no_longer_than_their_source(n, m):
     for e1 in range(pair.N):
         for e2 in range(pair.M):
             fp = fp_from_extended(pair, TupleB(4, 0, 0, 4, 0, 0), e1, e2)
-            powers = fp.relators[:4]  # x^N, y^2, z^M, w^2: compiled as they are
-            power_cols = [[_col(g) for g in rel] for rel in powers]
+            powers = fp.relators[:4]  # x^N, y^2, z^M, w^2: y^2 and w^2 vanish
+            power_cols = list(_compile_relators(fp.ngens, powers)[2])
             for rel in fp.relators[4:]:
-                rest = list(_compile_relators(powers + (rel,)))  # a copy: the list is cached
+                # a copy: the list is cached
+                rest = list(_compile_relators(fp.ngens, powers + (rel,))[2])
                 for cols in power_cols:
                     rest.remove(cols)
                 assert len(rest) == 1 and len(rest[0]) <= len(rel)
@@ -409,7 +477,12 @@ def test_audit_catches_a_rewrite_that_drops_a_relator(monkeypatch):
     fp = parse_relator_lines(["x^6", "x^4"])
     assert coset_enumerate(fp).count == 2
     compile_relators = fpcoset._compile_relators
-    monkeypatch.setattr(fpcoset, "_compile_relators", lambda rels: compile_relators(rels)[1:])
+
+    def drop_the_first(ngens, relators):
+        columns, inverse, compiled, ends, fill = compile_relators(ngens, relators)
+        return columns, inverse, compiled[1:], ends[1:], fill
+
+    monkeypatch.setattr(fpcoset, "_compile_relators", drop_the_first)
     with pytest.raises(RuntimeError, match="relator does not close"):
         coset_enumerate(fp)
 

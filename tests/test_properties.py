@@ -406,21 +406,22 @@ def roots(parent, count):
 
 class ReferenceHLT:
     """Plain HLT coset enumeration, as fpcoset ran it before its relators
-    were compiled to columns, power-reduced and sorted, and before it had
-    a lookahead: the reference for the enumerator's tables.  It scans the
-    relators of fp as they stand, in order.  Letters are as in
-    FpPres.relators."""
+    were compiled, power-reduced and sorted, before it had a lookahead,
+    and before a defining scan defined a gap straight through: the
+    reference for the enumerator's tables.  It scans relators as they
+    stand, in order, as words of columns, where inverse[col] is the column
+    of col's inverse: public_columns(fp) gives fp's relators in the public
+    layout (columns g, g^-1 for each generator g), and an enumerator
+    holds its compiled relators in its own layout, where an involution's
+    column is its own inverse."""
 
-    def __init__(self, fp, max_cosets):
-        self.fp = fp
-        self.ncols = 2 * fp.ngens
+    def __init__(self, relators, inverse, max_cosets):
+        self.relators = relators
+        self.inverse = inverse
+        self.ncols = len(inverse)
         self.max_cosets = max_cosets
         self.rows = [[None] * self.ncols]
         self.parent = [0]
-
-    @staticmethod
-    def col(letter):
-        return 2 * (abs(letter) - 1) + (letter < 0)
 
     def rep(self, k):
         parent = self.parent
@@ -438,7 +439,7 @@ class ReferenceHLT:
         self.rows.append([None] * self.ncols)
         self.parent.append(new)
         self.rows[coset][col] = new
-        self.rows[new][col ^ 1] = coset
+        self.rows[new][self.inverse[col]] = coset
 
     def merge(self, a, b, queue):
         a, b = self.rep(a), self.rep(b)
@@ -461,39 +462,40 @@ class ReferenceHLT:
                 target = row[col]
                 if target is None:
                     continue
-                self.rows[target][col ^ 1] = None
+                inv = self.inverse[col]
+                self.rows[target][inv] = None
                 mu, nu = self.rep(dead), self.rep(target)
                 if self.rows[mu][col] is not None:
                     self.merge(nu, self.rows[mu][col], queue)
-                elif self.rows[nu][col ^ 1] is not None:
-                    self.merge(mu, self.rows[nu][col ^ 1], queue)
+                elif self.rows[nu][inv] is not None:
+                    self.merge(mu, self.rows[nu][inv], queue)
                 else:
                     self.rows[mu][col] = nu
-                    self.rows[nu][col ^ 1] = mu
+                    self.rows[nu][inv] = mu
 
     def scan_and_fill(self, coset, word):
-        rows, col = self.rows, self.col
+        rows, inverse = self.rows, self.inverse
         f, i = coset, 0
         b, j = coset, len(word)
         while True:
-            while i < j and rows[f][col(word[i])] is not None:
-                f = rows[f][col(word[i])]
+            while i < j and rows[f][word[i]] is not None:
+                f = rows[f][word[i]]
                 i += 1
             if i == j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j > i and rows[b][col(-word[j - 1])] is not None:
-                b = rows[b][col(-word[j - 1])]
+            while j > i and rows[b][inverse[word[j - 1]]] is not None:
+                b = rows[b][inverse[word[j - 1]]]
                 j -= 1
             if j == i:
                 self.coincidence(f, b)
                 return
             if j == i + 1:
-                rows[f][col(word[i])] = b
-                rows[b][col(word[i]) ^ 1] = f
+                rows[f][word[i]] = b
+                rows[b][inverse[word[i]]] = f
                 return
-            self.define(f, col(word[i]))
+            self.define(f, word[i])
 
     def run(self):
         coset = 0
@@ -501,7 +503,7 @@ class ReferenceHLT:
             if self.rep(coset) != coset:
                 coset += 1
                 continue
-            for rel in self.fp.relators:
+            for rel in self.relators:
                 self.scan_and_fill(coset, rel)
                 if self.rep(coset) != coset:
                     break
@@ -523,9 +525,20 @@ class ReferenceHLT:
         return [[new_index[self.rep(self.rows[old][col])] for col in range(self.ncols)] for old in order]
 
 
+def public_columns(fp):
+    """fp's relators as words of public columns, and the public layout's
+    inverse list: column g^-1 is the column after g's."""
+    def col(letter):
+        return 2 * (abs(letter) - 1) + (letter < 0)
+
+    relators = [[col(letter) for letter in rel] for rel in fp.relators]
+    return relators, [col ^ 1 for col in range(2 * fp.ngens)]
+
+
 def reference_run(fp, max_cosets):
-    """The reference's compacted table and the number of cosets it defined."""
-    ref = ReferenceHLT(fp, max_cosets)
+    """The reference's compacted table, in the public layout, and the
+    number of cosets it defined."""
+    ref = ReferenceHLT(*public_columns(fp), max_cosets)
     ref.run()
     return ref.compact(), len(ref.rows)
 
@@ -545,17 +558,18 @@ def test_twisted_tables_match_reference_hlt(case, e1, e2):
 
 def test_table_past_the_lookahead_mark_matches_reference_hlt():
     # plain HLT on the relators as given defines 17,897 cosets for this
-    # group of order 256.  On its rewritten relators the enumerator reaches
-    # the first lookahead pass at 8,192 definitions, and 5 more finish the
-    # run.  A lookahead scan that defined, or that dropped a coincidence,
-    # would change that count but not the table.
+    # group of order 256.  On its compiled relators the enumerator passes
+    # the first lookahead mark, 8,192, with its 8,193rd definition, and the
+    # lookahead pass then finishes the run.  A lookahead scan that defined,
+    # or that dropped a coincidence, would change that count but not the
+    # table.
     fp = fp_from_extended(derive_pair(4, 5), TupleB(4, 14, 4, 4, 0, 0), 6, 8)
     want, defined = reference_run(fp, 10**6)
     assert defined == 17_897
     state = _Enumeration(fp, 10**6)
     state.run()
     assert LOOKAHEAD_FIRST == 8192
-    assert len(state.rows) == 8197
+    assert len(state.rows) == 8193
     assert state.compact() == want
     assert coset_enumerate(fp).rows == want
 
@@ -577,19 +591,19 @@ class DistinctRoots(_Enumeration):
 @pytest.mark.parametrize(
     "ranks, t, e, defined, passes, order",
     [
-        ((5, 5), (8, 0, 8, 0, 8, 0), (2, 14), 10_948, 1, 256),
-        ((5, 5), (12, 8, 14, 0, 2, 0), (8, 10), 16_441, 2, 512),
-        ((5, 5), (0, 6, 6, 8, 0, 2), (2, 12), 8_221, 1, 512),
-        ((5, 5), (8, 6, 14, 0, 12, 12), (4, 12), 8_197, 1, 512),
-        ((5, 5), (8, 14, 6, 8, 10, 0), (4, 4), 8_213, 1, 512),
-        ((4, 5), (2, 8, 2, 0, 0, 0), (4, 14), 8_193, 1, 128),
-        ((4, 5), (4, 6, 6, 8, 2, 4), (6, 10), 8_216, 1, 256),
-        ((4, 5), (4, 14, 4, 4, 0, 0), (6, 8), 8_197, 1, 256),
-        ((5, 4), (4, 4, 14, 0, 8, 0), (14, 2), 8_202, 1, 256),
-        ((5, 5), (0, 14, 8, 8, 8, 14), (14, 2), 7_149, 0, 256),
-        ((5, 5), (8, 14, 14, 8, 9, 5), (6, 8), 8_195, 1, 128),
-        ((5, 5), (12, 8, 6, 0, 8, 8), (10, 14), 8_218, 1, 256),
-        ((5, 5), (12, 8, 14, 0, 2, 0), (12, 12), 8_221, 1, 256),
+        ((5, 5), (8, 0, 8, 0, 8, 0), (2, 14), 10_078, 1, 256),
+        ((5, 5), (12, 8, 14, 0, 2, 0), (8, 10), 16_451, 2, 512),
+        ((5, 5), (0, 6, 6, 8, 0, 2), (2, 12), 8_199, 1, 512),
+        ((5, 5), (8, 6, 14, 0, 12, 12), (4, 12), 8_212, 1, 512),
+        ((5, 5), (8, 14, 6, 8, 10, 0), (4, 4), 8_246, 1, 512),
+        ((4, 5), (2, 8, 2, 0, 0, 0), (4, 14), 8_215, 1, 128),
+        ((4, 5), (4, 6, 6, 8, 2, 4), (6, 10), 15_215, 1, 256),
+        ((4, 5), (4, 14, 4, 4, 0, 0), (6, 8), 8_193, 1, 256),
+        ((5, 4), (4, 4, 14, 0, 8, 0), (14, 2), 8_193, 1, 256),
+        ((5, 5), (0, 14, 8, 8, 8, 14), (14, 2), 5_810, 0, 256),
+        ((5, 5), (8, 14, 14, 8, 9, 5), (6, 8), 8_214, 1, 128),
+        ((5, 5), (12, 8, 6, 0, 8, 8), (10, 14), 8_198, 1, 256),
+        ((5, 5), (12, 8, 14, 0, 2, 0), (12, 12), 8_209, 1, 256),
     ],
 )
 def test_definitions_past_the_lookahead_mark(ranks, t, e, defined, passes, order):
@@ -620,7 +634,7 @@ class FullSweepLookahead(_Enumeration):
 
     def lookahead(self, start):
         self.passes += 1
-        rows, parent = self.rows, self.parent
+        rows, parent, inverse = self.rows, self.parent, self.inverse
         for coset in range(len(rows)):
             for cols in self.relators:
                 if parent[coset] != coset:
@@ -634,14 +648,14 @@ class FullSweepLookahead(_Enumeration):
                     if f != b:
                         self.coincidence(f, b)
                     continue
-                while j > i and rows[b][cols[j - 1] ^ 1] is not None:
-                    b = rows[b][cols[j - 1] ^ 1]
+                while j > i and rows[b][inverse[cols[j - 1]]] is not None:
+                    b = rows[b][inverse[cols[j - 1]]]
                     j -= 1
                 if j == i:
                     self.coincidence(f, b)
                 elif j == i + 1:
                     rows[f][cols[i]] = b
-                    rows[b][cols[i] ^ 1] = f
+                    rows[b][inverse[cols[i]]] = f
 
 
 def with_relator(fp, rel):
