@@ -183,14 +183,16 @@ def fp_from_extended(pair: SdPair, t: TupleB, e1: int, e2: int) -> FpPres:
     return FpPres(ngens=4, names=GEN_NAMES, relators=tuple(free_reduce(r) for r in relators))
 
 
-_TOKEN_RE = re.compile(r"^([wyzxWYZX])(?:\^(\d+))?$")
+# [0-9], not \d: \d matches every Unicode decimal digit, which int() reads
+_TOKEN_RE = re.compile(r"^([wyzxWYZX])(?:\^([0-9]+))?$")
 
 
 def parse_relator_lines(lines: Iterable[str]) -> FpPres:
     """Parse the relator file format.
 
     One relator per line; tokens from w, y, z, x with uppercase meaning
-    the inverse letter and an optional ^k repetition (k >= 1).  Blank
+    the inverse letter and an optional ^k repetition (k >= 1, in ASCII
+    digits).  Blank
     lines and # comments are skipped.  Generators are numbered in the
     fixed order w, y, z, x restricted to the letters that appear.  More
     than MAX_RELATOR_LETTERS letters raise CapacityError before expansion.

@@ -8,15 +8,15 @@ a3 modulo M and a4 modulo N.  A presentation is its conjugation data
     z^y = z^(1+a) x^r    x^y = x^alpha     x^z = x
 
 x^z = x is hard-wired: z and x always commute here, so w and y act on
-the abelian tail z^i x^j by fixed linear maps.  Once the presentation is
-consistent, those maps are its relations: z and x go to the images
-written above, and every other tail follows linearly.  The group table
-keeps only those maps (see GroupTable).  The images of z and x under w
-and y are spelled once, in _conjugations: check_consistency,
-PcData.core_orders and build_table all read the tail action from there.
+the abelian tail Z_M + Z_N of the z^i x^j by linear maps W and Y, spelled
+once in _action by their images of z and x and applied through _apply.
+Once the presentation is consistent, those maps are its relations, and
+the group table keeps only them (see GroupTable).
 
 Consistency of such a presentation is decided by sixteen overlap
-identities, evaluated below by actually iterating the conjugation maps.
+identities; on the tail they say that W and Y are well defined, W^2 =
+Y^2 = I, WY = YW and (I + W)v = (I + Y)v = 0 for the tail v of y^w
+(Sims, *Computation with Finitely Presented Groups*, CUP 1994, ch. 9).
 The module deliberately never consults the congruence module for this;
 the two are independent routes to the same classification and are played
 against each other in the tests.
@@ -65,19 +65,19 @@ class PcData(NamedTuple):
         the tail is normal once w and y map it into itself.  The subgroups
         of <x> are the chain <x^d>, d a power of two, one of each order, and
         a conjugate of x^d has the order of x^d; so <x^d> is normal exactly
-        when the conjugates of x^d by w and y have z exponent 0.  Then so is
+        when d W(x) and d Y(x) have z exponent 0 (_action).  Then so is
         every <x^2d>, and the core is <x^d> for the least such d, of order
-        N/d.  Likewise <z^e>, with x exponent 0.
+        N/d.  Likewise <z^e>, with the x exponents of e W(z) and e Y(z).
         """
-        N, M = self.pair.N, self.pair.M
-        cw, cy = _conjugations(self)
+        pair = self.pair
+        maps = _action(self)
         d = 1
-        while d < N and (cw(0, d)[0] or cy(0, d)[0]):
+        while d < pair.N and any(_apply(pair, g, (0, d))[0] for g in maps):
             d *= 2
         e = 1
-        while e < M and (cw(e, 0)[1] or cy(e, 0)[1]):
+        while e < pair.M and any(_apply(pair, g, (e, 0))[1] for g in maps):
             e *= 2
-        return N // d, M // e
+        return pair.N // d, pair.M // e
 
 
 class ConsistencyEntry(NamedTuple):
@@ -199,88 +199,73 @@ def pc_from_tuple_b(pair: SdPair, t: TupleB) -> PcData:
     )
 
 
-def _conjugations(pc: PcData):
-    """The conjugations by w and by y of the tail, as functions that take
-    the exponents (ze, xe) of z^ze x^xe to those of its image.
+def _action(pc: PcData):
+    """W and Y, the linear maps by which w and y act on the tail, each as
+    its pair (image of z, image of x) of (z exponent, x exponent) pairs:
+    W(z) = z^beta, W(x) = z^b x^(1+s), Y(z) = z^(1+a) x^r, Y(x) = x^alpha.
 
     This is the one statement of the tail action: check_consistency
-    iterates and composes these maps, PcData.core_orders reads the
-    conjugates of x^d and z^e off them, and build_table tabulates them
-    from the images of z and x.  The exponents are bound once: the checks
-    call these maps in loops."""
-    N, M, alpha, beta = pc.pair.N, pc.pair.M, pc.pair.alpha, pc.pair.beta
-    b, s1, a1, r = pc.xw_zexp, pc.xw_xexp, pc.zy_zexp, pc.zy_xexp
-
-    def by_w(ze: int, xe: int) -> tuple[int, int]:
-        return (beta * ze + b * xe) % M, s1 * xe % N
-
-    def by_y(ze: int, xe: int) -> tuple[int, int]:
-        return a1 * ze % M, (r * ze + alpha * xe) % N
-
-    return by_w, by_y
+    evaluates the overlap identities on these maps, PcData.core_orders
+    reads the conjugates of x^d and z^e off them, and build_table
+    tabulates them."""
+    pair = pc.pair
+    return (
+        ((pair.beta, 0), (pc.xw_zexp, pc.xw_xexp)),
+        ((pc.zy_zexp, pc.zy_xexp), (0, pair.alpha)),
+    )
 
 
-def _iterate_conj(fn, ze: int, xe: int, times: int) -> tuple[int, int]:
-    """Apply a conjugation map repeatedly; a fixed point ends the walk early."""
-    for _ in range(times):
-        nze, nxe = fn(ze, xe)
-        if (nze, nxe) == (ze, xe):
-            return ze, xe
-        ze, xe = nze, nxe
-    return ze, xe
+def _apply(pair: SdPair, lin, v) -> tuple[int, int]:
+    """The image of the tail v = (z exponent, x exponent) under the linear
+    map lin = (image of z, image of x), reduced mod (M, N)."""
+    (zz, zx), (xz, xx) = lin
+    return (v[0] * zz + v[1] * xz) % pair.M, (v[0] * zx + v[1] * xx) % pair.N
+
+
+def _compose(pair: SdPair, outer, inner):
+    """The linear map outer after inner, as its (image of z, image of x)."""
+    return _apply(pair, outer, inner[0]), _apply(pair, outer, inner[1])
 
 
 def check_consistency(pc: PcData) -> ConsistencyReport:
-    """Evaluate the sixteen overlap identities by iterated conjugation.
+    """Evaluate the sixteen overlap identities on the tail maps W and Y.
 
     Three families, with e = (2, 2, M, N) the relative orders:
       P(i, j): conjugating g_j by g_i e_i times returns g_j;
       W(i, j): the e_j-th power of the image g_j^(g_i) is trivial;
       C(i, j, k): (g_k^(g_j))^(g_i) equals (g_k^(g_i))^(g_j^(g_i)).
-    A tail in the abelian part is conjugated by a word through the word's
-    w/y letters only, which is exact because the tail commutes with z and x.
-    Each residual is the leftover (z exponent, x exponent) pair.
+    A tail is conjugated by a word through the word's w/y letters only,
+    which is exact because the tail commutes with z and x: w acts as W, y
+    as Y and z as I.  With u_3, u_4 the tails of z and x and v = (c, t)
+    that of y^w, P(1, 2) = (I + W)v, W(1, 2) = (I + Y)v, P(i, j) =
+    g_i^2 u_j - u_j, W(i, j) = e_j g_i(u_j) and C(i, j, k) = g_i g_j u_k -
+    g_j g_i u_k, as the inner conjugator g_j^(g_i) acts on a tail as g_j
+    does: y^w acts as y, while z^w and z^y lie in the tail.  Each residual
+    is the leftover (z exponent, x exponent) pair.
     """
-    N, M = pc.pair.N, pc.pair.M
-    cw, cy = _conjugations(pc)
-    fixed = lambda ze, xe: (ze, xe)  # noqa: E731  x^z = x, tails are fixed
-    # per generator position 1=w 2=y 3=z 4=x: its conjugation of a tail,
-    # its relative order, and, for z and x, its exponents as a tail
-    conj = {1: cw, 2: cy, 3: fixed, 4: fixed}
-    order = {1: 2, 2: 2, 3: M, 4: N}
-    unit = {3: (1, 0), 4: (0, 1)}
-    tail_pairs = ((1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
-    c, t = pc.yw_zexp, pc.yw_xexp
+    pair = pc.pair
+    M, N = pair.M, pair.N
+    W, Y = _action(pc)
+    I = ((1, 0), (0, 1))  # its images z and x are u_3 and u_4
+    v = (pc.yw_zexp, pc.yw_xexp)
+    tail_pairs = ((1, 3, W), (1, 4, W), (2, 3, Y), (2, 4, Y), (3, 4, I))  # (i, j, g_i)
     entries = []
 
     def add(family: str, index: tuple[int, ...], residual: tuple[int, int]) -> None:
         residual = (residual[0] % M, residual[1] % N)
         entries.append(ConsistencyEntry(family, index, residual == (0, 0), residual))
 
-    # P(1,2): w-conjugating y twice must give back y; track the tail.
-    ze, xe = 0, 0
-    for _ in range(2):
-        ze, xe = cw(ze, xe)
-        ze, xe = (ze + c) % M, (xe + t) % N
-    add("P", (1, 2), (ze, xe))
-    for i, j in tail_pairs:
-        ze, xe = _iterate_conj(conj[i], *unit[j], order[i])
-        add("P", (i, j), (ze - unit[j][0], xe - unit[j][1]))
-
-    # W(1,2): the square of y^w = y z^c x^t; the y letters meet and the
-    # tail picks up its own y-conjugate.
-    ze, xe = cy(c, t)
-    add("W", (1, 2), (ze + c, xe + t))
-    for i, j in tail_pairs:
-        ze, xe = conj[i](*unit[j])
-        add("W", (i, j), (order[j] * ze, order[j] * xe))
-
-    # C family: conjugate the element two ways.  The inner conjugator
-    # g_j^(g_i) acts on a tail through its w/y part, as g_j does: y^w
-    # acts as y, while z^w and z^y lie in the tail and act trivially.
-    for i, j, k in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
-        lz, lx = conj[i](*conj[j](*unit[k]))
-        rz, rx = conj[j](*conj[i](*unit[k]))
+    wv, yv = _apply(pair, W, v), _apply(pair, Y, v)
+    add("P", (1, 2), (v[0] + wv[0], v[1] + wv[1]))
+    for i, j, g in tail_pairs:
+        (uz, ux), (gz, gx) = I[j - 3], _apply(pair, g, g[j - 3])
+        add("P", (i, j), (gz - uz, gx - ux))
+    add("W", (1, 2), (v[0] + yv[0], v[1] + yv[1]))
+    for i, j, g in tail_pairs:
+        e, (gz, gx) = (M, N)[j - 3], g[j - 3]
+        add("W", (i, j), (e * gz, e * gx))
+    for i, j, k, gi, gj in ((1, 2, 3, W, Y), (1, 2, 4, W, Y), (1, 3, 4, W, I), (2, 3, 4, Y, I)):
+        (lz, lx), (rz, rx) = _apply(pair, gi, gj[k - 3]), _apply(pair, gj, gi[k - 3])
         add("C", (i, j, k), (lz - rz, lx - rx))
 
     report = ConsistencyReport(tuple(entries))
@@ -288,21 +273,19 @@ def check_consistency(pc: PcData) -> ConsistencyReport:
     return report
 
 
-def _tail_map(pair: SdPair, conj, shift: Sequence[int] = (0, 0)) -> list[int]:
-    """Image of every tail z^i x^j under the conjugation conj (one of
-    _conjugations), at position i*N + j, as a tail index.
+def _tail_map(pair: SdPair, lin, shift: Sequence[int] = (0, 0)) -> list[int]:
+    """Image of every tail z^i x^j under the linear map lin (W or Y of
+    _action), at position i*N + j, as a tail index.
 
-    The map sends z and x to their images under conj, extended linearly
-    over the abelian tail, and adds shift to every image: the (z, x)
-    exponents of each are given as a pair."""
+    The images of z^i and of x^j come from _apply, and each image adds
+    shift: the (z, x) exponents of each are given as a pair."""
     N, M = pair.N, pair.M
-    z_image, x_image = conj(1, 0), conj(0, 1)
-    jz = [j * x_image[0] % M for j in range(N)]
-    jx = [j * x_image[1] % N for j in range(N)]
+    run = [_apply(pair, lin, (0, j)) for j in range(N)]
     out: list[int] = []
     for i in range(M):
-        iz, ix = i * z_image[0] + shift[0], i * z_image[1] + shift[1]
-        out += [(iz + a) % M * N + (ix + b) % N for a, b in zip(jz, jx)]
+        iz, ix = _apply(pair, lin, (i, 0))
+        iz, ix = iz + shift[0], ix + shift[1]
+        out += [(iz + a) % M * N + (ix + b) % N for a, b in run]
     return out
 
 
@@ -314,10 +297,10 @@ def build_table(pc: PcData, consistency: ConsistencyReport | None = None) -> Gro
     multiplication by y flips the head's y and conjugates the tail z^i x^j
     by y; by w it flips the head's w and conjugates the tail by w, adding
     the (c, t) of y^w = y z^c x^t when the head holds y.  Both conjugations
-    are linear maps of the abelian tail, given by _conjugations: the y map
-    makes ty, the w map makes tw, and tw_past_y is tw shifted by the z^c x^t
-    of y^w.  The consistency check above is what makes these relations a
-    well-defined action on the tail.  The product u*v is then the prefix of
+    are linear maps of the abelian tail, W and Y of _action: Y makes ty, W
+    makes tw, and tw_past_y is tw shifted by the z^c x^t of y^w.  The
+    consistency check above is what makes these relations a well-defined
+    action on the tail.  The product u*v is then the prefix of
     u that v's (w, y) head k selects (GroupTable.prefixes), shifted by v's
     tail z^vz x^vx.  `audit_table` checks that every row and every column of
     that table is a permutation, in O(|G|):
@@ -338,13 +321,13 @@ def build_table(pc: PcData, consistency: ConsistencyReport | None = None) -> Gro
     order = 4 * N * M
     if order > DEFAULT_MAX_ORDER:
         raise CapacityError(f"table too large: order {order} exceeds cap {DEFAULT_MAX_ORDER}")
-    cw, cy = _conjugations(pc)
+    w_map, y_map = _action(pc)
     g = GroupTable(
         pair=pc.pair,
         order=order,
-        ty=_tail_map(pc.pair, cy),
-        tw=_tail_map(pc.pair, cw),
-        tw_past_y=_tail_map(pc.pair, cw, shift=(pc.yw_zexp, pc.yw_xexp)),
+        ty=_tail_map(pc.pair, y_map),
+        tw=_tail_map(pc.pair, w_map),
+        tw_past_y=_tail_map(pc.pair, w_map, shift=(pc.yw_zexp, pc.yw_xexp)),
         gen_w=2 * M * N,
         gen_y=M * N,
         gen_z=N,
@@ -498,30 +481,27 @@ def verify_associativity_extension(g: GroupTable) -> bool:
     built maps, never the presentation's exponents, so it checks
     build_table against check_consistency.
     """
-    N, M = g.pair.N, g.pair.M
+    pair = g.pair
+    N, M = pair.N, pair.M
     parts = [_affine_part(g, tails) for tails in (g.ty, g.tw, g.tw_past_y)]
     if None in parts or parts[1][1:] != parts[2][1:]:
         return False
     (cy, *ly), (cw, *lw), (cwy, _, _) = parts
 
-    def apply(lin, v):
-        (zz, zx), (xz, xx) = lin
-        return (v[0] * zz + v[1] * xz) % M, (v[0] * zx + v[1] * xx) % N
-
     def add(u, v):
         return (u[0] + v[0]) % M, (u[1] + v[1]) % N
 
-    lin = [((1, 0), (0, 1)), ly, lw, (apply(ly, lw[0]), apply(ly, lw[1]))]
+    lin = [((1, 0), (0, 1)), ly, lw, _compose(pair, ly, lw)]
     const = [
-        [(0, 0), cy, c2, add(cy, apply(ly, c2))] for c2 in (cw, cwy, cw, cwy)
+        [(0, 0), cy, c2, add(cy, _apply(pair, ly, c2))] for c2 in (cw, cwy, cw, cwy)
     ]
     return all(
-        apply(lin[l], lin[k][i]) == lin[k ^ l][i]
+        _apply(pair, lin[l], lin[k][i]) == lin[k ^ l][i]
         for k in range(4)
         for l in range(4)
         for i in (0, 1)
     ) and all(
-        add(const[h ^ k][l], apply(lin[l], const[h][k])) == add(const[h][k ^ l], const[k][l])
+        add(const[h ^ k][l], _apply(pair, lin[l], const[h][k])) == add(const[h][k ^ l], const[k][l])
         for h in range(4)
         for k in range(4)
         for l in range(4)

@@ -979,6 +979,16 @@ def test_tc_bad_relator_file(tmp_path, capsys):
     assert err == "sdprod: relator file error: line 2: relator reduces to the empty word\n"
 
 
+@pytest.mark.parametrize("digit", ["\uff18", "\u0668"], ids=["fullwidth", "arabic-indic"])
+def test_tc_relator_file_reads_only_ascii_digits(tmp_path, capsys, digit):
+    # int() reads both as 8, so a pattern with \d took x^8 from either
+    rel = tmp_path / "digits.rel"
+    rel.write_text(f"x^{digit}\ny^2\nY x y X^3\n", encoding="utf-8")
+    code, out, err = run(capsys, ["tc", "--relators", str(rel)])
+    assert (code, out) == (3, "")
+    assert err == f"sdprod: relator file error: line 1: bad token 'x^{digit}'\n"
+
+
 def test_tc_pair_of_the_wrong_order_is_not_semidihedral(tmp_path, capsys):
     # y X^4 = 1 puts y inside <x>: x has order 8 and y order 2, but
     # <x,y> = <x> has order 8, not 16, and the order test answers no

@@ -195,6 +195,46 @@ PINNED_REPORTS = [
         ("C", (1, 3, 4), True, (0, 0)),
         ("C", (2, 3, 4), True, (0, 0)),
     ]),
+    # W(2,3) fails: r is odd, so Y(z) = z^(1+a) x^r has x part 8r != 0 mod 16
+    # after its M = 8 copies, and Y is not well defined
+    ((5, 4), (5, 0, 5, 3, 10, 4), [
+        ("P", (1, 2), False, (6, 6)),
+        ("P", (1, 3), True, (0, 0)),
+        ("P", (1, 4), False, (3, 3)),
+        ("P", (2, 3), False, (0, 8)),
+        ("P", (2, 4), True, (0, 0)),
+        ("P", (3, 4), True, (0, 0)),
+        ("W", (1, 2), False, (0, 4)),
+        ("W", (1, 3), True, (0, 0)),
+        ("W", (1, 4), True, (0, 0)),
+        ("W", (2, 3), False, (0, 8)),
+        ("W", (2, 4), True, (0, 0)),
+        ("W", (3, 4), True, (0, 0)),
+        ("C", (1, 2, 3), False, (7, 15)),
+        ("C", (1, 2, 4), False, (2, 1)),
+        ("C", (1, 3, 4), True, (0, 0)),
+        ("C", (2, 3, 4), True, (0, 0)),
+    ]),
+    # W(1,4) fails: b is odd, so W(x) = z^b x^(1+s) has z part 16b != 0
+    # mod 32 after its N = 16 copies, and W is not well defined
+    ((5, 6), (7, 2, 5, 11, 10, 17), [
+        ("P", (1, 2), False, (30, 6)),
+        ("P", (1, 3), True, (0, 0)),
+        ("P", (1, 4), False, (7, 3)),
+        ("P", (2, 3), False, (8, 6)),
+        ("P", (2, 4), True, (0, 0)),
+        ("P", (3, 4), True, (0, 0)),
+        ("W", (1, 2), False, (4, 7)),
+        ("W", (1, 3), True, (0, 0)),
+        ("W", (1, 4), False, (16, 0)),
+        ("W", (2, 3), True, (0, 0)),
+        ("W", (2, 4), True, (0, 0)),
+        ("W", (3, 4), True, (0, 0)),
+        ("C", (1, 2, 3), False, (13, 1)),
+        ("C", (1, 2, 4), False, (12, 3)),
+        ("C", (1, 3, 4), True, (0, 0)),
+        ("C", (2, 3, 4), True, (0, 0)),
+    ]),
 ]
 
 
@@ -229,6 +269,35 @@ def test_consistency_equals_check_b_congruences():
         assert got == want, t6
         valid += want
     assert valid == 880
+
+
+@pytest.mark.parametrize("n,m", [(4, 5), (5, 4)])
+def test_consistency_equals_check_b_congruences_by_slicing(n, m):
+    """Theorem B on the whole (n, m) grid, one head (r, a, s, b) at a time.
+
+    Only P(1,2) = (I + W)v and W(1,2) = (I + Y)v read v = (c, t), as do
+    D9..D12 of the congruences, and all of them vanish at t = c = 0.  So
+    the head's other fourteen identities decide it there against D1..D8,
+    and only a valid head needs its (t, c) plane.  The (4,4) brute-force
+    test above shows the slicing is sound where both run.
+    """
+    pair = derive_pair(n, m)
+    N, M = pair.N, pair.M
+
+    def agree(t6):
+        want = check_b_congruences(pair, t6).valid
+        assert check_consistency(pc_from_tuple_b(pair, t6)).overall == want, t6
+        return want
+
+    heads = [
+        (r, a, s, b)
+        for r, a, s, b in product(range(N), range(M), range(N), range(M))
+        if agree(TupleB(r, a, s, b, 0, 0))
+    ]
+    tuples = sum(
+        agree(TupleB(*head, t, c)) for head in heads for t in range(N) for c in range(M)
+    )
+    assert (len(heads), tuples) == (96, 1376)
 
 
 def test_consistency_holds_on_enumerated_b_tuples():
