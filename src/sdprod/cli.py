@@ -101,11 +101,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_tuple(text: str, arity: tuple[int, ...]) -> tuple[int, ...]:
-    parts = text.split(",")
-    try:
-        values = tuple(int(p.strip()) for p in parts)
-    except ValueError:
+    # a field is an optional sign and ASCII digits: int() would also take
+    # other scripts' digits (a fullwidth 4) and underscores (1_0)
+    parts = [p.strip() for p in text.split(",")]
+    unsigned = [p[1:] if p[:1] in ("+", "-") else p for p in parts]
+    if not all(u.isascii() and u.isdigit() for u in unsigned):
         raise UsageError(f"malformed tuple {text!r}: fields must be integers")
+    values = tuple(map(int, parts))
     if len(values) not in arity:
         wanted = " or ".join(str(k) for k in arity)
         raise UsageError(f"malformed tuple {text!r}: expected {wanted} fields, got {len(values)}")
@@ -239,7 +241,7 @@ def cmd_enumerate(args) -> int:
         if args.format == "csv":  # rows only: no histograms, no parity
             return 0
         histograms = solution.histograms()
-        all_even = solution.all_even(fields)
+        all_even = all(v % 2 == 0 for name in fields for v in histograms[name])
         if args.format == "json":
             counts = []
             for name in fields:

@@ -303,27 +303,6 @@ class SolutionSet:
             "c": _on_multiples(per_c, M),
         }
 
-    def all_even(self, fields: Iterable[str]) -> bool:
-        """Whether every value that the named fields of TupleB take in the
-        set is even (True for an empty set), read off the heads instead of
-        the histograms.  r_values and b_values are the odd multiples of a
-        step, or 0 alone, so they are even iff the first is; a head's t are
-        the multiples of t_step below N, and its c, as in histograms, the
-        multiples of gcd(c_unit, c_step) below M.  N and M are even, so
-        those are even iff the step is."""
-        if not self.count:
-            return True
-        heads = self.heads
-        values = {
-            "r": self.r_values[:1],
-            "a": [a for a, _, _, _, _ in heads],
-            "s": [s for _, s, _, _, _ in heads],
-            "b": self.b_values[:1],
-            "t": [t_step for _, _, t_step, _, _ in heads],
-            "c": [math.gcd(c_unit, c_step) for _, _, _, c_unit, c_step in heads],
-        }
-        return all(v % 2 == 0 for name in fields for v in values[name])
-
 
 def _on_multiples(weights: dict[int, int], modulus: int) -> dict[int, int]:
     """The histogram that gives each multiple of step below modulus

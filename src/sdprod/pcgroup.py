@@ -8,10 +8,11 @@ a3 modulo M and a4 modulo N.  A presentation is its conjugation data
     z^y = z^(1+a) x^r    x^y = x^alpha     x^z = x
 
 x^z = x is hard-wired: z and x always commute here, so w and y act on
-the abelian tail Z_M + Z_N of the z^i x^j by linear maps W and Y, spelled
-once in _action by their images of z and x and applied through _apply.
-Once the presentation is consistent, those maps are its relations, and
-the group table keeps only them (see GroupTable).
+the abelian tail Z_M + Z_N of the z^i x^j by linear maps W and Y, and a
+presentation is the triple (W, Y, v) with v = (c, t) the tail of y^w:
+PcData holds it, each map spelled by its images of z and x and applied
+through _apply.  Once the presentation is consistent, those maps are its
+relations, and the group table keeps only them (see GroupTable).
 
 Consistency of such a presentation is decided by sixteen overlap
 identities; on the tail they say that W and Y are well defined, W^2 =
@@ -45,15 +46,18 @@ ASSOC_CAP_MESSAGE = "table too large for the cubic scan: order {order} exceeds c
 
 
 class PcData(NamedTuple):
-    """Conjugation exponents of one presentation, everything reduced."""
+    """A presentation as its tail action: the maps W and Y by which w and y
+    act on the tail, each as its pair (image of z, image of x) of (z
+    exponent, x exponent) pairs, and v = (c, t), the tail of y^w, all
+    reduced.  W(z) = z^beta, W(x) = z^b x^(1+s), Y(z) = z^(1+a) x^r and
+    Y(x) = x^alpha (pc_from_tuple_b).  check_consistency evaluates the
+    overlap identities on W, Y and v, core_orders reads the conjugates of
+    x^d and z^e off W and Y, and build_table tabulates them."""
 
     pair: SdPair
-    yw_zexp: int  # c  in y^w = y z^c x^t
-    yw_xexp: int  # t
-    xw_zexp: int  # b  in x^w = z^b x^(1+s)
-    xw_xexp: int  # 1+s
-    zy_zexp: int  # 1+a in z^y = z^(1+a) x^r
-    zy_xexp: int  # r
+    W: tuple[tuple[int, int], tuple[int, int]]
+    Y: tuple[tuple[int, int], tuple[int, int]]
+    v: tuple[int, int]
 
     def core_orders(self) -> tuple[int, int]:
         """Orders of the cores of <x> and <z> in a consistent presentation,
@@ -65,12 +69,12 @@ class PcData(NamedTuple):
         the tail is normal once w and y map it into itself.  The subgroups
         of <x> are the chain <x^d>, d a power of two, one of each order, and
         a conjugate of x^d has the order of x^d; so <x^d> is normal exactly
-        when d W(x) and d Y(x) have z exponent 0 (_action).  Then so is
-        every <x^2d>, and the core is <x^d> for the least such d, of order
-        N/d.  Likewise <z^e>, with the x exponents of e W(z) and e Y(z).
+        when d W(x) and d Y(x) have z exponent 0.  Then so is every <x^2d>,
+        and the core is <x^d> for the least such d, of order N/d.  Likewise
+        <z^e>, with the x exponents of e W(z) and e Y(z).
         """
         pair = self.pair
-        maps = _action(self)
+        maps = self.W, self.Y
         d = 1
         while d < pair.N and any(_apply(pair, g, (0, d))[0] for g in maps):
             d *= 2
@@ -190,28 +194,9 @@ def pc_from_tuple_b(pair: SdPair, t: TupleB) -> PcData:
     r, a, s, b, tt, c = TupleB(*t).reduced(pair)
     return PcData(
         pair=pair,
-        yw_zexp=c,
-        yw_xexp=tt,
-        xw_zexp=b,
-        xw_xexp=(1 + s) % pair.N,
-        zy_zexp=(1 + a) % pair.M,
-        zy_xexp=r,
-    )
-
-
-def _action(pc: PcData):
-    """W and Y, the linear maps by which w and y act on the tail, each as
-    its pair (image of z, image of x) of (z exponent, x exponent) pairs:
-    W(z) = z^beta, W(x) = z^b x^(1+s), Y(z) = z^(1+a) x^r, Y(x) = x^alpha.
-
-    This is the one statement of the tail action: check_consistency
-    evaluates the overlap identities on these maps, PcData.core_orders
-    reads the conjugates of x^d and z^e off them, and build_table
-    tabulates them."""
-    pair = pc.pair
-    return (
-        ((pair.beta, 0), (pc.xw_zexp, pc.xw_xexp)),
-        ((pc.zy_zexp, pc.zy_xexp), (0, pair.alpha)),
+        W=((pair.beta, 0), (b, (1 + s) % pair.N)),
+        Y=(((1 + a) % pair.M, r), (0, pair.alpha)),
+        v=(c, tt),
     )
 
 
@@ -243,11 +228,9 @@ def check_consistency(pc: PcData) -> ConsistencyReport:
     does: y^w acts as y, while z^w and z^y lie in the tail.  Each residual
     is the leftover (z exponent, x exponent) pair.
     """
-    pair = pc.pair
+    pair, W, Y, v = pc
     M, N = pair.M, pair.N
-    W, Y = _action(pc)
     I = ((1, 0), (0, 1))  # its images z and x are u_3 and u_4
-    v = (pc.yw_zexp, pc.yw_xexp)
     tail_pairs = ((1, 3, W), (1, 4, W), (2, 3, Y), (2, 4, Y), (3, 4, I))  # (i, j, g_i)
     entries = []
 
@@ -274,8 +257,8 @@ def check_consistency(pc: PcData) -> ConsistencyReport:
 
 
 def _tail_map(pair: SdPair, lin, shift: Sequence[int] = (0, 0)) -> list[int]:
-    """Image of every tail z^i x^j under the linear map lin (W or Y of
-    _action), at position i*N + j, as a tail index.
+    """Image of every tail z^i x^j under the linear map lin (W or Y of a
+    PcData), at position i*N + j, as a tail index.
 
     The images of z^i and of x^j come from _apply, and each image adds
     shift: the (z, x) exponents of each are given as a pair."""
@@ -297,10 +280,10 @@ def build_table(pc: PcData, consistency: ConsistencyReport | None = None) -> Gro
     multiplication by y flips the head's y and conjugates the tail z^i x^j
     by y; by w it flips the head's w and conjugates the tail by w, adding
     the (c, t) of y^w = y z^c x^t when the head holds y.  Both conjugations
-    are linear maps of the abelian tail, W and Y of _action: Y makes ty, W
-    makes tw, and tw_past_y is tw shifted by the z^c x^t of y^w.  The
-    consistency check above is what makes these relations a well-defined
-    action on the tail.  The product u*v is then the prefix of
+    are linear maps of the abelian tail, W and Y of the PcData: Y makes ty,
+    W makes tw, and tw_past_y is tw shifted by its v, the z^c x^t of y^w.
+    The consistency check above is what makes these relations a
+    well-defined action on the tail.  The product u*v is then the prefix of
     u that v's (w, y) head k selects (GroupTable.prefixes), shifted by v's
     tail z^vz x^vx.  `audit_table` checks that every row and every column of
     that table is a permutation, in O(|G|):
@@ -317,17 +300,17 @@ def build_table(pc: PcData, consistency: ConsistencyReport | None = None) -> Gro
     if consistency is None:
         consistency = check_consistency(pc)
     consistency.require()
-    N, M = pc.pair.N, pc.pair.M
+    pair, W, Y, v = pc
+    N, M = pair.N, pair.M
     order = 4 * N * M
     if order > DEFAULT_MAX_ORDER:
         raise CapacityError(f"table too large: order {order} exceeds cap {DEFAULT_MAX_ORDER}")
-    w_map, y_map = _action(pc)
     g = GroupTable(
-        pair=pc.pair,
+        pair=pair,
         order=order,
-        ty=_tail_map(pc.pair, y_map),
-        tw=_tail_map(pc.pair, w_map),
-        tw_past_y=_tail_map(pc.pair, w_map, shift=(pc.yw_zexp, pc.yw_xexp)),
+        ty=_tail_map(pair, Y),
+        tw=_tail_map(pair, W),
+        tw_past_y=_tail_map(pair, W, shift=v),
         gen_w=2 * M * N,
         gen_y=M * N,
         gen_z=N,

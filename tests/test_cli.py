@@ -185,6 +185,20 @@ def test_check_tuple_usage_errors(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("field", ["\uff14", "1_0"], ids=["fullwidth", "underscore"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check-a", "--n", "4", "--m", "4"], ["build", "--n", "4", "--m", "4"]],
+    ids=["check-a", "build"],
+)
+def test_tuple_fields_take_only_ascii_digits(capsys, argv, field):
+    # int() reads the fullwidth 4 as 4 and 1_0 as 10
+    text = f"{field},2,0,0"
+    code, out, err = run(capsys, argv + ["--tuple", text])
+    assert (code, out) == (3, "")
+    assert err == f"sdprod: error: malformed tuple {text!r}: fields must be integers\n"
+
+
 def test_argparse_errors_exit_three(capsys):
     with pytest.raises(SystemExit) as info:
         main(["enumerate-a", "--n", "4"])

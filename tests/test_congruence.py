@@ -357,23 +357,17 @@ def test_counts_per_core_spec_at_44():
     assert sum(map(sum, counts)) == 880
 
 
-def test_all_even_matches_the_histogram_walk():
-    # the listings' parity, read off the heads, against every value of
-    # every histogram over the listed fields, at every core spec of ranks
-    # 4..10, empty listings included: both listings' fields, and each
-    # field alone, since an odd field of a listing seldom comes alone
-    kinds = set()
-    field_lists = [TupleA._fields, TupleB._fields] + [(name,) for name in TupleB._fields]
+def test_histograms_hold_an_odd_value_of_each_field_but_a_and_s():
+    # at every core spec of ranks 4..10, the fields with an odd value in
+    # some histogram, read the way the listings read their parity: r, b,
+    # t and c are each odd somewhere (t and c only in the same listing),
+    # and a and s, residues u - 1 of units u with u^2 = 1 modulo M or N,
+    # never are
+    odd = set()
     for n, m in product(range(4, 11), repeat=2):
         pair = derive_pair(n, m)
         for cores in all_core_specs(pair):
-            solution = solve_b(pair, cores, allow_large=True)
-            histograms = solution.histograms()
-            for fields in field_lists:
-                want = all(v % 2 == 0 for name in fields for v in histograms[name])
-                assert solution.all_even(fields) == want, (n, m, cores, fields)
-                kinds.add((fields, bool(solution.count), want))
-    assert {(False, True), (True, True), (True, False)} == {k[1:] for k in kinds}
-    # r, b, t and c are each odd somewhere (t and c together); a and s,
-    # residues u - 1 of units u with u^2 = 1 modulo M or N, never are
-    assert {fields for fields, _, even in kinds if not even} == set(field_lists) - {("a",), ("s",)}
+            histograms = solve_b(pair, cores, allow_large=True).histograms()
+            odd.add(frozenset(name for name, h in histograms.items() if any(v % 2 for v in h)))
+    assert set().union(*odd) == {"r", "b", "t", "c"}
+    assert all(("t" in fields) == ("c" in fields) for fields in odd)

@@ -9,7 +9,7 @@ from typing import NamedTuple
 import pytest
 
 from sdprod import pcgroup
-from sdprod.arith import SdPair, derive_pair
+from sdprod.arith import SdPair, admissible_s_values, derive_pair
 from sdprod.congruence import (
     CoreSpec,
     TupleA,
@@ -18,9 +18,11 @@ from sdprod.congruence import (
     check_b_congruences,
     enumerate_a,
     enumerate_b,
+    solve_b,
 )
 from sdprod.errors import CapacityError, DomainError
 from sdprod.pcgroup import (
+    PcData,
     audit_table,
     build_table,
     check_consistency,
@@ -36,6 +38,7 @@ from oracles import verify_associativity_generators
 
 PAIR44 = derive_pair(4, 4)
 WITNESS = TupleA(0, 2, 0, 0)
+WITNESS_B = WITNESS.to_tuple_b()
 
 
 def witness_table():
@@ -50,31 +53,35 @@ def table_power(g, e, k):
 
 
 def test_pc_from_tuple_a_slots():
+    # W and Y as (image of z, image of x), v = (c, t); at (4,4) alpha = beta = 3
     pc = pc_from_tuple_a(PAIR44, WITNESS)
-    assert (pc.xw_xexp, pc.xw_zexp) == (3, 0)
-    assert (pc.zy_zexp, pc.zy_xexp) == (1, 0)
-    assert (pc.yw_zexp, pc.yw_xexp) == (0, 0)
+    assert pc.W == ((3, 0), (0, 3))
+    assert pc.Y == ((1, 0), (0, 3))
+    assert pc.v == (0, 0)
 
     zero = pc_from_tuple_a(PAIR44, TupleA(0, 0, 0, 0))
-    assert (zero.xw_xexp, zero.xw_zexp) == (1, 0)
-    assert (zero.zy_zexp, zero.zy_xexp) == (1, 0)
+    assert zero.W == ((3, 0), (0, 1))
+    assert zero.Y == ((1, 0), (0, 3))
 
     pc45 = pc_from_tuple_a(derive_pair(4, 5), TupleA(2, 0, 0, 0))
-    assert pc45.zy_zexp == 3
+    assert pc45.Y[0] == (3, 0)
 
 
 def test_pc_from_tuple_b_slots():
+    assert PcData._fields == ("pair", "W", "Y", "v")
     assert pc_from_tuple_b(PAIR44, TupleB(0, 0, 2, 0, 0, 0)) == pc_from_tuple_a(
         PAIR44, WITNESS
     )
     pc = pc_from_tuple_b(PAIR44, TupleB(4, 0, 0, 0, 0, 0))
-    assert (pc.zy_zexp, pc.zy_xexp) == (1, 4)
+    assert pc.Y == ((1, 4), (0, 3))
     pc = pc_from_tuple_b(PAIR44, TupleB(0, 0, 0, 4, 0, 0))
-    assert (pc.xw_zexp, pc.xw_xexp) == (4, 1)
+    assert pc.W == ((3, 0), (4, 1))
+    # every field reduced: at (4,5) N = 8, M = 16, alpha = 3 and beta = 7
+    pc = pc_from_tuple_b(derive_pair(4, 5), TupleB(12, 22, 8, 20, 12, 18))
+    assert pc == PcData(derive_pair(4, 5), ((7, 0), (4, 1)), ((7, 4), (0, 3)), (2, 4))
 
 
 def test_collect_identity_laws():
-    pc = pc_from_tuple_a(PAIR44, WITNESS)
     e = NormalForm(0, 0, 0, 0)
     samples = [
         NormalForm(w, y, z, x)
@@ -84,22 +91,21 @@ def test_collect_identity_laws():
         for x in (0, 5)
     ]
     for u in samples:
-        assert collect_multiply(pc, e, u) == u
-        assert collect_multiply(pc, u, e) == u
+        assert collect_multiply(PAIR44, WITNESS_B, e, u) == u
+        assert collect_multiply(PAIR44, WITNESS_B, u, e) == u
 
 
 def test_collect_moves_w_left():
-    pc = pc_from_tuple_a(PAIR44, WITNESS)
     x1 = NormalForm(0, 0, 0, 1)
     w1 = NormalForm(1, 0, 0, 0)
-    assert collect_multiply(pc, x1, w1) == NormalForm(1, 0, 0, 3)
+    assert collect_multiply(PAIR44, WITNESS_B, x1, w1) == NormalForm(1, 0, 0, 3)
 
 
 def test_collect_involutions():
-    pc = pc_from_tuple_a(PAIR44, WITNESS)
     e = NormalForm(0, 0, 0, 0)
-    assert collect_multiply(pc, NormalForm(1, 0, 0, 0), NormalForm(1, 0, 0, 0)) == e
-    assert collect_multiply(pc, NormalForm(0, 1, 0, 0), NormalForm(0, 1, 0, 0)) == e
+    w, y = NormalForm(1, 0, 0, 0), NormalForm(0, 1, 0, 0)
+    assert collect_multiply(PAIR44, WITNESS_B, w, w) == e
+    assert collect_multiply(PAIR44, WITNESS_B, y, y) == e
 
 
 def test_consistency_shape_and_witness():
@@ -300,6 +306,54 @@ def test_consistency_equals_check_b_congruences_by_slicing(n, m):
     assert (len(heads), tuples) == (96, 1376)
 
 
+@pytest.mark.parametrize("n,m", list(product(range(4, 9), repeat=2)))
+def test_head_lattices_are_the_kernels_of_the_tail_identities(n, m):
+    """Theorem B at rank pairs to (8,8), head by head and without a grid.
+
+    At t = c = 0 only the fourteen head identities can fail, so a head
+    (r, a, s, b) of a core spec is consistent exactly when solve_b lists
+    (a, s) among its heads, for the smallest and the largest r and b of
+    the spec.  Then the (t, c) that pass P(1,2) = (I + W)v and W(1,2) =
+    (I + Y)v, v = (c, t), are the kernel of a linear map of the plane:
+    swept point by point from W and Y, it must be the head's lattice,
+    generated by (t_step, c_unit) and (0, c_step).
+    """
+    pair = derive_pair(n, m)
+    N, M = pair.N, pair.M
+    admissible = list(product(sorted(admissible_s_values(M)), sorted(admissible_s_values(N))))
+    swept = 0
+    for i, j in product(range(n), range(m)):
+        solution = solve_b(pair, CoreSpec(1 << i, 1 << j), allow_large=True)
+        rs, bs = solution.r_values, solution.b_values
+        if not (rs and bs):
+            continue
+        heads = {(a, s): steps for a, s, *steps in solution.heads}
+        for r, b, (a, s) in product({rs[0], rs[-1]}, {bs[0], bs[-1]}, admissible):
+            pc = pc_from_tuple_b(pair, (r, a, s, b, 0, 0))
+            assert check_consistency(pc).overall == ((a, s) in heads), (n, m, r, a, s, b)
+            if (a, s) not in heads:
+                continue
+            ((wzz, wzx), (wxz, wxx)), ((yzz, yzx), (yxz, yxx)) = pc.W, pc.Y
+            kernel = {
+                (t, c)
+                for t in range(N)
+                for c in range(M)
+                if (c + c * wzz + t * wxz) % M == 0
+                and (t + c * wzx + t * wxx) % N == 0
+                and (c + c * yzz + t * yxz) % M == 0
+                and (t + c * yzx + t * yxx) % N == 0
+            }
+            t_step, c_unit, c_step = heads[a, s]
+            lattice = {
+                (k * t_step, (k * c_unit + q * c_step) % M)
+                for k in range(N // t_step)
+                for q in range(M // c_step)
+            }
+            assert kernel == lattice, (n, m, r, a, s, b)
+            swept += 1
+    assert swept >= 96  # 96 at n or m = 4, up to 228 at (8,8)
+
+
 def test_consistency_holds_on_enumerated_b_tuples():
     for t6 in enumerate_b(PAIR44, CoreSpec(2, 2)):
         assert check_consistency(pc_from_tuple_b(PAIR44, t6)).overall
@@ -323,12 +377,11 @@ def test_build_table_witness():
 
 def test_build_table_matches_direct_collection():
     g = witness_table()
-    pc = pc_from_tuple_a(PAIR44, WITNESS)
     for i in range(g.order):
         row = g.row(i)
         for j in range(g.order):
             u, v = index_nf(PAIR44, i), index_nf(PAIR44, j)
-            want = nf_index(PAIR44, collect_multiply(pc, u, v))
+            want = nf_index(PAIR44, collect_multiply(PAIR44, WITNESS_B, u, v))
             assert g.mul(i, j) == want
             assert row[j] == want
 
@@ -363,7 +416,7 @@ def index_nf(pair, idx):
     return NormalForm(head // 2, head % 2, z, x)
 
 
-def collect_multiply(pc, u, v):
+def collect_multiply(pair, t6, u, v):
     """Normal form of u * v by collection, the reference for the table.
 
     The letters of v are absorbed left to right.  Its w moves past u's
@@ -372,20 +425,22 @@ def collect_multiply(pc, u, v):
     its y moves past the tail, which becomes (z^y)^uz (x^y)^ux with
     z^y = z^(1+a) x^r and x^y = x^alpha.  Then the abelian tails add up.
     w and y are involutions, so conjugation by either equals conjugation
-    by its inverse.  The formulas are written here from the presentation,
-    not taken from pcgroup, so the comparison with the table is
-    independent of how build_table reads the same relations.
+    by its inverse.  The exponents are read off the six-field tuple t6
+    and the formulas are written here from the presentation, not taken
+    from pcgroup, so the comparison with the table is independent of how
+    build_table reads the same relations.
     """
-    N, M = pc.pair.N, pc.pair.M
+    N, M = pair.N, pair.M
+    r, a, s, b, t, c = t6
     uw, uy, uz, ux = u
     vw, vy, vz, vx = v
     if vw:
-        uz, ux = (pc.pair.beta * uz + pc.xw_zexp * ux) % M, pc.xw_xexp * ux % N
+        uz, ux = (pair.beta * uz + b * ux) % M, (1 + s) * ux % N
         if uy:
-            uz, ux = (uz + pc.yw_zexp) % M, (ux + pc.yw_xexp) % N
+            uz, ux = (uz + c) % M, (ux + t) % N
         uw ^= 1
     if vy:
-        uz, ux = pc.zy_zexp * uz % M, (pc.zy_xexp * uz + pc.pair.alpha * ux) % N
+        uz, ux = (1 + a) * uz % M, (r * uz + pair.alpha * ux) % N
         uy ^= 1
     return NormalForm(uw, uy, (uz + vz) % M, (ux + vx) % N)
 

@@ -850,16 +850,17 @@ def test_prefixes_match_collection(case):
     """GroupTable.prefixes gives u*y, u*w and u*w*y from tail maps; each
     must be the product that collection gives."""
     pair, t = case
-    pc = presentation(pair, t)
-    g = build_table(pc)
+    g = build_table(presentation(pair, t))
+    t6 = t if len(t) == 6 else t.to_tuple_b()
     w, y = index_nf(pair, g.gen_w), index_nf(pair, g.gen_y)
     for i in range(g.order):
         u, uy, uw, uwy = g.prefixes(i)
         nf = index_nf(pair, i)
         assert u == i
-        assert uy == nf_index(pair, collect_multiply(pc, nf, y))
-        assert uw == nf_index(pair, collect_multiply(pc, nf, w))
-        assert uwy == nf_index(pair, collect_multiply(pc, collect_multiply(pc, nf, w), y))
+        nfw = collect_multiply(pair, t6, nf, w)
+        assert uy == nf_index(pair, collect_multiply(pair, t6, nf, y))
+        assert uw == nf_index(pair, nfw)
+        assert uwy == nf_index(pair, collect_multiply(pair, t6, nfw, y))
 
 
 @GROUP_SETTINGS

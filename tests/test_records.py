@@ -71,7 +71,7 @@ def test_records_reject_assignment():
     records = {
         "SdPair": (pair, "N"),
         "Verdict": (check_b(pair, CoreSpec(1, 1), WITNESS), "failures"),
-        "PcData": (pc, "xw_xexp"),
+        "PcData": (pc, "W"),
         "ConsistencyReport": (check_consistency(pc), "entries"),
         "GroupTable": (build_table(pc), "ty"),
         "FpPres": (fp, "relators"),
@@ -80,6 +80,8 @@ def test_records_reject_assignment():
     }
     for name, (record, field) in records.items():
         assert type(record).__name__ == name
+        # setattr of a field the record lacks raises AttributeError too
+        assert field in type(record)._fields, (name, field)
         with pytest.raises(AttributeError):
             setattr(record, field, 0)
         with pytest.raises(AttributeError):
