@@ -9,9 +9,6 @@ from .congruence import (
     check_a,
     check_b,
     check_b_congruences,
-    enumerate_a,
-    enumerate_b,
-    parity_audit,
 )
 from .errors import CapacityError, DomainError
 from .fpcoset import (
@@ -30,12 +27,8 @@ from .pcgroup import (
     PcData,
     build_table,
     check_consistency,
-    core_of,
-    is_normal,
     pc_from_tuple_a,
     pc_from_tuple_b,
-    subgroup_closure,
-    verify_associativity_exhaustive,
     verify_associativity_extension,
 )
 

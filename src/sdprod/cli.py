@@ -73,6 +73,9 @@ from .pcgroup import (  # noqa: F401
 )
 
 PRESET_NAMES = ("example-6-5",)
+# enumerate-a and enumerate-b write no listing of more tuples than this
+# unless --allow-large is given
+LARGE_SCAN_GATE = 1 << 24
 # the table file holds order**2 entries: about 79 MB at order 4096
 TABLE_FILE_CAP = 4096
 TABLE_FILE_CAP_MESSAGE = "table file too large: order {order} exceeds cap {cap}"
@@ -100,14 +103,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"{self.prog}: error: {message}\n")
 
 
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits, with spaces around them allowed:
+    int() alone would also take other scripts' digits (a fullwidth 4) and
+    underscores (1_0).  The error reads as argparse's for type=int."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _parse_tuple(text: str, arity: tuple[int, ...]) -> tuple[int, ...]:
-    # a field is an optional sign and ASCII digits: int() would also take
-    # other scripts' digits (a fullwidth 4) and underscores (1_0)
-    parts = [p.strip() for p in text.split(",")]
-    unsigned = [p[1:] if p[:1] in ("+", "-") else p for p in parts]
-    if not all(u.isascii() and u.isdigit() for u in unsigned):
-        raise UsageError(f"malformed tuple {text!r}: fields must be integers")
-    values = tuple(map(int, parts))
+    try:
+        values = tuple(_integer(field) for field in text.split(","))
+    except argparse.ArgumentTypeError:
+        raise UsageError(f"malformed tuple {text!r}: fields must be integers") from None
     if len(values) not in arity:
         wanted = " or ".join(str(k) for k in arity)
         raise UsageError(f"malformed tuple {text!r}: expected {wanted} fields, got {len(values)}")
@@ -116,8 +128,8 @@ def _parse_tuple(text: str, arity: tuple[int, ...]) -> tuple[int, ...]:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
+        value = _integer(text)
+    except argparse.ArgumentTypeError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
@@ -198,8 +210,9 @@ def cmd_enumerate(args) -> int:
     """Write the listing one prefix group (r, a, s, b, t) at a time.
 
     The count, the histograms and the parity come from the solution set in
-    closed form, so the gate is checked before anything is written and
-    the loop over the groups only writes.  CSV holds the rows alone, so
+    closed form, so the listing gate (LARGE_SCAN_GATE tuples, lifted by
+    --allow-large) is checked here before the sink opens, and the loop
+    over the groups only writes.  CSV holds the rows alone, so
     its listing computes neither histograms nor parity.  A block's
     (r, a, s, b) text is rendered once, the t and c text once per listing,
     and each group is one join and one write, so memory is bounded by one
@@ -211,7 +224,12 @@ def cmd_enumerate(args) -> int:
         cores, fields, kept = CoreSpec(1, 1), TupleA._fields, (1, 2)
     else:
         cores, fields, kept = CoreSpec(args.n1, args.m1), TupleB._fields, (0, 1, 2, 3)
-    solution = solve_b(pair, cores, allow_large=args.allow_large)
+    solution = solve_b(pair, cores)
+    if solution.count > LARGE_SCAN_GATE and not args.allow_large:
+        raise CapacityError(
+            f"listing of {solution.count} tuples exceeds the gate "
+            f"({LARGE_SCAN_GATE}); pass --allow-large to run it"
+        )
     field_sep, row_start, row_end, row_sep = _ROW_LAYOUT[args.format]
     # each row is written after the end of the row before it (before_row),
     # so a group is one join; the listing's first row drops it (skip)
@@ -576,8 +594,12 @@ def cmd_crosscheck(args) -> int:
 
 
 _PAIR = (
-    ("--n", {"type": int, "required": True, "help": "rank of the first factor (>= 4)"}),
-    ("--m", {"type": int, "required": True, "help": "rank of the second factor (>= 4)"}),
+    ("--n", {"type": _integer, "required": True, "help": "rank of the first factor (>= 4)"}),
+    ("--m", {"type": _integer, "required": True, "help": "rank of the second factor (>= 4)"}),
+)
+_CORES = (
+    ("--n1", {"type": _integer, "required": True, "help": "x-side core index (power of two)"}),
+    ("--m1", {"type": _integer, "required": True, "help": "z-side core index (power of two)"}),
 )
 _FORMAT = ("--format", {"choices": ("text", "json"), "default": "text"})
 _OUTPUT = ("--output", {"help": "write the primary output to this file"})
@@ -598,12 +620,7 @@ SUBCOMMANDS = {
     "enumerate-b": (
         "list valid six-field tuples for given cores",
         cmd_enumerate,
-        (
-            *_PAIR,
-            ("--n1", {"type": int, "required": True, "help": "x-side core index (power of two)"}),
-            ("--m1", {"type": int, "required": True, "help": "z-side core index (power of two)"}),
-            *_LISTING,
-        ),
+        (*_PAIR, *_CORES, *_LISTING),
     ),
     "check-a": (
         "check one four-field tuple",
@@ -615,8 +632,7 @@ SUBCOMMANDS = {
         cmd_check,
         (
             *_PAIR,
-            ("--n1", {"type": int, "required": True}),
-            ("--m1", {"type": int, "required": True}),
+            *_CORES,
             ("--tuple", {"required": True, "help": "r,a,s,b,t,c"}),
             _FORMAT,
             _OUTPUT,

@@ -16,10 +16,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple
 
 from .arith import SdPair, additive_order, admissible_s_values
-from .errors import CapacityError, DomainError
-
-# Listings are gated above this many tuples.
-LARGE_SCAN_GATE = 1 << 24
+from .errors import DomainError
 
 
 class TupleA(NamedTuple):
@@ -322,7 +319,7 @@ def _on_multiples(weights: dict[int, int], modulus: int) -> dict[int, int]:
     return dict(zip(range(0, modulus, least), counts))
 
 
-def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> SolutionSet:
+def solve_b(pair: SdPair, cores: CoreSpec) -> SolutionSet:
     """Solve D1..D12, ORD-R and ORD-B for one core spec.
 
     ORD-R and ORD-B fix r and b up to an odd factor, a unit.  D1 and D4..D8
@@ -339,10 +336,8 @@ def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> Solutio
     and _steps finds its steps and its least c from three gcds and at
     most one more evaluation of the residuals.  So the set-up is a few
     integer operations for each of the at most 16 heads, whatever the
-    ranks, and nothing is searched.
-
-    A solution set of more than LARGE_SCAN_GATE tuples is refused unless
-    allow_large is set.
+    ranks, and nothing is searched.  No tuple is listed, so the set has
+    no size limit: its count and histograms answer at any ranks.
     """
     validate_cores(pair, cores)
     r_values = _of_order(cores.m1, pair.N)
@@ -354,13 +349,7 @@ def solve_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> Solutio
             for s in sorted(admissible_s_values(pair.N)):
                 if not any(_residuals(pair, r, a, s, b, 0, 0)):
                     heads.append((a, s, *_steps(pair, r, a, s, b)))
-    solution = SolutionSet(pair, r_values, b_values, tuple(heads))
-    if solution.count > LARGE_SCAN_GATE and not allow_large:
-        raise CapacityError(
-            f"listing of {solution.count} tuples exceeds the gate "
-            f"({LARGE_SCAN_GATE}); pass --allow-large to run it"
-        )
-    return solution
+    return SolutionSet(pair, r_values, b_values, tuple(heads))
 
 
 def enumerate_a(pair: SdPair) -> list[TupleA]:
@@ -368,19 +357,15 @@ def enumerate_a(pair: SdPair) -> list[TupleA]:
 
     C1..C6 are D1..D12 at r = b = 0, the only r and b of additive order 1,
     so these are the six-field tuples of cores (1, 1) with r and b dropped.
-    The four-field listing has no gate.
     """
-    solution = solve_b(pair, CoreSpec(1, 1), allow_large=True)
+    solution = solve_b(pair, CoreSpec(1, 1))
     return [TupleA(a, s, t, c) for (_, a, s, _, t), cs in solution.groups() for c in cs]
 
 
-def enumerate_b(pair: SdPair, cores: CoreSpec, allow_large: bool = False) -> list[TupleB]:
-    """All valid six-field tuples for the given cores, lexicographic order.
-
-    Listings of more than LARGE_SCAN_GATE tuples must be requested
-    explicitly via allow_large.
-    """
-    solution = solve_b(pair, cores, allow_large)
+def enumerate_b(pair: SdPair, cores: CoreSpec) -> list[TupleB]:
+    """All valid six-field tuples for the given cores, lexicographic order,
+    as one list whatever its size."""
+    solution = solve_b(pair, cores)
     return [TupleB(*prefix, c) for prefix, cs in solution.groups() for c in cs]
 
 

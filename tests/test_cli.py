@@ -252,6 +252,46 @@ def exit_of(capsys, parse, argv):
     return info.value.code, cap.out, cap.err
 
 
+@pytest.mark.parametrize("value", ["\uff14", "1_0"], ids=["fullwidth", "underscore"])
+@pytest.mark.parametrize(
+    "argv, flag, message",
+    [(VALID_ARGV["check-b"], flag, "invalid int value:") for flag in ("--n", "--m", "--n1", "--m1")]
+    + [
+        (
+            VALID_ARGV["tc"] + ["--max-cosets", "2000"],
+            "--max-cosets",
+            "expected a positive integer, got",
+        )
+    ],
+    ids=["n", "m", "n1", "m1", "max-cosets"],
+)
+def test_numeric_flags_take_only_ascii_digits(capsys, argv, flag, message, value):
+    # int() reads the fullwidth 4 as 4 and 1_0 as 10
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = value
+    code, out, err = exit_of(capsys, main, argv)
+    assert (code, out) == (3, "")
+    assert err.endswith(f"error: argument {flag}: {message} {value!r}\n")
+
+
+@pytest.mark.parametrize("text", ["4", " 4 ", "+4", "-4", "004", "abc", "4.0", "", "+", "\uff14", "1_0"])
+def test_integer_flags_read_ascii_as_type_int_does(text):
+    # where int() reads ASCII, _integer gives its value or argparse's error
+    # bytes for type=int; a non-ASCII digit or an underscore is an error
+    def parsed(kind):
+        parser = argparse.ArgumentParser(prog="p", exit_on_error=False)
+        parser.add_argument("--n", type=kind)
+        try:
+            return parser.parse_args(["--n", text]).n
+        except argparse.ArgumentError as exc:
+            return str(exc)
+
+    if text in ("\uff14", "1_0"):
+        assert parsed(cli._integer) == f"argument --n: invalid int value: {text!r}"
+    else:
+        assert parsed(cli._integer) == parsed(int)
+
+
 def test_help_describes_the_tool_not_the_code(capsys):
     # --help gives the docstring's first two paragraphs: what the tool is
     # and its exit codes, not the notes on how JSON or argv are handled

@@ -21,13 +21,13 @@ from sdprod.congruence import (
     check_b,
     check_b_congruences,
     enumerate_a,
-    LARGE_SCAN_GATE,
     enumerate_b,
     parity_audit,
     solve_b,
     validate_cores,
 )
-from sdprod.errors import CapacityError, DomainError
+from sdprod.cli import LARGE_SCAN_GATE
+from sdprod.errors import DomainError
 
 
 def brute_enumerate_a(pair):
@@ -297,17 +297,16 @@ def brute_count_a(pair):
     return total
 
 
-def test_enumerate_b_scan_gate():
+def test_solve_b_counts_past_the_listing_gate():
     # cores (1, 1) list the four-field tuples; at (13, 13) there are just
-    # more of them than the gate allows
+    # more of them than the CLI's listing gate allows, and the solver,
+    # which has no gate, counts them in closed form
     pair = derive_pair(13, 13)
-    assert brute_count_a(pair) == 16_810_000 > LARGE_SCAN_GATE
+    assert brute_count_a(pair) == 16_810_000
     start = time.perf_counter()
-    with pytest.raises(CapacityError, match="16810000 tuples"):
-        enumerate_b(pair, CoreSpec(1, 1))
+    assert solve_b(pair, CoreSpec(1, 1)).count == 16_810_000 > LARGE_SCAN_GATE
     assert time.perf_counter() - start < 1.0
-    assert solve_b(pair, CoreSpec(1, 1), allow_large=True).count == 16_810_000
-    # the gate counts tuples, not grid points: (5, 6) needs no flag
+    # the six-field listing of cores (1, 1) is the four-field one embedded
     pair = derive_pair(5, 6)
     embedded = [t4.to_tuple_b() for t4 in enumerate_a(pair)]
     assert enumerate_b(pair, CoreSpec(1, 1)) == embedded
@@ -346,7 +345,7 @@ def test_four_field_count_at_every_rank_pair():
     for n in range(4, 21):
         for m in range(4, 21):
             pair = derive_pair(n, m)
-            count = solve_b(pair, CoreSpec(1, 1), allow_large=True).count
+            count = solve_b(pair, CoreSpec(1, 1)).count
             assert count == (pair.N + 4) * (pair.M + 4), (n, m)
 
 
@@ -367,7 +366,7 @@ def test_histograms_hold_an_odd_value_of_each_field_but_a_and_s():
     for n, m in product(range(4, 11), repeat=2):
         pair = derive_pair(n, m)
         for cores in all_core_specs(pair):
-            histograms = solve_b(pair, cores, allow_large=True).histograms()
+            histograms = solve_b(pair, cores).histograms()
             odd.add(frozenset(name for name, h in histograms.items() if any(v % 2 for v in h)))
     assert set().union(*odd) == {"r", "b", "t", "c"}
     assert all(("t" in fields) == ("c" in fields) for fields in odd)

@@ -323,7 +323,7 @@ def test_head_lattices_are_the_kernels_of_the_tail_identities(n, m):
     admissible = list(product(sorted(admissible_s_values(M)), sorted(admissible_s_values(N))))
     swept = 0
     for i, j in product(range(n), range(m)):
-        solution = solve_b(pair, CoreSpec(1 << i, 1 << j), allow_large=True)
+        solution = solve_b(pair, CoreSpec(1 << i, 1 << j))
         rs, bs = solution.r_values, solution.b_values
         if not (rs and bs):
             continue

@@ -179,7 +179,7 @@ def valid_cored_tuples_b(draw, ranks=ALL_RANKS):
     big, small = draw(st.integers(0, min(pair.n, pair.m) - 1)), draw(st.integers(0, 1))
     i, j = (big, small) if draw(st.booleans()) else (small, big)
     cores = CoreSpec(1 << i, 1 << j)
-    solution = solve_b(pair, cores, allow_large=True)
+    solution = solve_b(pair, cores)
     if not solution.count:
         reject()
     r, b = draw(st.sampled_from(solution.r_values)), draw(st.sampled_from(solution.b_values))
@@ -203,7 +203,7 @@ def listing_a(pair):
 
 @lru_cache(maxsize=None)
 def listing_b(pair, cores):
-    return frozenset(enumerate_b(pair, cores, allow_large=True))
+    return frozenset(enumerate_b(pair, cores))
 
 
 @PROPERTY_SETTINGS
@@ -280,7 +280,7 @@ def buildable_b(pair):
         t
         for i in range(pair.n)
         for j in range(pair.m)
-        for t in enumerate_b(pair, CoreSpec(1 << i, 1 << j), allow_large=True)
+        for t in enumerate_b(pair, CoreSpec(1 << i, 1 << j))
     )
 
 
@@ -821,7 +821,7 @@ def buildable_tuples(draw, pairs):
     four_field = draw(st.booleans())
     low = 0 if four_field else min(pair.n, pair.m) - 1
     solution = solve_b(
-        pair, CoreSpec(1 << draw(st.integers(0, low)), 1 << draw(st.integers(0, low))), True
+        pair, CoreSpec(1 << draw(st.integers(0, low)), 1 << draw(st.integers(0, low)))
     )
     if not solution.count:
         reject()
@@ -994,7 +994,7 @@ def test_staged_oracle_equals_full_grid_oracle(n, m):
 @given(core_specs())
 def test_solver_groups_match_brute_force(case):
     pair, cores = case
-    solution = solve_b(pair, cores, allow_large=True)
+    solution = solve_b(pair, cores)
     flat = [TupleB(*prefix, c) for prefix, cs in solution.groups() for c in cs]
     assert flat == staged_brute_enumerate_b(pair, cores)
     assert solution.count == len(flat)
@@ -1018,7 +1018,7 @@ def test_closed_form_histograms_match_the_groups(n, m):
     pair = derive_pair(n, m)
     c_units = set()
     for cores in all_core_specs(pair):
-        solution = solve_b(pair, cores, allow_large=True)
+        solution = solve_b(pair, cores)
         histograms = solution.histograms()
         assert histograms == counted_histograms(solution), cores
         assert [list(h) for h in histograms.values()] == [sorted(h) for h in histograms.values()]
@@ -1051,7 +1051,7 @@ BLOCK_WINDOW = 2048
 @given(st.one_of(core_specs(ALL_RANKS), core_specs_with_an_index_below_3()), st.data())
 def test_solver_matches_the_search(case, data):
     pair, cores = case
-    solution = solve_b(pair, cores, allow_large=True)
+    solution = solve_b(pair, cores)
     assert solution.heads == searched_heads(pair, cores)
     blocks = len(solution.r_values) * len(solution.heads) * len(solution.b_values)
     start = data.draw(st.integers(0, max(0, blocks - BLOCK_WINDOW)))
@@ -1115,7 +1115,7 @@ def listing_stdout(pair, cores, fmt):
         want = reference_listing(args, enumerate_a(pair), TupleA._fields)
     else:
         args["n1"], args["m1"] = cores
-        want = reference_listing(args, enumerate_b(pair, cores, allow_large=True), TupleB._fields)
+        want = reference_listing(args, enumerate_b(pair, cores), TupleB._fields)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(listing_argv(pair, cores, fmt)) == 0
