@@ -27,7 +27,7 @@ import argparse
 import contextlib
 import math
 import sys
-from itertools import accumulate, islice
+from itertools import islice
 from typing import Sequence
 
 from .arith import SdPair, additive_order, derive_pair
@@ -321,29 +321,12 @@ def cmd_check(args) -> int:
 
 
 def _write_table(fh, g, t) -> None:
-    """Write the table file: it holds order**2 entries.
-
-    Row a lists a*v over v in index order, in four quarters, one per
-    prefix p of a (see GroupTable.row).  Quarter p lists p*v over the NM
-    v of head 0: for each z exponent k of v, the x-run of p*z^k, its
-    x-coset run from it onward and wrapping around.  The quarters of the M
-    elements of one head and one x exponent are rotations of one sequence
-    of M x-runs, so each is one slice of a strip, that sequence spelled
-    twice.  Each x-run is itself spelled once as "run run", so its
-    rotation by x is one slice too, and a strip is one join of M slices.
-    The 4N strips hold 2N numerals per element.
-
-    The prefixes are found one head at a time, not one row at a time:
-    the rows of head h take prefix 1 from the y map, prefix 2 from the w
-    map (the one past y when h holds y) and prefix 3 from both, so three
-    list comprehensions over the maps give the quarters of all order/4
-    rows of the head, and a row is four slices.  Every row lists each
-    numeral once, so all rows have one length, and they are joined in
-    chunks of a fixed number of rows, the header in the first.  Each
-    chunk holds at least 2 * OUTPUT_BUFFER characters and is one
-    fh.write: larger than _sink's buffer, it passes the buffer by and
-    reaches the OS as one write.  The file is streamed in O(N*order)
-    text."""
+    """Write the table file: a header, then the order**2 entries as the
+    rows of GroupTable.text_rows.  All rows have one length, so they are
+    joined in chunks of a fixed number of rows, sized off the first row,
+    the header in the first chunk.  Each chunk holds at least
+    2 * OUTPUT_BUFFER characters and is one fh.write: larger than _sink's
+    buffer, it passes the buffer by and reaches the OS as one write."""
     lines = [
         "# sdprod group table v1",
         f"n: {g.pair.n}",
@@ -351,41 +334,10 @@ def _write_table(fh, g, t) -> None:
         f"tuple: {','.join(str(v) for v in t)}",
         f"order: {g.order}",
     ]
-    N, block = g.pair.N, g.pair.N * g.pair.M
-    numerals = [str(i) for i in range(g.order)]
-    widths = [len(s) + 1 for s in numerals]  # a numeral and the space after it
-    quarters: list = [None] * g.order  # element -> (strip, start, stop)
-    for first in range(0, g.order, block):  # the first element of each head
-        runs = []  # (an x-run spelled twice, its length, where each numeral starts)
-        for base in range(first, first + block, N):
-            run = " ".join(numerals[base : base + N])
-            at = list(accumulate(widths[base : base + N - 1], initial=0))
-            runs.append((f"{run} {run}", len(run), at))
-        starts = list(accumulate([n + 1 for _, n, _ in runs], initial=0))
-        length = starts.pop() - 1
-        for x in range(N):
-            sequence = " ".join([twice[at[x] : at[x] + n] for twice, n, at in runs])
-            strip = f"{sequence} {sequence}"
-            quarters[first + x : first + block : N] = [(strip, s, s + length) for s in starts]
-
-    def prefix_quarters(head):
-        """The quarters of prefixes 0-3 of the rows of one head."""
-        ty, w_map = g.ty, (g.tw_past_y if head & 1 else g.tw)
-        y_at, w_at, wy_at = (head ^ 1) * block, (head ^ 2) * block, (head ^ 3) * block
-        return (
-            quarters[head * block : (head + 1) * block],
-            [quarters[y_at + i] for i in ty],
-            [quarters[w_at + i] for i in w_map],
-            [quarters[wy_at + ty[i]] for i in w_map],
-        )
-
-    rows = (
-        f"{s0[b0:e0]} {s1[b1:e1]} {s2[b2:e2]} {s3[b3:e3]}\n"
-        for head in range(4)
-        for (s0, b0, e0), (s1, b1, e1), (s2, b2, e2), (s3, b3, e3) in zip(*prefix_quarters(head))
-    )
-    per_chunk = -(-2 * OUTPUT_BUFFER // sum(widths))  # sum(widths): a row's length
-    chunk = "\n".join(lines) + "\n" + "".join(islice(rows, per_chunk))
+    rows = g.text_rows()
+    first = next(rows)
+    per_chunk = -(-2 * OUTPUT_BUFFER // len(first))
+    chunk = "\n".join(lines) + "\n" + first + "".join(islice(rows, per_chunk - 1))
     while chunk:
         fh.write(chunk)
         chunk = "".join(islice(rows, per_chunk))

@@ -34,7 +34,8 @@ is the tests' oracle.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from itertools import accumulate
+from typing import Iterator, NamedTuple, Sequence
 
 from .arith import SdPair
 from .congruence import TupleA, TupleB
@@ -124,6 +125,25 @@ class GroupTable(NamedTuple):
     In this form the table is an extension of the tail by the Klein
     four-group of heads, and `verify_associativity_extension` checks
     associativity on the three maps alone, in O(|G|).
+
+    `text_rows` spells the table as text, the rows of `build --output`'s
+    table file.  Row a lists a*v over v in index order, in four quarters,
+    one per prefix p of a.  Quarter p lists p*v over the NM v of head 0:
+    for each z exponent k of v, the x-run of p*z^k, its x-coset run from
+    it onward and wrapping around.  The quarters of the M elements of one
+    head and one x exponent are rotations of one sequence of M x-runs, so
+    each is one slice of a strip, that sequence spelled twice.  Each x-run
+    is itself spelled once as "run run", so its rotation by x is one slice
+    too, and a strip is one join of M slices.  The 4N strips hold 2N
+    numerals per element.
+
+    The prefixes are found one head at a time, not one row at a time: the
+    rows of head h take prefix 1 from the y map, prefix 2 from the w map
+    (the one past y when h holds y) and prefix 3 from both, so three list
+    comprehensions over the maps give the quarters of all order/4 rows of
+    the head, and a row is four slices.  Every row lists each numeral
+    once, so all rows have one length.  The rows are made from O(N*order)
+    text, never from the table's order**2 entries.
     """
 
     pair: SdPair
@@ -152,6 +172,39 @@ class GroupTable(NamedTuple):
             (head ^ 2) * block + w_tail,
             (head ^ 3) * block + ty[w_tail],
         )
+
+    def text_rows(self) -> Iterator[str]:
+        """Row a of the table as text, for a = 0, 1, ..., order - 1: its
+        numerals joined by spaces and ended by a newline.  See the class
+        docstring for the strips and quarters they are sliced from."""
+        N, block = self.pair.N, self.order // 4
+        numerals = [str(i) for i in range(self.order)]
+        widths = [len(s) + 1 for s in numerals]  # a numeral and the space after it
+        quarters: list = [None] * self.order  # element -> (strip, start, stop)
+        for first in range(0, self.order, block):  # the first element of each head
+            runs = []  # (an x-run spelled twice, its length, where each numeral starts)
+            for base in range(first, first + block, N):
+                run = " ".join(numerals[base : base + N])
+                at = list(accumulate(widths[base : base + N - 1], initial=0))
+                runs.append((f"{run} {run}", len(run), at))
+            starts = list(accumulate([n + 1 for _, n, _ in runs], initial=0))
+            length = starts.pop() - 1
+            for x in range(N):
+                sequence = " ".join([twice[at[x] : at[x] + n] for twice, n, at in runs])
+                strip = f"{sequence} {sequence}"
+                quarters[first + x : first + block : N] = [(strip, s, s + length) for s in starts]
+
+        ty = self.ty
+        for head in range(4):
+            w_map = self.tw_past_y if head & 1 else self.tw
+            y_at, w_at, wy_at = (head ^ 1) * block, (head ^ 2) * block, (head ^ 3) * block
+            for (s0, b0, e0), (s1, b1, e1), (s2, b2, e2), (s3, b3, e3) in zip(
+                quarters[head * block : (head + 1) * block],
+                [quarters[y_at + i] for i in ty],
+                [quarters[w_at + i] for i in w_map],
+                [quarters[wy_at + ty[i]] for i in w_map],
+            ):
+                yield f"{s0[b0:e0]} {s1[b1:e1]} {s2[b2:e2]} {s3[b3:e3]}\n"
 
     def mul(self, a: int, b: int) -> int:
         """Index of a * b: the prefix of a that b's head selects, with b's
