@@ -235,8 +235,11 @@ def cmd_enumerate(args) -> int:
     # so a group is one join; the listing's first row drops it (skip)
     before_row = row_end + row_sep
     skip = len(before_row)
-    t_text = [str(t) + field_sep for t in range(pair.N)]
-    c_text = [str(c) for c in range(pair.M)]
+    # the numerals of every t and c, rendered only for a listing with rows:
+    # the block loop below is empty exactly when the count is 0
+    if solution.count:
+        t_text = [str(t) + field_sep for t in range(pair.N)]
+        c_text = [str(c) for c in range(pair.M)]
     with _sink(args) as out:
         if args.format == "csv":
             out.write(",".join(fields) + "\r\n")

@@ -636,19 +636,10 @@ def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> 
 # the coset it sends coset 0 to.
 
 
-def _powers(rows: list[list[int]], letter: int) -> list[int]:
-    """The cosets of g^0, g^1, ..., g^(k-1), where k is the order of g."""
-    col = _col(letter)
-    out = [0]
-    cur = rows[0][col]
-    while cur != 0:
-        out.append(cur)
-        cur = rows[cur][col]
-    return out
-
-
-def _orbit(rows: list[list[int]], letters: Iterable[int]) -> set[int]:
-    """The cosets of the subgroup the letters generate: the orbit of coset 0."""
+def _orbit(rows: list[list[int]], letters: Iterable[int]) -> list[int]:
+    """The cosets of the subgroup the letters generate: the orbit of coset 0,
+    in breadth-first order.  For one letter g that is the cosets of g^0,
+    g^1, ..., g^(k-1), where k is the order of g."""
     cols = [_col(letter) for letter in letters]
     seen = {0}
     queue = [0]
@@ -658,7 +649,7 @@ def _orbit(rows: list[list[int]], letters: Iterable[int]) -> set[int]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return seen
+    return queue
 
 
 def _core_order(table: CosetTable, powers: list[int], letter: int, ngens: int) -> int:
@@ -712,7 +703,7 @@ def structure_report(table: CosetTable, fp: FpPres) -> StructureReport:
     """Read the invariants of the enumerated group off its coset table."""
     rows = table.rows
     letter = {name: i for i, name in enumerate(fp.names, start=1)}
-    powers = {g: _powers(rows, g) for g in letter.values()}
+    powers = {g: _orbit(rows, [g]) for g in letter.values()}
     x, y, z, w = (letter.get(name) for name in ("x", "y", "z", "w"))
     h = _orbit(rows, [g for g in (x, y) if g])
     k = _orbit(rows, [g for g in (z, w) if g])
@@ -725,7 +716,7 @@ def structure_report(table: CosetTable, fp: FpPres) -> StructureReport:
         gen_orders={name: len(powers[g]) for name, g in letter.items()},
         h_order=len(h),
         k_order=len(k),
-        intersection_order=len(h & k),
+        intersection_order=len(set(h) & set(k)),
         xz_commutator=xz_pair,
         core_x_order=_core_order(table, powers[x], x, fp.ngens) if x else None,
         core_z_order=_core_order(table, powers[z], z, fp.ngens) if z else None,

@@ -1,4 +1,5 @@
-"""End-to-end tests for the command-line interface via main(argv)."""
+"""End-to-end tests for the command-line interface via main(argv), and of
+the entry point run as a process (test_entry_point_process_answers_as_main)."""
 
 import argparse
 import ast
@@ -7,8 +8,11 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -127,9 +131,26 @@ def test_enumerate_b_scan_gate(tmp_path, capsys):
     assert "listing of 16810000 tuples exceeds the gate" in err
     assert not target.exists()
     # the gate counts tuples, not grid points: (5, 6) needs no flag
-    code, out, _ = run(capsys, ["enumerate-b", "--n", "5", "--m", "6", "--n1", "1", "--m1", "1"])
-    assert code == 0
-    assert "count: 720" in out
+    for n, m, core, count in ((5, 6, 1, 720), (4, 4, 2, 160)):
+        argv = ["enumerate-b", "--n", str(n), "--m", str(m), "--n1", str(core), "--m1", str(core)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert f"\ncount: {count}\n" in out
+
+
+def test_empty_listing_renders_no_numerals(capsys):
+    # no tuple at (20, 20) has cores (4, 4): the answer is the summary
+    # alone, without rendering the 2^19 numerals of t and of c
+    argv = ["enumerate-b", "--n", "20", "--m", "20", "--n1", "4", "--m1", "4"]
+    tracemalloc.start()
+    try:
+        answer = run(capsys, argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    histograms = "".join(f"histogram {name}: (empty)\n" for name in TupleB._fields)
+    assert answer == (0, f"count: 0\n{histograms}parity: all fields even\n", "")
+    assert peak < 1_000_000, peak
 
 
 def test_enumerate_b_bad_cores(capsys):
@@ -215,6 +236,11 @@ def test_argparse_errors_exit_three(capsys):
         assert capsys.readouterr().err.endswith(
             f"error: argument --max-cosets: expected a positive integer, got '{value}'\n"
         )
+    # a value that starts with "-" is read as a flag, so --tuple has none
+    with pytest.raises(SystemExit) as info:
+        main(["check-a", "--n", "4", "--m", "4", "--tuple", "-1,0,0,0"])
+    assert info.value.code == 3
+    assert capsys.readouterr().err.endswith("error: argument --tuple: expected one argument\n")
     for argv in (
         ["enumerate-a", "--n", "4", "--m", "4", "--workers", "2"],
         ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--max-table", "100"],
@@ -256,6 +282,7 @@ def exit_of(capsys, parse, argv):
 @pytest.mark.parametrize(
     "argv, flag, message",
     [(VALID_ARGV["check-b"], flag, "invalid int value:") for flag in ("--n", "--m", "--n1", "--m1")]
+    + [(VALID_ARGV["check-a"], "--n", "invalid int value:")]
     + [
         (
             VALID_ARGV["tc"] + ["--max-cosets", "2000"],
@@ -263,7 +290,7 @@ def exit_of(capsys, parse, argv):
             "expected a positive integer, got",
         )
     ],
-    ids=["n", "m", "n1", "m1", "max-cosets"],
+    ids=["n", "m", "n1", "m1", "check-a-n", "max-cosets"],
 )
 def test_numeric_flags_take_only_ascii_digits(capsys, argv, flag, message, value):
     # int() reads the fullwidth 4 as 4 and 1_0 as 10
@@ -307,7 +334,10 @@ def test_parser_covers_every_subcommand():
 
 @pytest.mark.parametrize("argv", PARSER_CASES, ids=" ".join)
 def test_help_and_usage_lines_exit_0_or_3(capsys, argv):
-    assert exit_of(capsys, main, argv)[0] == (0 if "--help" in argv else 3)
+    code, out, _ = exit_of(capsys, main, argv)
+    assert code == (0 if "--help" in argv else 3)
+    if argv[1:] == ["--help"]:  # a subcommand's help names each of its flags
+        assert [option for option, _ in cli.SUBCOMMANDS[argv[0]][2] if option not in out] == []
 
 
 # main() may be called many times in one process; these tests show that
@@ -379,6 +409,39 @@ def test_unknown_commands_exit_3(capsys):
             main([command, "--n", "4"])
         assert info.value.code == 3
         assert "invalid choice" in capsys.readouterr().err
+
+
+# One command line per documented exit code, run as a process.  The exit 0
+# listing has blocks whose c range moves with t (c_unit != 0); its bytes
+# are pinned.  The fullwidth 4 is a rank that argparse refuses.
+ENTRY_POINT_ARGV = {
+    0: ["enumerate-b", "--n", "5", "--m", "6", "--n1", "2", "--m1", "2", "--format", "json"],
+    1: ["check-a", "--n", "4", "--m", "4", "--tuple", "1,0,0,0"],
+    2: ["enumerate-a", "--n", "13", "--m", "13"],
+    3: ["check-a", "--n", "\uff14", "--m", "4", "--tuple", "0,2,0,0"],
+}
+LISTING_B_5_6_JSON = (60_070, "df9a77a894ef787e2007d69b91966f14cbfa3cc4383931febb98c4367b3f0aa3")
+
+
+@pytest.mark.parametrize("code", sorted(ENTRY_POINT_ARGV))
+def test_entry_point_process_answers_as_main(capsys, code):
+    # python -m sdprod.cli runs console_main, the function the installed
+    # script calls, which hands main's answer to sys.exit: the process
+    # gives the exit code, stdout and stderr of main(argv) in this process
+    argv = ENTRY_POINT_ARGV[code]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "sdprod.cli", *argv], capture_output=True, env=env, timeout=60
+    )
+    try:
+        want = main(argv)
+    except SystemExit as exc:  # argparse's errors
+        want = exc.code
+    cap = capsys.readouterr()
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == (want, cap.out, cap.err)
+    assert want == code
+    if code == 0:
+        assert (len(proc.stdout), hashlib.sha256(proc.stdout).hexdigest()) == LISTING_B_5_6_JSON
 
 
 # The direct parse reads a well-formed command line off the subcommand's
@@ -456,6 +519,21 @@ CHECK_A = VALID_ARGV["check-a"]
 )
 def test_direct_parse_declines_what_argparse_answers(argv):
     assert cli._parse_direct(argv) is None
+
+
+@pytest.mark.parametrize(
+    "argv, canonical",
+    [
+        (["check-a", "--n=4", "--m", "4", "--tuple", "0,2,0,0"], CHECK_A),
+        (CHECK_A + ["--form", "json"], CHECK_A + ["--format", "json"]),
+    ],
+    ids=["flag=value", "abbreviation"],
+)
+def test_spellings_argparse_reads_answer_as_the_canonical_ones(capsys, argv, canonical):
+    # the direct parse declines these, and argparse's answer is byte for
+    # byte that of the canonical spelling
+    assert cli._parse_direct(argv) is None
+    assert run(capsys, argv) == run(capsys, canonical)
 
 
 @pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
@@ -710,6 +788,16 @@ class RowSampler:
                 self.kept[self.line] = self.kept.get(self.line, "") + piece
 
 
+# build --output: (n, m, tuple, size, sha256) of table files whose bytes
+# are pinned.  At (4, 5) the w-past-y map carries the shift z^2 x^4 of
+# y^w = y z^c x^t; (6, 6) is the file at the cap.
+TABLE_FILES = [
+    (5, 5, "8,0,0,8,0,0", 4_106_305, "d029a335fa71c45e5559b60be103f363fbc1edc46bc30f006c25066250c1ff54"),
+    (4, 5, "4,6,0,4,4,2", 992_320, "895dd1fb50c798da75186918f93a95f658de009b94afbeaa0a58918c7228eb1b"),
+    (6, 6, "16,0,0,16,0,0", 79_339_587, "bea4a524851cea7140126a3de986f2381345d5821d82e9cc80d2d34923d320be"),
+]
+
+
 def test_table_file_at_the_cap():
     # Every row lists the numerals 0..4095 once, so the rows take
     # 79,339,520 bytes at order 4096 whatever the tuple; the header is 67.
@@ -720,10 +808,8 @@ def test_table_file_at_the_cap():
     header = 5
     sampler = RowSampler(header + a for a in rows)
     cli._write_table(sampler, g, t)
-    assert sampler.size == 79_339_587
     # the whole file, hashed as it is written
-    digest = "bea4a524851cea7140126a3de986f2381345d5821d82e9cc80d2d34923d320be"
-    assert sampler.sha256.hexdigest() == digest
+    assert (sampler.size, sampler.sha256.hexdigest()) == TABLE_FILES[-1][3:]
     for a in rows:
         assert sampler.kept[header + a] == " ".join(map(str, g.row(a))), a
 
@@ -757,11 +843,12 @@ def test_build_table_file_cap(tmp_path, capsys, monkeypatch):
 
 
 def test_table_file_reaches_the_os_in_buffer_sized_writes(tmp_path, capsys, monkeypatch):
-    # counts the writes that reach the raw file, with the buffer the sink
-    # asks for; the raw file keeps no bytes, so no 79 MB file is written.
-    # The writer joins rows in chunks of at least OUTPUT_BUFFER characters,
-    # the header in the first, and a chunk larger than the buffer goes to
-    # the raw file as one write: every write but the last is that large
+    # counts and hashes the writes that reach the raw file, with the buffer
+    # the sink asks for; the raw file keeps no bytes, so no 79 MB file is
+    # written.  The writer joins rows in chunks of at least 2 * OUTPUT_BUFFER
+    # characters, the header in the first, and a chunk larger than the
+    # buffer goes to the raw file as one write: every write but the last
+    # is that large
     writes = []
 
     class DiscardingFileIO(io.RawIOBase):
@@ -770,6 +857,7 @@ def test_table_file_reaches_the_os_in_buffer_sized_writes(tmp_path, capsys, monk
 
         def write(self, data):
             writes.append(len(data))
+            sha256.update(data)
             return len(data)
 
     def counting_open(file, mode="r", buffering=-1, encoding=None):
@@ -779,14 +867,16 @@ def test_table_file_reaches_the_os_in_buffer_sized_writes(tmp_path, capsys, monk
         return io.TextIOWrapper(raw, encoding=encoding)
 
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
-    for n, m, t, size in [(5, 5, "8,0,0,8,0,0", 4_106_305), (6, 6, "16,0,0,16,0,0", 79_339_587)]:
+    chunk = 2 * cli.OUTPUT_BUFFER
+    for n, m, t, size, digest in TABLE_FILES:
         writes.clear()
+        sha256 = hashlib.sha256()
         argv = ["build", "--n", str(n), "--m", str(m), "--tuple", t]
         code, _, _ = run(capsys, argv + ["--output", str(tmp_path / "t.table")])
         assert code == 0
-        assert sum(writes) == size
-        assert len(writes) <= -(-size // cli.OUTPUT_BUFFER) + 1, (n, m)
-        assert min(writes[:-1]) >= cli.OUTPUT_BUFFER, (n, m)
+        assert (sum(writes), sha256.hexdigest()) == (size, digest), (n, m)
+        assert len(writes) <= -(-size // chunk) + 1, (n, m)
+        assert min(writes[:-1]) >= chunk, (n, m)
 
 
 def test_output_files_are_opened_only_by_the_sink():
@@ -898,25 +988,22 @@ def test_build_verify_associativity(capsys, monkeypatch):
     # build checks the four generators only; the cubic scan is the tests' oracle
     monkeypatch.setattr(cli, "verify_associativity_exhaustive", no_scan)
     monkeypatch.setattr(pcgroup, "verify_associativity_exhaustive", no_scan)
-    code, out, _ = run(
-        capsys,
-        [
-            "build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0",
-            "--verify-associativity",
-        ],
-    )
-    assert code == 0
-    assert "associativity: verified" in out
+    for t in ("0,2,0,0", "4,0,0,4,0,0"):
+        argv = ["build", "--n", "4", "--m", "4", "--tuple", t, "--verify-associativity"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert out.endswith("\nassociativity: verified\n"), t
 
 
 def test_build_verify_associativity_cap(capsys, monkeypatch):
-    code, out, err = run(
-        capsys,
-        ["build", "--n", "5", "--m", "5", "--tuple", "0,0,0,0", "--verify-associativity"],
-    )
-    assert code == 2
-    assert "associativity check" in err
-    assert out == ""
+    # 4,0,0,4,0,0 is invalid at (5, 5); its analogue there is 8,0,0,8,0,0
+    for t in ("0,0,0,0", "8,0,0,8,0,0"):
+        argv = ["build", "--n", "5", "--m", "5", "--tuple", t, "--verify-associativity"]
+        assert run(capsys, argv) == (
+            2,
+            "",
+            "sdprod: limit: table too large for the associativity check: order 1024 exceeds cap 512\n",
+        )
 
     def no_table(*args, **kwargs):
         raise AssertionError("the table was built for a refused associativity scan")
@@ -974,6 +1061,25 @@ def test_tc_relator_file(tmp_path, capsys):
     code, out, _ = run(capsys, ["tc", "--relators", str(rel), "--format", "json"])
     assert code == 0
     assert json.loads(out)["xz_commutator"] is None
+    # z^6 vanishes between X and x, so the compiled relator is z alone: a
+    # rewrite that did not freely reduce it would leave a row incomplete
+    rel.write_text("z^3\nx^5\nX z^6 x z\n")
+    assert run(capsys, ["tc", "--relators", str(rel)]) == (
+        0,
+        "cosets: 5\norder(x)=5  order(z)=1\n|<x,y>| = 5 (semidihedral: no)\n"
+        "|<z,w>| = 1 (semidihedral: no)\nintersection: 1\n[x,z] = 1\n"
+        "core of <x>: 5  core of <z>: 1\n",
+        "",
+    )
+    # y has no power relator, so HLT's fill defines some images, the first
+    # at coset 9 (tests/test_fpcoset.py): a cap of 9 stops the run there
+    rel.write_text("x^6\nY x y^2 X\n")
+    code, out, err = run(capsys, ["tc", "--relators", str(rel)])
+    assert (code, err) == (0, "")
+    assert out.startswith("cosets: 378\n")
+    assert run(capsys, ["tc", "--relators", str(rel), "--max-cosets", "9"]) == (
+        2, "", "sdprod: limit: coset limit exceeded: more than 9 cosets defined\n"
+    )
 
 
 def test_tc_reports_a_commutator_outside_the_x_z_products(tmp_path, capsys):
