@@ -106,13 +106,17 @@ class _Parser(argparse.ArgumentParser):
 def _integer(text: str) -> int:
     """An optional sign and ASCII digits, with spaces around them allowed:
     int() alone would also take other scripts' digits (a fullwidth 4) and
-    underscores (1_0).  The error reads as argparse's for type=int."""
+    underscores (1_0).  The error reads as argparse's for type=int, also
+    for more digits than int() reads (sys.get_int_max_str_digits())."""
     digits = text.strip()
     if digits[:1] in ("+", "-"):
         digits = digits[1:]
-    if not (digits.isascii() and digits.isdigit()):
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # too many digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _parse_tuple(text: str, arity: tuple[int, ...]) -> tuple[int, ...]:
@@ -436,25 +440,14 @@ def _preset_presentation(name: str):
 
 
 def _report_doc(rep: StructureReport) -> dict:
-    """The tc report.  xz_commutator is [x,z] as [e1, e2] of x^e1 z^e2,
-    XZ_NOT_A_PRODUCT, or None when the presentation does not name both x
-    and z."""
-    if "x" not in rep.gen_orders or "z" not in rep.gen_orders:
+    """The tc report: the record's fields, with xz_commutator as [e1, e2]
+    of x^e1 z^e2, XZ_NOT_A_PRODUCT, or None when the presentation does not
+    name both x and z."""
+    if "x" not in rep.generator_orders or "z" not in rep.generator_orders:
         xz = None
     else:
         xz = XZ_NOT_A_PRODUCT if rep.xz_commutator is None else list(rep.xz_commutator)
-    return {
-        "order": rep.order,
-        "generator_orders": rep.gen_orders,
-        "h_order": rep.h_order,
-        "k_order": rep.k_order,
-        "intersection_order": rep.intersection_order,
-        "xz_commutator": xz,
-        "core_x_order": rep.core_x_order,
-        "core_z_order": rep.core_z_order,
-        "h_semidihedral": rep.sd_h,
-        "k_semidihedral": rep.sd_k,
-    }
+    return {**rep._asdict(), "xz_commutator": xz}
 
 
 def _report_text(doc: dict) -> str:

@@ -303,13 +303,12 @@ class SolutionSet:
 
 def _on_multiples(weights: dict[int, int], modulus: int) -> dict[int, int]:
     """The histogram that gives each multiple of step below modulus
-    weights[step], summed over the steps, in increasing order.
+    weights[step], summed over the steps, in increasing order.  weights
+    is not empty: histograms asks only for a set with a tuple.
 
     The steps are powers of two, so each is a multiple of the least: the
     keys are the multiples of the least step, built in order, and each
     larger step adds its weight to every (step/least)-th count."""
-    if not weights:
-        return {}
     least = min(weights)
     counts = [weights[least]] * (modulus // least)
     for step, weight in weights.items():

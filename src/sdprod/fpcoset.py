@@ -128,18 +128,19 @@ class CosetTable(NamedTuple):
 
 
 class StructureReport(NamedTuple):
-    """Facts read off the coset table of the trivial subgroup."""
+    """Facts read off the coset table of the trivial subgroup.  The fields,
+    in order, are the keys of tc's report."""
 
     order: int
-    gen_orders: dict[str, int]
+    generator_orders: dict[str, int]
     h_order: int  # subgroup generated by x and y
     k_order: int  # subgroup generated by z and w
     intersection_order: int
     xz_commutator: tuple[int, int] | None  # [x,z] written as x^e1 z^e2
     core_x_order: int | None
     core_z_order: int | None
-    sd_h: bool  # x, y satisfy the defining semidihedral relations
-    sd_k: bool
+    h_semidihedral: bool  # x, y satisfy the defining semidihedral relations
+    k_semidihedral: bool
 
 
 def free_reduce(word: Sequence[int]) -> tuple[int, ...]:
@@ -255,7 +256,7 @@ def _col(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (letter < 0)
 
 
-def _append_run(cols: list[int], col: int, n: int, inverse: list[int]) -> None:
+def _append_run(cols: list[int], col: int, n: int, inverse: Sequence[int]) -> None:
     """Append n letters col to the freely reduced cols, keeping it freely
     reduced: each cancels a trailing inverse, and an involution's run
     leaves n mod 2 letters."""
@@ -268,15 +269,15 @@ def _append_run(cols: list[int], col: int, n: int, inverse: list[int]) -> None:
     cols += [col] * n
 
 
-_Ends = list[tuple[list[int], list[int], int, int, int]]
+_Ends = tuple[tuple[tuple[int, ...], tuple[int, ...], int, int, int], ...]
 
 
 @functools.lru_cache(maxsize=1)
 def _compile_relators(
     ngens: int, relators: tuple[tuple[int, ...], ...]
-) -> tuple[list[int], list[int], list[list[int]], _Ends, _Ends]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], _Ends, _Ends]:
     """What every run on one presentation scans: (columns, inverse,
-    compiled, ends, fill).
+    compiled, ends, fill), all tuples.
 
     A generator named by a relator g g or G G, an involution, has one
     internal column, its own inverse; every other generator has a column
@@ -301,9 +302,8 @@ def _compile_relators(
     unchanged, and no relator grows.  The result is sorted by length,
     stably: short relators close and deduce first.
 
-    The last presentation's lists are kept: crosscheck enumerates one
-    presentation two or three times, and each run scans the same lists
-    without changing them, so callers must not change them either.
+    The last presentation's result is kept: crosscheck enumerates one
+    presentation two or three times, and each run scans the same tuples.
     """
     involutions = {abs(rel[0]) for rel in relators if len(rel) == 2 and rel[0] == rel[1]}
     columns: list[int] = []
@@ -334,22 +334,23 @@ def _compile_relators(
                     letter, n = -letter, k - n
             _append_run(cols, columns[_col(letter)], n, inverse)
         if cols:
-            compiled.append(cols)
+            compiled.append(tuple(cols))
     compiled.sort(key=len)
-    fill = [[col, inverse[col]] for col in range(len(inverse))]
-    return columns, inverse, compiled, _ends(compiled, inverse), _ends(fill, inverse)
+    fill = [(col, inverse[col]) for col in range(len(inverse))]
+    ends = _ends(compiled, inverse)
+    return tuple(columns), tuple(inverse), tuple(compiled), ends, _ends(fill, inverse)
 
 
-def _ends(compiled: list[list[int]], inverse: list[int]) -> _Ends:
+def _ends(compiled: Iterable[Sequence[int]], inverse: Sequence[int]) -> _Ends:
     """What _Enumeration.scan reads of each word of internal columns: its
     columns; back, where back[j] is the column a backward scan leaves the
     coset at position j by (the inverse of column j - 1); the column its
     scan leaves a coset by at either end; and its length."""
     out = []
     for cols in compiled:
-        back = [-1] + [inverse[col] for col in cols]
-        out.append((cols, back, cols[0], back[-1], len(cols)))
-    return out
+        back = (-1, *(inverse[col] for col in cols))
+        out.append((tuple(cols), back, cols[0], back[-1], len(cols)))
+    return tuple(out)
 
 
 class _Enumeration:
@@ -713,13 +714,13 @@ def structure_report(table: CosetTable, fp: FpPres) -> StructureReport:
         xz_pair = _as_x_z_power(rows, commutator, powers[x], z, len(powers[z]))
     return StructureReport(
         order=table.count,
-        gen_orders={name: len(powers[g]) for name, g in letter.items()},
+        generator_orders={name: len(powers[g]) for name, g in letter.items()},
         h_order=len(h),
         k_order=len(k),
         intersection_order=len(set(h) & set(k)),
         xz_commutator=xz_pair,
         core_x_order=_core_order(table, powers[x], x, fp.ngens) if x else None,
         core_z_order=_core_order(table, powers[z], z, fp.ngens) if z else None,
-        sd_h=bool(x and y) and _is_semidihedral(table, powers, x, y, len(h)),
-        sd_k=bool(z and w) and _is_semidihedral(table, powers, z, w, len(k)),
+        h_semidihedral=bool(x and y) and _is_semidihedral(table, powers, x, y, len(h)),
+        k_semidihedral=bool(z and w) and _is_semidihedral(table, powers, z, w, len(k)),
     )

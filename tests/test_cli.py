@@ -206,14 +206,21 @@ def test_check_tuple_usage_errors(capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("field", ["\uff14", "1_0"], ids=["fullwidth", "underscore"])
+# more digits than int() reads from a string
+OVER_LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.parametrize(
+    "field", ["\uff14", "1_0", OVER_LONG], ids=["fullwidth", "underscore", "over-long"]
+)
 @pytest.mark.parametrize(
     "argv",
     [["check-a", "--n", "4", "--m", "4"], ["build", "--n", "4", "--m", "4"]],
     ids=["check-a", "build"],
 )
 def test_tuple_fields_take_only_ascii_digits(capsys, argv, field):
-    # int() reads the fullwidth 4 as 4 and 1_0 as 10
+    # int() reads the fullwidth 4 as 4 and 1_0 as 10, and raises ValueError
+    # on the over-long field
     text = f"{field},2,0,0"
     code, out, err = run(capsys, argv + ["--tuple", text])
     assert (code, out) == (3, "")
@@ -278,7 +285,9 @@ def exit_of(capsys, parse, argv):
     return info.value.code, cap.out, cap.err
 
 
-@pytest.mark.parametrize("value", ["\uff14", "1_0"], ids=["fullwidth", "underscore"])
+@pytest.mark.parametrize(
+    "value", ["\uff14", "1_0", OVER_LONG], ids=["fullwidth", "underscore", "over-long"]
+)
 @pytest.mark.parametrize(
     "argv, flag, message",
     [(VALID_ARGV["check-b"], flag, "invalid int value:") for flag in ("--n", "--m", "--n1", "--m1")]
@@ -293,7 +302,8 @@ def exit_of(capsys, parse, argv):
     ids=["n", "m", "n1", "m1", "check-a-n", "max-cosets"],
 )
 def test_numeric_flags_take_only_ascii_digits(capsys, argv, flag, message, value):
-    # int() reads the fullwidth 4 as 4 and 1_0 as 10
+    # int() reads the fullwidth 4 as 4 and 1_0 as 10, and raises ValueError
+    # on the over-long value
     argv = list(argv)
     argv[argv.index(flag) + 1] = value
     code, out, err = exit_of(capsys, main, argv)
@@ -411,24 +421,29 @@ def test_unknown_commands_exit_3(capsys):
         assert "invalid choice" in capsys.readouterr().err
 
 
-# One command line per documented exit code, run as a process.  The exit 0
-# listing has blocks whose c range moves with t (c_unit != 0); its bytes
-# are pinned.  The fullwidth 4 is a rank that argparse refuses.
+# One command line per documented exit code, run as a process, and the
+# digit strings too long for int() in a tuple field, a rank and
+# --max-cosets.  The exit 0 listing has blocks whose c range moves with t
+# (c_unit != 0); its bytes are pinned.  The fullwidth 4 is a rank that
+# argparse refuses.
 ENTRY_POINT_ARGV = {
-    0: ["enumerate-b", "--n", "5", "--m", "6", "--n1", "2", "--m1", "2", "--format", "json"],
-    1: ["check-a", "--n", "4", "--m", "4", "--tuple", "1,0,0,0"],
-    2: ["enumerate-a", "--n", "13", "--m", "13"],
-    3: ["check-a", "--n", "\uff14", "--m", "4", "--tuple", "0,2,0,0"],
+    "0": (0, ["enumerate-b", "--n", "5", "--m", "6", "--n1", "2", "--m1", "2", "--format", "json"]),
+    "1": (1, ["check-a", "--n", "4", "--m", "4", "--tuple", "1,0,0,0"]),
+    "2": (2, ["enumerate-a", "--n", "13", "--m", "13"]),
+    "3": (3, ["check-a", "--n", "\uff14", "--m", "4", "--tuple", "0,2,0,0"]),
+    "3-over-long-tuple": (3, ["check-a", "--n", "4", "--m", "4", "--tuple", OVER_LONG + ",2,0,0"]),
+    "3-over-long-n": (3, ["check-a", "--n", OVER_LONG, "--m", "4", "--tuple", "0,2,0,0"]),
+    "3-over-long-max-cosets": (3, ["tc", "--preset", "example-6-5", "--max-cosets", OVER_LONG]),
 }
 LISTING_B_5_6_JSON = (60_070, "df9a77a894ef787e2007d69b91966f14cbfa3cc4383931febb98c4367b3f0aa3")
 
 
-@pytest.mark.parametrize("code", sorted(ENTRY_POINT_ARGV))
-def test_entry_point_process_answers_as_main(capsys, code):
+@pytest.mark.parametrize("case", sorted(ENTRY_POINT_ARGV))
+def test_entry_point_process_answers_as_main(capsys, case):
     # python -m sdprod.cli runs console_main, the function the installed
     # script calls, which hands main's answer to sys.exit: the process
     # gives the exit code, stdout and stderr of main(argv) in this process
-    argv = ENTRY_POINT_ARGV[code]
+    code, argv = ENTRY_POINT_ARGV[case]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONIOENCODING": "utf-8"}
     proc = subprocess.run(
         [sys.executable, "-m", "sdprod.cli", *argv], capture_output=True, env=env, timeout=60
@@ -1048,6 +1063,8 @@ def test_tc_preset_json(capsys):
         "h_semidihedral": True,
         "k_semidihedral": True,
     }
+    # the report is the record: its keys are the fields, in order
+    assert tuple(doc) == fpcoset.StructureReport._fields
 
 
 def test_tc_relator_file(tmp_path, capsys):

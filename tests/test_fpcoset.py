@@ -270,7 +270,7 @@ def test_an_involution_has_one_internal_column():
     # inverse, and the table writes that column as both y and Y
     fp = parse_relator_lines(SD16_LINES)
     state = _Enumeration(fp, 10**6)
-    assert (state.columns, state.inverse) == ([0, 0, 1, 2], [0, 2, 1])
+    assert (state.columns, state.inverse) == ((0, 0, 1, 2), (0, 2, 1))
     state.run()
     assert all(len(row) == 3 for row in state.rows)
     table = coset_enumerate(fp)
@@ -426,29 +426,36 @@ SD32_LINES = ["x^16", "y^2", "Y x y X^7"]
 
 
 # y^2 makes y an involution: columns y 0 (its own inverse), x 1, X 2
-INVOLUTION_Y = [0, 2, 1]
+INVOLUTION_Y = (0, 2, 1)
+
+
+def holds_a_list(value):
+    return isinstance(value, list) or isinstance(value, tuple) and any(map(holds_a_list, value))
 
 
 @pytest.mark.parametrize(
     "lines, inverse, compiled, same_group",
     [
         # an inverted power relator: x^9 becomes X^7, and y^2 vanishes
-        (["X^16", "y^2", "Y x y x^9"], INVOLUTION_Y, [[0, 1, 0] + [2] * 7, [2] * 16], SD32_LINES),
+        (["X^16", "y^2", "Y x y x^9"], INVOLUTION_Y, ((0, 1, 0) + (2,) * 7, (2,) * 16), SD32_LINES),
         # x^16 and x^8: runs reduce modulo 8, and x^16 vanishes
-        (["x^16", "y^2", "x^8", "Y x y x^5"], INVOLUTION_Y, [[0, 1, 0, 2, 2, 2], [1] * 8], SD16_LINES),
+        (["x^16", "y^2", "x^8", "Y x y x^5"], INVOLUTION_Y, ((0, 1, 0, 2, 2, 2), (1,) * 8), SD16_LINES),
         # x^32 beside x^16 vanishes; the audit still checks it
-        (SD32_LINES + ["x^32"], INVOLUTION_Y, [[0, 1, 0] + [2] * 7, [1] * 16], SD32_LINES),
+        (SD32_LINES + ["x^32"], INVOLUTION_Y, ((0, 1, 0) + (2,) * 7, (1,) * 16), SD32_LINES),
         # x^4 vanishes between Y and y, which then cancel: y is its own inverse
-        (["x^4", "y^2", "Y x^4 y X y x"], INVOLUTION_Y, [[2, 0, 1], [1] * 4], ["x^4", "y"]),
+        (["x^4", "y^2", "Y x^4 y X y x"], INVOLUTION_Y, ((2, 0, 1), (1,) * 4), ["x^4", "y"]),
         # no power relator and no involution, columns y 0, Y 1, x 2, X 3:
         # only reordered
-        (["x y x", "x Y"], [1, 0, 3, 2], [[2, 1], [2, 0, 2]], ["x^3", "x Y"]),
+        (["x y x", "x Y"], (1, 0, 3, 2), ((2, 1), (2, 0, 2)), ["x^3", "x Y"]),
     ],
     ids=["inverted-power", "two-powers", "x^32-beside-x^16", "vanishing-run", "no-power"],
 )
 def test_compile_relators(lines, inverse, compiled, same_group):
     fp = parse_relator_lines(lines)
-    assert _compile_relators(fp.ngens, fp.relators)[1:3] == (inverse, compiled)
+    cached = _compile_relators(fp.ngens, fp.relators)
+    assert cached[1:3] == (inverse, compiled)
+    # every run on the presentation shares the cached result: it holds no list
+    assert not holds_a_list(cached)
     assert coset_enumerate(fp).rows == coset_enumerate(parse_relator_lines(same_group)).rows
 
 
@@ -460,9 +467,8 @@ def test_compiled_relators_are_no_longer_than_their_source(n, m):
         for e2 in range(pair.M):
             fp = fp_from_extended(pair, TupleB(4, 0, 0, 4, 0, 0), e1, e2)
             powers = fp.relators[:4]  # x^N, y^2, z^M, w^2: y^2 and w^2 vanish
-            power_cols = list(_compile_relators(fp.ngens, powers)[2])
+            power_cols = _compile_relators(fp.ngens, powers)[2]
             for rel in fp.relators[4:]:
-                # a copy: the list is cached
                 rest = list(_compile_relators(fp.ngens, powers + (rel,))[2])
                 for cols in power_cols:
                     rest.remove(cols)
@@ -498,14 +504,14 @@ def test_structure_report_flagship():
     fp = flagship_pres()
     report = structure_report(coset_enumerate(fp, 10**6), fp)
     assert report.order == 256
-    assert report.gen_orders == {"w": 2, "y": 2, "z": 8, "x": 8}
+    assert report.generator_orders == {"w": 2, "y": 2, "z": 8, "x": 8}
     assert report.h_order == 16
     assert report.k_order == 16
     assert report.intersection_order == 1
     assert report.xz_commutator == (2, 2)
     assert report.core_x_order == 4
     assert report.core_z_order == 4
-    assert report.sd_h and report.sd_k
+    assert report.h_semidihedral and report.k_semidihedral
 
 
 def test_structure_report_zero_tuple():
@@ -526,7 +532,7 @@ def test_structure_report_sd16():
     assert report.xz_commutator is None
     assert report.core_x_order == 8
     assert report.core_z_order is None
-    assert report.sd_h and not report.sd_k
+    assert report.h_semidihedral and not report.k_semidihedral
 
 
 @pytest.mark.parametrize(
@@ -607,30 +613,30 @@ def test_crosscheck_order_every_valid_tuple_a():
             A4_Z2_LINES,
             StructureReport(
                 order=24,
-                gen_orders={"w": 2, "y": 2, "x": 6},
+                generator_orders={"w": 2, "y": 2, "x": 6},
                 h_order=24,
                 k_order=2,
                 intersection_order=2,
                 xz_commutator=None,
                 core_x_order=2,
                 core_z_order=None,
-                sd_h=False,
-                sd_k=False,
+                h_semidihedral=False,
+                k_semidihedral=False,
             ),
         ),
         (
             S3_S3_LINES,
             StructureReport(
                 order=36,
-                gen_orders={"w": 2, "y": 2, "z": 3, "x": 6},
+                generator_orders={"w": 2, "y": 2, "z": 3, "x": 6},
                 h_order=12,
                 k_order=6,
                 intersection_order=2,
                 xz_commutator=(0, 2),
                 core_x_order=3,
                 core_z_order=3,
-                sd_h=False,
-                sd_k=False,
+                h_semidihedral=False,
+                k_semidihedral=False,
             ),
         ),
     ],

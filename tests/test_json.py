@@ -180,7 +180,7 @@ def test_build_json_of_a_failed_associativity_check(monkeypatch):
 
 def report_doc(rep):
     """cmd_tc's document."""
-    if "x" not in rep.gen_orders or "z" not in rep.gen_orders:
+    if "x" not in rep.generator_orders or "z" not in rep.generator_orders:
         xz = None
     elif rep.xz_commutator is None:
         xz = cli.XZ_NOT_A_PRODUCT
@@ -188,15 +188,15 @@ def report_doc(rep):
         xz = list(rep.xz_commutator)
     return {
         "order": rep.order,
-        "generator_orders": rep.gen_orders,
+        "generator_orders": rep.generator_orders,
         "h_order": rep.h_order,
         "k_order": rep.k_order,
         "intersection_order": rep.intersection_order,
         "xz_commutator": xz,
         "core_x_order": rep.core_x_order,
         "core_z_order": rep.core_z_order,
-        "h_semidihedral": rep.sd_h,
-        "k_semidihedral": rep.sd_k,
+        "h_semidihedral": rep.h_semidihedral,
+        "k_semidihedral": rep.k_semidihedral,
     }
 
 

@@ -24,7 +24,9 @@ subgroup runs, is compared with full enumeration at random ranks in
 with core_of over the closed subgroups.  At every rank the CLI accepts,
 up to 20, where no table is built, those core orders are compared with
 the core spec whose solution set the tuple came from, and exchanging the
-roles of H and K, an involution on valid tuples, keeps every verdict.
+roles of H and K, an involution on valid tuples, keeps every verdict.  At
+random ranks up to 14, a valid tuple read in new generators of H and K,
+an affine map of the tuple, stays valid with the same cores.
 The associativity check from the four generators is compared with the
 cubic scan on those tables and on per-element copies of them with random
 prefixes swapped, and its four columns, read off the maps, with the
@@ -258,6 +260,39 @@ def test_swapping_h_and_k_keeps_the_verdict_on_the_whole_44_grid():
 
 
 @PROPERTY_SETTINGS
+@given(valid_cored_tuples_b(st.integers(4, 14)), st.data())
+def test_new_generators_of_h_and_k_keep_a_valid_tuple_valid(case, data):
+    """The new generators x' = x^u, y' = y x^v, z' = z^u' and w' = w z^v'
+    (u and u' odd, v and v' even) satisfy the same relations, so the
+    tuple read off them must be valid with the same cores.  It is
+    (r u'/u, a, s, b u/u', (t + s v - r v')/u, (c + b v - a v')/u'),
+    with r and t mod N and b and c mod M.  On copies of _residuals with
+    one coefficient changed, images of tuples the copy still accepts left
+    its valid set for some changes in D1, D4 and D9..D12, but never for
+    others, such as -a for a in D1 or -t b for t b in D10: those valid
+    sets are closed under the map too, so this cannot tell them from the
+    twelve congruences."""
+    pair, cores, (r, a, s, b, t, c) = case
+    N, M = pair.N, pair.M
+
+    def residue_of_parity(modulus, parity):
+        return 2 * data.draw(st.integers(0, modulus // 2 - 1)) + parity
+
+    u, v = residue_of_parity(N, 1), residue_of_parity(N, 0)
+    u2, v2 = residue_of_parity(M, 1), residue_of_parity(M, 0)
+    u_inv, u2_inv = pow(u, -1, N), pow(u2, -1, M)
+    image = TupleB(
+        r * u2 * u_inv % N,
+        a,
+        s,
+        b * u * u2_inv % M,
+        (t + s * v - r * v2) * u_inv % N,
+        (c + b * v - a * v2) * u2_inv % M,
+    )
+    assert check_b(pair, cores, image).valid
+
+
+@PROPERTY_SETTINGS
 @given(valid_cored_tuples_b())
 def test_core_orders_are_the_cores_solve_b_was_asked_for(case):
     pair, cores, t = case
@@ -375,8 +410,8 @@ def test_enumerated_cores_match_collected_cores(case):
         rep.order, rep.h_order, rep.k_order, rep.intersection_order
     )
     assert (doc["core_x_order"], doc["core_z_order"]) == (rep.core_x_order, rep.core_z_order)
-    assert doc["x_normal"] == (rep.core_x_order == rep.gen_orders["x"])
-    assert doc["z_normal"] == (rep.core_z_order == rep.gen_orders["z"])
+    assert doc["x_normal"] == (rep.core_x_order == rep.generator_orders["x"])
+    assert doc["z_normal"] == (rep.core_z_order == rep.generator_orders["z"])
 
 
 @TWISTED_SETTINGS
