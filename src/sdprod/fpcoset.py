@@ -275,21 +275,20 @@ _Ends = tuple[tuple[tuple[int, ...], tuple[int, ...], int, int, int], ...]
 @functools.lru_cache(maxsize=1)
 def _compile_relators(
     ngens: int, relators: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...], _Ends, _Ends]:
-    """What every run on one presentation scans: (columns, inverse,
-    compiled, ends, fill), all tuples.
+) -> tuple[tuple[int, ...], tuple[int, ...], _Ends, _Ends]:
+    """What every run on one presentation scans: (columns, inverse, ends,
+    fill), all tuples.
 
     A generator named by a relator g g or G G, an involution, has one
     internal column, its own inverse; every other generator has a column
     for itself and one for its inverse.  columns maps each public column
     (see _col) to its internal column, and inverse each internal column to
-    its inverse's.  compiled holds the relators as the internal columns
-    HLT scans: power-reduced, freely reduced, shortest first; ends holds
-    them as _ends gives them, and fill the words g g^-1, one per internal
-    column in column order, likewise.  A defining scan of g g^-1 at a
-    coset whose g-image is missing defines that image as a new coset,
-    with its g^-1 edge back, and then closes; where the image is defined,
-    it walks there and back.
+    its inverse's.  ends holds the relators HLT scans, as _ends gives them:
+    in internal columns, power-reduced, freely reduced, shortest first;
+    fill holds the words g g^-1, one per internal column in column order,
+    likewise.  A defining scan of g g^-1 at a coset whose g-image is
+    missing defines that image as a new coset, with its g^-1 edge back,
+    and then closes; where the image is defined, it walks there and back.
 
     For each generator g with a pure-power relator g^k or g^-k (the least
     such k, the first relator spelling it), a run a^n of a = g or g^-1 in
@@ -337,8 +336,7 @@ def _compile_relators(
             compiled.append(tuple(cols))
     compiled.sort(key=len)
     fill = [(col, inverse[col]) for col in range(len(inverse))]
-    ends = _ends(compiled, inverse)
-    return tuple(columns), tuple(inverse), tuple(compiled), ends, _ends(fill, inverse)
+    return tuple(columns), tuple(inverse), _ends(compiled, inverse), _ends(fill, inverse)
 
 
 def _ends(compiled: Iterable[Sequence[int]], inverse: Sequence[int]) -> _Ends:
@@ -358,9 +356,7 @@ class _Enumeration:
 
     def __init__(self, fp: FpPres, max_cosets: int):
         self.max_cosets = max_cosets
-        self.columns, self.inverse, self.relators, self.ends, self.fill = _compile_relators(
-            fp.ngens, fp.relators
-        )
+        self.columns, self.inverse, self.ends, self.fill = _compile_relators(fp.ngens, fp.relators)
         self.rows: list[list[int | None]] = [[None] * len(self.inverse)]
         self.parent = [0]  # union-find over coset numbers, parent[i] <= i
 

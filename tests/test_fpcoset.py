@@ -288,7 +288,7 @@ def test_definitions_below_the_lookahead_mark():
         fp = fp_from_extended(PAIR44, FLAGSHIP_TUPLE, *e)
         state = _Enumeration(fp, 10**6)
         state.run()
-        ref = ReferenceHLT(state.relators, state.inverse, 10**6)
+        ref = ReferenceHLT([cols for cols, *_ in state.ends], state.inverse, 10**6)
         ref.run()
         assert len(state.rows) == defined < LOOKAHEAD_FIRST
         assert state.rows == ref.rows
@@ -356,7 +356,7 @@ def test_fill_matches_plain_hlt_below_the_lookahead_mark(lines):
     except RelatorSyntaxError:  # a word that reduces to the empty word
         reject()
     state = Fills(fp, FILL_MAX_COSETS)
-    ref = ReferenceHLT(state.relators, state.inverse, FILL_MAX_COSETS)
+    ref = ReferenceHLT([cols for cols, *_ in state.ends], state.inverse, FILL_MAX_COSETS)
     capped = []
     for enumeration in (state, ref):
         try:
@@ -453,7 +453,8 @@ def holds_a_list(value):
 def test_compile_relators(lines, inverse, compiled, same_group):
     fp = parse_relator_lines(lines)
     cached = _compile_relators(fp.ngens, fp.relators)
-    assert cached[1:3] == (inverse, compiled)
+    assert cached[1] == inverse
+    assert tuple(cols for cols, *_ in cached[2]) == compiled
     # every run on the presentation shares the cached result: it holds no list
     assert not holds_a_list(cached)
     assert coset_enumerate(fp).rows == coset_enumerate(parse_relator_lines(same_group)).rows
@@ -467,9 +468,9 @@ def test_compiled_relators_are_no_longer_than_their_source(n, m):
         for e2 in range(pair.M):
             fp = fp_from_extended(pair, TupleB(4, 0, 0, 4, 0, 0), e1, e2)
             powers = fp.relators[:4]  # x^N, y^2, z^M, w^2: y^2 and w^2 vanish
-            power_cols = _compile_relators(fp.ngens, powers)[2]
+            power_cols = [cols for cols, *_ in _compile_relators(fp.ngens, powers)[2]]
             for rel in fp.relators[4:]:
-                rest = list(_compile_relators(fp.ngens, powers + (rel,))[2])
+                rest = [cols for cols, *_ in _compile_relators(fp.ngens, powers + (rel,))[2]]
                 for cols in power_cols:
                     rest.remove(cols)
                 assert len(rest) == 1 and len(rest[0]) <= len(rel)
@@ -485,8 +486,8 @@ def test_audit_catches_a_rewrite_that_drops_a_relator(monkeypatch):
     compile_relators = fpcoset._compile_relators
 
     def drop_the_first(ngens, relators):
-        columns, inverse, compiled, ends, fill = compile_relators(ngens, relators)
-        return columns, inverse, compiled[1:], ends[1:], fill
+        columns, inverse, ends, fill = compile_relators(ngens, relators)
+        return columns, inverse, ends[1:], fill
 
     monkeypatch.setattr(fpcoset, "_compile_relators", drop_the_first)
     with pytest.raises(RuntimeError, match="relator does not close"):

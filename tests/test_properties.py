@@ -26,7 +26,9 @@ up to 20, where no table is built, those core orders are compared with
 the core spec whose solution set the tuple came from, and exchanging the
 roles of H and K, an involution on valid tuples, keeps every verdict.  At
 random ranks up to 14, a valid tuple read in new generators of H and K,
-an affine map of the tuple, stays valid with the same cores.
+an affine map of the tuple, stays valid with the same cores; up to rank
+6 that map is compared with the tuple read off the new generators'
+conjugates in the collected group.
 The associativity check from the four generators is compared with the
 cubic scan on those tables and on per-element copies of them with random
 prefixes swapped, and its four columns, read off the maps, with the
@@ -259,6 +261,35 @@ def test_swapping_h_and_k_keeps_the_verdict_on_the_whole_44_grid():
         assert {swap_h_and_k(pair, t)[1] for t in tuples} == valid[CoreSpec(m1, n1)]
 
 
+@st.composite
+def new_generator_exponents(draw, pair):
+    """Odd u and u' and even v and v' for the new generators x' = x^u,
+    y' = y x^v, z' = z^u' and w' = w z^v', as (u, v, u', v')."""
+
+    def residue_of_parity(modulus, parity):
+        return 2 * draw(st.integers(0, modulus // 2 - 1)) + parity
+
+    N, M = pair.N, pair.M
+    return tuple(residue_of_parity(*spec) for spec in ((N, 1), (N, 0), (M, 1), (M, 0)))
+
+
+def tuple_in_new_generators(pair, tuple_b, u, v, u2, v2):
+    """The tuple read off x^u, y x^v, z^u' and w z^v': (r u'/u, a, s,
+    b u/u', (t + s v - r v')/u, (c + b v - a v')/u'), with r and t mod N
+    and b and c mod M."""
+    N, M = pair.N, pair.M
+    r, a, s, b, t, c = tuple_b
+    u_inv, u2_inv = pow(u, -1, N), pow(u2, -1, M)
+    return TupleB(
+        r * u2 * u_inv % N,
+        a,
+        s,
+        b * u * u2_inv % M,
+        (t + s * v - r * v2) * u_inv % N,
+        (c + b * v - a * v2) * u2_inv % M,
+    )
+
+
 @PROPERTY_SETTINGS
 @given(valid_cored_tuples_b(st.integers(4, 14)), st.data())
 def test_new_generators_of_h_and_k_keep_a_valid_tuple_valid(case, data):
@@ -272,24 +303,49 @@ def test_new_generators_of_h_and_k_keep_a_valid_tuple_valid(case, data):
     others, such as -a for a in D1 or -t b for t b in D10: those valid
     sets are closed under the map too, so this cannot tell them from the
     twelve congruences."""
-    pair, cores, (r, a, s, b, t, c) = case
+    pair, cores, t = case
+    image = tuple_in_new_generators(pair, t, *data.draw(new_generator_exponents(pair)))
+    assert check_b(pair, cores, image).valid
+
+
+@PROPERTY_SETTINGS
+@given(valid_cored_tuples_b(st.integers(4, 6)), st.data())
+def test_new_generators_read_off_the_table_give_the_mapped_tuple(case, data):
+    """In the collected group, the tuple of the new generators is the one
+    tuple_in_new_generators gives: c' and t' are read off y'^-1 y'^w' =
+    z'^c' x'^t', b' and s' off x'^w' = z'^b' x'^(1+s'), and a' and r' off
+    z'^y' = z'^(1+a') x'^r', each a conjugate of head 0 whose z exponent
+    is divided by u' and whose x exponent by u."""
+    pair, _, t = case
+    u, v, u2, v2 = exponents = data.draw(new_generator_exponents(pair))
+    g = build_table(pc_from_tuple_b(pair, t))
     N, M = pair.N, pair.M
 
-    def residue_of_parity(modulus, parity):
-        return 2 * data.draw(st.integers(0, modulus // 2 - 1)) + parity
+    def power(e, k):
+        out = 0
+        for _ in range(k):
+            out = g.mul(out, e)
+        return out
 
-    u, v = residue_of_parity(N, 1), residue_of_parity(N, 0)
-    u2, v2 = residue_of_parity(M, 1), residue_of_parity(M, 0)
-    u_inv, u2_inv = pow(u, -1, N), pow(u2, -1, M)
-    image = TupleB(
-        r * u2 * u_inv % N,
-        a,
-        s,
-        b * u * u2_inv % M,
-        (t + s * v - r * v2) * u_inv % N,
-        (c + b * v - a * v2) * u2_inv % M,
-    )
-    assert check_b(pair, cores, image).valid
+    def inverse(e):
+        return g.row(e).index(0)
+
+    def conjugate(e, by):
+        return g.mul(g.mul(inverse(by), e), by)
+
+    def tail(e):
+        """(z exponent / u' mod M, x exponent / u mod N) of e, of head 0."""
+        assert e < M * N
+        ez, ex = divmod(e, N)
+        return ez * pow(u2, -1, M) % M, ex * pow(u, -1, N) % N
+
+    x, z = power(g.gen_x, u), power(g.gen_z, u2)
+    y, w = g.mul(g.gen_y, power(g.gen_x, v)), g.mul(g.gen_w, power(g.gen_z, v2))
+    c, t_new = tail(g.mul(inverse(y), conjugate(y, w)))
+    b, one_plus_s = tail(conjugate(x, w))
+    one_plus_a, r = tail(conjugate(z, y))
+    read = TupleB(r, (one_plus_a - 1) % M, (one_plus_s - 1) % N, b, t_new, c)
+    assert read == tuple_in_new_generators(pair, t, *exponents)
 
 
 @PROPERTY_SETTINGS
@@ -671,7 +727,7 @@ class FullSweepLookahead(_Enumeration):
         self.passes += 1
         rows, parent, inverse = self.rows, self.parent, self.inverse
         for coset in range(len(rows)):
-            for cols in self.relators:
+            for cols, *_ in self.ends:
                 if parent[coset] != coset:
                     break
                 f, i = coset, 0
