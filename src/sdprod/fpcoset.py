@@ -34,21 +34,25 @@ relators are freely reduced, a defining scan, once it has defined the
 first coset of a gap, defines the rest straight through and deduces
 the last letter (see _Enumeration.scan).  A doubling lookahead
 bounds the waste: when the number of cosets defined reaches a mark
-(LOOKAHEAD_FIRST at first), every relator is scanned without defining,
-which only fills deductions and merges coincidences, at each live coset
-HLT has not processed yet, and the mark is set to twice the number
-defined.  A scan at a processed coset could change nothing: HLT left
-every relator closed there, definitions only add edges, and coincidence
-processing maps closed paths to closed paths.  Runs below the first
-mark make the exact sequence of definitions of plain HLT on the
-rewritten relators in the internal columns.  The procedure is
-deterministic, and the finished table is renumbered in breadth-first
-order from the identity coset and written in the public layout, two
-columns per generator, so it does not depend on the strategy; it is
-then audited against the relators as given: every column must be a
-permutation, every generator's inverse column must invert its column,
-every relator must close at every coset (a pure power g^k by the cycle
-lengths of g), and every subgroup word must fix coset 0.
+(LOOKAHEAD_FIRST at first), every relator that uses two or more columns
+is scanned without defining, which only fills deductions and merges
+coincidences, at each live coset HLT has not processed yet, and the mark
+is set to twice the number defined.  A scan at a processed coset could
+change nothing: HLT left every relator closed there, definitions only
+add edges, and coincidence processing maps closed paths to closed paths.
+A relator in one column, such as a pure power g^k, is left to HLT: its
+defining scan closes the whole g-cycle it walks, which then stays
+closed, so a lookahead scan of it would nearly always walk a closed
+cycle and find nothing.  Runs below the first mark make the exact
+sequence of definitions of plain HLT on the rewritten relators in the
+internal columns.  The procedure is deterministic, and the finished
+table is renumbered in breadth-first order from the identity coset and
+written in the public layout, two columns per generator, so it does not
+depend on the strategy; it is then audited against the relators as
+given: every column must be a permutation, every generator's inverse
+column must invert its column, every relator must close at every coset
+(a pure power g^k by the cycle lengths of g), and every subgroup word
+must fix coset 0.
 
 The kernel is written to spend few interpreted operations on each
 definition and coincidence.  Merged cosets form a union-find over coset
@@ -422,10 +426,11 @@ class _Enumeration:
         up to its last letter, which is deduced; in that case both walks
         are tried again after the one definition.
 
-        A scan that does not define skips a relator of length at least 2
-        at a coset whose row defines neither its first column nor the
-        inverse of its last: neither end of that scan can move, so it
-        would stop at once, at a gap of the whole relator."""
+        A scan that does not define skips a relator at a coset whose row
+        defines neither its first column nor the inverse of its last:
+        neither end of that scan can move, so it would stop at once, at a
+        gap of the whole relator.  That gap is longer than one letter, as
+        the lookahead scans no one-letter relator."""
         rows, parent, coincidence = self.rows, self.parent, self.coincidence
         inverse, max_cosets = self.inverse, self.max_cosets
         width = len(inverse)
@@ -436,7 +441,7 @@ class _Enumeration:
             for cols, back, first, last, n in relators:
                 if parent[coset] != coset:
                     break
-                if not defining and row[first] is None and row[last] is None and n > 1:
+                if not defining and row[first] is None and row[last] is None:
                     continue
                 f, i = coset, 0
                 b, j = coset, n
@@ -510,8 +515,9 @@ class _Enumeration:
             coset += 1
 
     def lookahead(self, start: int) -> None:
-        """Scan every relator without defining at each live coset from
-        start, the first one HLT has not processed.
+        """Scan every relator that uses two or more columns without
+        defining at each live coset from start, the first one HLT has not
+        processed.
 
         The cosets below start are skipped because no scan there can
         change anything.  HLT left every relator closed at each of them:
@@ -519,8 +525,15 @@ class _Enumeration:
         Definitions only add edges, and coincidence processing maps each
         closed path to a closed path through the representatives, so
         every relator still closes at each live coset below start, and a
-        scan there returns to where it began."""
-        self.scan(range(start, len(self.rows)), self.ends, False)
+        scan there returns to where it began.
+
+        A relator in one column, a pure power g^k or a single letter, is
+        left out.  HLT's defining scan of g^k at a coset closes the whole
+        g-cycle through it, which coincidence processing keeps closed, so
+        such a scan in the lookahead nearly always walks a closed cycle
+        for nothing; HLT still scans it at every coset it processes."""
+        relators = [rel for rel in self.ends if len(set(rel[0])) > 1]
+        self.scan(range(start, len(self.rows)), relators, False)
 
     def compact(self) -> list[list[int]]:
         """Renumber the live cosets breadth first from the identity coset,

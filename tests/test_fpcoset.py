@@ -36,6 +36,11 @@ PAIR44 = derive_pair(4, 4)
 FLAGSHIP_TUPLE = TupleB(4, 0, 0, 4, 0, 0)
 
 SD16_LINES = ["x^8", "y^2", "Y x y X^3"]
+# the modular and dihedral groups of order 16: like SD16, an x of order 8
+# and an involution y, but x^y is x^5 or x^-1, where SD16's is x^3
+M16_LINES = ["x^8", "y^2", "Y x y X^5"]
+D16_LINES = ["x^8", "y^2", "Y x y x"]
+M16_ZW_LINES = ["z^8", "w^2", "W z w Z^5"]
 # Two non-2-groups where <x> has order 6, so its subgroups do not form a
 # chain.  The core of <x> is <x^3> in A4 x Z2 and <x^2> in S3 x S3: a core
 # that only tries the powers x^(2^i) fails on the first.
@@ -422,6 +427,26 @@ def test_coset_limit_past_the_lookahead_mark():
         coset_enumerate(fp, 10_077)
 
 
+def test_lookahead_scans_no_one_column_relator():
+    # HLT's defining scan of x^16 or z^16 closes the cycle it walks, so the
+    # lookahead's one pass on this file scans every relator but those two
+    passes = []
+
+    class Recorded(_Enumeration):
+        def scan(self, cosets, relators, defining):
+            if not defining:
+                passes.append([cols for cols, *_ in relators])
+            super().scan(cosets, relators, defining)
+
+    fp = fp_from_extended(derive_pair(5, 5), TupleB(8, 0, 8, 0, 8, 0), 2, 14)
+    state = Recorded(fp, 10**6)
+    state.run()
+    one_column = [cols for cols, *_ in state.ends if len(set(cols)) == 1]
+    assert len(one_column) == 2 and {len(cols) for cols in one_column} == {16}
+    assert len(passes) == 1
+    assert passes[0] == [cols for cols, *_ in state.ends if cols not in one_column]
+
+
 SD32_LINES = ["x^16", "y^2", "Y x y X^7"]
 
 
@@ -607,6 +632,21 @@ def test_crosscheck_order_every_valid_tuple_a():
             assert collected == enumerated == full == 4 * pair.N * pair.M, (n, m, t4)
 
 
+# what tc reads off M16 and off D16 on <x, y> alike: neither is semidihedral
+M16_REPORT = StructureReport(
+    order=16,
+    generator_orders={"y": 2, "x": 8},
+    h_order=16,
+    k_order=1,
+    intersection_order=1,
+    xz_commutator=None,
+    core_x_order=8,
+    core_z_order=None,
+    h_semidihedral=False,
+    k_semidihedral=False,
+)
+
+
 @pytest.mark.parametrize(
     "lines, want",
     [
@@ -640,8 +680,20 @@ def test_crosscheck_order_every_valid_tuple_a():
                 k_semidihedral=False,
             ),
         ),
+        (M16_LINES, M16_REPORT),
+        (D16_LINES, M16_REPORT),
+        (
+            M16_ZW_LINES,
+            M16_REPORT._replace(
+                generator_orders={"w": 2, "z": 8},
+                h_order=1,
+                k_order=16,
+                core_x_order=None,
+                core_z_order=8,
+            ),
+        ),
     ],
-    ids=["A4xZ2", "S3xS3"],
+    ids=["A4xZ2", "S3xS3", "M16", "D16", "M16-zw"],
 )
 def test_structure_report_cores_off_a_chain(lines, want):
     fp = parse_relator_lines(lines)
