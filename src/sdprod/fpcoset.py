@@ -94,21 +94,22 @@ class RelatorSyntaxError(ValueError):
 
 
 class _FpFields(NamedTuple):
-    ngens: int
     names: tuple[str, ...]
     relators: tuple[tuple[int, ...], ...]
 
 
 class FpPres(_FpFields):
-    """Finite presentation: positive letters 1..ngens, negative inverses.
+    """Finite presentation: positive letters 1..ngens, negative inverses,
+    one generator per name.
 
     The constructor checks the fields; _replace and _make do not."""
 
     __slots__ = ()
 
-    def __new__(cls, ngens: int, names: tuple[str, ...], relators: tuple[tuple[int, ...], ...]):
-        if ngens < 1 or len(names) != ngens:
-            raise DomainError("generator names must match the generator count")
+    def __new__(cls, names: tuple[str, ...], relators: tuple[tuple[int, ...], ...]):
+        if not names:
+            raise DomainError("a presentation needs at least one generator")
+        ngens = len(names)
         for rel in relators:
             if not rel:
                 raise DomainError("empty relator")
@@ -116,12 +117,19 @@ class FpPres(_FpFields):
                 raise DomainError(f"relator letter out of range: {rel}")
             if free_reduce(rel) != rel:
                 raise DomainError(f"relator not freely reduced: {rel}")
-        return super().__new__(cls, ngens, names, relators)
+        return super().__new__(cls, names, relators)
+
+    @property
+    def ngens(self) -> int:
+        return len(self.names)
 
 
 class CosetTable(NamedTuple):
     rows: list[list[int]]  # per coset: images under g1, g1^-1, g2, g2^-1, ...
-    count: int
+
+    @property
+    def count(self) -> int:
+        return len(self.rows)
 
     def walk(self, word: Iterable[int]) -> int:
         """The coset that word (letters as in FpPres.relators) reaches from coset 0."""
@@ -185,7 +193,7 @@ def fp_from_extended(pair: SdPair, t: TupleB, e1: int, e2: int) -> FpPres:
         (-X, -W, X, W) + _pow_word(Z, -b) + _pow_word(X, -s),
         (-Y, -W, Y, W) + _pow_word(Z, -c) + _pow_word(X, -tt),
     )
-    return FpPres(ngens=4, names=GEN_NAMES, relators=tuple(free_reduce(r) for r in relators))
+    return FpPres(names=GEN_NAMES, relators=tuple(free_reduce(r) for r in relators))
 
 
 # [0-9], not \d: \d matches every Unicode decimal digit, which int() reads
@@ -240,7 +248,7 @@ def parse_relator_lines(lines: Iterable[str]) -> FpPres:
         if not reduced:
             raise RelatorSyntaxError(f"line {lineno}: relator reduces to the empty word")
         relators.append(reduced)
-    return FpPres(ngens=len(names), names=names, relators=tuple(relators))
+    return FpPres(names=names, relators=tuple(relators))
 
 
 def parse_relator_file(path: str) -> FpPres:
@@ -273,7 +281,7 @@ def _append_run(cols: list[int], col: int, n: int, inverse: Sequence[int]) -> No
     cols += [col] * n
 
 
-_Ends = tuple[tuple[tuple[int, ...], tuple[int, ...], int, int, int], ...]
+_Ends = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]  # (cols, back, n) per word
 
 
 @functools.lru_cache(maxsize=1)
@@ -346,13 +354,11 @@ def _compile_relators(
 def _ends(compiled: Iterable[Sequence[int]], inverse: Sequence[int]) -> _Ends:
     """What _Enumeration.scan reads of each word of internal columns: its
     columns; back, where back[j] is the column a backward scan leaves the
-    coset at position j by (the inverse of column j - 1); the column its
-    scan leaves a coset by at either end; and its length."""
-    out = []
-    for cols in compiled:
-        back = (-1, *(inverse[col] for col in cols))
-        out.append((tuple(cols), back, cols[0], back[-1], len(cols)))
-    return tuple(out)
+    coset at position j by (the inverse of column j - 1); and its length.
+    The scan is slower reading inverse[cols[j - 1]] or len(cols) instead."""
+    return tuple(
+        (tuple(cols), (-1, *(inverse[col] for col in cols)), len(cols)) for cols in compiled
+    )
 
 
 class _Enumeration:
@@ -408,14 +414,14 @@ class _Enumeration:
                 parent[other] = keep
                 queue.append(other)
 
-    def scan(self, cosets: Iterable[int], relators: list[tuple], defining: bool) -> None:
-        """Scan each relator of relators (see _ends) from both ends at each
-        coset of cosets, while that coset is live.  A closed scan may give
-        a coincidence and a one-letter gap a deduction.  At a longer gap a
-        defining scan (HLT) defines cosets, while any other scan
-        (lookahead) stops: it only fills deductions and merges
-        coincidences.  This is the only place a coset is created, with
-        the one --max-cosets check.
+    def scan(self, cosets: Iterable[int], relators: Sequence[tuple], defining: bool) -> None:
+        """Scan each relator of relators, its (cols, back, n) as _ends
+        gives it, from both ends at each coset of cosets, while that coset
+        is live.  A closed scan may give a coincidence and a one-letter gap
+        a deduction.  At a longer gap a defining scan (HLT) defines cosets,
+        while any other scan (lookahead) stops: it only fills deductions
+        and merges coincidences.  This is the only place a coset is
+        created, with the one --max-cosets check.
 
         A defining scan defines the gap's first image, f·col, as a new
         coset whose row holds only its edge back to f.  As the relator is
@@ -424,25 +430,16 @@ class _Enumeration:
         letter is col's inverse.  Outside that case neither walk can move
         until one letter is left, so the gap is defined straight through
         up to its last letter, which is deduced; in that case both walks
-        are tried again after the one definition.
-
-        A scan that does not define skips a relator at a coset whose row
-        defines neither its first column nor the inverse of its last:
-        neither end of that scan can move, so it would stop at once, at a
-        gap of the whole relator.  That gap is longer than one letter, as
-        the lookahead scans no one-letter relator."""
+        are tried again after the one definition."""
         rows, parent, coincidence = self.rows, self.parent, self.coincidence
         inverse, max_cosets = self.inverse, self.max_cosets
         width = len(inverse)
         for coset in cosets:
             if parent[coset] != coset:
                 continue
-            row = rows[coset]
-            for cols, back, first, last, n in relators:
+            for cols, back, n in relators:
                 if parent[coset] != coset:
                     break
-                if not defining and row[first] is None and row[last] is None:
-                    continue
                 f, i = coset, 0
                 b, j = coset, n
                 while True:
@@ -586,7 +583,7 @@ def coset_enumerate(
     state = _Enumeration(fp, max_cosets)
     state.run(subgroup)
     rows = state.compact()
-    table = CosetTable(rows=rows, count=len(rows))
+    table = CosetTable(rows)
     _audit(fp, table, subgroup)
     return table
 

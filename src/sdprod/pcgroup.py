@@ -88,8 +88,11 @@ class PcData(NamedTuple):
 class ConsistencyEntry(NamedTuple):
     family: str  # "P" (power-conjugate), "W" (power of image), "C" (mixed)
     index: tuple[int, ...]  # generator positions, 1=w 2=y 3=z 4=x
-    passed: bool
     residual: tuple[int, int]  # exponent discrepancy (z part mod M, x part mod N)
+
+    @property
+    def passed(self) -> bool:
+        return self.residual == (0, 0)
 
 
 class ConsistencyReport(NamedTuple):
@@ -118,10 +121,12 @@ class GroupTable(NamedTuple):
     (w, y) part of an index as its head, 2*a1 + a2, and the (z, x) part as
     its tail.  Row u is fixed by its four prefixes u, u*y, u*w, u*w*y, in
     head order: u*v is the prefix that v's head selects with v's tail
-    added on, because x^z = x.  The table keeps only the three tail maps
-    that give those prefixes (see `prefixes`), each the action of w or y on
-    the tail as the presentation writes it, NM entries each, so it costs
-    3|G|/4 entries; `mul` looks up one product and `row` yields one row.
+    added on, because x^z = x.  The table is its pair and the three tail
+    maps that give those prefixes (see `prefixes`), each the action of w
+    or y on the tail as the presentation writes it, NM entries each, so it
+    costs 3|G|/4 entries; `mul` looks up one product and `row` yields one
+    row.  The pair fixes the rest: the order 4NM, and by the index layout
+    the generators w = 2NM, y = NM, z = N and x = 1.
     In this form the table is an extension of the tail by the Klein
     four-group of heads, and `verify_associativity_extension` checks
     associativity on the three maps alone, in O(|G|).
@@ -147,14 +152,13 @@ class GroupTable(NamedTuple):
     """
 
     pair: SdPair
-    order: int
     ty: list[int]  # tail of z^i x^j y, at position i*N + j
     tw: list[int]  # tail of z^i x^j w
     tw_past_y: list[int]  # tail of y z^i x^j w
-    gen_w: int
-    gen_y: int
-    gen_z: int
-    gen_x: int
+
+    @property
+    def order(self) -> int:
+        return 4 * self.pair.N * self.pair.M
 
     def prefixes(self, u: int) -> tuple[int, int, int, int]:
         """The prefixes of u: u, u*y, u*w and u*w*y, prefix k at position k.
@@ -288,8 +292,7 @@ def check_consistency(pc: PcData) -> ConsistencyReport:
     entries = []
 
     def add(family: str, index: tuple[int, ...], residual: tuple[int, int]) -> None:
-        residual = (residual[0] % M, residual[1] % N)
-        entries.append(ConsistencyEntry(family, index, residual == (0, 0), residual))
+        entries.append(ConsistencyEntry(family, index, (residual[0] % M, residual[1] % N)))
 
     wv, yv = _apply(pair, W, v), _apply(pair, Y, v)
     add("P", (1, 2), (v[0] + wv[0], v[1] + wv[1]))
@@ -360,14 +363,9 @@ def build_table(pc: PcData, consistency: ConsistencyReport | None = None) -> Gro
         raise CapacityError(f"table too large: order {order} exceeds cap {DEFAULT_MAX_ORDER}")
     g = GroupTable(
         pair=pair,
-        order=order,
         ty=_tail_map(pair, Y),
         tw=_tail_map(pair, W),
         tw_past_y=_tail_map(pair, W, shift=v),
-        gen_w=2 * M * N,
-        gen_y=M * N,
-        gen_z=N,
-        gen_x=1,
     )
     audit_table(g)
     return g
@@ -379,10 +377,11 @@ def audit_table(g: GroupTable) -> None:
     tail map is a permutation of range(NM).
 
     Each map is range-checked and then marked in a bytearray.  A failure
-    names the first failing column of the table: y when ty fails, else w,
-    the first column that reads tw and tw_past_y."""
+    names the first failing column of the table by its element's index:
+    y (NM) when ty fails, else w (2NM), the first column that reads tw and
+    tw_past_y."""
     block = g.order // 4
-    for column, tails in ((g.gen_y, g.ty), (g.gen_w, g.tw), (g.gen_w, g.tw_past_y)):
+    for column, tails in ((block, g.ty), (2 * block, g.tw), (2 * block, g.tw_past_y)):
         seen = bytearray(block)
         if len(tails) == block and min(tails) >= 0 and max(tails) < block:
             for t in tails:
@@ -436,9 +435,8 @@ def core_of(g: GroupTable, h: tuple[int, ...]) -> tuple[int, ...]:
     """
     mul = g.mul
     N, M = g.pair.N, g.pair.M
-    conjugators = [
-        (g.gen_w, g.gen_w), (g.gen_y, g.gen_y), ((M - 1) * N, g.gen_z), (N - 1, g.gen_x)
-    ]
+    w, y = 2 * M * N, M * N  # the indices of w, y, z = N and x = 1
+    conjugators = [(w, w), (y, y), ((M - 1) * N, N), (N - 1, 1)]
     core = set(h)
     while True:
         size = len(core)

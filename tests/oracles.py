@@ -1,11 +1,29 @@
 """Associativity oracles for the tests: Light's test, beside the package's
-cubic scan (`pcgroup.verify_associativity_exhaustive`).
+cubic scan (`pcgroup.verify_associativity_exhaustive`); and the indices of
+the four generators in a table, which the tests read from `generators`.
 
 The package checks associativity with the group-extension certificate
 (`pcgroup.verify_associativity_extension`), in O(|G|).  Light's test
 costs 4 * order**2 lookups; it stays here, as an independent second
 answer that reads the table through its rows and columns only.
 """
+
+from typing import NamedTuple
+
+
+class Generators(NamedTuple):
+    w: int
+    y: int
+    z: int
+    x: int
+
+
+def generators(g) -> Generators:
+    """The element indices of w, y, z and x in a table g of `g.pair`:
+    2NM, NM, N and 1, by the index ((a1*2 + a2)*M + a3)*N + a4 of
+    w^a1 y^a2 z^a3 x^a4 (see pcgroup.GroupTable)."""
+    N, M = g.pair.N, g.pair.M
+    return Generators(2 * N * M, N * M, N, 1)
 
 
 def generator_columns(g):
@@ -50,7 +68,7 @@ def verify_associativity_generators(g) -> bool:
     """
     own = getattr(g, "generator_columns", None)
     columns = own() if own else generator_columns(g)
-    products = {g.gen_w, g.gen_y, g.gen_z, g.gen_x}
+    products = set(generators(g))
     queue = list(products)
     for cur in queue:  # queue grows while iterating
         for col in columns:

@@ -39,6 +39,7 @@ from sdprod.pcgroup import (
     subgroup_closure,
     verify_associativity_exhaustive,
 )
+from oracles import generators
 
 SAMPLING_SEED = 20260821
 
@@ -89,13 +90,14 @@ def test_criterion_2_witness_pipeline():
     assert len(report.entries) == 16
     assert report.overall
     g = build_table(pc)
+    gen = generators(g)
     assert g.order == 256
-    h = subgroup_closure(g, (g.gen_x, g.gen_y))
-    k = subgroup_closure(g, (g.gen_z, g.gen_w))
+    h = subgroup_closure(g, (gen.x, gen.y))
+    k = subgroup_closure(g, (gen.z, gen.w))
     assert len(h) == 16 and len(k) == 16
     assert len(set(h) & set(k)) == 1
-    assert is_normal(g, subgroup_closure(g, (g.gen_x,)))
-    assert is_normal(g, subgroup_closure(g, (g.gen_z,)))
+    assert is_normal(g, subgroup_closure(g, (gen.x,)))
+    assert is_normal(g, subgroup_closure(g, (gen.z,)))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
     return f"valid, 16/16 identities, order 256, |H|=|K|=16, meet 1, {elapsed:.2f}s"
@@ -170,8 +172,9 @@ def test_criterion_6_core_selection():
         want_z = PAIR44.M // cores.m1
         for t6 in tuples:
             g = build_table(pc_from_tuple_b(PAIR44, t6))
-            cx = core_of(g, subgroup_closure(g, (g.gen_x,)))
-            cz = core_of(g, subgroup_closure(g, (g.gen_z,)))
+            gen = generators(g)
+            cx = core_of(g, subgroup_closure(g, (gen.x,)))
+            cz = core_of(g, subgroup_closure(g, (gen.z,)))
             assert len(cx) == want_x, (cores, t6)
             assert len(cz) == want_z, (cores, t6)
         details.append(f"cores {tuple(cores)}: {len(tuples)} tuples, |core| {want_x}/{want_z}")

@@ -1,0 +1,89 @@
+"""Committed mutants: each is a one-line edit of the package or of a
+reference formula of the tests, with the one check that must kill it.
+
+A mutant is made from the source of the function it edits: the line is
+replaced, the function is compiled again in a copy of its module's
+namespace, and monkeypatch puts it in place of the original for one test.
+The test runs the named check on its listed cases, first on the code as
+it is, where every case must pass, then on the mutant, where every case
+must fail.  Only the named check runs, so the file takes seconds.  An
+edit whose line is no longer in the source fails here too: the mutant
+must then be rewritten for the new code, not dropped.
+"""
+
+import inspect
+import textwrap
+from typing import Callable, NamedTuple
+
+import pytest
+
+import test_fpcoset
+import test_pcgroup
+import test_properties
+from sdprod import fpcoset, pcgroup
+
+
+class Mutant(NamedTuple):
+    owner: object  # the module or class that holds the edited function
+    name: str  # the function, or property, edited
+    line: str  # the source text replaced, which must occur once
+    mutated: str
+    check: Callable  # the killing check
+    cases: tuple  # its arguments, one tuple per case
+
+
+MUTANTS = {
+    # the modular group's relation x^y = x^(N/2+1) accepted beside the
+    # semidihedral x^(N/2-1)
+    "semidihedral-accepts-modular": Mutant(
+        fpcoset,
+        "_is_semidihedral",
+        "return table.walk((-y, x, y)) == powers[x][twist % n_half]",
+        "return table.walk((-y, x, y)) in (powers[x][twist % n_half], powers[x][twist + 2])",
+        test_fpcoset.test_structure_report_cores_off_a_chain,
+        (
+            (test_fpcoset.M16_LINES, test_fpcoset.M16_REPORT),
+            (test_fpcoset.M16_ZW_LINES, test_fpcoset.M16_ZW_REPORT),
+        ),
+    ),
+    # t' of the new generators with + r v' in place of - r v'
+    "r-v2-sign-flipped": Mutant(
+        test_properties,
+        "tuple_in_new_generators",
+        "(t + s * v - r * v2) * u_inv % N",
+        "(t + s * v + r * v2) * u_inv % N",
+        test_properties.test_new_generators_read_off_the_table_give_the_mapped_tuple.hypothesis.inner_test,
+        ((test_properties.SIGN_OF_R_V2,),),
+    ),
+    # every overlap identity reported as holding, whatever its residual
+    "consistency-entry-always-passed": Mutant(
+        pcgroup.ConsistencyEntry,
+        "passed",
+        "return self.residual == (0, 0)",
+        "return True",
+        test_pcgroup.test_consistency_report_pinned_entry_by_entry,
+        tuple(test_pcgroup.PINNED_REPORTS),
+    ),
+}
+
+
+def mutate(mutant: Mutant):
+    """The edited function (or property) of mutant, compiled from its source."""
+    original = vars(mutant.owner)[mutant.name]
+    fn = original.fget if isinstance(original, property) else original
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(mutant.line) == 1, f"{mutant.name} no longer holds {mutant.line!r}"
+    namespace = dict(fn.__globals__)
+    code = compile(source.replace(mutant.line, mutant.mutated), inspect.getsourcefile(fn), "exec")
+    exec(code, namespace)
+    return namespace[mutant.name]
+
+
+@pytest.mark.parametrize("mutant", MUTANTS.values(), ids=MUTANTS.keys())
+def test_mutant_is_killed_by_its_check(monkeypatch, mutant):
+    for case in mutant.cases:
+        mutant.check(*case)
+    monkeypatch.setattr(mutant.owner, mutant.name, mutate(mutant))
+    for case in mutant.cases:
+        with pytest.raises(AssertionError):
+            mutant.check(*case)

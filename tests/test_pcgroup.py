@@ -34,7 +34,7 @@ from sdprod.pcgroup import (
     verify_associativity_exhaustive,
     verify_associativity_extension,
 )
-from oracles import verify_associativity_generators
+from oracles import generators, verify_associativity_generators
 
 PAIR44 = derive_pair(4, 4)
 WITNESS = TupleA(0, 2, 0, 0)
@@ -249,7 +249,7 @@ def test_consistency_report_pinned_entry_by_entry(nm, t6, want):
     # .overall and failed() membership miss a reordered entry or a wrong
     # residual; the whole report is compared here
     report = check_consistency(pc_from_tuple_b(derive_pair(*nm), TupleB(*t6)))
-    assert [tuple(e) for e in report.entries] == want
+    assert [(e.family, e.index, e.passed, e.residual) for e in report.entries] == want
 
 
 @pytest.mark.parametrize("n,m", [(4, 4), (4, 5), (5, 4)])
@@ -367,12 +367,13 @@ def test_nf_index_round_trip():
 
 def test_build_table_witness():
     g = witness_table()
+    gen = generators(g)
     assert g.order == 256
     assert index_nf(PAIR44, 0) == NormalForm(0, 0, 0, 0)
-    assert index_nf(PAIR44, g.gen_x) == NormalForm(0, 0, 0, 1)
-    assert index_nf(PAIR44, g.gen_z) == NormalForm(0, 0, 1, 0)
-    assert index_nf(PAIR44, g.gen_y) == NormalForm(0, 1, 0, 0)
-    assert index_nf(PAIR44, g.gen_w) == NormalForm(1, 0, 0, 0)
+    assert index_nf(PAIR44, gen.x) == NormalForm(0, 0, 0, 1)
+    assert index_nf(PAIR44, gen.z) == NormalForm(0, 0, 1, 0)
+    assert index_nf(PAIR44, gen.y) == NormalForm(0, 1, 0, 0)
+    assert index_nf(PAIR44, gen.w) == NormalForm(1, 0, 0, 0)
 
 
 def test_build_table_matches_direct_collection():
@@ -461,9 +462,8 @@ class PrefixTable:
 
     GroupTable derives its prefixes from three tail maps, so a change to
     one map moves a whole column.  This form lets a test set one product
-    of one row and hand the result to what reads only `order`, `row`,
-    `generator_columns` and the generators: Light's test and the cubic
-    scan.  Its columns come from `mul`, so they stay the columns of a
+    of one row and hand the result to what reads only `pair`, `order`,
+    `row` and `generator_columns`: Light's test and the cubic scan.  Its columns come from `mul`, so they stay the columns of a
     table whose prefix 0 is no longer the element itself, which
     GroupTable's columns assume.
     """
@@ -471,15 +471,11 @@ class PrefixTable:
     pair: SdPair
     order: int
     prefixes: list[tuple[int, int, int, int]]
-    gen_w: int
-    gen_y: int
-    gen_z: int
-    gen_x: int
 
     @classmethod
     def of(cls, g):
         prefixes = [g.prefixes(u) for u in range(g.order)]
-        return cls(g.pair, g.order, prefixes, g.gen_w, g.gen_y, g.gen_z, g.gen_x)
+        return cls(g.pair, g.order, prefixes)
 
     def mul(self, a, b):
         N, M = self.pair.N, self.pair.M
@@ -488,8 +484,7 @@ class PrefixTable:
         return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
 
     def generator_columns(self):
-        gens = (self.gen_w, self.gen_y, self.gen_z, self.gen_x)
-        return [[self.mul(b, c) for b in range(self.order)] for c in gens]
+        return [[self.mul(b, c) for b in range(self.order)] for c in generators(self)]
 
     def row(self, a):
         N, M = self.pair.N, self.pair.M
@@ -542,36 +537,38 @@ def test_prefix_table_matches_the_table():
 
 def test_table_audit_catches_a_tail_map_that_is_not_a_bijection(monkeypatch):
     g = witness_table()
+    gen = generators(g)
     audit_table(g)
     # element 7 times w now lands where element 6 times w does: the head
     # stays w, so row 7 is a permutation, while column w repeats an entry
     bad = g._replace(tw=with_entry(g.tw, 7, g.tw[6]))
-    assert bad.mul(7, g.gen_w) == g.mul(6, g.gen_w)
+    assert bad.mul(7, gen.w) == g.mul(6, gen.w)
     assert not full_scan_accepts(bad)
-    with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
+    with pytest.raises(RuntimeError, match=f"column {gen.w} of the product table"):
         audit_table(bad)
-    with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
+    with pytest.raises(RuntimeError, match=f"column {gen.w} of the product table"):
         build_with_entry(monkeypatch, 1, 7, g.tw[6])
     # the same fault past y shows in the w column too, now at element y x^7
     bad = g._replace(tw_past_y=with_entry(g.tw_past_y, 7, g.tw_past_y[6]))
-    assert bad.mul(g.gen_y + 7, g.gen_w) == g.mul(g.gen_y + 6, g.gen_w)
+    assert bad.mul(gen.y + 7, gen.w) == g.mul(gen.y + 6, gen.w)
     assert not full_scan_accepts(bad)
-    with pytest.raises(RuntimeError, match=f"column {g.gen_w} of the product table"):
+    with pytest.raises(RuntimeError, match=f"column {gen.w} of the product table"):
         audit_table(bad)
 
 
 def test_table_audit_catches_a_tail_map_entry_outside_the_block(monkeypatch):
     g = witness_table()
+    gen = generators(g)
     block = g.order // 4
     # element 9 times y now leaves the y block
     bad = g._replace(ty=with_entry(g.ty, 9, block + g.ty[9]))
     assert not full_scan_accepts(bad)
-    with pytest.raises(RuntimeError, match=f"column {g.gen_y} of the product table"):
+    with pytest.raises(RuntimeError, match=f"column {gen.y} of the product table"):
         audit_table(bad)
-    with pytest.raises(RuntimeError, match=f"column {g.gen_y} of the product table"):
+    with pytest.raises(RuntimeError, match=f"column {gen.y} of the product table"):
         build_with_entry(monkeypatch, 0, 9, block + g.ty[9])
     # a negative entry would index the map from its end
-    with pytest.raises(RuntimeError, match=f"column {g.gen_y} of the product table"):
+    with pytest.raises(RuntimeError, match=f"column {gen.y} of the product table"):
         audit_table(g._replace(ty=with_entry(g.ty, 9, -1)))
 
 
@@ -609,25 +606,28 @@ def test_build_table_order_4nm_at_mixed_rank():
 
 def test_zero_tuple_factors_centralize():
     g = build_table(pc_from_tuple_a(PAIR44, TupleA(0, 0, 0, 0)))
-    for u in (g.gen_x, g.gen_y):
-        assert g.mul(u, g.gen_z) == g.mul(g.gen_z, u)
-    for v in (g.gen_z, g.gen_w):
-        assert g.mul(v, g.gen_x) == g.mul(g.gen_x, v)
+    gen = generators(g)
+    for u in (gen.x, gen.y):
+        assert g.mul(u, gen.z) == g.mul(gen.z, u)
+    for v in (gen.z, gen.w):
+        assert g.mul(v, gen.x) == g.mul(gen.x, v)
 
 
 def test_subgroup_closure_orders():
     g = witness_table()
+    gen = generators(g)
     assert subgroup_closure(g, ()) == (0,)
-    assert len(subgroup_closure(g, (g.gen_x,))) == 8
-    assert len(subgroup_closure(g, (g.gen_x, g.gen_y))) == 16
-    assert len(subgroup_closure(g, (g.gen_z, g.gen_w))) == 16
+    assert len(subgroup_closure(g, (gen.x,))) == 8
+    assert len(subgroup_closure(g, (gen.x, gen.y))) == 16
+    assert len(subgroup_closure(g, (gen.z, gen.w))) == 16
 
 
 def test_element_orders_and_inverses():
     g = witness_table()
+    gen = generators(g)
     # every order in a 2-group is a power of two, so g^k = 1 and
     # g^(k/2) != 1 make k the order of g
-    for e, k in ((0, 1), (g.gen_x, 8), (g.gen_w, 2)):
+    for e, k in ((0, 1), (gen.x, 8), (gen.w, 2)):
         assert table_power(g, e, k) == 0
         assert k == 1 or table_power(g, e, k // 2) != 0
     for e in range(g.order):
@@ -637,29 +637,32 @@ def test_element_orders_and_inverses():
 
 def test_normality_facts():
     g = witness_table()
-    assert is_normal(g, subgroup_closure(g, (g.gen_x,)))
-    assert is_normal(g, subgroup_closure(g, (g.gen_z,)))
+    gen = generators(g)
+    assert is_normal(g, subgroup_closure(g, (gen.x,)))
+    assert is_normal(g, subgroup_closure(g, (gen.z,)))
     assert is_normal(g, subgroup_closure(g, ()))
     # frozen fixtures: the two involutions generate non-normal subgroups
-    assert not is_normal(g, subgroup_closure(g, (g.gen_w,)))
-    assert not is_normal(g, subgroup_closure(g, (g.gen_y,)))
+    assert not is_normal(g, subgroup_closure(g, (gen.w,)))
+    assert not is_normal(g, subgroup_closure(g, (gen.y,)))
 
 
 def test_core_facts():
     g = witness_table()
-    hx = subgroup_closure(g, (g.gen_x,))
+    gen = generators(g)
+    hx = subgroup_closure(g, (gen.x,))
     assert core_of(g, hx) == hx
-    whole = subgroup_closure(g, (g.gen_w, g.gen_y, g.gen_z, g.gen_x))
+    whole = subgroup_closure(g, (gen.w, gen.y, gen.z, gen.x))
     assert len(whole) == g.order
     assert len(core_of(g, whole)) == g.order
 
 
 def test_core_shrinks_for_twisted_tuple():
     g = build_table(pc_from_tuple_b(PAIR44, TupleB(4, 0, 0, 4, 0, 0)))
-    hx = subgroup_closure(g, (g.gen_x,))
-    hz = subgroup_closure(g, (g.gen_z,))
-    x2 = g.mul(g.gen_x, g.gen_x)
-    z2 = g.mul(g.gen_z, g.gen_z)
+    gen = generators(g)
+    hx = subgroup_closure(g, (gen.x,))
+    hz = subgroup_closure(g, (gen.z,))
+    x2 = g.mul(gen.x, gen.x)
+    z2 = g.mul(gen.z, gen.z)
     assert core_of(g, hx) == subgroup_closure(g, (x2,))
     assert core_of(g, hz) == subgroup_closure(g, (z2,))
 
@@ -677,19 +680,21 @@ def sd_relations_hold(g, gen_big, gen_inv, big_order):
 def test_structure_of_every_valid_tuple_a():
     for t4 in enumerate_a(PAIR44):
         g = build_table(pc_from_tuple_a(PAIR44, t4))
+        gen = generators(g)
         assert g.order == 256
-        h = subgroup_closure(g, (g.gen_x, g.gen_y))
-        k = subgroup_closure(g, (g.gen_z, g.gen_w))
+        h = subgroup_closure(g, (gen.x, gen.y))
+        k = subgroup_closure(g, (gen.z, gen.w))
         assert len(h) == 16 and len(k) == 16
         assert len(set(h) & set(k)) == 1
-        assert sd_relations_hold(g, g.gen_x, g.gen_y, 8)
-        assert sd_relations_hold(g, g.gen_z, g.gen_w, 8)
-        assert is_normal(g, subgroup_closure(g, (g.gen_x,)))
-        assert is_normal(g, subgroup_closure(g, (g.gen_z,)))
+        assert sd_relations_hold(g, gen.x, gen.y, 8)
+        assert sd_relations_hold(g, gen.z, gen.w, 8)
+        assert is_normal(g, subgroup_closure(g, (gen.x,)))
+        assert is_normal(g, subgroup_closure(g, (gen.z,)))
 
 
 def test_associativity_exhaustive_and_fault_injection():
     g = witness_table()
+    gen = generators(g)
     assert verify_associativity_exhaustive(g)
     assert verify_associativity_generators(g)
     assert verify_associativity_extension(g)
@@ -698,7 +703,7 @@ def test_associativity_exhaustive_and_fault_injection():
     p = PrefixTable.of(g)
     bad = with_prefix(with_prefix(p, 3, 1, p.prefixes[5][1]), 5, 1, p.prefixes[3][1])
     assert full_scan_accepts(bad)
-    assert bad.mul(3, g.gen_y) == g.mul(5, g.gen_y)
+    assert bad.mul(3, gen.y) == g.mul(5, gen.y)
     assert not verify_associativity_exhaustive(bad)
     assert not verify_associativity_generators(bad)
 

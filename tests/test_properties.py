@@ -108,7 +108,7 @@ from sdprod.pcgroup import (
     verify_associativity_exhaustive,
     verify_associativity_extension,
 )
-from oracles import generator_columns, verify_associativity_generators
+from oracles import generator_columns, generators, verify_associativity_generators
 from test_cli import PARSER_CASES, VALID_ARGV, WORKLOAD_ARGV
 from test_congruence import all_core_specs, brute_enumerate_b, searched_blocks, searched_heads
 from test_pcgroup import PrefixTable, collect_multiply, full_scan_accepts, index_nf, nf_index
@@ -316,11 +316,14 @@ def valid_tuples_with_new_generators(draw, ranks):
     return pair, t, draw(new_generator_exponents(pair))
 
 
+# the two signs of r v' in tuple_in_new_generators give different tuples
+# only where 2 r v' is not 0 mod N, which few draws meet: here r = 1 and
+# v' = 2 at N = 8, a tuple solve_b gives at cores (1, 8)
+SIGN_OF_R_V2 = (derive_pair(4, 4), TupleB(1, 4, 2, 0, 0, 0), (1, 0, 1, 2))
+
+
 @PROPERTY_SETTINGS
-# the two signs of r v' in the formula give different tuples only where
-# 2 r v' is not 0 mod N, which few draws meet: here r = 1 and v' = 2 at
-# N = 8, a tuple solve_b gives at cores (1, 8)
-@example(case=(derive_pair(4, 4), TupleB(1, 4, 2, 0, 0, 0), (1, 0, 1, 2)))
+@example(case=SIGN_OF_R_V2)
 @given(valid_tuples_with_new_generators(st.integers(4, 6)))
 def test_new_generators_read_off_the_table_give_the_mapped_tuple(case):
     """In the collected group, the tuple of the new generators is the one
@@ -331,6 +334,7 @@ def test_new_generators_read_off_the_table_give_the_mapped_tuple(case):
     pair, t, exponents = case
     u, v, u2, v2 = exponents
     g = build_table(pc_from_tuple_b(pair, t))
+    gen = generators(g)
     N, M = pair.N, pair.M
 
     def power(e, k):
@@ -351,8 +355,8 @@ def test_new_generators_read_off_the_table_give_the_mapped_tuple(case):
         ez, ex = divmod(e, N)
         return ez * pow(u2, -1, M) % M, ex * pow(u, -1, N) % N
 
-    x, z = power(g.gen_x, u), power(g.gen_z, u2)
-    y, w = g.mul(g.gen_y, power(g.gen_x, v)), g.mul(g.gen_w, power(g.gen_z, v2))
+    x, z = power(gen.x, u), power(gen.z, u2)
+    y, w = g.mul(gen.y, power(gen.x, v)), g.mul(gen.w, power(gen.z, v2))
     c, t_new = tail(g.mul(inverse(y), conjugate(y, w)))
     b, one_plus_s = tail(conjugate(x, w))
     one_plus_a, r = tail(conjugate(z, y))
@@ -448,9 +452,10 @@ def relator_lines(fp):
 def test_core_and_normality_match_brute_force(case, picks):
     pair, t = case
     g = build_table(pc_from_tuple_b(pair, t))
+    gen = generators(g)
     prod = [g.row(e) for e in range(g.order)]
     one, a, b = (p % g.order for p in picks)
-    for gens in ((), (g.gen_x,), (g.gen_z,), (g.gen_w,), (g.gen_y,), (one,), (a, b)):
+    for gens in ((), (gen.x,), (gen.z,), (gen.w,), (gen.y,), (one,), (a, b)):
         h = subgroup_closure(g, gens)
         want = brute_force_core(prod, h)
         assert core_of(g, h) == want, gens
@@ -462,11 +467,12 @@ def test_core_and_normality_match_brute_force(case, picks):
 def test_enumerated_cores_match_collected_cores(case):
     pair, t = case
     g = build_table(pc_from_tuple_b(pair, t))
+    gen = generators(g)
     fp = fp_from_extended(pair, t, 0, 0)
     rep = structure_report(coset_enumerate(fp), fp)
     assert rep.order == g.order
-    assert rep.core_x_order == len(core_of(g, subgroup_closure(g, (g.gen_x,))))
-    assert rep.core_z_order == len(core_of(g, subgroup_closure(g, (g.gen_z,))))
+    assert rep.core_x_order == len(core_of(g, subgroup_closure(g, (gen.x,))))
+    assert rep.core_z_order == len(core_of(g, subgroup_closure(g, (gen.z,))))
     # the whole build report against the other pipeline; a factor is normal
     # iff its core is the whole of its generator's cyclic group
     out = io.StringIO()
@@ -764,7 +770,7 @@ class FullSweepLookahead(_Enumeration):
 
 
 def with_relator(fp, rel):
-    return FpPres(fp.ngens, fp.names, fp.relators + (rel,))
+    return FpPres(fp.names, fp.relators + (rel,))
 
 
 @st.composite
@@ -868,8 +874,7 @@ def swap_prefix(g, k, u_pick, v_pick):
 @given(valid_tables(PAIRS_UP_TO_5))
 def test_generator_columns_are_the_products(g):
     # Light's test reads w and y off the prefixes and z and x off the index
-    gens = (g.gen_w, g.gen_y, g.gen_z, g.gen_x)
-    assert generator_columns(g) == [[g.mul(b, c) for b in range(g.order)] for c in gens]
+    assert generator_columns(g) == [[g.mul(b, c) for b in range(g.order)] for c in generators(g)]
 
 
 @GROUP_SETTINGS
@@ -956,8 +961,9 @@ def test_prefixes_match_collection(case):
     must be the product that collection gives."""
     pair, t = case
     g = build_table(presentation(pair, t))
+    gen = generators(g)
     t6 = t if len(t) == 6 else t.to_tuple_b()
-    w, y = index_nf(pair, g.gen_w), index_nf(pair, g.gen_y)
+    w, y = index_nf(pair, gen.w), index_nf(pair, gen.y)
     for i in range(g.order):
         u, uy, uw, uwy = g.prefixes(i)
         nf = index_nf(pair, i)
@@ -984,10 +990,11 @@ def test_core_orders_read_off_the_presentation_match_closures(case):
     pair, t = case
     pc = pc_from_tuple_b(pair, t)
     g = build_table(pc)
-    want = tuple(len(core_of(g, subgroup_closure(g, (gen,)))) for gen in (g.gen_x, g.gen_z))
+    gen = generators(g)
+    want = tuple(len(core_of(g, subgroup_closure(g, (gen,)))) for gen in (gen.x, gen.z))
     assert pc.core_orders() == want
-    h = subgroup_closure(g, (g.gen_x, g.gen_y))
-    k = subgroup_closure(g, (g.gen_z, g.gen_w))
+    h = subgroup_closure(g, (gen.x, gen.y))
+    k = subgroup_closure(g, (gen.z, gen.w))
     assert (len(h), len(k)) == (2 * pair.N, 2 * pair.M)
     assert set(h) & set(k) == {0}
 

@@ -68,21 +68,32 @@ def test_records_reject_assignment():
     pc = pc_from_tuple_b(pair, WITNESS)
     fp = fp_from_extended(pair, WITNESS, 0, 0)
     table = coset_enumerate(fp)
+    consistency = check_consistency(pc)
+    # each record's fields, pinned: a value the other fields fix is a
+    # property, not a field (GroupTable.order, CosetTable.count, ...)
     records = {
-        "SdPair": (pair, "N"),
-        "Verdict": (check_b(pair, CoreSpec(1, 1), WITNESS), "failures"),
-        "PcData": (pc, "W"),
-        "ConsistencyReport": (check_consistency(pc), "entries"),
-        "GroupTable": (build_table(pc), "ty"),
-        "FpPres": (fp, "relators"),
-        "CosetTable": (table, "count"),
-        "StructureReport": (structure_report(table, fp), "order"),
+        "SdPair": (pair, ("n", "m", "N", "M", "alpha", "beta")),
+        "Verdict": (check_b(pair, CoreSpec(1, 1), WITNESS), ("failures",)),
+        "PcData": (pc, ("pair", "W", "Y", "v")),
+        "ConsistencyReport": (consistency, ("entries",)),
+        "ConsistencyEntry": (consistency.entries[0], ("family", "index", "residual")),
+        "GroupTable": (build_table(pc), ("pair", "ty", "tw", "tw_past_y")),
+        "FpPres": (fp, ("names", "relators")),
+        "CosetTable": (table, ("rows",)),
+        "StructureReport": (
+            structure_report(table, fp),
+            (
+                "order", "generator_orders", "h_order", "k_order", "intersection_order",
+                "xz_commutator", "core_x_order", "core_z_order", "h_semidihedral",
+                "k_semidihedral",
+            ),
+        ),
     }
-    for name, (record, field) in records.items():
+    for name, (record, fields) in records.items():
         assert type(record).__name__ == name
-        # setattr of a field the record lacks raises AttributeError too
-        assert field in type(record)._fields, (name, field)
-        with pytest.raises(AttributeError):
-            setattr(record, field, 0)
+        assert type(record)._fields == fields, name
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
         with pytest.raises(AttributeError):
             record.extra = 0  # no instance dict either
