@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import math
 import sys
 from itertools import islice
 from typing import Sequence
@@ -257,9 +256,9 @@ def cmd_enumerate(args) -> int:
         for block in solution.blocks():
             t_step, c_unit, c_step = block[4:]
             lead = before_row + row_start + "".join(str(block[i]) + field_sep for i in kept)
-            # the c of t = k*t_step start at k*c_unit modulo c_step, which
-            # repeats with period p; joining [""] + cs puts a lead before each c
-            p = c_step // math.gcd(c_unit, c_step)
+            # the c of t = k*t_step start at k*c_unit mod c_step: period 1 or 2
+            # in k, as c_unit is 0 or c_step/2; [""] + cs leads each c
+            p = 2 if c_unit else 1
             c_rows = [["", *c_text[k * c_unit % c_step :: c_step]] for k in range(p)]
             for k, t in enumerate(range(0, pair.N, t_step)):
                 out.write((lead + t_text[t]).join(c_rows[k % p])[skip:])

@@ -269,10 +269,9 @@ class SolutionSet:
         and M/c_step for each of its t.  Its c are read off the projection
         of its subgroup of pairs (t, c) onto c, a homomorphism: the image
         is generated by c_unit and c_step, so it is the multiples of
-        g = gcd(c_unit, c_step) below M, and each is hit by
-        K*(M/c_step)/(M/g) = K/p tuples, p = c_step/g.  K/p is a whole
-        number: t = K*t_step = N is t = 0, whose c are the multiples of
-        c_step, so c_step divides K*c_unit, and p divides K.
+        g = c_unit or c_step below M (c_unit is 0 or c_step/2), each hit by
+        K*(M/c_step)/(M/g) = K/p tuples, p = c_step/g.  p divides K: t =
+        K*t_step = N is t = 0, so c_step divides its c, K*c_unit.
         """
         if not self.count:
             return {name: {} for name in TupleB._fields}
@@ -287,7 +286,7 @@ class SolutionSet:
             in_heads = rb * (N // t_step) * (M // c_step)
             a_hist[a] = a_hist.get(a, 0) + in_heads
             s_hist[s] = s_hist.get(s, 0) + in_heads
-            g = math.gcd(c_unit, c_step)
+            g = c_unit or c_step
             per_c[g] = per_c.get(g, 0) + rb * (N // t_step) * g // c_step
         per_r = self.count // len(self.r_values)
         per_b = self.count // len(self.b_values)

@@ -420,30 +420,31 @@ def is_normal(g: GroupTable, h: tuple[int, ...]) -> bool:
 
 
 def core_of(g: GroupTable, h: tuple[int, ...]) -> tuple[int, ...]:
-    """Largest normal subgroup inside h, as sorted element indices, from
-    the four generators only: K <- K meet K^s over s = w, y, z, x until a
-    full pass leaves K unchanged.  Then K^s = K for every generator, so K
-    is normal; and a normal subgroup inside K lies inside every K^s, so it
-    survives each step.  The inverses come from the presentation: w and y
-    are involutions, z^-1 = z^(M-1) and x^-1 = x^(N-1).
+    """Largest normal subgroup inside h, as sorted element indices: one
+    pass of K <- K meet K^s over s = w, y, z, x, in that order.  Each step
+    keeps every normal subgroup inside K, and the result is normal, so it
+    is the core.  w and y are involutions, z^-1 = z^(M-1), x^-1 = x^(N-1).
 
-    For every h inside the abelian tail <z, x>, <x> and <z> among them, the
-    first pass already reaches the core, and the second only confirms it:
-    G acts on the tail through {1, w, y, wy} (see PcData.core_orders), so
-    the core is K meet K^w meet K^y meet K^wy, and the w and y steps of one
-    pass make exactly that.  Subgroups outside the tail have no such bound.
+    The result is normal.  T = <z, x> is abelian and normal, G/T is {1, w,
+    y, wy}, and yw = wyv, v the tail of y^w.  With T written additively, an
+    e of head k has e^tau = e [e, tau], [e, tau] = (I - L_k)tau for a
+    linear L_k.  The w and y steps give K2 = h meet h^w meet h^y meet h^wy,
+    so K2^y = K2, and w and y map A = K2 meet T into itself.  Meeting K
+    with K^tau keeps K meet T and the e in K with (I - L_k)tau in it, so
+    the z and x steps keep A and the e whose head sends z and x, hence all
+    of T, into A: the result K4 is mapped into itself by z and x.  As K2^w
+    is h^w meet h meet (h^wy)^v meet (h^y)^v, and e^w for e in K4 differs
+    from elements of h^y and h^wy by (I - L_k)v in A, K4^w lies in K4; so
+    does K4^y, as K2^y = K2.  The proof needs w and y first, so that the z
+    and x steps test heads against A, which w and y map into itself.
     """
     mul = g.mul
     N, M = g.pair.N, g.pair.M
     w, y = 2 * M * N, M * N  # the indices of w, y, z = N and x = 1
-    conjugators = [(w, w), (y, y), ((M - 1) * N, N), (N - 1, 1)]
     core = set(h)
-    while True:
-        size = len(core)
-        for si, s in conjugators:
-            core &= {mul(mul(si, e), s) for e in core}
-        if len(core) == size:
-            return tuple(sorted(core))
+    for si, s in ((w, w), (y, y), ((M - 1) * N, N), (N - 1, 1)):
+        core &= {mul(mul(si, e), s) for e in core}
+    return tuple(sorted(core))
 
 
 def verify_associativity_exhaustive(g: GroupTable, max_order: int = DEFAULT_ASSOC_CAP) -> bool:

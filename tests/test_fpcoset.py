@@ -561,14 +561,14 @@ def test_structure_report_sd16():
     assert report.h_semidihedral and not report.k_semidihedral
 
 
-@pytest.mark.parametrize(
-    "n, m, t, e1, e2, order, cores",
-    [
-        (5, 5, (8, 0, 8, 0, 8, 0), 2, 14, 256, (4, 4)),
-        (5, 5, (0, 6, 6, 8, 0, 2), 2, 12, 512, (2, 8)),
-        (4, 5, (4, 6, 6, 8, 2, 4), 6, 10, 256, (4, 2)),
-    ],
-)
+TWISTED_CORES = [
+    (5, 5, (8, 0, 8, 0, 8, 0), 2, 14, 256, (4, 4)),
+    (5, 5, (0, 6, 6, 8, 0, 2), 2, 12, 512, (2, 8)),
+    (4, 5, (4, 6, 6, 8, 2, 4), 6, 10, 256, (4, 2)),
+]
+
+
+@pytest.mark.parametrize("n, m, t, e1, e2, order, cores", TWISTED_CORES)
 def test_structure_report_twisted_cores(n, m, t, e1, e2, order, cores):
     # With [x,z] != 1 these cores shrink under conjugation by x or z, not
     # only by w and y.  The expected orders are the intersections of the

@@ -4,6 +4,8 @@ reference formula of the tests, with the one check that must kill it.
 A mutant is made from the source of the function it edits: the line is
 replaced, the function is compiled again in a copy of its module's
 namespace, and monkeypatch puts it in place of the original for one test.
+A function the check's test module imports by name is patched there, in
+the test module: patched in the package, the check would never see it.
 The test runs the named check on its listed cases, first on the code as
 it is, where every case must pass, then on the mutant, where every case
 must fail.  Only the named check runs, so the file takes seconds.  An
@@ -17,10 +19,12 @@ from typing import Callable, NamedTuple
 
 import pytest
 
+import test_arith
+import test_congruence
 import test_fpcoset
 import test_pcgroup
 import test_properties
-from sdprod import fpcoset, pcgroup
+from sdprod import congruence, fpcoset, pcgroup
 
 
 class Mutant(NamedTuple):
@@ -63,6 +67,69 @@ MUTANTS = {
         "return True",
         test_pcgroup.test_consistency_report_pinned_entry_by_entry,
         tuple(test_pcgroup.PINNED_REPORTS),
+    ),
+    # D5 with 1 + s in place of -1 - s
+    "d5-sign-of-s": Mutant(
+        congruence,
+        "_residuals",
+        "r * (beta - 1 - s) % N,",
+        "r * (beta + 1 - s) % N,",
+        test_congruence.test_enumerate_b_matches_brute_force_all_cores,
+        ((4, 4),),
+    ),
+    # D10 without its t*b term
+    "d10-drops-t-b": Mutant(
+        congruence,
+        "_residuals",
+        "(c * (1 + beta) + t * b) % M,",
+        "c * (1 + beta) % M,",
+        test_congruence.test_enumerate_b_matches_brute_force_all_cores,
+        ((4, 4),),
+    ),
+    # c_step blind to D11's step N/gcd(r, N)
+    "c-step-drops-r": Mutant(
+        congruence,
+        "_steps",
+        "c_step = max(2, N // math.gcd(r, N), M // math.gcd(2 + a, M))",
+        "c_step = max(2, M // math.gcd(2 + a, M))",
+        test_congruence.test_enumerate_b_matches_brute_force_all_cores,
+        ((4, 4),),
+    ),
+    # the normality test of a cyclic core skips the last generator
+    "core-order-skips-last-generator": Mutant(
+        fpcoset,
+        "_core_order",
+        "for s in range(1, ngens + 1))",
+        "for s in range(1, ngens))",
+        test_fpcoset.test_structure_report_twisted_cores,
+        tuple(test_fpcoset.TWISTED_CORES),
+    ),
+    # y acting on x by the modular unit alpha + 2 = N/2 + 1
+    "y-on-x-modular": Mutant(
+        test_pcgroup,
+        "pc_from_tuple_b",
+        "Y=(((1 + a) % pair.M, r), (0, pair.alpha)),",
+        "Y=(((1 + a) % pair.M, r), (0, pair.alpha + 2)),",
+        test_pcgroup.test_consistency_report_pinned_entry_by_entry,
+        tuple(test_pcgroup.PINNED_REPORTS),
+    ),
+    # the fourth square root of 1 as half + 1, a repeat of 1 + half
+    "sqrt1-half-plus-one": Mutant(
+        test_arith,
+        "sqrt1_units",
+        "return {1, 1 + half, modulus - 1, half - 1}",
+        "return {1, 1 + half, modulus - 1, half + 1}",
+        test_arith.test_sqrt1_units_examples,
+        ((),),
+    ),
+    # the certificate without "one linear part for both w maps"
+    "certificate-drops-shared-linear-part": Mutant(
+        test_pcgroup,
+        "verify_associativity_extension",
+        "if None in parts or parts[1][1:] != parts[2][1:]:",
+        "if None in parts:",
+        test_pcgroup.test_extension_certificate_rejects_each_failed_condition,
+        tuple(c for c in test_pcgroup.tables_failing_one_condition() if c[0] == "a"),
     ),
 }
 

@@ -447,8 +447,13 @@ def relator_lines(fp):
     return lines
 
 
+# subgroups whose cores leave the tail <z, x>: at 4,0,0,4,0,0 neither
+# H = <x, y> nor K = <z, w> (elements 1, 64 and 8, 128) is normal, and each
+# core has order 8, four of its elements of head y or w
 @GROUP_SETTINGS
 @given(valid_small_tuples_b(), st.lists(st.integers(0, 1 << 16), min_size=3, max_size=3))
+@example(case=(derive_pair(4, 4), TupleB(4, 0, 0, 4, 0, 0)), picks=[0, 1, 64])
+@example(case=(derive_pair(4, 4), TupleB(4, 0, 0, 4, 0, 0)), picks=[0, 8, 128])
 def test_core_and_normality_match_brute_force(case, picks):
     pair, t = case
     g = build_table(pc_from_tuple_b(pair, t))
