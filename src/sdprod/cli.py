@@ -609,13 +609,7 @@ SUBCOMMANDS = {
     "crosscheck": (
         "compare collection and enumeration group orders",
         cmd_crosscheck,
-        (
-            *_PAIR,
-            _EITHER_TUPLE,
-            _MAX_COSETS,
-            ("--format", {"choices": ("text",), "default": "text"}),
-            ("--output", {}),
-        ),
+        (*_PAIR, _EITHER_TUPLE, _MAX_COSETS, _OUTPUT),
     ),
 }
 

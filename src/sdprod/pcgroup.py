@@ -212,7 +212,9 @@ class GroupTable(NamedTuple):
 
     def mul(self, a: int, b: int) -> int:
         """Index of a * b: the prefix of a that b's head selects, with b's
-        tail added on.  Only the maps that prefix needs are read."""
+        tail added on.  Only the maps that prefix needs are read.  The tail
+        is reduced modulo (M, N), so a map entry outside its block does not
+        show here; it shows in `row`, the tests' reader of whole rows."""
         N, M = self.pair.N, self.pair.M
         head, tail = divmod(b, M * N)
         ahead, ptail = divmod(a, M * N)

@@ -251,6 +251,7 @@ def test_argparse_errors_exit_three(capsys):
     for argv in (
         ["enumerate-a", "--n", "4", "--m", "4", "--workers", "2"],
         ["build", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--max-table", "100"],
+        ["crosscheck", "--n", "4", "--m", "4", "--tuple", "0,2,0,0", "--format", "text"],
     ):
         with pytest.raises(SystemExit) as info:
             main(argv)
@@ -577,6 +578,51 @@ def test_flag_table_agrees_with_the_built_subparser(name):
     want = {"command": name, **{a.dest: a.default for a in actions}, **parser._defaults}
     assert list(defaults.items()) == list(want.items())
     assert parser._defaults == {"func": func}
+
+
+def test_every_declared_flag_is_read_by_its_command(capsys, monkeypatch, tmp_path):
+    # each subcommand's func runs on the lines below, parsed directly into a
+    # namespace that records what is read; a dest no line reads is a flag
+    # its command ignores.  The listings the gate refuses are the lines that
+    # read --allow-large, and they write nothing
+    out = str(tmp_path / "out")
+    lines = [
+        (0, ["enumerate-a", "--n", "4", "--m", "4", "--format", "json", "--output", out]),
+        (2, ["enumerate-a", "--n", "13", "--m", "13", "--output", out + "-gated"]),
+        (0, VALID_ARGV["enumerate-b"] + ["--format", "csv", "--output", out]),
+        (
+            2,
+            ["enumerate-b", "--n", "13", "--m", "13", "--n1", "1", "--m1", "1"]
+            + ["--output", out + "-gated"],
+        ),
+        (0, VALID_ARGV["check-a"] + ["--format", "json", "--output", out]),
+        (0, VALID_ARGV["check-b"] + ["--format", "json", "--output", out]),
+        (0, VALID_ARGV["build"] + ["--output", out, "--verify-associativity", "--format", "json"]),
+        (0, VALID_ARGV["tc"] + ["--max-cosets", "2000", "--format", "json", "--output", out]),
+        (0, VALID_ARGV["crosscheck"] + ["--max-cosets", "2000", "--output", out]),
+    ]
+    read: set[str] = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            read.add(name)
+            return super().__getattribute__(name)
+
+    def parse(argv):
+        args = cli._parse_direct(argv)
+        assert args is not None, argv
+        return Recording(**vars(args))
+
+    monkeypatch.setattr(cli, "_parse_args", parse)
+    unread = {
+        name: {dest for dest, *_ in options.values()} for name, (options, *_) in cli._FLAG_TABLES.items()
+    }
+    for code, argv in lines:
+        read.clear()
+        assert run(capsys, argv)[0] == code, argv
+        unread[argv[0]] -= read
+    assert not (tmp_path / "out-gated").exists()
+    assert [(name, dests) for name, dests in unread.items() if dests] == []
 
 
 @pytest.mark.parametrize(
@@ -1398,15 +1444,15 @@ def test_crosscheck_compiles_its_relators_once(monkeypatch, e, runs):
     assert fpcoset._compile_relators.cache_info().misses == 1
 
 
-@pytest.mark.parametrize(
-    "n, m, t, e, order",
-    [
-        # G/H has index 8, not 2M = 32
-        (4, 5, (2, 8, 2, 0, 0, 0), (4, 14), 512),
-        # G/H has index 2M = 16, but x^(N/2) = 1 fixes the coset K
-        (4, 4, (0, 2, 6, 4, 2, 2), (6, 0), 256),
-    ],
-)
+COLLAPSED_GROUPS = [
+    # G/H has index 8, not 2M = 32
+    (4, 5, (2, 8, 2, 0, 0, 0), (4, 14), 512),
+    # G/H has index 2M = 16, but x^(N/2) = 1 fixes the coset K
+    (4, 4, (0, 2, 6, 4, 2, 2), (6, 0), 256),
+]
+
+
+@pytest.mark.parametrize("n, m, t, e, order", COLLAPSED_GROUPS)
 def test_crosscheck_falls_back_to_the_elements_of_a_collapsed_group(capsys, monkeypatch, n, m, t, e, order):
     # with [x,z] = x^e1 z^e2 these presentations collapse to 128 elements,
     # and the factor runs do not decide, so the elements are enumerated

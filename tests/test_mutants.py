@@ -2,29 +2,34 @@
 reference formula of the tests, with the one check that must kill it.
 
 A mutant is made from the source of the function it edits: the line is
-replaced, the function is compiled again in a copy of its module's
-namespace, and monkeypatch puts it in place of the original for one test.
-A function the check's test module imports by name is patched there, in
-the test module: patched in the package, the check would never see it.
-The test runs the named check on its listed cases, first on the code as
-it is, where every case must pass, then on the mutant, where every case
-must fail.  Only the named check runs, so the file takes seconds.  An
-edit whose line is no longer in the source fails here too: the mutant
-must then be rewritten for the new code, not dropped.
+replaced, the function is compiled again over its module's own globals,
+so that it sees what a check patches in that module, and monkeypatch
+puts it in place of the original for one test.  A function the check's
+test module imports by name is patched there, in the test module:
+patched in the package, the check would never see it.  The test runs the
+named check on its listed cases, first on the code as it is, where every
+case must pass, then on the mutant, where every case must fail, with an
+AssertionError or with pytest's Failed (a pytest.raises that saw no
+exception).  A check may take the capsys and monkeypatch fixtures.  Only
+the named check runs, so the file takes seconds.  An edit whose line is
+no longer in the source fails here too: the mutant must then be
+rewritten for the new code, not dropped.
 """
 
 import inspect
 import textwrap
+import types
 from typing import Callable, NamedTuple
 
 import pytest
 
 import test_arith
+import test_cli
 import test_congruence
 import test_fpcoset
 import test_pcgroup
 import test_properties
-from sdprod import congruence, fpcoset, pcgroup
+from sdprod import cli, congruence, fpcoset, pcgroup
 
 
 class Mutant(NamedTuple):
@@ -35,6 +40,8 @@ class Mutant(NamedTuple):
     check: Callable  # the killing check
     cases: tuple  # its arguments, one tuple per case
 
+
+FIXTURES = ("capsys", "monkeypatch")  # the pytest fixtures a check may take
 
 MUTANTS = {
     # the modular group's relation x^y = x^(N/2+1) accepted beside the
@@ -131,26 +138,65 @@ MUTANTS = {
         test_pcgroup.test_extension_certificate_rejects_each_failed_condition,
         tuple(c for c in test_pcgroup.tables_failing_one_condition() if c[0] == "a"),
     ),
+    # the audit checks no subgroup word at coset 0
+    "audit-skips-subgroup-words": Mutant(
+        test_fpcoset,
+        "_audit",
+        "for word in subgroup:",
+        "for word in ():",
+        test_fpcoset.test_audit_catches_a_subgroup_word_that_moves_coset_0,
+        ((),),
+    ),
+    # the core of <z> blind to x exponents that are multiples of N/2
+    "core-orders-blind-to-half-n": Mutant(
+        pcgroup.PcData,
+        "core_orders",
+        "any(_apply(pair, g, (e, 0))[1] for g in maps)",
+        "any(_apply(pair, g, (e, 0))[1] % (pair.N // 2) for g in maps)",
+        test_properties.test_core_orders_are_the_cores_solve_b_was_asked_for.hypothesis.inner_test,
+        ((test_properties.X_EXPONENT_HALF_N,),),
+    ),
+    # crosscheck without its centre test: |G:H| = 2M alone decides.  Only
+    # the (4,4) case reaches the test; at (4,5) |G:H| is not 2M
+    "crosscheck-drops-centre-test": Mutant(
+        cli,
+        "crosscheck_order",
+        "if over_k.walk((x,) * (pair.N // 2)) != 0:",
+        "if True:",
+        test_cli.test_crosscheck_falls_back_to_the_elements_of_a_collapsed_group,
+        tuple(c for c in test_cli.COLLAPSED_GROUPS if c[:2] == (4, 4)),
+    ),
 }
 
 
 def mutate(mutant: Mutant):
-    """The edited function (or property) of mutant, compiled from its source."""
+    """The edited function (or property) of mutant, compiled from its source
+    over its module's own globals."""
     original = vars(mutant.owner)[mutant.name]
     fn = original.fget if isinstance(original, property) else original
     source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(mutant.line) == 1, f"{mutant.name} no longer holds {mutant.line!r}"
-    namespace = dict(fn.__globals__)
-    code = compile(source.replace(mutant.line, mutant.mutated), inspect.getsourcefile(fn), "exec")
-    exec(code, namespace)
-    return namespace[mutant.name]
+    module = compile(source.replace(mutant.line, mutant.mutated), inspect.getsourcefile(fn), "exec")
+    (code,) = (c for c in module.co_consts if getattr(c, "co_name", None) == fn.__name__)
+    edited = types.FunctionType(code, fn.__globals__, fn.__name__, fn.__defaults__)
+    return property(edited) if isinstance(original, property) else edited
 
 
 @pytest.mark.parametrize("mutant", MUTANTS.values(), ids=MUTANTS.keys())
-def test_mutant_is_killed_by_its_check(monkeypatch, mutant):
+def test_mutant_is_killed_by_its_check(request, monkeypatch, mutant):
+    # a check may take the capsys and monkeypatch fixtures, by name; its
+    # cases give its other parameters, in order
+    params = list(inspect.signature(mutant.check).parameters)
+    fixtures = {name: request.getfixturevalue(name) for name in params if name in FIXTURES}
+    rest = [name for name in params if name not in FIXTURES]
+
+    def check(case):
+        mutant.check(**fixtures, **dict(zip(rest, case, strict=True)))
+
     for case in mutant.cases:
-        mutant.check(*case)
+        check(case)
     monkeypatch.setattr(mutant.owner, mutant.name, mutate(mutant))
     for case in mutant.cases:
-        with pytest.raises(AssertionError):
-            mutant.check(*case)
+        # a check that expects an exception fails with pytest's Failed
+        with pytest.raises((AssertionError, pytest.fail.Exception)):
+            check(case)

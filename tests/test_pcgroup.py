@@ -22,6 +22,7 @@ from sdprod.congruence import (
 )
 from sdprod.errors import CapacityError, DomainError
 from sdprod.pcgroup import (
+    GroupTable,
     PcData,
     audit_table,
     build_table,
@@ -463,46 +464,39 @@ class PrefixTable:
     GroupTable derives its prefixes from three tail maps, so a change to
     one map moves a whole column.  This form lets a test set one product
     of one row and hand the result to what reads only `pair`, `order`,
-    `row` and `generator_columns`: Light's test and the cubic scan.  Its columns come from `mul`, so they stay the columns of a
-    table whose prefix 0 is no longer the element itself, which
-    GroupTable's columns assume.
+    `row` and `generator_columns`: Light's test and the cubic scan.  Its
+    `row` is GroupTable's, which reads only `prefixes`.  Its columns come
+    from `mul`, so they stay the columns of a table whose prefix 0 is no
+    longer the element itself, which GroupTable's columns assume.
     """
 
     pair: SdPair
     order: int
-    prefixes: list[tuple[int, int, int, int]]
+    stored: list[tuple[int, int, int, int]]  # the prefixes of each element
 
     @classmethod
     def of(cls, g):
-        prefixes = [g.prefixes(u) for u in range(g.order)]
-        return cls(g.pair, g.order, prefixes)
+        return cls(g.pair, g.order, [g.prefixes(u) for u in range(g.order)])
+
+    def prefixes(self, u):
+        return self.stored[u]
+
+    row = GroupTable.row
 
     def mul(self, a, b):
         N, M = self.pair.N, self.pair.M
         head, tail = divmod(b, M * N)
-        phead, ptail = divmod(self.prefixes[a][head], M * N)
+        phead, ptail = divmod(self.stored[a][head], M * N)
         return (phead * M + (ptail // N + tail // N) % M) * N + (ptail + tail) % N
 
     def generator_columns(self):
         return [[self.mul(b, c) for b in range(self.order)] for c in generators(self)]
 
-    def row(self, a):
-        N, M = self.pair.N, self.pair.M
-        out = []
-        for p in self.prefixes[a]:
-            phead, ptail = divmod(p, M * N)
-            pz, px = divmod(ptail, N)
-            for vz in range(M):
-                base = (phead * M + (pz + vz) % M) * N
-                out += range(base + px, base + N)
-                out += range(base, base + px)
-        return out
-
 
 def with_prefix(g, u, k, value):
-    prefixes = g.prefixes.copy()
-    prefixes[u] = prefixes[u][:k] + (value,) + prefixes[u][k + 1 :]
-    return replace(g, prefixes=prefixes)
+    stored = g.stored.copy()
+    stored[u] = stored[u][:k] + (value,) + stored[u][k + 1 :]
+    return replace(g, stored=stored)
 
 
 def with_entry(tails, i, value):
@@ -701,7 +695,7 @@ def test_associativity_exhaustive_and_fault_injection():
     # swap u*y between elements 3 and 5: both products have head y, so every
     # row and column is still a permutation, but the operation is no group
     p = PrefixTable.of(g)
-    bad = with_prefix(with_prefix(p, 3, 1, p.prefixes[5][1]), 5, 1, p.prefixes[3][1])
+    bad = with_prefix(with_prefix(p, 3, 1, p.prefixes(5)[1]), 5, 1, p.prefixes(3)[1])
     assert full_scan_accepts(bad)
     assert bad.mul(3, gen.y) == g.mul(5, gen.y)
     assert not verify_associativity_exhaustive(bad)
@@ -720,7 +714,7 @@ def test_associativity_fault_seen_by_one_generator(swapped):
     g = PrefixTable.of(witness_table())
     bad = g
     for k in swapped:
-        bad = with_prefix(with_prefix(bad, 3, k, g.prefixes[5][k]), 5, k, g.prefixes[3][k])
+        bad = with_prefix(with_prefix(bad, 3, k, g.prefixes(5)[k]), 5, k, g.prefixes(3)[k])
     assert full_scan_accepts(bad)
     assert not verify_associativity_exhaustive(bad)
     assert not verify_associativity_generators(bad)
@@ -739,12 +733,12 @@ def klein_table():
     """
     g = PrefixTable.of(witness_table())
     N, block = PAIR44.N, g.order // 4
-    prefixes = []
+    stored = []
     for u in range(g.order):
         head, tail = divmod(u, block)
         zx = tail - tail % N + (tail + 1) % N
-        prefixes.append(tuple((head ^ k) * block + zx for k in range(4)))
-    return replace(g, prefixes=prefixes)
+        stored.append(tuple((head ^ k) * block + zx for k in range(4)))
+    return replace(g, stored=stored)
 
 
 def test_associativity_generators_must_reach_every_element():
