@@ -167,7 +167,11 @@ def _emit(args, text: str) -> None:
 
 
 def _json_scalar(value) -> str:
-    """None, a bool, an int or a str as json.dumps writes it."""
+    """None, a bool, an int or a str as json.dumps writes it.  An int is
+    tested first, by its exact type, as most values are ints; a bool is
+    no int by that test and keeps its own branch."""
+    if type(value) is int:
+        return str(value)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -389,7 +393,8 @@ def cmd_build(args) -> int:
     doc = {
         "tuple": list(t),
         "valid": True,
-        "consistency_passed": sum(1 for e in consistency.entries if e.passed),
+        # require() has just passed every identity, so all of them hold
+        "consistency_passed": len(consistency.entries),
         "consistency_total": len(consistency.entries),
         "order": order,
         "h_order": 2 * pair.N,

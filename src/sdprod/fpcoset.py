@@ -109,13 +109,16 @@ class FpPres(_FpFields):
     def __new__(cls, names: tuple[str, ...], relators: tuple[tuple[int, ...], ...]):
         if not names:
             raise DomainError("a presentation needs at least one generator")
-        ngens = len(names)
+        # the letters +-1..+-ngens, and the pairs g g^-1 that a freely
+        # reduced relator never holds (free_reduce(rel) == rel exactly then)
+        letters = {*range(1, len(names) + 1), *range(-len(names), 0)}
+        cancelling = {(g, -g) for g in letters}
         for rel in relators:
             if not rel:
                 raise DomainError("empty relator")
-            if any(g == 0 or abs(g) > ngens for g in rel):
+            if not letters.issuperset(rel):
                 raise DomainError(f"relator letter out of range: {rel}")
-            if free_reduce(rel) != rel:
+            if not cancelling.isdisjoint(zip(rel, rel[1:])):
                 raise DomainError(f"relator not freely reduced: {rel}")
         return super().__new__(cls, names, relators)
 

@@ -10,9 +10,11 @@ a3 modulo M and a4 modulo N.  A presentation is its conjugation data
 x^z = x is hard-wired: z and x always commute here, so w and y act on
 the abelian tail Z_M + Z_N of the z^i x^j by linear maps W and Y, and a
 presentation is the triple (W, Y, v) with v = (c, t) the tail of y^w:
-PcData holds it, each map spelled by its images of z and x and applied
-through _apply.  Once the presentation is consistent, those maps are its
-relations, and the group table keeps only them (see GroupTable).
+PcData holds it, each map spelled by its images of z and x; the table
+and its certificate apply the maps through _apply, and the consistency
+check and the core orders are closed formulas in their entries.  Once
+the presentation is consistent, those maps are its relations, and the
+group table keeps only them (see GroupTable).
 
 Consistency of such a presentation is decided by sixteen overlap
 identities; on the tail they say that W and Y are well defined, W^2 =
@@ -35,6 +37,7 @@ is the tests' oracle.
 from __future__ import annotations
 
 from itertools import accumulate
+from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import SdPair
@@ -52,8 +55,9 @@ class PcData(NamedTuple):
     exponent, x exponent) pairs, and v = (c, t), the tail of y^w, all
     reduced.  W(z) = z^beta, W(x) = z^b x^(1+s), Y(z) = z^(1+a) x^r and
     Y(x) = x^alpha (pc_from_tuple_b).  check_consistency evaluates the
-    overlap identities on W, Y and v, core_orders reads the conjugates of
-    x^d and z^e off W and Y, and build_table tabulates them."""
+    overlap identities on W, Y and v, core_orders reads the core orders
+    off the z exponents of W(x), Y(x) and the x exponents of W(z), Y(z),
+    and build_table tabulates W and Y."""
 
     pair: SdPair
     W: tuple[tuple[int, int], tuple[int, int]]
@@ -62,7 +66,7 @@ class PcData(NamedTuple):
 
     def core_orders(self) -> tuple[int, int]:
         """Orders of the cores of <x> and <z> in a consistent presentation,
-        in at most log N + log M steps and with no table.
+        in closed form and with no table.
 
         z and x act trivially on the abelian tail <z, x>, and y^w =
         y z^c x^t, so the conjugations by the involutions w and y commute
@@ -71,17 +75,20 @@ class PcData(NamedTuple):
         of <x> are the chain <x^d>, d a power of two, one of each order, and
         a conjugate of x^d has the order of x^d; so <x^d> is normal exactly
         when d W(x) and d Y(x) have z exponent 0.  Then so is every <x^2d>,
-        and the core is <x^d> for the least such d, of order N/d.  Likewise
-        <z^e>, with the x exponents of e W(z) and e Y(z).
+        and the core is <x^d> for the least such d, capped at N, of order
+        N/d.  Likewise <z^e>, with the x exponents of e W(z) and e Y(z).
+
+        That least d is min(N, M / gcd(M, W(x)_z, Y(x)_z)).  The d with
+        d h = 0 mod M are the multiples of M / gcd(M, h), so the d that
+        pass for both exponents h = W(x)_z, Y(x)_z are the common
+        multiples of two divisors of M, the multiples of their lcm, which is
+        M / gcd(M, W(x)_z, Y(x)_z).  That lcm divides M, a power of two, so
+        it is a power of two itself and the least one that passes.  The
+        least e is min(M, N / gcd(N, W(z)_x, Y(z)_x)) the same way.
         """
-        pair = self.pair
-        maps = self.W, self.Y
-        d = 1
-        while d < pair.N and any(_apply(pair, g, (0, d))[0] for g in maps):
-            d *= 2
-        e = 1
-        while e < pair.M and any(_apply(pair, g, (e, 0))[1] for g in maps):
-            e *= 2
+        pair, W, Y = self.pair, self.W, self.Y
+        d = min(pair.N, pair.M // gcd(pair.M, W[1][0], Y[1][0]))
+        e = min(pair.M, pair.N // gcd(pair.N, W[0][1], Y[0][1]))
         return pair.N // d, pair.M // e
 
 
@@ -100,13 +107,16 @@ class ConsistencyReport(NamedTuple):
 
     @property
     def overall(self) -> bool:
-        return all(e.passed for e in self.entries)
+        """Every identity holds: each residual is read once, here, and
+        compared with (0, 0)."""
+        return all(residual == (0, 0) for _, _, residual in self.entries)
 
     def failed(self) -> tuple[ConsistencyEntry, ...]:
         return tuple(e for e in self.entries if not e.passed)
 
     def require(self) -> None:
-        """Raise DomainError naming the failed identities, if any failed."""
+        """Raise DomainError naming the failed identities, if any failed.
+        A consistent report is read once, by `overall`."""
         if not self.overall:
             raise DomainError(
                 "inconsistent presentation: "
@@ -272,7 +282,8 @@ def _compose(pair: SdPair, outer, inner):
 
 
 def check_consistency(pc: PcData) -> ConsistencyReport:
-    """Evaluate the sixteen overlap identities on the tail maps W and Y.
+    """Evaluate the sixteen overlap identities on the tail maps W and Y, in
+    one pass.
 
     Three families, with e = (2, 2, M, N) the relative orders:
       P(i, j): conjugating g_j by g_i e_i times returns g_j;
@@ -285,33 +296,44 @@ def check_consistency(pc: PcData) -> ConsistencyReport:
     g_i^2 u_j - u_j, W(i, j) = e_j g_i(u_j) and C(i, j, k) = g_i g_j u_k -
     g_j g_i u_k, as the inner conjugator g_j^(g_i) acts on a tail as g_j
     does: y^w acts as y, while z^w and z^y lie in the tail.  Each residual
-    is the leftover (z exponent, x exponent) pair.
+    is the leftover (z exponent, x exponent) pair, z part mod M and x part
+    mod N.  As z acts as I, P(3, 4), W(3, 4) = (0, N), C(1, 3, 4) and
+    C(2, 3, 4) vanish for every presentation.
+
+    Each residual is written out from the entries of W, Y and v and
+    reduced once, at the end.  A map is applied to v or to a stored image,
+    never to another application's output, and each part is reduced by
+    the modulus it ends in, so reducing only at the end gives the same
+    residual as reducing after every step.  Only + - * % are used, so the
+    function runs unchanged on any number type with them.
     """
-    pair, W, Y, v = pc
+    pair, ((wzz, wzx), (wxz, wxx)), ((yzz, yzx), (yxz, yxx)), (c, t) = pc
     M, N = pair.M, pair.N
-    I = ((1, 0), (0, 1))  # its images z and x are u_3 and u_4
-    tail_pairs = ((1, 3, W), (1, 4, W), (2, 3, Y), (2, 4, Y), (3, 4, I))  # (i, j, g_i)
-    entries = []
-
-    def add(family: str, index: tuple[int, ...], residual: tuple[int, int]) -> None:
-        entries.append(ConsistencyEntry(family, index, (residual[0] % M, residual[1] % N)))
-
-    wv, yv = _apply(pair, W, v), _apply(pair, Y, v)
-    add("P", (1, 2), (v[0] + wv[0], v[1] + wv[1]))
-    for i, j, g in tail_pairs:
-        (uz, ux), (gz, gx) = I[j - 3], _apply(pair, g, g[j - 3])
-        add("P", (i, j), (gz - uz, gx - ux))
-    add("W", (1, 2), (v[0] + yv[0], v[1] + yv[1]))
-    for i, j, g in tail_pairs:
-        e, (gz, gx) = (M, N)[j - 3], g[j - 3]
-        add("W", (i, j), (e * gz, e * gx))
-    for i, j, k, gi, gj in ((1, 2, 3, W, Y), (1, 2, 4, W, Y), (1, 3, 4, W, I), (2, 3, 4, Y, I)):
-        (lz, lx), (rz, rx) = _apply(pair, gi, gj[k - 3]), _apply(pair, gj, gi[k - 3])
-        add("C", (i, j, k), (lz - rz, lx - rx))
-
-    report = ConsistencyReport(tuple(entries))
-    assert len(report.entries) == 16
-    return report
+    E = ConsistencyEntry
+    return ConsistencyReport((
+        E("P", (1, 2), ((c + c * wzz + t * wxz) % M, (t + c * wzx + t * wxx) % N)),
+        E("P", (1, 3), ((wzz * wzz + wzx * wxz - 1) % M, (wzz * wzx + wzx * wxx) % N)),
+        E("P", (1, 4), ((wxz * wzz + wxx * wxz) % M, (wxz * wzx + wxx * wxx - 1) % N)),
+        E("P", (2, 3), ((yzz * yzz + yzx * yxz - 1) % M, (yzz * yzx + yzx * yxx) % N)),
+        E("P", (2, 4), ((yxz * yzz + yxx * yxz) % M, (yxz * yzx + yxx * yxx - 1) % N)),
+        E("P", (3, 4), (0, 0)),
+        E("W", (1, 2), ((c + c * yzz + t * yxz) % M, (t + c * yzx + t * yxx) % N)),
+        E("W", (1, 3), (M * wzz % M, M * wzx % N)),
+        E("W", (1, 4), (N * wxz % M, N * wxx % N)),
+        E("W", (2, 3), (M * yzz % M, M * yzx % N)),
+        E("W", (2, 4), (N * yxz % M, N * yxx % N)),
+        E("W", (3, 4), (0, 0)),
+        E("C", (1, 2, 3), (
+            (yzz * wzz + yzx * wxz - wzz * yzz - wzx * yxz) % M,
+            (yzz * wzx + yzx * wxx - wzz * yzx - wzx * yxx) % N,
+        )),
+        E("C", (1, 2, 4), (
+            (yxz * wzz + yxx * wxz - wxz * yzz - wxx * yxz) % M,
+            (yxz * wzx + yxx * wxx - wxz * yzx - wxx * yxx) % N,
+        )),
+        E("C", (1, 3, 4), (0, 0)),
+        E("C", (2, 3, 4), (0, 0)),
+    ))
 
 
 def _tail_map(pair: SdPair, lin, shift: Sequence[int] = (0, 0)) -> list[int]:

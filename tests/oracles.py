@@ -1,11 +1,17 @@
-"""Associativity oracles for the tests: Light's test, beside the package's
-cubic scan (`pcgroup.verify_associativity_exhaustive`); and the indices of
-the four generators in a table, which the tests read from `generators`.
+"""Oracles for the tests.
 
-The package checks associativity with the group-extension certificate
+Associativity: Light's test, beside the package's cubic scan
+(`pcgroup.verify_associativity_exhaustive`); and the indices of the four
+generators in a table, which the tests read from `generators`.  The
+package checks associativity with the group-extension certificate
 (`pcgroup.verify_associativity_extension`), in O(|G|).  Light's test
 costs 4 * order**2 lookups; it stays here, as an independent second
 answer that reads the table through its rows and columns only.
+
+The presentation: the sixteen overlap identities evaluated step by step
+(`consistency_entries`) and the core orders found by doubling
+(`doubled_core_orders`), the forms that `pcgroup.check_consistency` and
+`PcData.core_orders` had before each became one pass of closed formulas.
 """
 
 from typing import NamedTuple
@@ -84,3 +90,55 @@ def verify_associativity_generators(g) -> bool:
             if [col[v] for v in row] != [row[v] for v in col]:
                 return False
     return True
+
+
+def _apply(pair, lin, v):
+    """The image of the tail v = (z exponent, x exponent) under the linear
+    map lin = (image of z, image of x), reduced mod (M, N)."""
+    (zz, zx), (xz, xx) = lin
+    return (v[0] * zz + v[1] * xz) % pair.M, (v[0] * zx + v[1] * xx) % pair.N
+
+
+def consistency_entries(pc):
+    """(family, index, residual) of the sixteen overlap identities of a
+    PcData, in `check_consistency`'s order, each map applied and reduced
+    one step at a time: P(1, 2) = (I + W)v, W(1, 2) = (I + Y)v, P(i, j) =
+    g_i^2 u_j - u_j, W(i, j) = e_j g_i(u_j) and C(i, j, k) = g_i g_j u_k -
+    g_j g_i u_k, with w acting as W, y as Y and z as I."""
+    pair, W, Y, v = pc
+    M, N = pair.M, pair.N
+    I = ((1, 0), (0, 1))  # its images z and x are u_3 and u_4
+    tail_pairs = ((1, 3, W), (1, 4, W), (2, 3, Y), (2, 4, Y), (3, 4, I))  # (i, j, g_i)
+    entries = []
+
+    def add(family, index, residual):
+        entries.append((family, index, (residual[0] % M, residual[1] % N)))
+
+    wv, yv = _apply(pair, W, v), _apply(pair, Y, v)
+    add("P", (1, 2), (v[0] + wv[0], v[1] + wv[1]))
+    for i, j, g in tail_pairs:
+        (uz, ux), (gz, gx) = I[j - 3], _apply(pair, g, g[j - 3])
+        add("P", (i, j), (gz - uz, gx - ux))
+    add("W", (1, 2), (v[0] + yv[0], v[1] + yv[1]))
+    for i, j, g in tail_pairs:
+        e, (gz, gx) = (M, N)[j - 3], g[j - 3]
+        add("W", (i, j), (e * gz, e * gx))
+    for i, j, k, gi, gj in ((1, 2, 3, W, Y), (1, 2, 4, W, Y), (1, 3, 4, W, I), (2, 3, 4, Y, I)):
+        (lz, lx), (rz, rx) = _apply(pair, gi, gj[k - 3]), _apply(pair, gj, gi[k - 3])
+        add("C", (i, j, k), (lz - rz, lx - rx))
+    return entries
+
+
+def doubled_core_orders(pc):
+    """The core orders of <x> and <z> of a PcData: the least power of two
+    d, capped at N, with z exponent 0 in d W(x) and d Y(x), found by
+    doubling d from 1, and e likewise with the x exponents of e W(z) and
+    e Y(z); the cores have orders N/d and M/e."""
+    pair, W, Y, _ = pc
+    d = 1
+    while d < pair.N and any(_apply(pair, g, (0, d))[0] for g in (W, Y)):
+        d *= 2
+    e = 1
+    while e < pair.M and any(_apply(pair, g, (e, 0))[1] for g in (W, Y)):
+        e *= 2
+    return pair.N // d, pair.M // e

@@ -75,6 +75,34 @@ MUTANTS = {
         test_pcgroup.test_consistency_report_pinned_entry_by_entry,
         tuple(test_pcgroup.PINNED_REPORTS),
     ),
+    # every report consistent: build_table no longer refuses a failed identity
+    "consistency-report-overall-always-true": Mutant(
+        pcgroup.ConsistencyReport,
+        "overall",
+        "return all(residual == (0, 0) for _, _, residual in self.entries)",
+        "return True",
+        test_pcgroup.test_build_table_rejects_inconsistent,
+        ((),),
+    ),
+    # P(1, 2)'s z part left unreduced modulo M
+    "consistency-p12-unreduced": Mutant(
+        test_pcgroup,
+        "check_consistency",
+        'E("P", (1, 2), ((c + c * wzz + t * wxz) % M, (t + c * wzx + t * wxx) % N)),',
+        'E("P", (1, 2), (c + c * wzz + t * wxz, (t + c * wzx + t * wxx) % N)),',
+        test_pcgroup.test_consistency_report_pinned_entry_by_entry,
+        tuple(test_pcgroup.PINNED_REPORTS),
+    ),
+    # C(1, 2, 4)'s x part with its two sides swapped, Y W x - W Y x.  That
+    # part is -b r, odd in every pinned report, so the swap shows in each
+    "consistency-c124-sides-swapped": Mutant(
+        test_pcgroup,
+        "check_consistency",
+        "(yxz * wzx + yxx * wxx - wxz * yzx - wxx * yxx) % N,",
+        "(wxz * yzx + wxx * yxx - yxz * wzx - yxx * wxx) % N,",
+        test_pcgroup.test_consistency_report_pinned_entry_by_entry,
+        tuple(test_pcgroup.PINNED_REPORTS),
+    ),
     # D5 with 1 + s in place of -1 - s
     "d5-sign-of-s": Mutant(
         congruence,
@@ -151,8 +179,8 @@ MUTANTS = {
     "core-orders-blind-to-half-n": Mutant(
         pcgroup.PcData,
         "core_orders",
-        "any(_apply(pair, g, (e, 0))[1] for g in maps)",
-        "any(_apply(pair, g, (e, 0))[1] % (pair.N // 2) for g in maps)",
+        "e = min(pair.M, pair.N // gcd(pair.N, W[0][1], Y[0][1]))",
+        "e = min(pair.M, pair.N // 2 // gcd(pair.N // 2, W[0][1], Y[0][1]))",
         test_properties.test_core_orders_are_the_cores_solve_b_was_asked_for.hypothesis.inner_test,
         ((test_properties.X_EXPONENT_HALF_N,),),
     ),

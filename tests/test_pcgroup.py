@@ -567,6 +567,11 @@ def test_table_audit_catches_a_tail_map_entry_outside_the_block(monkeypatch):
 
 
 def test_build_table_rejects_inconsistent():
+    # t = 1 fails P(1,2) and W(1,2), but W and Y are units and all three
+    # tail maps are permutations, so the table audit would pass it: only
+    # the consistency check refuses it, and it comes first
+    with pytest.raises(DomainError, match=r"inconsistent presentation: P\(1, 2\), W\(1, 2\)$"):
+        build_table(pc_from_tuple_a(PAIR44, TupleA(0, 0, 1, 0)))
     with pytest.raises(DomainError, match="inconsistent presentation"):
         build_table(pc_from_tuple_a(PAIR44, TupleA(1, 0, 0, 0)))
 

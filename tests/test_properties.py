@@ -24,7 +24,10 @@ subgroup runs, is compared with full enumeration at random ranks in
 with core_of over the closed subgroups.  At every rank the CLI accepts,
 up to 20, where no table is built, those core orders are compared with
 the core spec whose solution set the tuple came from, and exchanging the
-roles of H and K, an involution on valid tuples, keeps every verdict.  At
+roles of H and K, an involution on valid tuples, keeps every verdict.
+At those ranks, on consistent and on mostly inconsistent tuples, the
+consistency report and the closed-form core orders are compared with
+the step-by-step forms they replaced (tests/oracles.py).  At
 random ranks up to 14, a valid tuple read in new generators of H and K,
 an affine map of the tuple, stays valid with the same cores; up to rank
 6 that map is compared with the tuple read off the new generators'
@@ -108,7 +111,13 @@ from sdprod.pcgroup import (
     verify_associativity_exhaustive,
     verify_associativity_extension,
 )
-from oracles import generator_columns, generators, verify_associativity_generators
+from oracles import (
+    consistency_entries,
+    doubled_core_orders,
+    generator_columns,
+    generators,
+    verify_associativity_generators,
+)
 from test_cli import PARSER_CASES, VALID_ARGV, WORKLOAD_ARGV
 from test_congruence import all_core_specs, brute_enumerate_b, searched_blocks, searched_heads
 from test_pcgroup import PrefixTable, collect_multiply, full_scan_accepts, index_nf, nf_index
@@ -383,6 +392,33 @@ def test_check_b_congruences_equals_consistency(case):
     pair, t = case
     want = check_b_congruences(pair, t).valid
     assert check_consistency(pc_from_tuple_b(pair, t)).overall == want
+
+
+# Consistent tuples from the solution sets, and tuples of biased fields,
+# most of them inconsistent, at every rank the CLI accepts
+CONSISTENT_OR_NOT_B = st.one_of(
+    valid_cored_tuples_b().map(lambda case: (case[0], case[2])), tuples_b(ALL_RANKS)
+)
+
+
+@PROPERTY_SETTINGS
+@given(CONSISTENT_OR_NOT_B)
+def test_consistency_report_equals_the_stepwise_evaluation(case):
+    """check_consistency reduces each residual once, at the end; the
+    oracle applies and reduces W and Y one step at a time.  The reports
+    must agree entry by entry: family, index and reduced residual."""
+    pair, t = case
+    pc = pc_from_tuple_b(pair, t)
+    assert list(check_consistency(pc).entries) == consistency_entries(pc)
+
+
+@PROPERTY_SETTINGS
+@example(case=(X_EXPONENT_HALF_N[0], X_EXPONENT_HALF_N[2]))
+@given(CONSISTENT_OR_NOT_B)
+def test_closed_form_core_orders_equal_the_doubling_search(case):
+    pair, t = case
+    pc = pc_from_tuple_b(pair, t)
+    assert pc.core_orders() == doubled_core_orders(pc)
 
 
 @lru_cache(maxsize=None)
