@@ -59,17 +59,24 @@ definition and coincidence.  Merged cosets form a union-find over coset
 numbers whose representatives coincidence finds inline, with path
 halving; a defining scan appends the new coset's row itself; the scan's
 view of the relators (_ends) is built once per presentation; compact
-flattens the union-find in one pass and renumbers through a list
-indexed by coset number; and the audit reads each column once into a
-list and walks each relator from every coset at once, one letter at a
-time.
+flattens the union-find in one pass, renumbers through a list indexed
+by coset number and writes each public row with one itemgetter; and the
+audit reads the columns in one pass over the rows and walks each
+relator from every coset at once, one letter (one itemgetter) at a
+time.  Around the
+kernel, one loop (_spell) writes a word in internal columns, run by run,
+power-reducing and freely reducing it as it goes: it spells both the
+relators of the rewrite and the subgroup words.  The audit spells the
+relators as given in public columns, once per presentation
+(_public_words), and on purpose not through _spell or the rewrite: it
+vouches for the rewrite, so it reads nothing the rewrite made.
 """
 
 from __future__ import annotations
 
 import codecs
 import functools
-import itertools
+import operator
 import re
 from typing import Iterable, NamedTuple, Sequence
 
@@ -109,16 +116,15 @@ class FpPres(_FpFields):
     def __new__(cls, names: tuple[str, ...], relators: tuple[tuple[int, ...], ...]):
         if not names:
             raise DomainError("a presentation needs at least one generator")
-        # the letters +-1..+-ngens, and the pairs g g^-1 that a freely
-        # reduced relator never holds (free_reduce(rel) == rel exactly then)
+        # the letters +-1..+-ngens; a freely reduced relator holds no pair
+        # g g^-1, whose sum is 0 (free_reduce(rel) == rel exactly then)
         letters = {*range(1, len(names) + 1), *range(-len(names), 0)}
-        cancelling = {(g, -g) for g in letters}
         for rel in relators:
             if not rel:
                 raise DomainError("empty relator")
             if not letters.issuperset(rel):
                 raise DomainError(f"relator letter out of range: {rel}")
-            if not cancelling.isdisjoint(zip(rel, rel[1:])):
+            if 0 in map(operator.add, rel, rel[1:]):
                 raise DomainError(f"relator not freely reduced: {rel}")
         return super().__new__(cls, names, relators)
 
@@ -271,17 +277,45 @@ def _col(letter: int) -> int:
     return 2 * (abs(letter) - 1) + (letter < 0)
 
 
-def _append_run(cols: list[int], col: int, n: int, inverse: Sequence[int]) -> None:
-    """Append n letters col to the freely reduced cols, keeping it freely
-    reduced: each cancels a trailing inverse, and an involution's run
-    leaves n mod 2 letters."""
-    inv = inverse[col]
-    while n and cols and cols[-1] == inv:
-        cols.pop()
-        n -= 1
-    if inv == col:
-        n %= 2
-    cols += [col] * n
+def _spell(
+    word: Sequence[int],
+    columns: Sequence[int],
+    inverse: Sequence[int],
+    period: dict[int, tuple[int, int]] | None = None,
+    own: int = -1,
+) -> list[int]:
+    """word, letters as in FpPres.relators, in internal columns and freely
+    reduced there.  Each run a^n of one letter, found by index, cancels
+    the trailing inverses it meets, and an involution's run leaves n mod 2
+    letters.  period maps a generator g to (k, i), its pure-power relator
+    g^k and that relator's index: a run of g or g^-1 in any word but the
+    relator own becomes a^e with e = n mod k taken in (-k/2, k/2], and a
+    negative e is a run of a's inverse."""
+    out: list[int] = []
+    i, size = 0, len(word)
+    while i < size:
+        letter = word[i]
+        j = i + 1
+        while j < size and word[j] == letter:
+            j += 1
+        n, i = j - i, j
+        col = columns[2 * abs(letter) - 2 + (letter < 0)]  # as _col
+        power = period.get(abs(letter)) if period else None
+        if power is not None and power[1] != own:
+            k = power[0]
+            n %= k
+            if 2 * n > k:
+                n -= k
+            if n < 0:
+                col, n = inverse[col], -n
+        inv = inverse[col]
+        while n and out and out[-1] == inv:
+            out.pop()
+            n -= 1
+        if inv == col:
+            n %= 2
+        out += [col] * n
+    return out
 
 
 _Ends = tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]  # (cols, back, n) per word
@@ -308,13 +342,14 @@ def _compile_relators(
     For each generator g with a pure-power relator g^k or g^-k (the least
     such k, the first relator spelling it), a run a^n of a = g or g^-1 in
     the other relators becomes a^e with e = n mod k taken in (-k/2, k/2],
-    so only runs longer than k/2 change.  Each relator is then spelt in
-    internal columns and freely reduced there, where an involution is its
-    own inverse: so g g and G G vanish, and so does a run reduced to
-    nothing between a letter and its inverse.  A relator that becomes
-    empty is dropped.  These are Tietze transformations, so the group is
-    unchanged, and no relator grows.  The result is sorted by length,
-    stably: short relators close and deduce first.
+    so only runs longer than k/2 change.  Each relator is spelt in
+    internal columns and freely reduced there in the same pass (_spell,
+    once per relator), where an involution is its own inverse: so g g
+    and G G vanish, and so does a run reduced to nothing between a
+    letter and its inverse.  A relator that becomes empty is dropped.
+    These are Tietze transformations, so the group is unchanged, and no
+    relator grows.  The result is sorted by length, stably: short
+    relators close and deduce first.
 
     The last presentation's result is kept: crosscheck enumerates one
     presentation two or three times, and each run scans the same tuples.
@@ -337,18 +372,9 @@ def _compile_relators(
             period[g] = (len(rel), i)
     compiled = []
     for i, rel in enumerate(relators):
-        cols: list[int] = []
-        for letter, run in itertools.groupby(rel):
-            n = len(list(run))
-            power = period.get(abs(letter))
-            if power is not None and power[1] != i:
-                k = power[0]
-                n %= k
-                if 2 * n > k:
-                    letter, n = -letter, k - n
-            _append_run(cols, columns[_col(letter)], n, inverse)
+        cols = _spell(rel, columns, inverse, period, i)
         if cols:
-            compiled.append(tuple(cols))
+            compiled.append(cols)
     compiled.sort(key=len)
     fill = [(col, inverse[col]) for col in range(len(inverse))]
     return tuple(columns), tuple(inverse), _ends(compiled, inverse), _ends(fill, inverse)
@@ -493,15 +519,9 @@ class _Enumeration:
     def run(self, subgroup: Sequence[Sequence[int]] = ()) -> None:
         rows, parent, scan = self.rows, self.parent, self.scan
         ends, fill, inverse = self.ends, self.fill, self.inverse
-        words = []
-        for word in subgroup:
-            cols: list[int] = []
-            for g in word:
-                _append_run(cols, self.columns[_col(g)], 1, inverse)
-            if cols:
-                words.append(cols)
+        words = (_spell(word, self.columns, inverse) for word in subgroup)
         # coset 0 survives every merge
-        scan((0,), _ends(words, inverse), True)
+        scan((0,), _ends(filter(None, words), inverse), True)
         mark = LOOKAHEAD_FIRST
         coset = 0
         while coset < len(rows):
@@ -539,7 +559,9 @@ class _Enumeration:
         """Renumber the live cosets breadth first from the identity coset,
         each row in the public layout: an involution's column is both of
         its public columns."""
-        parent, rows, columns = self.parent, self.rows, self.columns
+        parent, rows = self.parent, self.rows
+        # a tuple of a row's public entries: ngens >= 1 gives two columns at least
+        public = operator.itemgetter(*self.columns)
         for k, p in enumerate(parent):  # parent[p] is a root already, as p <= k
             parent[k] = parent[p]
         new_index = [-1] * len(rows)  # live coset number -> new number
@@ -558,7 +580,7 @@ class _Enumeration:
                     k = new_index[root] = len(order)
                     order.append(root)
                 new_row.append(k)
-            table.append([new_row[col] for col in columns])
+            table.append(list(public(new_row)))
         if len(order) != len(set(parent)):  # set(parent) holds the live cosets now
             raise RuntimeError("internal: coset graph is not connected")
         return table
@@ -591,6 +613,20 @@ def coset_enumerate(
     return table
 
 
+@functools.lru_cache(maxsize=1)
+def _public_words(
+    relators: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[tuple[int, ...], bool], ...]:
+    """What _audit walks of each relator as given: its public columns (see
+    _col), and whether it is a pure power g^k.
+
+    This stays apart from _compile_relators on purpose: the audit vouches
+    for the rewrite, so it reads nothing the rewrite made.  The last
+    presentation's result is kept, as crosscheck audits the tables of two
+    or three runs on one presentation."""
+    return tuple((tuple(map(_col, rel)), rel.count(rel[0]) == len(rel)) for rel in relators)
+
+
 def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> None:
     """Check every subgroup word at coset 0, column bijectivity and that
     each generator's inverse column inverts its column, then re-scan every
@@ -598,28 +634,31 @@ def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> 
 
     The inverse check is what vouches for compact writing an involution's
     one internal column into both of its public columns, and for every
-    walk that reads a g^-1 column.  Each column is read once into a list.
-    A relator that is not a pure power is walked from every coset at
-    once, one letter at a time, each step a lookup of the whole coset
-    list in one column.  A pure-power relator g^k is checked in one pass
-    over g's column: as that column is a permutation, g^k closes at every
-    coset exactly when every cycle of g has a length dividing k."""
+    walk that reads a g^-1 column.  The columns are read in one pass over
+    the rows (each row has 2 * ngens entries).  A relator that is not a
+    pure power is walked from every coset at once, one letter at a time,
+    each step one itemgetter lookup of the whole coset tuple in one
+    column.  A pure-power relator g^k is checked in one pass over g's
+    column: as that column is a permutation, g^k closes at every coset
+    exactly when every cycle of g has a length dividing k."""
     for word in subgroup:
         if table.walk(word) != 0:
             raise RuntimeError("internal: subgroup word does not fix coset 0")
-    size = list(range(table.count))
+    size = tuple(range(table.count))
     cosets = set(size)
-    columns = [[row[col] for row in table.rows] for col in range(2 * fp.ngens)]
+    columns = list(zip(*table.rows))
     for col, column in enumerate(columns):
         if set(column) != cosets:
             raise RuntimeError(f"internal: column {col} is not a permutation")
+    if table.count == 1:
+        # every column is (0,), so every check below passes; and an
+        # itemgetter of one index would return no tuple
+        return
     for col in range(0, len(columns), 2):
-        inverse = columns[col + 1]
-        if [inverse[cur] for cur in columns[col]] != size:
+        if operator.itemgetter(*columns[col])(columns[col + 1]) != size:
             raise RuntimeError(f"internal: column {col + 1} does not invert column {col}")
-    for rel in fp.relators:
-        cols = [_col(g) for g in rel]
-        if cols.count(cols[0]) == len(cols):
+    for cols, pure_power in _public_words(fp.relators):
+        if pure_power:
             k, column = len(cols), columns[cols[0]]
             seen = [False] * table.count
             for start in size:
@@ -634,9 +673,8 @@ def _audit(fp: FpPres, table: CosetTable, subgroup: Sequence[Sequence[int]]) -> 
                     raise RuntimeError("internal: relator does not close on the final table")
             continue
         ends = size
-        for col in cols:
-            column = columns[col]
-            ends = [column[cur] for cur in ends]
+        for col in cols:  # ends[i] = columns[col][ends[i]]
+            ends = operator.itemgetter(*ends)(columns[col])
         if ends != size:
             raise RuntimeError("internal: relator does not close on the final table")
 

@@ -12,8 +12,15 @@ The presentation: the sixteen overlap identities evaluated step by step
 (`consistency_entries`) and the core orders found by doubling
 (`doubled_core_orders`), the forms that `pcgroup.check_consistency` and
 `PcData.core_orders` had before each became one pass of closed formulas.
+
+The rewrite of coset enumeration: the relators compiled run by run
+through `itertools.groupby` and `append_run` (`compiled_relators`), and
+a subgroup word spelt one letter at a time (`spelt_subgroup_word`), the
+forms that `fpcoset._compile_relators` and `_Enumeration.run` had before
+both spelt their words through `fpcoset._spell`.
 """
 
+import itertools
 from typing import NamedTuple
 
 
@@ -142,3 +149,73 @@ def doubled_core_orders(pc):
     while e < pair.M and any(_apply(pair, g, (e, 0))[1] for g in (W, Y)):
         e *= 2
     return pair.N // d, pair.M // e
+
+
+def public_column(letter):
+    """The public column of a letter as in FpPres.relators: g and g^-1
+    take columns 2(g - 1) and 2(g - 1) + 1."""
+    return 2 * (abs(letter) - 1) + (letter < 0)
+
+
+def append_run(cols, col, n, inverse):
+    """Append n letters col to the freely reduced cols, keeping it freely
+    reduced: each cancels a trailing inverse, and an involution's run
+    leaves n mod 2 letters."""
+    inv = inverse[col]
+    while n and cols and cols[-1] == inv:
+        cols.pop()
+        n -= 1
+    if inv == col:
+        n %= 2
+    cols += [col] * n
+
+
+def compiled_relators(ngens, relators):
+    """(columns, inverse, compiled, fill) of a presentation: the column
+    layout, the relators in internal columns, power-reduced, freely
+    reduced and sorted by length, and the words g g^-1, one per internal
+    column.  Each run of one letter is found by groupby, reduced modulo
+    the least pure power of its generator (unless it is that relator) to
+    the shorter equal power, and appended in internal columns through
+    append_run."""
+    involutions = {abs(rel[0]) for rel in relators if len(rel) == 2 and rel[0] == rel[1]}
+    columns, inverse = [], []
+    for g in range(1, ngens + 1):
+        col = len(inverse)
+        if g in involutions:
+            columns += [col, col]
+            inverse.append(col)
+        else:
+            columns += [col, col + 1]
+            inverse += [col + 1, col]
+    period = {}  # g -> (k, index of the relator g^k)
+    for i, rel in enumerate(relators):
+        g = abs(rel[0])
+        if (g not in period or len(rel) < period[g][0]) and rel.count(rel[0]) == len(rel):
+            period[g] = (len(rel), i)
+    compiled = []
+    for i, rel in enumerate(relators):
+        cols = []
+        for letter, run in itertools.groupby(rel):
+            n = len(list(run))
+            power = period.get(abs(letter))
+            if power is not None and power[1] != i:
+                k = power[0]
+                n %= k
+                if 2 * n > k:
+                    letter, n = -letter, k - n
+            append_run(cols, columns[public_column(letter)], n, inverse)
+        if cols:
+            compiled.append(tuple(cols))
+    compiled.sort(key=len)
+    fill = [(col, inverse[col]) for col in range(len(inverse))]
+    return tuple(columns), tuple(inverse), compiled, fill
+
+
+def spelt_subgroup_word(word, columns, inverse):
+    """A subgroup word in internal columns, freely reduced, appended one
+    letter at a time."""
+    cols = []
+    for g in word:
+        append_run(cols, columns[public_column(g)], 1, inverse)
+    return cols

@@ -4,16 +4,19 @@ reference formula of the tests, with the one check that must kill it.
 A mutant is made from the source of the function it edits: the line is
 replaced, the function is compiled again over its module's own globals,
 so that it sees what a check patches in that module, and monkeypatch
-puts it in place of the original for one test.  A function the check's
-test module imports by name is patched there, in the test module:
-patched in the package, the check would never see it.  The test runs the
-named check on its listed cases, first on the code as it is, where every
-case must pass, then on the mutant, where every case must fail, with an
-AssertionError or with pytest's Failed (a pytest.raises that saw no
-exception).  A check may take the capsys and monkeypatch fixtures.  Only
-the named check runs, so the file takes seconds.  An edit whose line is
-no longer in the source fails here too: the mutant must then be
-rewritten for the new code, not dropped.
+puts it in place of the original for one test.  A cached function's
+mutant is the bare function, and the package's caches are emptied
+before and after the mutant runs, so that no result cached by the code
+as it is hides the mutant, and none cached under it outlives it.  A
+function the check's test module imports by name is patched there, in
+the test module: patched in the package, the check would never see it.
+The test runs the named check on its listed cases, first on the code as
+it is, where every case must pass, then on the mutant, where every case
+must fail, with an AssertionError or with pytest's Failed (a
+pytest.raises that saw no exception).  A check may take the capsys and
+monkeypatch fixtures.  Only the named check runs, so the file takes
+seconds.  An edit whose line is no longer in the source fails here too:
+the mutant must then be rewritten for the new code, not dropped.
 """
 
 import inspect
@@ -42,6 +45,13 @@ class Mutant(NamedTuple):
 
 
 FIXTURES = ("capsys", "monkeypatch")  # the pytest fixtures a check may take
+
+
+def parametrized_case(test, case_id):
+    """The arguments of the case case_id of a test with one parametrize mark."""
+    (mark,) = test.pytestmark
+    return mark.args[1][mark.kwargs["ids"].index(case_id)]
+
 
 MUTANTS = {
     # the modular group's relation x^y = x^(N/2+1) accepted beside the
@@ -184,6 +194,26 @@ MUTANTS = {
         test_properties.test_core_orders_are_the_cores_solve_b_was_asked_for.hypothesis.inner_test,
         ((test_properties.X_EXPONENT_HALF_N,),),
     ),
+    # the rewrite's runs reduced without n mod k: a run of 2k or more
+    # letters is not reduced below k, so x^32 beside x^16 stays x^16
+    "spell-skips-run-modulo-period": Mutant(
+        fpcoset,
+        "_spell",
+        "n %= k",
+        "pass",
+        test_fpcoset.test_compile_relators,
+        (parametrized_case(test_fpcoset.test_compile_relators, "x^32-beside-x^16"),),
+    ),
+    # the audit's spelling calls every relator a pure power: x y is then
+    # checked as the cycles of x alone
+    "public-words-all-pure-powers": Mutant(
+        fpcoset,
+        "_public_words",
+        "rel.count(rel[0]) == len(rel)",
+        "True",
+        test_fpcoset.test_audit_walks_a_relator_to_the_last_coset,
+        ((),),
+    ),
     # crosscheck without its centre test: |G:H| = 2M alone decides.  Only
     # the (4,4) case reaches the test; at (4,5) |G:H| is not 2M
     "crosscheck-drops-centre-test": Mutant(
@@ -201,7 +231,7 @@ def mutate(mutant: Mutant):
     """The edited function (or property) of mutant, compiled from its source
     over its module's own globals."""
     original = vars(mutant.owner)[mutant.name]
-    fn = original.fget if isinstance(original, property) else original
+    fn = inspect.unwrap(original.fget if isinstance(original, property) else original)
     source = textwrap.dedent(inspect.getsource(fn))
     assert source.count(mutant.line) == 1, f"{mutant.name} no longer holds {mutant.line!r}"
     module = compile(source.replace(mutant.line, mutant.mutated), inspect.getsourcefile(fn), "exec")
@@ -224,7 +254,21 @@ def test_mutant_is_killed_by_its_check(request, monkeypatch, mutant):
     for case in mutant.cases:
         check(case)
     monkeypatch.setattr(mutant.owner, mutant.name, mutate(mutant))
-    for case in mutant.cases:
-        # a check that expects an exception fails with pytest's Failed
-        with pytest.raises((AssertionError, pytest.fail.Exception)):
-            check(case)
+    clear_caches()
+    try:
+        for case in mutant.cases:
+            # a check that expects an exception fails with pytest's Failed
+            with pytest.raises((AssertionError, pytest.fail.Exception)):
+                check(case)
+    finally:
+        clear_caches()
+
+
+def clear_caches():
+    """Empty the package's cached functions: a result cached by the code as
+    it is could hide the mutant, and one cached under the mutant (as
+    _compile_relators under a mutant _spell) could outlive it."""
+    for module in (cli, congruence, fpcoset, pcgroup):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()

@@ -15,8 +15,8 @@ congruence._residuals gives D1..D12 on the same symbols.  Then:
   M*r = 0 mod N, and they follow from D2 with D7 and from D3 with D5:
   the 2-adic step below.
 
-pcgroup reduces W's and Y's entries, and each image, before the next
-step.  Once N*b = 0 mod M and M*r = 0 mod N hold, that moves a residual
+pcgroup reduces W's and Y's entries first, and each residual at the
+end.  Once N*b = 0 mod M and M*r = 0 mod N hold, that moves a residual
 only by a multiple of its modulus: an exponent changed by M or N meets,
 at worst, the other part's b or r.  Consistent (all sixteen reduced
 residuals 0) includes those two, since pcgroup computes them exactly, so
